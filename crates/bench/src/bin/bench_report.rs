@@ -31,7 +31,7 @@ use std::time::Instant;
 use bench::{bench_config, BENCH_SCALE};
 use noc::{run_synthetic, MessageClass, Noc, NocConfig, NocModel, SyntheticTraffic};
 use simkernel::{Cycle, NodeId, TraceSettings};
-use system::{ExecutionEngine, Machine, MachineKind, SystemConfig};
+use system::{ExecutionEngine, Machine, MachineKind};
 use workloads::nas::NasBenchmark;
 
 /// Allowed ops/sec drop before `--check` fails, as a fraction.
@@ -97,7 +97,6 @@ fn measure_step_throughput(samples: usize) -> Vec<Entry> {
                 name: match engine {
                     ExecutionEngine::Legacy => "cg/legacy",
                     ExecutionEngine::Interleaved => "cg/interleaved",
-                    ExecutionEngine::Parallel => "cg/parallel",
                 },
                 ops,
                 unit: "instructions",
@@ -105,121 +104,12 @@ fn measure_step_throughput(samples: usize) -> Vec<Entry> {
                 median_ns,
                 baseline_median_ns: match engine {
                     ExecutionEngine::Legacy => 31_412_855,
-                    // The parallel engine postdates the refactor, so its
-                    // trajectory is read against the same pre-refactor
-                    // serial (interleaved) median: the speedup is "what the
-                    // hot-loop workload costs now vs the serial engine then".
-                    ExecutionEngine::Interleaved | ExecutionEngine::Parallel => 45_565_334,
+                    ExecutionEngine::Interleaved => 45_565_334,
                 },
             }
         })
         .collect()
 }
-
-/// Big-mesh scaling of the parallel engine: NAS CG on 64-, 256- and
-/// 1024-core meshes under both `--engine interleaved` and
-/// `--engine parallel` with `--jobs 8`.  Each entry's baseline is the
-/// interleaved median for the same mesh on this machine, so a parallel
-/// entry's `speedup_vs_baseline` reads directly as the engine's gain over
-/// the serial reference (and an interleaved entry's as its own drift).
-///
-/// Caveat recorded with the numbers: this machine exposes one hardware
-/// thread, so the worker pool clamps jobs=8 to a single worker and the
-/// measured gain is purely the scheduling advantage — cores running whole
-/// epochs back-to-back on lane-local state instead of round-robin stepping
-/// through the shared event queue.  The fan-out itself (which multiplies
-/// that gain on multi-core hosts) cannot show up in wall-clock here.
-///
-/// `quick` restricts the sweep to the 256-core parallel point — the single
-/// entry the CI gate re-measures (`--check --only parallel --quick`).
-///
-/// The full sweep samples the two engines *alternately* per mesh (one
-/// interleaved run, one parallel run, repeat) so a host-noise burst lands
-/// on both engines equally and the recorded ratio stays meaningful even
-/// when absolute medians drift between runs.
-fn measure_parallel_engine(samples: usize, quick: bool) -> Vec<Entry> {
-    let benchmark = NasBenchmark::Cg;
-    let spec = benchmark.spec_scaled(benchmark.recommended_scale());
-    let config_for = |cores: usize, engine: ExecutionEngine| {
-        let mut config = SystemConfig::with_cores(cores);
-        config.engine = engine;
-        config.engine_jobs = 8;
-        config
-    };
-    // Alternating A/B measurement of both engines on one mesh.
-    let measure_pair = |cores: usize, samples: usize| {
-        let inter = config_for(cores, ExecutionEngine::Interleaved);
-        let par = config_for(cores, ExecutionEngine::Parallel);
-        // Both engines retire the same instruction stream (pinned by the
-        // cross-engine equivalence tests), so one ops count serves both.
-        let ops = Machine::new(MachineKind::HybridProposed, inter.clone())
-            .run(&spec)
-            .instructions;
-        let mut inter_ns: Vec<u128> = Vec::with_capacity(samples);
-        let mut par_ns: Vec<u128> = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            for (config, times) in [(&inter, &mut inter_ns), (&par, &mut par_ns)] {
-                let t = Instant::now();
-                std::hint::black_box(
-                    Machine::new(MachineKind::HybridProposed, config.clone()).run(&spec),
-                );
-                times.push(t.elapsed().as_nanos());
-            }
-        }
-        inter_ns.sort_unstable();
-        par_ns.sort_unstable();
-        let mid = samples / 2;
-        (
-            (ops, inter_ns[0], inter_ns[mid]),
-            (ops, par_ns[0], par_ns[mid]),
-        )
-    };
-    let mut entries = Vec::new();
-    let mut push = |name, (ops, min_ns, median_ns), baseline_median_ns| {
-        entries.push(Entry {
-            name,
-            ops,
-            unit: "instructions",
-            min_ns,
-            median_ns,
-            baseline_median_ns,
-        });
-    };
-    if quick {
-        let config = config_for(256, ExecutionEngine::Parallel);
-        let ops = Machine::new(MachineKind::HybridProposed, config.clone())
-            .run(&spec)
-            .instructions;
-        let (min_ns, median_ns) = sample(samples, || {
-            Machine::new(MachineKind::HybridProposed, config.clone()).run(&spec)
-        });
-        push(
-            "cg256/parallel_j8",
-            (ops, min_ns, median_ns),
-            BASELINE_INTERLEAVED_256_NS,
-        );
-        return entries;
-    }
-    let (inter, par) = measure_pair(64, samples);
-    push("cg64/interleaved", inter, BASELINE_INTERLEAVED_64_NS);
-    push("cg64/parallel_j8", par, BASELINE_INTERLEAVED_64_NS);
-    let (inter, par) = measure_pair(256, samples);
-    push("cg256/interleaved", inter, BASELINE_INTERLEAVED_256_NS);
-    push("cg256/parallel_j8", par, BASELINE_INTERLEAVED_256_NS);
-    // The 1024-core points are the "completes end-to-end" criterion; a
-    // few samples keep the full report under a couple of minutes.
-    let (inter, par) = measure_pair(1024, samples.clamp(1, 3));
-    push("cg1024/interleaved", inter, BASELINE_INTERLEAVED_1024_NS);
-    push("cg1024/parallel_j8", par, BASELINE_INTERLEAVED_1024_NS);
-    entries
-}
-
-/// Interleaved-engine medians for CG at `recommended_scale` on this
-/// machine, per mesh size — the serial reference the parallel entries'
-/// `speedup_vs_baseline` is computed against.
-const BASELINE_INTERLEAVED_64_NS: u64 = 502_492_629;
-const BASELINE_INTERLEAVED_256_NS: u64 = 596_341_387;
-const BASELINE_INTERLEAVED_1024_NS: u64 = 1_035_489_059;
 
 /// The observer cost on the machine-step workload: the shipping default
 /// (tracing and accounting both off), events-only tracing, events plus the
@@ -436,7 +326,6 @@ fn check(path: &Path, entries: &[Entry]) -> Vec<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let checking = args.iter().any(|a| a == "--check");
-    let quick = args.iter().any(|a| a == "--quick");
     let allow = args.iter().any(|a| a == "--allow-regression")
         || std::env::var("BENCH_ALLOW_REGRESSION").is_ok_and(|v| v == "1");
     let samples = args
@@ -445,9 +334,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|s| s.parse().ok())
         .unwrap_or(15);
-    // `--only step|noc|trace|parallel` restricts the run to one report —
-    // what CI uses to gate the 256-core parallel point without re-running
-    // the whole suite.
+    // `--only step|noc|trace` restricts the run to one report.
     let only: Option<&str> = args
         .iter()
         .position(|a| a == "--only")
@@ -507,33 +394,12 @@ fn main() {
             trace,
         ));
     }
-    if wants("parallel") {
-        eprintln!("measuring parallel_engine_scaling ({samples} samples per mesh)...");
-        let par = measure_parallel_engine(samples, quick);
-        reports.push((
-            "BENCH_parallel_engine.json",
-            render(
-                "parallel_engine_scaling",
-                &rev,
-                "64/256/1024-core meshes, NAS CG at recommended scale, \
-                 HybridProposed, parallel engine at --jobs 8 vs interleaved \
-                 (host has 1 hardware thread: pool clamps to 1 worker, so \
-                 gains are scheduling-only)",
-                samples,
-                &par,
-            ),
-            par,
-        ));
-    }
 
     let mut failures = Vec::new();
     for (file, json, entries) in &reports {
         let path = root.join(file);
         if checking {
             failures.extend(check(&path, entries));
-        } else if quick {
-            // A quick run measures a subset; never clobber the full record.
-            println!("quick run — not rewriting {}", path.display());
         } else {
             std::fs::write(&path, json).expect("write report");
             println!("wrote {}", path.display());

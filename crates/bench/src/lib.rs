@@ -6,6 +6,7 @@
 //! binaries (`cargo run --release -p system --bin fig9 …`) produce the
 //! full-scale numbers recorded in `EXPERIMENTS.md`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use system::{MachineKind, SystemConfig};

@@ -11,8 +11,8 @@
 //! As long as the closure is deterministic (every simulation run in this
 //! workspace is), `jobs = 1` and `jobs = N` produce bit-identical outputs.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// A fixed-width work-sharing executor.
 ///
@@ -111,216 +111,6 @@ impl Default for Executor {
     }
 }
 
-/// The job a [`WorkerPool`] dispatch round shares with its workers: an
-/// index-consuming closure and the number of indices to cover.
-///
-/// The `'static` lifetime is a lie told only inside the pool: `dispatch`
-/// erases the caller's borrow and does not return until every worker has
-/// quiesced, so the closure is never dereferenced after the true borrow
-/// ends.
-#[derive(Clone, Copy)]
-struct Job {
-    f: *const (dyn Fn(usize) + Sync),
-    items: usize,
-}
-
-// The pointer is only ever dereferenced while the originating `dispatch`
-// call is blocked, which keeps the underlying closure alive and `Sync`
-// makes the shared dereference sound.
-unsafe impl Send for Job {}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signals workers that a new generation (or shutdown) is available.
-    work_ready: Condvar,
-    /// Signals the dispatcher that every worker finished the generation.
-    done: Condvar,
-    /// Next unclaimed index of the current generation.
-    next: AtomicUsize,
-    /// Set when a worker's closure panicked (the dispatcher re-raises).
-    panicked: AtomicBool,
-}
-
-struct PoolState {
-    generation: u64,
-    job: Option<Job>,
-    /// Workers still executing the current generation.
-    active: usize,
-    shutdown: bool,
-}
-
-/// A persistent work-sharing pool for fine-grained, repeated dispatches.
-///
-/// [`Executor::run`] spawns a fresh thread scope per call, which is fine
-/// for campaign points that run for seconds but far too slow for the
-/// parallel execution engine, which dispatches one round per simulated
-/// epoch — thousands of times per kernel.  `WorkerPool` keeps its threads
-/// parked on a condvar between rounds so a dispatch costs a lock, a
-/// notify and an atomic counter, not a `thread::spawn`.
-///
-/// Determinism: like [`Executor`], the pool imposes no ordering of its
-/// own — workers claim indices from an atomic counter and each index is
-/// processed exactly once.  As long as index `i`'s work touches state
-/// disjoint from index `j`'s (the parallel engine's per-core lanes), the
-/// results are bit-identical for any worker count, including the inline
-/// single-worker path.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    workers: usize,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.workers)
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// A pool with `workers` total workers; `0` means the host's available
-    /// parallelism.  The dispatching thread is one of the workers, so a
-    /// one-worker pool spawns no threads and runs every job inline.
-    pub fn new(workers: usize) -> Self {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            workers
-        };
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                generation: 0,
-                job: None,
-                active: 0,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            done: Condvar::new(),
-            next: AtomicUsize::new(0),
-            panicked: AtomicBool::new(false),
-        });
-        let handles = (1..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Self::worker_loop(&shared))
-            })
-            .collect();
-        WorkerPool {
-            shared,
-            handles,
-            workers,
-        }
-    }
-
-    /// Total workers (spawned threads plus the dispatching thread).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn worker_loop(shared: &PoolShared) {
-        let mut seen = 0u64;
-        loop {
-            let job = {
-                let mut state = shared.state.lock().unwrap();
-                loop {
-                    if state.shutdown {
-                        return;
-                    }
-                    if state.generation != seen {
-                        seen = state.generation;
-                        break state.job.expect("an armed generation carries a job");
-                    }
-                    state = shared.work_ready.wait(state).unwrap();
-                }
-            };
-            Self::drain(shared, job);
-            let mut state = shared.state.lock().unwrap();
-            state.active -= 1;
-            if state.active == 0 {
-                shared.done.notify_all();
-            }
-        }
-    }
-
-    /// Claims and runs indices until the generation's counter runs dry.
-    fn drain(shared: &PoolShared, job: Job) {
-        // SAFETY: the dispatcher blocks until `active == 0`, so the borrow
-        // behind the raw pointer outlives every dereference.
-        let f = unsafe { &*job.f };
-        loop {
-            let i = shared.next.fetch_add(1, Ordering::Relaxed);
-            if i >= job.items {
-                return;
-            }
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))).is_err() {
-                shared.panicked.store(true, Ordering::SeqCst);
-                return;
-            }
-        }
-    }
-
-    /// Runs `f(0..items)` across the pool, returning when every index has
-    /// been processed.  The calling thread participates, so the pool is
-    /// fully busy even with short item lists.
-    ///
-    /// # Panics
-    ///
-    /// Panics after the round completes if any worker's `f` panicked.
-    pub fn dispatch(&self, items: usize, f: &(dyn Fn(usize) + Sync)) {
-        if items == 0 {
-            return;
-        }
-        if self.workers <= 1 || items == 1 {
-            for i in 0..items {
-                f(i);
-            }
-            return;
-        }
-        // Erase the borrow's lifetime (see `Job`): sound because this call
-        // does not return until every worker has quiesced.
-        let f: &'static (dyn Fn(usize) + Sync) = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
-        };
-        let job = Job {
-            f: f as *const _,
-            items,
-        };
-        {
-            let mut state = self.shared.state.lock().unwrap();
-            self.shared.next.store(0, Ordering::SeqCst);
-            state.job = Some(job);
-            state.generation = state.generation.wrapping_add(1);
-            state.active = self.handles.len();
-            self.shared.work_ready.notify_all();
-        }
-        // The dispatcher is a worker too.
-        Self::drain(&self.shared, job);
-        let mut state = self.shared.state.lock().unwrap();
-        while state.active != 0 {
-            state = self.shared.done.wait(state).unwrap();
-        }
-        state.job = None;
-        drop(state);
-        if self.shared.panicked.swap(false, Ordering::SeqCst) {
-            panic!("a WorkerPool worker panicked during dispatch");
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().unwrap();
-            state.shutdown = true;
-            self.shared.work_ready.notify_all();
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,62 +160,5 @@ mod tests {
             })
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn pool_covers_every_index_exactly_once() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.workers(), 4);
-        for items in [0usize, 1, 3, 100, 1000] {
-            let hits: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
-            pool.dispatch(items, &|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "{items} items"
-            );
-        }
-    }
-
-    #[test]
-    fn pool_is_reusable_across_many_rounds() {
-        let pool = WorkerPool::new(3);
-        let total = AtomicUsize::new(0);
-        for _ in 0..500 {
-            pool.dispatch(7, &|i| {
-                total.fetch_add(i + 1, Ordering::Relaxed);
-            });
-        }
-        assert_eq!(total.load(Ordering::Relaxed), 500 * 28);
-    }
-
-    #[test]
-    fn single_worker_pool_runs_inline_in_order() {
-        let pool = WorkerPool::new(1);
-        assert!(pool.handles.is_empty());
-        let seen = Mutex::new(Vec::new());
-        pool.dispatch(5, &|i| seen.lock().unwrap().push(i));
-        assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn pool_zero_means_available_parallelism() {
-        assert!(WorkerPool::new(0).workers() >= 1);
-    }
-
-    #[test]
-    fn pool_panic_propagates_and_pool_survives() {
-        let pool = WorkerPool::new(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.dispatch(4, &|i| assert_ne!(i, 2, "boom"));
-        }));
-        assert!(result.is_err());
-        // The pool stays usable after a propagated panic.
-        let total = AtomicUsize::new(0);
-        pool.dispatch(4, &|i| {
-            total.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 6);
     }
 }

@@ -49,6 +49,7 @@
 //! assert_eq!(report.executed, points.len());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -61,7 +62,7 @@ pub mod spec;
 
 pub use aggregate::{summarize, CampaignSummary, PointMetrics, PointRecord, SummaryRow};
 pub use cache::ResultCache;
-pub use executor::{Executor, WorkerPool};
+pub use executor::Executor;
 pub use hash::{fnv1a64, CacheKey};
 pub use run::{run_campaign, CampaignReport, Codec, CACHE_FORMAT};
 pub use spec::{RunDescriptor, SweepSpec, ENGINE_IDS, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS};

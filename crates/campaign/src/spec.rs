@@ -27,7 +27,7 @@ pub const NOC_MODEL_IDS: [&str; 2] = ["analytic", "discrete-event"];
 ///
 /// These are the strings a descriptor's `engine` field uses; `system` maps
 /// them onto its `ExecutionEngine` enum.
-pub const ENGINE_IDS: [&str; 3] = ["legacy", "interleaved", "parallel"];
+pub const ENGINE_IDS: [&str; 2] = ["legacy", "interleaved"];
 
 /// Canonical coherence-protocol identifiers, the paper's protocol first.
 ///
@@ -436,11 +436,10 @@ mod tests {
             .with_cores(&[8])
             .with_machines(&["hybrid-proposed"])
             .with_engines(&ENGINE_IDS);
-        assert_eq!(spec.len(), 3);
+        assert_eq!(spec.len(), 2);
         let points = spec.points();
         assert_eq!(points[0].engine.as_deref(), Some("legacy"));
         assert_eq!(points[1].engine.as_deref(), Some("interleaved"));
-        assert_eq!(points[2].engine.as_deref(), Some("parallel"));
     }
 
     #[test]

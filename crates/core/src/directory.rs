@@ -311,11 +311,6 @@ impl CoherenceBackend for DirectoryCoherence {
             self.directory.probe(base),
         )
     }
-
-    // The lane methods keep their defaults on purpose: every guarded access
-    // is a home round trip, so nothing is lane-local under the parallel
-    // engine — each one defers to the epoch-boundary commit, which is the
-    // backend's honest cost under run-ahead execution.
 }
 
 #[cfg(test)]

@@ -57,6 +57,7 @@
 //! assert!(outcome.diverted_to_spm());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -76,8 +77,6 @@ pub use filterdir::FilterDir;
 pub use ideal::IdealCoherence;
 pub use masks::AddressMasks;
 pub use outcome::{GuardedOutcome, GuardedTarget};
-pub use protocol::{
-    CoherenceBackend, ProtocolConfig, ProtocolFault, ProtocolLane, SpmCoherenceProtocol,
-};
+pub use protocol::{CoherenceBackend, ProtocolConfig, ProtocolFault, SpmCoherenceProtocol};
 pub use spmdir::SpmDir;
 pub use stats::ProtocolStats;

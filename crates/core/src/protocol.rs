@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 use simkernel::{ByteSize, CoreId, Cycle, StatRegistry};
 
-use mem::{AccessKind, Addr, AddressRange, CoreLane, MemorySystem};
+use mem::{AccessKind, Addr, AddressRange, MemorySystem};
 use noc::MessageClass;
 use spm::{Scratchpad, SpmAddressMap};
 
@@ -31,15 +31,6 @@ const GUARDED_REFERENCE_ID: u64 = u64::MAX;
 /// comparison *is* the paper's §5.3 overhead study, and the
 /// proposed-vs-directory comparison turns the paper's "cheaper than a
 /// conventional directory" claim into a measurable ablation.
-///
-/// Besides the functional hooks, the trait owns the parallel engine's
-/// lane-safety contract: [`CoherenceBackend::is_guarded_lane_local`] decides,
-/// per backend, whether a guarded access can run during lane-local run-ahead
-/// (i.e. cannot emit coherence traffic or touch another core's structures).
-/// What is lane-safe differs per protocol — a filter hit is lane-local under
-/// the paper's protocol, while the directory baseline must defer *every*
-/// guarded access to the commit phase because each one is a home round trip.
-/// The defaults (`None` lane, never lane-local) are always correct.
 pub trait CoherenceBackend {
     /// Notifies the hardware of the SPM buffer size chosen by the runtime
     /// library for the upcoming loop (sets the Base/Offset mask registers).
@@ -96,190 +87,6 @@ pub trait CoherenceBackend {
     /// empty; engines with inspectable structures override it.
     fn describe_addr(&self, _core: CoreId, _addr: Addr) -> String {
         String::new()
-    }
-
-    // ------------------------------------------------- parallel-engine lanes
-    //
-    // The parallel execution engine asks the protocol for per-core lanes so
-    // guarded accesses resolving entirely locally (local SPMDir hit, or
-    // filter hit over an L1-local cache access) can run during the
-    // run-ahead phase.  The defaults opt out: every guarded access defers
-    // to the epoch-boundary commit, which is always correct (the ideal
-    // oracle keeps them — its structures are global by construction).
-
-    /// Builds the per-core protocol lane, or `None` if this engine cannot
-    /// run any guarded access core-locally.  The lane holds raw pointers to
-    /// the core's structures inside the protocol, so run-ahead mutates the
-    /// resident SPMDir and filter directly and the commit phase sees every
-    /// update with no swapping.
-    ///
-    /// # Safety
-    ///
-    /// The same contract as `mem::MemorySystem::new_lane`: the protocol must
-    /// be neither moved nor dropped while the lane lives, at most one lane
-    /// may exist per core, and the lane's methods must never run while any
-    /// other code holds a borrow of the protocol.
-    unsafe fn new_core_lane(&mut self, _core: CoreId) -> Option<ProtocolLane> {
-        None
-    }
-
-    /// Re-copies the protocol's address-decode registers into the lane.
-    /// Called once per round: a deferred op committed since the last round
-    /// (an `AllocateBuffers` reconfiguration) can move them.
-    fn refresh_lane(&self, _lane: &mut ProtocolLane) {}
-
-    /// Folds a lane's scratch statistics back into the protocol's.
-    fn merge_lane_scratch(&mut self, _lane: &mut ProtocolLane) {}
-
-    /// Read-only twin of [`ProtocolLane::try_guarded`]'s classification,
-    /// for the parallel engine's observer mode: would this guarded access
-    /// resolve with no observable effect outside `core`'s own structures?
-    fn is_guarded_lane_local(
-        &self,
-        _core: CoreId,
-        _addr: Addr,
-        _is_write: bool,
-        _memsys: &MemorySystem,
-    ) -> bool {
-        false
-    }
-}
-
-/// One core's slice of the proposed protocol's hardware — raw pointers to
-/// its SPMDir and filter inside the [`SpmCoherenceProtocol`], plus copies of
-/// the address-decode registers — for the parallel engine's run-ahead phase.
-///
-/// [`try_guarded`](Self::try_guarded) mirrors the two guarded-access cases
-/// that touch no shared structure: a local SPMDir hit (case b) and a filter
-/// hit whose underlying cache access the core's [`CoreLane`] can serve
-/// (case a).  Everything else — filterDir traffic, broadcasts, remote SPMs —
-/// returns `None` with nothing mutated, and the engine defers the access to
-/// the commit phase where it runs through
-/// [`CoherenceBackend::guarded_access`].
-///
-/// The safety contract is stated on
-/// [`CoherenceBackend::new_core_lane`]; every dereference below relies on
-/// it.
-#[derive(Debug)]
-pub struct ProtocolLane {
-    core: CoreId,
-    spmdir: *mut SpmDir,
-    filter: *mut Filter,
-    masks: AddressMasks,
-    buffer_size: ByteSize,
-    spm_size: ByteSize,
-    cam_latency: Cycle,
-    address_map: SpmAddressMap,
-    scratch: ProtocolStats,
-}
-
-// SAFETY: a lane is exclusively owned by one engine worker at a time, and
-// the structures its pointers target are touched by no one else while the
-// run-ahead phase is in flight (`CoherenceBackend::new_core_lane`'s
-// contract).
-unsafe impl Send for ProtocolLane {}
-
-impl ProtocolLane {
-    /// The core this lane belongs to.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
-    /// Attempts one guarded access using only this core's structures.
-    ///
-    /// `mem_lane` is the same core's hierarchy lane (guarded accesses served
-    /// by global memory go through the L1) and `spm` its scratchpad.
-    pub fn try_guarded(
-        &mut self,
-        addr: Addr,
-        is_write: bool,
-        mem_lane: &mut CoreLane,
-        spm: &mut Scratchpad,
-    ) -> Option<GuardedOutcome> {
-        // SAFETY: exclusive access per `CoherenceBackend::new_core_lane`.
-        let (spmdir, filter) = unsafe { (&mut *self.spmdir, &mut *self.filter) };
-        let (base, offset) = self.masks.decompose(addr);
-        let cam = self.cam_latency;
-        let kind = if is_write {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-
-        // Classify first, with read-only probes, so a deferred access
-        // leaves every counter untouched for the full path to count at the
-        // commit phase.  Case (b) — mapped to the local SPM — is lane-local
-        // unless a guarded store's GM write-through would miss; case (a) —
-        // the filter knows the chunk is unmapped — is lane-local iff the GM
-        // access itself is.  (`Filter::probe` is false on a gated filter,
-        // so the gated path always defers.)  Anything else needs the
-        // filterDir and the NoC: defer.
-        let local_spm = spmdir.probe(base).is_some();
-        if local_spm {
-            if is_write && !mem_lane.can_serve(addr, AccessKind::Store, GUARDED_REFERENCE_ID) {
-                return None;
-            }
-        } else if !filter.probe(base) || !mem_lane.can_serve(addr, kind, GUARDED_REFERENCE_ID) {
-            return None;
-        }
-
-        // Execute, mirroring `guarded_access` call-for-call: the local
-        // SPMDir CAM is searched on every guarded access (its lookup
-        // counter ticks on misses too), and the filter only after it
-        // misses.
-        self.count_access(is_write);
-        if let Some(buffer) = spmdir.lookup(base) {
-            self.scratch.local_spm_hits += 1;
-            self.scratch.lsq_recheck_notifications += 1;
-            let spm_latency = if is_write {
-                let _ = mem_lane
-                    .try_access(addr, AccessKind::Store, GUARDED_REFERENCE_ID)
-                    .expect("can_serve checked above");
-                spm.write_local()
-            } else {
-                spm.read_local()
-            };
-            return Some(GuardedOutcome {
-                latency: cam + spm_latency,
-                target: GuardedTarget::LocalSpm { buffer },
-                filter_hit: None,
-                spm_virtual_addr: Some(self.diverted_spm_addr(buffer, offset)),
-                gm_write_through: is_write,
-            });
-        }
-
-        let hit = filter.lookup(base);
-        debug_assert!(hit, "probe and lookup agree");
-        self.scratch.filter_lookups += 1;
-        self.scratch.filter_hits += 1;
-        let result = mem_lane
-            .try_access(addr, kind, GUARDED_REFERENCE_ID)
-            .expect("can_serve checked above");
-        self.scratch.served_by_gm += 1;
-        Some(GuardedOutcome {
-            latency: result.latency,
-            target: GuardedTarget::GlobalMemory {
-                served_by: result.served_by,
-            },
-            filter_hit: Some(true),
-            spm_virtual_addr: None,
-            gm_write_through: false,
-        })
-    }
-
-    fn count_access(&mut self, is_write: bool) {
-        if is_write {
-            self.scratch.guarded_stores += 1;
-        } else {
-            self.scratch.guarded_loads += 1;
-        }
-        self.scratch.parallel_l1_lookups += 1;
-    }
-
-    fn diverted_spm_addr(&self, buffer: usize, offset: u64) -> Addr {
-        let buffer_base = self.buffer_size.bytes() * buffer as u64;
-        let spm_offset = (buffer_base + offset).min(self.spm_size.bytes() - 1);
-        self.address_map.spm_addr(self.core, spm_offset)
     }
 }
 
@@ -718,57 +525,6 @@ impl CoherenceBackend for SpmCoherenceProtocol {
 
     fn stats(&self) -> &ProtocolStats {
         &self.stats
-    }
-
-    unsafe fn new_core_lane(&mut self, core: CoreId) -> Option<ProtocolLane> {
-        let idx = core.index();
-        Some(ProtocolLane {
-            core,
-            spmdir: &mut self.spmdirs[idx],
-            filter: &mut self.filters[idx],
-            masks: self.masks,
-            buffer_size: self.buffer_size,
-            spm_size: self.config.spm_size,
-            cam_latency: self.config.cam_latency,
-            address_map: self.address_map.clone(),
-            scratch: ProtocolStats::new(),
-        })
-    }
-
-    fn refresh_lane(&self, lane: &mut ProtocolLane) {
-        // The decode registers can move between rounds (a deferred
-        // `AllocateBuffers` reconfigures the buffer size), so the lane
-        // re-copies them before every run-ahead phase.
-        lane.masks = self.masks;
-        lane.buffer_size = self.buffer_size;
-    }
-
-    fn merge_lane_scratch(&mut self, lane: &mut ProtocolLane) {
-        self.stats.merge(&lane.scratch);
-        lane.scratch = ProtocolStats::new();
-    }
-
-    fn is_guarded_lane_local(
-        &self,
-        core: CoreId,
-        addr: Addr,
-        is_write: bool,
-        memsys: &MemorySystem,
-    ) -> bool {
-        let (base, _) = self.masks.decompose(addr);
-        if self.spmdirs[core.index()].probe(base).is_some() {
-            return !is_write
-                || memsys.is_lane_local(core, addr, AccessKind::Store, GUARDED_REFERENCE_ID);
-        }
-        if self.filters[core.index()].probe(base) {
-            let kind = if is_write {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            return memsys.is_lane_local(core, addr, kind, GUARDED_REFERENCE_ID);
-        }
-        false
     }
 
     fn export_stats(&self, stats: &mut StatRegistry) {

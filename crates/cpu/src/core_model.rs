@@ -467,21 +467,6 @@ impl CoreTimingModel {
         fetches
     }
 
-    /// Non-consuming twin of [`next_due_ifetch`](Self::next_due_ifetch): the
-    /// line address the next call would return, with no accounting moved.
-    ///
-    /// The parallel engine peeks so an instruction fetch that misses the
-    /// core's private L1I can be *deferred* to the epoch-boundary commit —
-    /// the later `next_due_ifetch` there pops the identical address.
-    #[inline]
-    pub fn peek_due_ifetch(&self, code_base: Addr, code_size: u64) -> Option<Addr> {
-        const LINE: u64 = 64;
-        if self.fetch_bytes_accum < LINE {
-            return None;
-        }
-        Some(code_base + (self.code_cursor % code_size.max(LINE)))
-    }
-
     /// Pops the next due instruction-cache line fetch, if any.
     ///
     /// The streaming form of [`CoreTimingModel::take_due_ifetches`]: the

@@ -24,6 +24,7 @@
 //! * time is accounted per execution phase (control / synchronization / work)
 //!   so Figure 9 can be regenerated.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

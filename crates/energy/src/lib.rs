@@ -18,6 +18,7 @@
 //! matches the paper (caches contribute more than 35 % of total energy); all
 //! results are reported as ratios, never as absolute joules.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -123,8 +123,7 @@ impl MappingDirectory {
         self.entries.get(&base).copied()
     }
 
-    /// Read-only probe (no counter tick) for lane-safety classification and
-    /// divergence reports.
+    /// Read-only probe (no counter tick) for divergence reports.
     pub fn probe(&self, base: Addr) -> Option<MappingEntry> {
         self.entries.get(&base).copied()
     }

@@ -1114,99 +1114,6 @@ impl MemorySystem {
         }
     }
 
-    // ----------------------------------------------------- parallel-engine lanes
-
-    /// Builds the per-core lane for `core`: raw pointers straight into this
-    /// hierarchy's L1I, L1D and stride-prefetcher slots, so the parallel
-    /// engine's run-ahead phase works on the *resident* structures — no
-    /// per-round swapping — and the serial commit phase sees every lane
-    /// update for free.
-    ///
-    /// # Safety
-    ///
-    /// The lane borrows `self` without the compiler knowing.  The caller
-    /// must guarantee, for the lane's whole lifetime, that
-    ///
-    /// * this `MemorySystem` is neither moved nor dropped,
-    /// * at most one lane exists per core, and
-    /// * the lane's methods are never called while any other code holds a
-    ///   borrow of the hierarchy (the engine's run-ahead phase upholds this
-    ///   by construction: workers own disjoint lanes and nothing touches
-    ///   the shared `MemorySystem` until the phase barrier).
-    pub unsafe fn new_lane(&mut self, core: CoreId) -> CoreLane {
-        let idx = core.index();
-        CoreLane {
-            core,
-            l1i: &mut self.l1i[idx],
-            l1d: &mut self.l1d[idx],
-            prefetcher: &mut self.prefetchers[idx],
-            l1i_latency: self.config.l1i.latency,
-            l1d_latency: self.config.l1d.latency,
-            prefetcher_enabled: self.config.prefetcher.enabled,
-            l1d_accesses: 0,
-            l1d_hits: 0,
-            l1i_accesses: 0,
-            l1i_hits: 0,
-        }
-    }
-
-    /// Folds a lane's scratch counters into the shared `mem.*` stats.
-    /// Called serially, in core order, once at the end of the kernel.
-    pub fn merge_lane_scratch(&mut self, lane: &mut CoreLane) {
-        let h = self.handles;
-        self.stats
-            .add(h.l1d_accesses, std::mem::take(&mut lane.l1d_accesses));
-        self.stats
-            .add(h.l1d_hits, std::mem::take(&mut lane.l1d_hits));
-        self.stats
-            .add(h.l1i_accesses, std::mem::take(&mut lane.l1i_accesses));
-        self.stats
-            .add(h.l1i_hits, std::mem::take(&mut lane.l1i_hits));
-    }
-
-    /// Decides whether a demand access can be served entirely by `core`'s
-    /// private structures, with no observable effect on any shared state.
-    ///
-    /// This is the lane fast path's classification, exposed read-only so the
-    /// parallel engine's observer mode (value tracking, tracing, per-core
-    /// debug) can classify identically while still executing every access
-    /// through the full path:
-    ///
-    /// * instruction fetches: L1I hit;
-    /// * loads: L1D hit in any valid state;
-    /// * stores: L1D hit in `Modified` only — a silent `Exclusive→Modified`
-    ///   upgrade writes the directory at the home slice, and `Shared`/
-    ///   `Owned` hits invalidate other cores, so both defer;
-    /// * loads and stores additionally defer when training the stride
-    ///   prefetcher on them would emit predictions
-    ///   ([`StridePrefetcher::would_predict`]) — prefetch fills go through
-    ///   the shared L2/NoC/DRAM, so the access that issues them must run on
-    ///   the full path, at its committed position in global order.
-    pub fn is_lane_local(
-        &self,
-        core: CoreId,
-        addr: Addr,
-        kind: AccessKind,
-        reference_id: u64,
-    ) -> bool {
-        let line = addr.line();
-        match kind {
-            AccessKind::Ifetch => self.l1i[core.index()].contains(line),
-            AccessKind::Load => {
-                self.l1d[core.index()].contains(line)
-                    && !(self.config.prefetcher.enabled
-                        && self.prefetchers[core.index()].would_predict(reference_id, addr))
-            }
-            AccessKind::Store => {
-                matches!(
-                    self.l1d[core.index()].lookup(line),
-                    Some(MoesiState::Modified)
-                ) && !(self.config.prefetcher.enabled
-                    && self.prefetchers[core.index()].would_predict(reference_id, addr))
-            }
-        }
-    }
-
     // ------------------------------------------------------------------- DMA
 
     /// Reads one line on behalf of a `dma-get`, snooping the caches.
@@ -1390,137 +1297,6 @@ impl MemorySystem {
             stats.set_value("mem.l1d.hit_ratio", hits as f64 / accesses as f64);
         }
         self.noc.export_stats(stats);
-    }
-}
-
-/// One core's private slice of the hierarchy — raw pointers to its L1I,
-/// L1D and stride prefetcher inside the [`MemorySystem`] — for the parallel
-/// engine's run-ahead phase.
-///
-/// While a core runs ahead inside an epoch its worker thread owns the lane
-/// exclusively, so [`try_access`](Self::try_access) needs no `&mut` on the
-/// shared hierarchy; because the pointers target the resident structures,
-/// the commit phase (which runs through [`MemorySystem::access`]) observes
-/// every lane update with no swapping or merging per round.  The fast path
-/// must stay bit-equivalent to [`MemorySystem::access`] for every operation
-/// it accepts (same latency, same tag/recency updates, same counters after
-/// [`MemorySystem::merge_lane_scratch`]); the hot-loop golden wall and the
-/// observer-equivalence tests pin this.
-///
-/// The safety contract is stated on [`MemorySystem::new_lane`]; every
-/// dereference below relies on it.
-#[derive(Debug)]
-pub struct CoreLane {
-    core: CoreId,
-    l1i: *mut CacheArray<()>,
-    l1d: *mut CacheArray<MoesiState>,
-    prefetcher: *mut StridePrefetcher,
-    l1i_latency: Cycle,
-    l1d_latency: Cycle,
-    prefetcher_enabled: bool,
-    // Scratch counters, merged into the shared stats in core order.
-    l1d_accesses: u64,
-    l1d_hits: u64,
-    l1i_accesses: u64,
-    l1i_hits: u64,
-}
-
-// SAFETY: a lane is exclusively owned by one engine worker at a time, and
-// the structures its pointers target are touched by no one else while the
-// run-ahead phase is in flight (`MemorySystem::new_lane`'s contract).
-unsafe impl Send for CoreLane {}
-
-impl CoreLane {
-    /// The core this lane belongs to.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
-    /// Non-mutating variant of [`try_access`](Self::try_access)'s
-    /// classification: would the access be served by the lane alone?
-    /// Same predicate as [`MemorySystem::is_lane_local`].
-    pub fn can_serve(&self, addr: Addr, kind: AccessKind, reference_id: u64) -> bool {
-        // SAFETY: shared reads under `MemorySystem::new_lane`'s contract.
-        let (l1i, l1d, prefetcher) = unsafe { (&*self.l1i, &*self.l1d, &*self.prefetcher) };
-        let line = addr.line();
-        match kind {
-            AccessKind::Ifetch => l1i.contains(line),
-            AccessKind::Load => {
-                l1d.contains(line)
-                    && !(self.prefetcher_enabled && prefetcher.would_predict(reference_id, addr))
-            }
-            AccessKind::Store => {
-                matches!(l1d.lookup(line), Some(MoesiState::Modified))
-                    && !(self.prefetcher_enabled && prefetcher.would_predict(reference_id, addr))
-            }
-        }
-    }
-
-    /// Attempts a demand access on the lane's private structures alone.
-    ///
-    /// Returns `None` — with no state mutated — when the access needs the
-    /// shared hierarchy (the classification of
-    /// [`MemorySystem::is_lane_local`]); the engine then defers the
-    /// operation to the epoch-boundary commit, where it runs through the
-    /// ordinary [`MemorySystem::access`] path.
-    pub fn try_access(
-        &mut self,
-        addr: Addr,
-        kind: AccessKind,
-        reference_id: u64,
-    ) -> Option<MemAccessResult> {
-        let line = addr.line();
-        match kind {
-            AccessKind::Ifetch => {
-                // SAFETY: exclusive access per `MemorySystem::new_lane`.
-                let l1i = unsafe { &mut *self.l1i };
-                if !l1i.contains(line) {
-                    return None;
-                }
-                self.l1i_accesses += 1;
-                self.l1i_hits += 1;
-                let _ = l1i.access(line);
-                Some(MemAccessResult {
-                    latency: self.l1i_latency,
-                    served_by: ServedBy::L1,
-                    l1_hit: true,
-                })
-            }
-            AccessKind::Load | AccessKind::Store => {
-                // SAFETY: exclusive access per `MemorySystem::new_lane`.
-                let (l1d, prefetcher) = unsafe { (&mut *self.l1d, &mut *self.prefetcher) };
-                let is_write = kind.is_write();
-                match l1d.lookup(line) {
-                    Some(&state) if !is_write || state == MoesiState::Modified => {}
-                    _ => return None,
-                }
-                if self.prefetcher_enabled && prefetcher.would_predict(reference_id, addr) {
-                    // Training on this access would emit prefetches, whose
-                    // fills touch the shared hierarchy — defer to the full
-                    // path so the fills land at the access's committed
-                    // position in global order.
-                    return None;
-                }
-                self.l1d_accesses += 1;
-                self.l1d_hits += 1;
-                // Same single tag-array access as the full path's hit case
-                // (recency and the array's own counters move identically).
-                // A store hit is Modified-only here, so the full path's
-                // silent-upgrade write and directory update are both no-ops.
-                let _ = l1d.access(line);
-                if self.prefetcher_enabled {
-                    // Keeps training in program order; `would_predict` just
-                    // ruled out any predictions.
-                    let predictions = prefetcher.train(reference_id, addr);
-                    debug_assert!(predictions.is_empty());
-                }
-                Some(MemAccessResult {
-                    latency: self.l1d_latency,
-                    served_by: ServedBy::L1,
-                    l1_hit: true,
-                })
-            }
-        }
     }
 }
 

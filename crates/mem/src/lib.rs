@@ -21,6 +21,7 @@
 //! The entry point is [`MemorySystem`]; everything else is a building block
 //! that is also exercised directly by unit and property tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -39,9 +40,7 @@ pub use addr::{Addr, AddressRange, LineAddr, LINE_BYTES};
 pub use cache::{CacheArray, CacheConfig, EvictedLine};
 pub use directory::{MappingDirectory, MappingEntry};
 pub use dram::{DramConfig, DramModel};
-pub use hierarchy::{
-    AccessKind, CoreLane, MemAccessResult, MemorySystem, MemorySystemConfig, ServedBy,
-};
+pub use hierarchy::{AccessKind, MemAccessResult, MemorySystem, MemorySystemConfig, ServedBy};
 pub use moesi::{DirectoryEntry, MoesiState};
 pub use mshr::MshrFile;
 pub use prefetcher::{PrefetcherConfig, StridePrefetcher};

@@ -61,10 +61,10 @@ impl fmt::Display for MoesiState {
 /// Which private caches hold a line: one bit per core.
 ///
 /// The paper's machine is 64 cores, so the common representation is a
-/// single word.  The parallel engine's big meshes (256–1024 cores) promote
-/// the set to a boxed multi-word bitmap on the first sharer past core 63;
-/// every ≤64-core configuration only ever touches the narrow form, so the
-/// wide path costs nothing where the goldens pin behaviour.
+/// single word.  Bigger meshes (256–1024 cores) promote the set to a boxed
+/// multi-word bitmap on the first sharer past core 63; every ≤64-core
+/// configuration only ever touches the narrow form, so the wide path costs
+/// nothing where the goldens pin behaviour.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 enum SharerSet {
     /// One `u64`, bit per core — cores 0..64.

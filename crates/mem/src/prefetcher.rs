@@ -114,46 +114,6 @@ impl StridePrefetcher {
         self.issued
     }
 
-    /// Non-mutating twin of [`StridePrefetcher::train`]: would training with
-    /// this access return any prefetch lines?
-    ///
-    /// The parallel engine classifies an access as core-local only when this
-    /// is false — prefetch fills go through the shared hierarchy, so an
-    /// access about to issue them must run on the full path instead.  The
-    /// answer replays `train`'s exact confidence/stride/line-dedup logic
-    /// against the current table state without touching it.
-    pub fn would_predict(&self, reference_id: u64, addr: Addr) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
-        let Some((_, entry)) = self.table.iter().find(|(id, _)| *id == reference_id) else {
-            return false;
-        };
-        let new_stride = addr.raw() as i64 - entry.last_addr.raw() as i64;
-        let (confidence, stride) = if new_stride == entry.stride && new_stride != 0 {
-            (entry.confidence.saturating_add(1), entry.stride)
-        } else {
-            (1, new_stride)
-        };
-        if confidence < self.config.confidence_threshold || stride == 0 {
-            return false;
-        }
-        let current_line = addr.line();
-        for d in 1..=self.config.degree as i64 {
-            let target = addr.raw() as i64 + stride * d;
-            if target <= 0 {
-                break;
-            }
-            // `train` pushes (and returns) the first line that differs from
-            // the demand line; its `last_line` chain only advances on a
-            // push, so one differing line is enough to answer.
-            if Addr::new(target as u64).line() != current_line {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Trains the prefetcher with one demand access and returns the lines to
     /// prefetch (possibly empty).
     pub fn train(&mut self, reference_id: u64, addr: Addr) -> Vec<LineAddr> {
@@ -299,32 +259,6 @@ mod tests {
             total <= 4,
             "got {total} prefetches for an intra-line stride"
         );
-    }
-
-    #[test]
-    fn would_predict_agrees_with_train_exactly() {
-        // Over a mixed stream (regular strides, direction flips, irregular
-        // jumps, several references), the non-mutating probe must answer
-        // exactly what the subsequent training access returns.
-        let mut pf = StridePrefetcher::new(PrefetcherConfig::isca2015());
-        let addrs: Vec<(u64, u64)> = (0..256u64)
-            .map(|i| match i % 7 {
-                0..=2 => (1, 0x10_0000 + i * 64),
-                3 | 4 => (2, 0x40_0000 + i * 128),
-                5 => (3, 0x1234 + (i * i * 37) % 0x8000),
-                _ => (1, 0x20_0000u64.wrapping_sub(i * 64)),
-            })
-            .collect();
-        for (reference, addr) in addrs {
-            let addr = Addr::new(addr);
-            let predicted = pf.would_predict(reference, addr);
-            let issued = pf.train(reference, addr);
-            assert_eq!(
-                predicted,
-                !issued.is_empty(),
-                "probe and train disagree at reference {reference} addr {addr:?}"
-            );
-        }
     }
 
     #[test]

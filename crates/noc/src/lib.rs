@@ -35,6 +35,7 @@
 //! assert_eq!(des.send(NodeId::new(0), NodeId::new(63), MessageClass::Read, 8), lat);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -16,6 +16,7 @@
 //! the hardware model returned data from the wrong place (stale copy, wrong
 //! owner, missed invalidation) — never that the two models raced.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -399,9 +399,9 @@ impl CycleBreakdown {
     /// movement first.
     ///
     /// Runs with differing core counts are still comparable: the table
-    /// switches to per-core means (total / cores), so diffing a 16-core
-    /// interleaved run against a 256-core parallel run attributes the
-    /// engine gap per core instead of drowning it in the mesh-size factor.
+    /// switches to per-core means (total / cores), so diffing a 16-core run
+    /// against a 256-core run attributes the gap per core instead of
+    /// drowning it in the mesh-size factor.
     pub fn diff_table(&self, other: &CycleBreakdown) -> String {
         let before = self.totals();
         let after = other.totals();

@@ -43,6 +43,7 @@
 //! assert_eq!(what, "sooner");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -34,6 +34,7 @@
 //! let _ = (map, Scratchpad::new(SpmConfig::isca2015()));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

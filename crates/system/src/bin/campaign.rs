@@ -14,24 +14,31 @@
 //! invocation executes only new or changed points.  The last line printed
 //! is the accounting, e.g. `campaign: 24 points, executed 0, cache hits 24`.
 
-use campaign::{summarize, Executor, ResultCache, SweepSpec};
+use campaign::{
+    summarize, Executor, ResultCache, SweepSpec, ENGINE_IDS, MACHINE_IDS, NOC_MODEL_IDS,
+    PROTOCOL_IDS,
+};
 use system::cli::{parse_list, write_export};
 use system::sweep::{attach_breakdowns, records_of, run_points, RunContext};
 
-const USAGE: &str = "\
+/// The `--help` text.  The axis value lists come from the canonical id
+/// arrays, so the text cannot drift from what the lowering accepts.
+fn usage() -> String {
+    format!(
+        "\
 campaign — parameter-space sweeps over the ISCA'15 machines
 
 options (LIST = comma-separated values):
   --benchmarks LIST   benchmarks to sweep (default CG,IS; all six: CG,EP,FT,IS,MG,SP)
-  --machines LIST     machine kinds (default cache-only,hybrid-ideal,hybrid-proposed)
+  --machines LIST     machine kinds: {machines} (default: all)
   --cores LIST        core counts (default 64)
   --scale LIST        extra data-set scale multipliers (default 1.0)
   --spm-kib LIST      per-core SPM sizes in KiB (default: Table 1)
   --filters LIST      per-core filter entry counts (default: Table 1)
   --filterdirs LIST   filterDir entry counts (default: Table 1)
-  --noc-models LIST   NoC models: analytic, discrete-event (default analytic)
-  --engines LIST      execution engines: legacy, interleaved (default legacy)
-  --protocols LIST    coherence protocols: filterdir, directory (default
+  --noc-models LIST   NoC models: {noc_models} (default analytic)
+  --engines LIST      execution engines: {engines} (default legacy)
+  --protocols LIST    coherence protocols: {protocols} (default
                       filterdir; only the proposed machine differs)
   --small             use the scaled-down test machine at each core count
   --jobs N            parallel workers (default: available parallelism)
@@ -44,7 +51,13 @@ options (LIST = comma-separated values):
                       (dedicated passes, never cached)
   --quiet             suppress the summary table (accounting still prints)
   --help              this text
-";
+",
+        machines = MACHINE_IDS.join(", "),
+        noc_models = NOC_MODEL_IDS.join(", "),
+        engines = ENGINE_IDS.join(", "),
+        protocols = PROTOCOL_IDS.join(", "),
+    )
+}
 
 #[derive(Debug)]
 struct Options {
@@ -120,8 +133,11 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
             "--json" => options.json = Some(value("--json")?),
             "--cycle-accounting" => options.cycle_accounting = true,
             "--quiet" => options.quiet = true,
-            "--help" | "-h" => return Err(USAGE.to_owned()),
-            other => return Err(format!("unknown argument '{other}'\n\n{USAGE}")),
+            "--help" | "-h" => {
+                print!("{}", usage());
+                std::process::exit(0);
+            }
+            other => return Err(format!("unknown argument '{other}'\n\n{}", usage())),
         }
     }
     Ok(options)
@@ -174,4 +190,22 @@ fn main() {
         }
     }
     println!("{}", report.accounting());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_axis_id() {
+        let text = usage();
+        for id in ENGINE_IDS
+            .iter()
+            .chain(&MACHINE_IDS)
+            .chain(&NOC_MODEL_IDS)
+            .chain(&PROTOCOL_IDS)
+        {
+            assert!(text.contains(id), "--help misses '{id}':\n{text}");
+        }
+    }
 }

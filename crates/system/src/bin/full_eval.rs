@@ -3,7 +3,7 @@
 //! Usage: `cargo run --release --bin full_eval -- [--cores N] [--scale F] [--benchmarks CG,IS] [--json]`
 
 fn main() {
-    let options = system::CliOptions::parse(std::env::args().skip(1));
+    let options = system::CliOptions::parse_or_exit(std::env::args().skip(1));
     print!(
         "{}",
         system::cli::run_report(system::Report::Full, &options)

@@ -1,68 +1,11 @@
-//! Shared command-line driver used by the report binaries (`table2`, `fig7`,
-//! … `fig11`, `ablations`, `full_eval`).
+//! Shared command-line driver used by the report binaries (`table1`,
+//! `table2`, `fig7` … `fig11`, `ablations`, `full_eval`).
 //!
-//! Every binary accepts the same optional arguments:
-//!
-//! ```text
-//! --cores N          number of cores (default 64, the paper's machine)
-//! --scale F          extra data-set scale multiplier on top of each
-//!                    benchmark's recommended scale (default 1.0)
-//! --benchmarks LIST  comma-separated subset, e.g. CG,IS (default: all six)
-//! --json             also print the raw results as JSON
-//! --jobs N           parallel simulation workers (default: available
-//!                    parallelism; `--jobs 1` forces serial execution).
-//!                    One knob for both pools: when several points run
-//!                    (suite sweeps), N schedules whole simulations and
-//!                    each simulation runs its engine single-threaded;
-//!                    for a single `--engine parallel` run, N sets that
-//!                    engine's worker count instead.  Results never
-//!                    depend on N either way
-//! --cache            reuse simulation results from the default result
-//!                    cache, `target/campaign-cache`
-//! --cache-dir PATH   like `--cache`, with an explicit directory
-//! --noc-model NAME   network model: `analytic` (default) or
-//!                    `discrete-event` (alias `des`) — see the README's
-//!                    "NoC models" section.  An unknown name fails with
-//!                    exit code 2, listing the valid names
-//! --engine NAME      execution engine: `legacy` (default, tile-serialized
-//!                    replay), `interleaved` (cycle-interleaved min-clock
-//!                    scheduler) or `parallel` (epoch-based conservative
-//!                    multicore scheduler, bit-identical for any `--jobs`)
-//!                    — see the README's "Execution engines" section.
-//!                    An unknown name fails with exit code 2
-//! --protocol NAME    coherence protocol backing the proposed machine:
-//!                    `filterdir` (default, the paper's filter + SPMDir
-//!                    hybrid) or `directory` (plain home-directory
-//!                    baseline, no SPM filters) — see the README's
-//!                    "Coherence protocols" section.  An unknown name
-//!                    fails with exit code 2
-//! --epoch-cycles N   width of the parallel engine's conservative time
-//!                    window in cycles (default 1024; a model knob — it
-//!                    bounds cross-core skew, so it changes results)
-//! --debug-cores      print per-core clock/work/stall figures after every
-//!                    kernel (to stderr)
-//! --track-values     thread real data values through the memory system
-//!                    (functional memory; timing results are unchanged —
-//!                    see the README's "Verification" section)
-//! --trace PATH       after the report, run the first selected benchmark
-//!                    once with event tracing armed and write a Chrome
-//!                    trace-event JSON (open in Perfetto / chrome://tracing)
-//!                    to PATH, or to stdout when PATH is `-` — see the
-//!                    README's "Observability" section
-//! --trace-categories LIST
-//!                    comma-separated trace categories (engine, protocol,
-//!                    dma, noc, sample; default: all).  An unknown name
-//!                    fails with exit code 2, listing the valid names
-//! --sample-interval N
-//!                    stat-sampling period in cycles for the trace
-//!                    time-series (default 5000; 0 disables sampling)
-//! --cycle-accounting PATH
-//!                    after the report, run the first selected benchmark
-//!                    once with cycle accounting armed and write the
-//!                    per-core breakdown JSON (the `cycle_report` input)
-//!                    to PATH, or to stdout when PATH is `-` — see the
-//!                    README's "Cycle accounting" section
-//! ```
+//! Every binary accepts the options listed by [`usage`] and parses them
+//! through [`CliOptions::parse_or_exit`]: `--help` prints the usage text and
+//! exits 0, and malformed input — an unknown flag, a missing value, or a
+//! value that does not parse or names nothing valid — prints the error and
+//! the usage text and exits 2.  A typo never silently runs the defaults.
 //!
 //! The cache is content-addressed over the complete run inputs, so it only
 //! ever replays *identical* runs; see the README's campaign section for the
@@ -79,6 +22,71 @@ use crate::config::{CoherenceProtocol, ExecutionEngine, SystemConfig};
 use crate::experiments::{ablations, ExperimentSuite};
 use crate::sweep::RunContext;
 
+/// The usage text every report binary prints for `--help` and after a
+/// malformed argument.  The value lists of the axis flags come from the
+/// canonical identifier arrays, so the text cannot drift from what the
+/// parser accepts.
+pub fn usage() -> String {
+    let categories: Vec<&str> = simkernel::trace::TraceCategory::ALL
+        .iter()
+        .map(|c| c.id())
+        .collect();
+    format!(
+        "\
+usage: <report binary> [options]
+
+options:
+  --cores N          number of cores (default 64, the paper's machine)
+  --scale F          extra data-set scale multiplier on top of each
+                     benchmark's recommended scale (default 1.0)
+  --benchmarks LIST  comma-separated subset of {benchmarks} (default: all)
+  --json             also print the raw results as JSON
+  --jobs N           simulations run at once (default: available
+                     parallelism; 1 runs them one after another).  Each
+                     simulation is single-threaded; results never depend on N
+  --cache            reuse simulation results from the default result
+                     cache, target/campaign-cache
+  --cache-dir PATH   like --cache, with an explicit directory
+  --noc-model NAME   network model: {noc_models} (default analytic;
+                     des is an alias of discrete-event)
+  --engine NAME      execution engine: {engines} (default legacy)
+  --protocol NAME    coherence protocol of the proposed machine:
+                     {protocols} (default filterdir)
+  --debug-cores      print per-core clock/work/stall figures after every
+                     kernel (to stderr)
+  --track-values     thread real data values through the memory system
+                     (timing results are unchanged)
+  --trace PATH       after the report, trace the first selected benchmark
+                     once and write a Chrome trace-event JSON to PATH
+                     ('-' for stdout)
+  --trace-categories LIST
+                     trace categories: {categories} (default: all)
+  --sample-interval N
+                     stat-sampling period in cycles for the trace
+                     time-series (default 5000; 0 disables sampling)
+  --cycle-accounting PATH
+                     after the report, account the first selected benchmark
+                     once and write its per-core cycle breakdown JSON to
+                     PATH ('-' for stdout)
+  --help             print this text and exit
+",
+        benchmarks = NasBenchmark::ALL.map(NasBenchmark::name).join(","),
+        noc_models = campaign::NOC_MODEL_IDS.join(", "),
+        engines = campaign::ENGINE_IDS.join(", "),
+        protocols = campaign::PROTOCOL_IDS.join(", "),
+        categories = categories.join(", "),
+    )
+}
+
+/// Parses one flag value, naming the flag and the value when it does not
+/// parse.
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .trim()
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse '{value}'"))
+}
+
 /// Parses a comma-separated value list for a CLI axis flag.
 ///
 /// Empty segments are skipped; the first unparsable segment fails the whole
@@ -87,12 +95,29 @@ use crate::sweep::RunContext;
 pub fn parse_list<T: std::str::FromStr>(flag: &str, list: &str) -> Result<Vec<T>, String> {
     list.split(',')
         .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| format!("{flag}: cannot parse '{s}'"))
-        })
+        .map(|s| parse_value(flag, s))
         .collect()
+}
+
+/// Parses the `--benchmarks` list: every name must be a NAS benchmark, and
+/// the list must name at least one.
+fn parse_benchmarks(list: &str) -> Result<Vec<NasBenchmark>, String> {
+    let benchmarks = list
+        .split(',')
+        .filter(|s| !s.is_empty())
+        .map(|name| {
+            NasBenchmark::from_name(name.trim()).ok_or_else(|| {
+                format!(
+                    "--benchmarks: unknown benchmark '{name}' (valid benchmarks: {})",
+                    NasBenchmark::ALL.map(NasBenchmark::name).join(", ")
+                )
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if benchmarks.is_empty() {
+        return Err("--benchmarks: the list names no benchmark".to_owned());
+    }
+    Ok(benchmarks)
 }
 
 /// Parses the `--trace-categories` value, turning an unknown category name
@@ -138,6 +163,22 @@ pub fn write_export(target: &str, contents: &str) -> Result<(), String> {
     }
 }
 
+/// Why [`CliOptions::parse`] produced no options.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// `--help` or `-h`: print the usage text and exit 0.
+    Help,
+    /// Malformed input — an unknown flag, a missing value, or a value that
+    /// does not parse: print the message and the usage text, exit 2.
+    Invalid(String),
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Invalid(message)
+    }
+}
+
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct CliOptions {
@@ -149,7 +190,7 @@ pub struct CliOptions {
     pub benchmarks: Vec<NasBenchmark>,
     /// Whether to also dump JSON.
     pub json: bool,
-    /// Parallel simulation workers; `0` means available parallelism.
+    /// Simulations run at once; `0` means available parallelism.
     pub jobs: usize,
     /// Result-cache directory, when caching is requested.
     pub cache_dir: Option<PathBuf>,
@@ -171,8 +212,6 @@ pub struct CliOptions {
     pub sample_interval: Option<u64>,
     /// Where to write one accounted run's cycle breakdown (`-` for stdout).
     pub cycle_accounting: Option<String>,
-    /// Epoch width of the parallel engine; `None` keeps the default.
-    pub epoch_cycles: Option<u64>,
 }
 
 impl Default for CliOptions {
@@ -193,146 +232,101 @@ impl Default for CliOptions {
             trace_categories: simkernel::CategoryMask::all(),
             sample_interval: None,
             cycle_accounting: None,
-            epoch_cycles: None,
         }
     }
 }
 
 impl CliOptions {
-    /// Parses options from an argument iterator (usually `std::env::args`).
-    ///
-    /// Unknown arguments are ignored so binaries stay forgiving.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Parses options from an argument iterator (usually
+    /// `std::env::args().skip(1)`).  Every argument must be a known flag
+    /// with a valid value; see [`CliError`] for what else comes back.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, CliError> {
         let mut options = CliOptions::default();
-        let mut args = args.into_iter().peekable();
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
+            let mut value = |flag: &str| {
+                args.next()
+                    .ok_or_else(|| CliError::Invalid(format!("{flag} needs a value")))
+            };
             match arg.as_str() {
-                "--cores" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        options.cores = v;
-                    }
-                }
-                "--scale" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        options.scale = v;
-                    }
-                }
-                "--benchmarks" => {
-                    if let Some(list) = args.next() {
-                        let parsed: Vec<NasBenchmark> = list
-                            .split(',')
-                            .filter_map(NasBenchmark::from_name)
-                            .collect();
-                        if !parsed.is_empty() {
-                            options.benchmarks = parsed;
-                        }
-                    }
-                }
+                "--help" | "-h" => return Err(CliError::Help),
+                "--cores" => options.cores = parse_value("--cores", &value("--cores")?)?,
+                "--scale" => options.scale = parse_value("--scale", &value("--scale")?)?,
+                "--benchmarks" => options.benchmarks = parse_benchmarks(&value("--benchmarks")?)?,
                 "--json" => options.json = true,
-                "--jobs" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        options.jobs = v;
-                    }
-                }
-                "--cache" => {
-                    options.cache_dir = Some(ResultCache::default_dir());
-                }
-                "--cache-dir" => {
-                    if let Some(dir) = args.next() {
-                        options.cache_dir = Some(PathBuf::from(dir));
-                    }
-                }
+                "--jobs" => options.jobs = parse_value("--jobs", &value("--jobs")?)?,
+                "--cache" => options.cache_dir = Some(ResultCache::default_dir()),
+                "--cache-dir" => options.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
                 "--noc-model" => {
-                    if let Some(value) = args.next() {
-                        // A silently ignored typo would run the analytic
-                        // default and look like a discrete-event result;
-                        // fail loudly instead (same for the two axes below).
-                        match parse_id_flag(
-                            "--noc-model",
-                            &value,
-                            noc::NocModel::from_id,
-                            &campaign::NOC_MODEL_IDS,
-                        ) {
-                            Ok(model) => options.noc_model = model,
-                            Err(error) => {
-                                eprintln!("{error}");
-                                std::process::exit(2);
-                            }
-                        }
-                    }
+                    options.noc_model = parse_id_flag(
+                        "--noc-model",
+                        &value("--noc-model")?,
+                        noc::NocModel::from_id,
+                        &campaign::NOC_MODEL_IDS,
+                    )?
                 }
                 "--engine" => {
-                    if let Some(value) = args.next() {
-                        match parse_id_flag(
-                            "--engine",
-                            &value,
-                            ExecutionEngine::from_id,
-                            &campaign::ENGINE_IDS,
-                        ) {
-                            Ok(engine) => options.engine = engine,
-                            Err(error) => {
-                                eprintln!("{error}");
-                                std::process::exit(2);
-                            }
-                        }
-                    }
+                    options.engine = parse_id_flag(
+                        "--engine",
+                        &value("--engine")?,
+                        ExecutionEngine::from_id,
+                        &campaign::ENGINE_IDS,
+                    )?
                 }
                 "--protocol" => {
-                    if let Some(value) = args.next() {
-                        match parse_id_flag(
-                            "--protocol",
-                            &value,
-                            CoherenceProtocol::from_id,
-                            &campaign::PROTOCOL_IDS,
-                        ) {
-                            Ok(protocol) => options.protocol = protocol,
-                            Err(error) => {
-                                eprintln!("{error}");
-                                std::process::exit(2);
-                            }
-                        }
-                    }
+                    options.protocol = parse_id_flag(
+                        "--protocol",
+                        &value("--protocol")?,
+                        CoherenceProtocol::from_id,
+                        &campaign::PROTOCOL_IDS,
+                    )?
                 }
                 "--debug-cores" => options.debug_cores = true,
                 "--track-values" => options.track_values = true,
-                "--trace" => {
-                    if let Some(path) = args.next() {
-                        options.trace = Some(path);
-                    }
-                }
+                "--trace" => options.trace = Some(value("--trace")?),
                 "--trace-categories" => {
-                    if let Some(list) = args.next() {
-                        match parse_trace_categories(&list) {
-                            Ok(mask) => options.trace_categories = mask,
-                            Err(error) => {
-                                // A silently ignored typo would record the
-                                // default (all categories) and look like a
-                                // successful filter; fail loudly instead.
-                                eprintln!("{error}");
-                                std::process::exit(2);
-                            }
-                        }
-                    }
+                    options.trace_categories =
+                        parse_trace_categories(&value("--trace-categories")?)?
                 }
                 "--sample-interval" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        options.sample_interval = Some(v);
-                    }
+                    options.sample_interval = Some(parse_value(
+                        "--sample-interval",
+                        &value("--sample-interval")?,
+                    )?)
                 }
                 "--cycle-accounting" => {
-                    if let Some(path) = args.next() {
-                        options.cycle_accounting = Some(path);
-                    }
+                    options.cycle_accounting = Some(value("--cycle-accounting")?)
                 }
-                "--epoch-cycles" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        options.epoch_cycles = Some(v);
-                    }
-                }
-                _ => {}
+                other => return Err(CliError::Invalid(format!("unknown argument '{other}'"))),
             }
         }
-        options
+        if options.cores == 0 {
+            return Err(CliError::Invalid("--cores: must be at least 1".to_owned()));
+        }
+        if !(options.scale.is_finite() && options.scale > 0.0) {
+            return Err(CliError::Invalid(format!(
+                "--scale: must be positive and finite, got {}",
+                options.scale
+            )));
+        }
+        Ok(options)
+    }
+
+    /// [`CliOptions::parse`] for a binary's `main`: on `--help` prints the
+    /// usage text and exits 0; on malformed input prints the error and the
+    /// usage text to stderr and exits 2.
+    pub fn parse_or_exit<I: IntoIterator<Item = String>>(args: I) -> Self {
+        match Self::parse(args) {
+            Ok(options) => options,
+            Err(CliError::Help) => {
+                print!("{}", usage());
+                std::process::exit(0);
+            }
+            Err(CliError::Invalid(message)) => {
+                eprintln!("{message}\n\n{}", usage());
+                std::process::exit(2);
+            }
+        }
     }
 
     /// The system configuration implied by the options.
@@ -341,16 +335,6 @@ impl CliOptions {
         config.set_noc_model(self.noc_model);
         config.engine = self.engine;
         config.coherence_protocol = self.protocol;
-        // `--jobs` is one knob for both worker pools.  A single run hands
-        // it to the parallel engine here; suite sweeps go through
-        // `RunContext` instead, whose point-level executor takes precedence
-        // (each scheduled point forces `engine_jobs = 1` — see
-        // `sweep::run_points`).  Results never depend on the split: the
-        // parallel engine is bit-identical across worker counts.
-        config.engine_jobs = self.jobs;
-        if let Some(epoch) = self.epoch_cycles {
-            config.epoch_cycles = epoch;
-        }
         config.debug_cores = self.debug_cores;
         config.track_values = self.track_values;
         config.trace.enabled = self.trace.is_some();
@@ -603,14 +587,26 @@ fn run_ablations(options: &CliOptions) -> String {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<CliOptions, CliError> {
+        CliOptions::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    /// The error message of an argument list that must be rejected.
+    fn invalid(args: &[&str]) -> String {
+        match parse(args) {
+            Err(CliError::Invalid(message)) => message,
+            other => panic!("{args:?} should be rejected, got {other:?}"),
+        }
+    }
+
     #[test]
     fn parse_defaults_and_overrides() {
-        let d = CliOptions::parse(Vec::<String>::new());
+        let d = parse(&[]).unwrap();
         assert_eq!(d.cores, 64);
         assert_eq!(d.benchmarks.len(), 6);
         assert!(!d.json);
 
-        let args = [
+        let o = parse(&[
             "--cores",
             "8",
             "--scale",
@@ -622,11 +618,8 @@ mod tests {
             "3",
             "--cache-dir",
             "target/test-cache",
-            "--bogus",
-        ]
-        .iter()
-        .map(|s| s.to_string());
-        let o = CliOptions::parse(args);
+        ])
+        .unwrap();
         assert_eq!(o.cores, 8);
         assert_eq!(o.scale, 0.25);
         assert_eq!(o.benchmarks, vec![NasBenchmark::Cg, NasBenchmark::Is]);
@@ -640,11 +633,37 @@ mod tests {
             ctx.cache.as_ref().map(|c| c.dir().to_path_buf()),
             Some(PathBuf::from("target/test-cache"))
         );
+        // An unknown flag is an error, never a silently ignored typo.
+        let error = invalid(&["--cores", "8", "--bogus"]);
+        assert!(error.contains("'--bogus'"), "{error}");
+    }
+
+    #[test]
+    fn malformed_arguments_are_errors_not_defaults() {
+        for (args, needle) in [
+            (&["--cores", "abc"][..], "'abc'"),
+            (&["--cores", "0"][..], "--cores"),
+            (&["--scale", "-1"][..], "--scale"),
+            (&["--benchmarks", "XX"][..], "'XX'"),
+            (&["--benchmarks", ","][..], "--benchmarks"),
+            (&["--jobs"][..], "--jobs needs a value"),
+            (&["--sample-interval", "often"][..], "'often'"),
+            // The deleted parallel engine's knob is an unknown flag now.
+            (&["--epoch-cycles", "1"][..], "'--epoch-cycles'"),
+        ] {
+            let error = invalid(args);
+            assert!(error.contains(needle), "{args:?}: {error}");
+        }
+        assert_eq!(
+            parse(&["--cores", "8", "--help"]).unwrap_err(),
+            CliError::Help
+        );
+        assert_eq!(parse(&["-h"]).unwrap_err(), CliError::Help);
     }
 
     #[test]
     fn default_jobs_use_available_parallelism_and_no_cache() {
-        let o = CliOptions::parse(Vec::<String>::new());
+        let o = parse(&[]).unwrap();
         assert_eq!(o.jobs, 0);
         assert_eq!(o.cache_dir, None);
         let ctx = o.context();
@@ -654,34 +673,30 @@ mod tests {
 
     #[test]
     fn bare_cache_flag_selects_the_default_directory() {
-        let o = CliOptions::parse(["--cache".to_string()]);
+        let o = parse(&["--cache"]).unwrap();
         assert_eq!(o.cache_dir, Some(ResultCache::default_dir()));
     }
 
     #[test]
     fn noc_model_flag_threads_into_the_configuration() {
-        let o = CliOptions::parse(Vec::<String>::new());
+        let o = parse(&[]).unwrap();
         assert_eq!(o.noc_model, noc::NocModel::Analytic);
         assert_eq!(o.config().noc_model(), noc::NocModel::Analytic);
         for flag in ["discrete-event", "des"] {
-            let o = CliOptions::parse(["--noc-model".to_string(), flag.to_string()]);
+            let o = parse(&["--noc-model", flag]).unwrap();
             assert_eq!(o.noc_model, noc::NocModel::DiscreteEvent, "{flag}");
             assert_eq!(o.config().noc_model(), noc::NocModel::DiscreteEvent);
         }
-        // Unknown model names exit with code 2 (see
+        // Unknown model names are rejected (see
         // strict_axis_flags_reject_unknown_values for the message shape).
     }
 
     #[test]
     fn engine_flag_threads_into_the_configuration() {
-        let o = CliOptions::parse(Vec::<String>::new());
+        let o = parse(&[]).unwrap();
         assert_eq!(o.engine, ExecutionEngine::Legacy);
         assert!(!o.debug_cores);
-        let o = CliOptions::parse(
-            ["--engine", "interleaved", "--debug-cores"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let o = parse(&["--engine", "interleaved", "--debug-cores"]).unwrap();
         assert_eq!(o.engine, ExecutionEngine::Interleaved);
         assert!(o.debug_cores);
         assert_eq!(o.config().engine, ExecutionEngine::Interleaved);
@@ -690,10 +705,10 @@ mod tests {
 
     #[test]
     fn protocol_flag_threads_into_the_configuration() {
-        let o = CliOptions::parse(Vec::<String>::new());
+        let o = parse(&[]).unwrap();
         assert_eq!(o.protocol, CoherenceProtocol::FilterDir);
         assert_eq!(o.config().coherence_protocol, CoherenceProtocol::FilterDir);
-        let o = CliOptions::parse(["--protocol".to_string(), "directory".to_string()]);
+        let o = parse(&["--protocol", "directory"]).unwrap();
         assert_eq!(o.protocol, CoherenceProtocol::Directory);
         assert_eq!(o.config().coherence_protocol, CoherenceProtocol::Directory);
     }
@@ -702,8 +717,7 @@ mod tests {
     fn strict_axis_flags_reject_unknown_values() {
         // `--protocol`, `--engine` and `--noc-model` share the
         // `--trace-categories` convention: an unknown value is an error
-        // naming the valid set (the binary then exits with code 2; the
-        // exit itself is covered by the CI smoke, not an in-process test).
+        // naming the valid set (the binary then exits with code 2).
         let error = parse_id_flag(
             "--protocol",
             "moesi-2000",
@@ -726,6 +740,10 @@ mod tests {
         for id in campaign::ENGINE_IDS {
             assert!(error.contains(id), "{error}");
         }
+        // The deleted parallel engine is an unknown engine name.
+        let error = invalid(&["--engine", "parallel"]);
+        assert!(error.contains("'parallel'"), "{error}");
+        assert!(error.contains("legacy, interleaved"), "{error}");
         let error = parse_id_flag(
             "--noc-model",
             "warp",
@@ -766,13 +784,13 @@ mod tests {
 
     #[test]
     fn cycle_accounting_flag_parses_and_writes() {
-        let o = CliOptions::parse(Vec::<String>::new());
+        let o = parse(&[]).unwrap();
         assert_eq!(o.cycle_accounting, None);
         assert!(o.write_cycle_accounting().is_none());
 
         let path = std::env::temp_dir().join("cycle-accounting-cli-test.json");
         let path = path.to_str().unwrap().to_owned();
-        let mut o = CliOptions::parse(["--cycle-accounting".to_string(), path.clone()]);
+        let mut o = parse(&["--cycle-accounting", &path]).unwrap();
         assert_eq!(o.cycle_accounting.as_deref(), Some(path.as_str()));
         // A real accounted run on a tiny machine: the summary reports the
         // written path and the file round-trips as a breakdown document.

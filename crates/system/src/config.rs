@@ -116,10 +116,10 @@ impl std::fmt::Display for CoherenceProtocol {
 ///
 /// The engines interpret the same per-core op streams through the same
 /// hardware models; they differ only in the *order* cores' operations reach
-/// the shared state (L2, coherence protocol, NoC).  With a single core all
-/// of them are bit-identical; with many cores the interleaved engine is the
+/// the shared state (L2, coherence protocol, NoC).  With a single core the
+/// two are bit-identical; with many cores the interleaved engine is the
 /// faithful one, and the difference between them measures the ordering
-/// artifact of each scheduling discipline.
+/// artifact of tile-serialized replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecutionEngine {
     /// Tile-serialized replay: each core runs a whole trace segment to
@@ -133,24 +133,11 @@ pub enum ExecutionEngine {
     /// reaches the L2, the coherence protocol and the NoC in simulated-time
     /// order.
     Interleaved,
-    /// Epoch-based conservative parallel scheduling: cores run ahead
-    /// independently over core-local work (compute, SPM, L1 hits) inside a
-    /// bounded time window, and every cross-core interaction (misses into
-    /// the shared hierarchy, DMA transfers, protocol directory traffic,
-    /// NoC injections) is deferred to a deterministic commit executed in a
-    /// fixed merge order.  Results are bit-identical for any worker count
-    /// (`SystemConfig::engine_jobs`); see the README's "Execution engines"
-    /// section for the full determinism contract.
-    Parallel,
 }
 
 impl ExecutionEngine {
     /// All engines, legacy first.
-    pub const ALL: [ExecutionEngine; 3] = [
-        ExecutionEngine::Legacy,
-        ExecutionEngine::Interleaved,
-        ExecutionEngine::Parallel,
-    ];
+    pub const ALL: [ExecutionEngine; 2] = [ExecutionEngine::Legacy, ExecutionEngine::Interleaved];
 
     /// Stable identifier used by campaign descriptors and CLI flags
     /// (matches [`campaign::ENGINE_IDS`]).
@@ -158,7 +145,6 @@ impl ExecutionEngine {
         match self {
             ExecutionEngine::Legacy => "legacy",
             ExecutionEngine::Interleaved => "interleaved",
-            ExecutionEngine::Parallel => "parallel",
         }
     }
 
@@ -202,21 +188,11 @@ pub struct SystemConfig {
     pub trace_seed: u64,
     /// How cores are scheduled through each kernel.
     pub engine: ExecutionEngine,
-    /// Worker threads of the parallel engine's pool (`--jobs` on the report
-    /// binaries); `0` means the host's available parallelism.
-    ///
-    /// Presentation-only by construction: the parallel engine is
-    /// bit-identical for every worker count (pinned by the
-    /// `parallel_engine_is_bit_identical_across_worker_counts` proptest),
-    /// so the campaign cache key pins this to its default.
+    /// Inert: nothing in the simulator reads it, because every simulation
+    /// runs on one host thread.  It stays because the benchmark harness in
+    /// `perfbench/` sets and prints it; the campaign cache key pins it, so
+    /// its value never addresses a cache entry.
     pub engine_jobs: usize,
-    /// Width of the parallel engine's conservative time window, in cycles.
-    ///
-    /// A *model* knob, not a presentation knob: it bounds how far cores may
-    /// drift apart between commits, so different widths produce different
-    /// (each deterministic) results.  It participates in the campaign cache
-    /// key like any other hardware parameter.
-    pub epoch_cycles: u64,
     /// Print per-core clock/work/stall figures after every kernel
     /// (`--debug-cores` on the report binaries).
     pub debug_cores: bool,
@@ -267,7 +243,6 @@ impl SystemConfig {
             trace_seed: 0x15CA_2015,
             engine: ExecutionEngine::Legacy,
             engine_jobs: 1,
-            epoch_cycles: 1024,
             debug_cores: false,
             track_values: false,
             trace: TraceSettings::default(),
@@ -443,6 +418,8 @@ mod tests {
             assert_eq!(engine.to_string(), engine.id());
         }
         assert_eq!(ExecutionEngine::from_id("warp"), None);
+        assert_eq!(ExecutionEngine::from_id("parallel"), None);
+        assert_eq!(ExecutionEngine::ALL.len(), campaign::ENGINE_IDS.len());
         for (engine, id) in ExecutionEngine::ALL.iter().zip(campaign::ENGINE_IDS) {
             assert_eq!(engine.id(), id);
         }

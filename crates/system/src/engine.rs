@@ -34,17 +34,14 @@
 //! armed, checks every observed load and staged DMA word against the flat
 //! reference memory (see [`crate::verify`]).
 
-use std::cell::UnsafeCell;
-
-use campaign::WorkerPool;
 use simkernel::trace::{TraceKind, Tracer};
 use simkernel::{ByteSize, CoreId, Cycle, CycleCategory, EventQueue};
 
 use cpu::CoreTimingModel;
-use mem::{AccessKind, Addr, CoreLane, MemorySystem};
+use mem::{AccessKind, Addr, MemorySystem};
 use noc::MessageClass;
 use spm::{Dmac, Scratchpad};
-use spm_coherence::{CoherenceBackend, GuardedTarget, ProtocolLane};
+use spm_coherence::{CoherenceBackend, GuardedTarget};
 use workloads::{
     CompiledKernel, KernelExecution, MemRefClass, OpCursor, Phase, RawKernel, Segment, TraceOp,
 };
@@ -208,21 +205,6 @@ pub(crate) enum StepOutcome {
 /// This is the simulator's hottest loop body, shared verbatim by both
 /// engines so their per-op semantics cannot drift apart.
 pub(crate) fn step_op(
-    op: &TraceOp,
-    core_id: CoreId,
-    ctx: &mut KernelCtx<'_>,
-    policy: SyncPolicy,
-) -> StepOutcome {
-    let outcome = step_op_body(op, core_id, ctx, policy);
-    drain_due_ifetches(core_id, ctx);
-    op_epilogue(core_id, ctx);
-    outcome
-}
-
-/// The op interpreter proper: everything [`step_op`] does except the implied
-/// instruction fetches and the per-op epilogue.  Split out so the parallel
-/// engine can interleave its own (pausable) ifetch drain between the two.
-fn step_op_body(
     op: &TraceOp,
     core_id: CoreId,
     ctx: &mut KernelCtx<'_>,
@@ -458,6 +440,8 @@ fn step_op_body(
         }
     }
 
+    drain_due_ifetches(core_id, ctx);
+    op_epilogue(core_id, ctx);
     outcome
 }
 
@@ -474,8 +458,8 @@ fn drain_due_ifetches(core_id: CoreId, ctx: &mut KernelCtx<'_>) {
     }
 }
 
-/// The per-op epilogue shared by every engine: drops the ifetches' queue
-/// residue and samples the tracer's stat time-series.
+/// The per-op epilogue: drops the ifetches' queue residue and samples the
+/// tracer's stat time-series.
 fn op_epilogue(core_id: CoreId, ctx: &mut KernelCtx<'_>) {
     let c = core_id.index();
     if ctx.cores[c].accounting_enabled() {
@@ -748,523 +732,6 @@ pub(crate) fn run_kernel_interleaved(ctx: &mut KernelCtx<'_>, trace_seed: u64) {
                     }
                 }
             }
-        }
-    }
-}
-
-// ===================================================================
-// The parallel engine: epoch-based conservative multicore simulation.
-// ===================================================================
-
-/// What a core is waiting on between the run-ahead and commit phases of the
-/// parallel engine's rounds.
-#[derive(Debug, Clone)]
-enum Pend {
-    /// The core may keep running ahead next round.
-    Ready,
-    /// The next op needs shared state; it executes at the commit phase, at
-    /// the recorded core clock, through the full [`step_op`] path.
-    Op(TraceOp, Cycle),
-    /// The op itself ran ahead, but its implied instruction-fetch drain hit
-    /// an L1I miss; the remaining fetches complete at the commit phase.
-    /// `at` is the core clock after the op (the commit ordering key);
-    /// `noc_at` the clock at the op's start — the interleaved engine
-    /// advances the NoC once per op, before the body, so the fetch drain
-    /// runs with the NoC there, and the commit must reproduce that.
-    Ifetches { at: Cycle, noc_at: Cycle },
-    /// The core streamed its last op and waits at the kernel barrier.
-    Done,
-}
-
-/// One core's exclusive working set during a run-ahead phase: mutable
-/// borrows of its per-core structures plus the pointer lanes into the
-/// shared hierarchy and protocol.
-struct LaneCell<'a, 'b> {
-    core: &'b mut CoreTimingModel,
-    spm: &'b mut Scratchpad,
-    dmac: &'b mut Dmac,
-    stream: &'b mut OpStream<'a>,
-    mem: &'b mut CoreLane,
-    prot: Option<&'b mut ProtocolLane>,
-    pend: &'b mut Pend,
-}
-
-/// The round's lane cells, shared across pool workers.
-///
-/// SAFETY (of the `Sync` impl): `WorkerPool::dispatch` hands every index to
-/// exactly one worker, so the `UnsafeCell`s are accessed disjointly — the
-/// only reason a plain `&mut`-slice split does not work is that the pool's
-/// job signature is `Fn(usize)` over a shared closure.
-struct LaneCells<'c, 'a, 'b>(&'c [UnsafeCell<LaneCell<'a, 'b>>]);
-
-unsafe impl Sync for LaneCells<'_, '_, '_> {}
-
-impl<'a, 'b> LaneCells<'_, 'a, 'b> {
-    /// Pointer to cell `i`.  A method (not a field access) so closures
-    /// capture the `Sync` wrapper as a whole, never the raw slice.
-    fn cell(&self, i: usize) -> *mut LaneCell<'a, 'b> {
-        self.0[i].get()
-    }
-}
-
-/// Runs one kernel under the epoch-based conservative parallel scheduler.
-///
-/// Each round, every live core runs ahead independently — executing ops that
-/// touch only its own structures (its timing model, SPM, DMAC, private L1s,
-/// prefetcher, SPMDir and filter) — until it reaches an op that needs shared
-/// state, passes the epoch horizon (`min live clock + epoch_cycles`), or
-/// ends its stream.  The deferred ops then execute serially, sorted by
-/// `(core clock, core id)`, through the ordinary full paths; queued prefetch
-/// fills flush immediately before their core's deferred op, and per-core
-/// scratch counters merge in core order.  Both make the schedule — and
-/// therefore the simulation — bit-identical for any worker count, including
-/// the inline `pool: None` form.
-///
-/// With an observer attached (value tracking, tracing) the same schedule
-/// runs single-threaded through the full paths, classifying ops with
-/// read-only probes — so observers stay timing-invisible here exactly as
-/// they are under the other engines.
-pub(crate) fn run_kernel_parallel(
-    ctx: &mut KernelCtx<'_>,
-    trace_seed: u64,
-    pool: Option<&WorkerPool>,
-    epoch_cycles: u64,
-) {
-    let epoch = Cycle::new(epoch_cycles.max(1));
-    if ctx.values.is_some() || ctx.tracer.is_some() {
-        run_parallel_observed(ctx, trace_seed, epoch);
-    } else {
-        run_parallel_lanes(ctx, trace_seed, pool, epoch);
-    }
-}
-
-/// The lane backend: run-ahead on per-core pointer lanes into the resident
-/// hierarchy and protocol, fanned out over the worker pool (or inline, in
-/// core order, without one).
-fn run_parallel_lanes(
-    ctx: &mut KernelCtx<'_>,
-    trace_seed: u64,
-    pool: Option<&WorkerPool>,
-    epoch: Cycle,
-) {
-    let cores = ctx.cores.len();
-    let program = ctx.program;
-    let (code_base, code_size) = (program.code_base(), program.code_size());
-    let mut streams: Vec<OpStream<'_>> = (0..cores)
-        .map(|i| program.stream(CoreId::new(i), cores, trace_seed))
-        .collect();
-    let mut pends: Vec<Pend> = vec![Pend::Ready; cores];
-    // SAFETY: one lane per core; the lanes are dropped before the hierarchy
-    // and protocol (this function returns after the merge loop below), and
-    // their methods run only inside the run-ahead phase, which holds no
-    // other borrow of either structure.
-    let mut mem_lanes: Vec<CoreLane> = (0..cores)
-        .map(|c| unsafe { ctx.memsys.new_lane(CoreId::new(c)) })
-        .collect();
-    let mut prot_lanes: Vec<Option<ProtocolLane>> = (0..cores)
-        .map(|c| unsafe { ctx.protocol.new_core_lane(CoreId::new(c)) })
-        .collect();
-    let mut order: Vec<(Cycle, usize)> = Vec::with_capacity(cores);
-
-    while let Some(epoch_start) = (0..cores)
-        .filter(|&c| !matches!(pends[c], Pend::Done))
-        .map(|c| ctx.cores[c].now())
-        .min()
-    {
-        let horizon = epoch_start + epoch;
-
-        // A deferred op committed last round can have reconfigured the
-        // protocol's decode registers; re-copy them into the lanes.
-        for p in prot_lanes.iter_mut().flatten() {
-            ctx.protocol.refresh_lane(p);
-        }
-
-        // Run-ahead phase: each lane cell is owned by exactly one worker.
-        {
-            let cells: Vec<UnsafeCell<LaneCell<'_, '_>>> = ctx
-                .cores
-                .iter_mut()
-                .zip(ctx.spms.iter_mut())
-                .zip(ctx.dmacs.iter_mut())
-                .zip(streams.iter_mut())
-                .zip(mem_lanes.iter_mut())
-                .zip(prot_lanes.iter_mut())
-                .zip(pends.iter_mut())
-                .map(|((((((core, spm), dmac), stream), mem), prot), pend)| {
-                    UnsafeCell::new(LaneCell {
-                        core,
-                        spm,
-                        dmac,
-                        stream,
-                        mem,
-                        prot: prot.as_mut(),
-                        pend,
-                    })
-                })
-                .collect();
-            let cells = LaneCells(&cells);
-            let worker = |i: usize| {
-                // SAFETY: `dispatch` hands each index to one worker only.
-                let cell = unsafe { &mut *cells.cell(i) };
-                if matches!(*cell.pend, Pend::Done) {
-                    return;
-                }
-                run_ahead_lane(cell, horizon, code_base, code_size);
-            };
-            match pool {
-                Some(pool) => pool.dispatch(cores, &worker),
-                None => (0..cores).for_each(worker),
-            }
-        }
-
-        commit_pends(ctx, &mut pends, &mut order);
-    }
-
-    // Fold the lanes' scratch counters into the shared stats, in core order.
-    for c in 0..cores {
-        ctx.memsys.merge_lane_scratch(&mut mem_lanes[c]);
-        if let Some(p) = prot_lanes[c].as_mut() {
-            ctx.protocol.merge_lane_scratch(p);
-        }
-    }
-}
-
-/// One core's run-ahead: executes lane-local ops until something defers,
-/// the horizon passes, or the stream ends.  Leaves `cell.pend` describing
-/// why it stopped (`Ready` means the horizon).
-fn run_ahead_lane(cell: &mut LaneCell<'_, '_>, horizon: Cycle, code_base: Addr, code_size: u64) {
-    loop {
-        if cell.core.now() >= horizon {
-            return;
-        }
-        let Some(op) = cell.stream.next_op() else {
-            *cell.pend = Pend::Done;
-            return;
-        };
-        let op_start = cell.core.now();
-        if !lane_step(&op, cell) {
-            *cell.pend = Pend::Op(op, cell.core.now());
-            return;
-        }
-        if !lane_drain_ifetches(cell, code_base, code_size) {
-            *cell.pend = Pend::Ifetches {
-                at: cell.core.now(),
-                noc_at: op_start,
-            };
-            return;
-        }
-    }
-}
-
-/// Executes one op against the lane alone, or returns `false` — with no
-/// state mutated — when the op needs the shared hierarchy, protocol or NoC.
-///
-/// Every arm mirrors [`step_op`]'s full path for the same op bit-for-bit
-/// (the hot-loop goldens and the observer-equivalence tests pin this).
-fn lane_step(op: &TraceOp, cell: &mut LaneCell<'_, '_>) -> bool {
-    match op {
-        TraceOp::Compute { insts } => cell.core.execute_compute(*insts),
-        TraceOp::SetPhase(phase) => {
-            if *phase != Phase::Work {
-                cell.core.drain_memory();
-            }
-            cell.core.set_phase(*phase);
-        }
-        TraceOp::AllocateBuffers { count } => {
-            let _ = cell.spm.allocate_buffers(*count);
-        }
-        TraceOp::DmaSync { tags } => {
-            // Any DMA the tags wait on was itself a deferred op, so the
-            // DMAC's completion times are already committed: the sync
-            // resolves locally.  The park/resume pair charges the wait to
-            // `Park` exactly as the interleaved scheduler does.
-            let now = cell.core.now();
-            let done = cell.dmac.dma_synch(tags, now);
-            if done > now {
-                cell.core.park_until(done);
-                cell.core.resume();
-            } else {
-                cell.core.stall_until(done, CycleCategory::DmaWait);
-            }
-        }
-        TraceOp::DmaGet { .. } | TraceOp::DmaPut { .. } | TraceOp::LoopEnd => return false,
-        TraceOp::Load {
-            addr,
-            class,
-            reference_id,
-        }
-        | TraceOp::Store {
-            addr,
-            class,
-            reference_id,
-        } => {
-            let is_store = matches!(op, TraceOp::Store { .. });
-            match class {
-                MemRefClass::SpmStrided { .. } => {
-                    let latency = if is_store {
-                        cell.spm.write_local()
-                    } else {
-                        cell.spm.read_local()
-                    };
-                    cell.core.issue_memory_access(latency, false);
-                    cell.core.record_in_lsq_valued(*addr, is_store, None);
-                }
-                MemRefClass::Guarded => {
-                    let Some(prot) = cell.prot.as_deref_mut() else {
-                        return false;
-                    };
-                    let Some(outcome) = prot.try_guarded(*addr, is_store, cell.mem, cell.spm)
-                    else {
-                        return false;
-                    };
-                    // A lane-local guarded access sends nothing, so the
-                    // attributed queue it would drain is provably zero.
-                    cell.core.issue_memory_access_classified(
-                        outcome.latency,
-                        true,
-                        CycleCategory::Protocol,
-                        Cycle::ZERO,
-                    );
-                    cell.core.record_in_lsq_valued(*addr, is_store, None);
-                    if outcome.diverted_to_spm() {
-                        let _ = cell.core.recheck_ordering(*addr, is_store);
-                    }
-                }
-                MemRefClass::Gm | MemRefClass::GmStrided | MemRefClass::Stack => {
-                    let kind = if is_store {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    };
-                    let Some(result) = cell.mem.try_access(*addr, kind, *reference_id) else {
-                        return false;
-                    };
-                    let dependent = matches!(class, MemRefClass::Gm);
-                    cell.core.issue_memory_access_classified(
-                        result.latency,
-                        dependent,
-                        CycleCategory::MissWait,
-                        Cycle::ZERO,
-                    );
-                    cell.core.record_in_lsq_valued(*addr, is_store, None);
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Drains the due instruction fetches against the lane's L1I, stopping at
-/// the first miss (left un-popped for the commit phase).  Returns `false`
-/// when a miss pended the core.
-fn lane_drain_ifetches(cell: &mut LaneCell<'_, '_>, code_base: Addr, code_size: u64) -> bool {
-    while let Some(addr) = cell.core.peek_due_ifetch(code_base, code_size) {
-        // A miss mutates nothing, so the single probe doubles as the check.
-        let Some(result) = cell.mem.try_access(addr, AccessKind::Ifetch, 0) else {
-            return false;
-        };
-        let _ = cell
-            .core
-            .next_due_ifetch(code_base, code_size)
-            .expect("peeked above");
-        cell.core.apply_ifetch(result.latency, result.l1_hit);
-    }
-    true
-}
-
-/// The observer backend: the identical round/epoch schedule, run
-/// single-threaded through the full paths so value tracking, tracing and
-/// per-core debug see every access — with read-only probes reproducing the
-/// lane classification, so the timing is bit-identical to the lane backend.
-fn run_parallel_observed(ctx: &mut KernelCtx<'_>, trace_seed: u64, epoch: Cycle) {
-    let cores = ctx.cores.len();
-    let program = ctx.program;
-    let mut streams: Vec<OpStream<'_>> = (0..cores)
-        .map(|i| program.stream(CoreId::new(i), cores, trace_seed))
-        .collect();
-    let mut pends: Vec<Pend> = vec![Pend::Ready; cores];
-    let mut segments: Vec<Option<Segment>> = vec![None; cores];
-    let mut order: Vec<(Cycle, usize)> = Vec::with_capacity(cores);
-
-    while let Some(epoch_start) = (0..cores)
-        .filter(|&c| !matches!(pends[c], Pend::Done))
-        .map(|c| ctx.cores[c].now())
-        .min()
-    {
-        let horizon = epoch_start + epoch;
-
-        // Run-ahead phase.  Lane-local ops send no packets (an access whose
-        // prefetcher training would emit fills is classified non-local), so
-        // the lane backend never advances the NoC here; mask the clock
-        // tracking so the full paths do not either.
-        let saved_noc = ctx.track_noc_clock;
-        ctx.track_noc_clock = false;
-        for c in 0..cores {
-            if matches!(pends[c], Pend::Done) {
-                continue;
-            }
-            run_ahead_observed(
-                ctx,
-                c,
-                &mut streams[c],
-                &mut pends[c],
-                &mut segments[c],
-                horizon,
-            );
-        }
-        ctx.track_noc_clock = saved_noc;
-
-        commit_pends(ctx, &mut pends, &mut order);
-    }
-}
-
-/// One core's run-ahead through the full paths (observer backend).
-fn run_ahead_observed(
-    ctx: &mut KernelCtx<'_>,
-    c: usize,
-    stream: &mut OpStream<'_>,
-    pend: &mut Pend,
-    segment: &mut Option<Segment>,
-    horizon: Cycle,
-) {
-    let core_id = CoreId::new(c);
-    let (code_base, code_size) = (ctx.program.code_base(), ctx.program.code_size());
-    loop {
-        if ctx.cores[c].now() >= horizon {
-            return;
-        }
-        let Some(op) = stream.next_op() else {
-            *pend = Pend::Done;
-            return;
-        };
-        if ctx.tracer.is_some() {
-            let seg = stream.segment();
-            if seg != *segment {
-                *segment = seg;
-                if let Some(s) = seg {
-                    segment_begin(ctx, c, s);
-                }
-            }
-        }
-        if !op_is_lane_local(&op, core_id, ctx) {
-            *pend = Pend::Op(op, ctx.cores[c].now());
-            return;
-        }
-        let op_start = ctx.cores[c].now();
-        match step_op_body(&op, core_id, ctx, SyncPolicy::Park) {
-            StepOutcome::Parked { wake } => {
-                if let Some(tr) = ctx.tracer.as_deref_mut() {
-                    tr.record(
-                        c,
-                        ctx.cores[c].now().as_u64(),
-                        TraceKind::Park,
-                        [wake.as_u64(), 0],
-                    );
-                }
-                ctx.cores[c].park_until(wake);
-                ctx.cores[c].resume();
-                if let Some(tr) = ctx.tracer.as_deref_mut() {
-                    tr.record(c, wake.as_u64(), TraceKind::Resume, [wake.as_u64(), 0]);
-                }
-            }
-            StepOutcome::Ran => {}
-        }
-        // The pausable twin of `drain_due_ifetches`: stop at the first L1I
-        // miss and leave it (un-popped) for the commit phase.
-        let mut missed = false;
-        while let Some(addr) = ctx.cores[c].peek_due_ifetch(code_base, code_size) {
-            if !ctx
-                .memsys
-                .is_lane_local(core_id, addr, AccessKind::Ifetch, 0)
-            {
-                missed = true;
-                break;
-            }
-            let addr = ctx.cores[c]
-                .next_due_ifetch(code_base, code_size)
-                .expect("peeked above");
-            let result =
-                ctx.memsys
-                    .access(core_id, addr, AccessKind::Ifetch, MessageClass::Ifetch, 0);
-            ctx.cores[c].apply_ifetch(result.latency, result.l1_hit);
-        }
-        if missed {
-            *pend = Pend::Ifetches {
-                at: ctx.cores[c].now(),
-                noc_at: op_start,
-            };
-            return;
-        }
-        op_epilogue(core_id, ctx);
-    }
-}
-
-/// Read-only twin of [`lane_step`]'s classification, for the observer
-/// backend: can this op run without touching shared state?
-fn op_is_lane_local(op: &TraceOp, core_id: CoreId, ctx: &KernelCtx<'_>) -> bool {
-    match op {
-        TraceOp::Compute { .. }
-        | TraceOp::SetPhase(_)
-        | TraceOp::AllocateBuffers { .. }
-        | TraceOp::DmaSync { .. } => true,
-        TraceOp::DmaGet { .. } | TraceOp::DmaPut { .. } | TraceOp::LoopEnd => false,
-        TraceOp::Load {
-            addr,
-            class,
-            reference_id,
-        }
-        | TraceOp::Store {
-            addr,
-            class,
-            reference_id,
-        } => {
-            let is_store = matches!(op, TraceOp::Store { .. });
-            match class {
-                MemRefClass::SpmStrided { .. } => true,
-                MemRefClass::Guarded => ctx
-                    .protocol
-                    .is_guarded_lane_local(core_id, *addr, is_store, ctx.memsys),
-                MemRefClass::Gm | MemRefClass::GmStrided | MemRefClass::Stack => {
-                    let kind = if is_store {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    };
-                    ctx.memsys
-                        .is_lane_local(core_id, *addr, kind, *reference_id)
-                }
-            }
-        }
-    }
-}
-
-/// The serial commit phase: executes every pended deferred op through the
-/// ordinary full paths in `(core clock, core id)` order.  Shared by both
-/// backends, which is what keeps them bit-identical.  `order` is caller
-/// scratch, reused across rounds.
-fn commit_pends(ctx: &mut KernelCtx<'_>, pends: &mut [Pend], order: &mut Vec<(Cycle, usize)>) {
-    order.clear();
-    order.extend(pends.iter().enumerate().filter_map(|(c, p)| match p {
-        Pend::Op(_, at) | Pend::Ifetches { at, .. } => Some((*at, c)),
-        Pend::Ready | Pend::Done => None,
-    }));
-    order.sort_unstable();
-    for &(_, c) in order.iter() {
-        let core_id = CoreId::new(c);
-        match std::mem::replace(&mut pends[c], Pend::Ready) {
-            Pend::Op(op, _) => {
-                // Deferred ops are never `DmaSync` (it is lane-local), so
-                // the inline stall policy can never actually stall here.
-                let _ = step_op(&op, core_id, ctx, SyncPolicy::StallInline);
-            }
-            Pend::Ifetches { noc_at, .. } => {
-                if ctx.track_noc_clock {
-                    ctx.memsys.advance_noc(noc_at);
-                }
-                drain_due_ifetches(core_id, ctx);
-                op_epilogue(core_id, ctx);
-            }
-            Pend::Ready | Pend::Done => unreachable!("filtered above"),
         }
     }
 }

@@ -21,6 +21,7 @@
 //! machines and derives the paper's Figures 7–11; [`experiments::ablations`]
 //! adds the design-choice sweeps described in `DESIGN.md`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -409,23 +409,6 @@ impl Machine {
             None
         };
 
-        // The parallel engine's worker pool.  Observers force the
-        // single-threaded observed backend (which ignores the pool), and a
-        // single effective worker runs the lane backend inline, so neither
-        // spins up threads.  The schedule is worker-count-invariant (see
-        // `engine::run_kernel_parallel`), so workers are clamped to the
-        // host's parallelism: oversubscribed threads would only timeslice.
-        let avail = std::thread::available_parallelism().map_or(1, usize::from);
-        let engine_workers = match self.config.engine_jobs {
-            0 => avail,
-            n => n.min(avail),
-        };
-        let pool: Option<campaign::WorkerPool> = (self.config.engine == ExecutionEngine::Parallel
-            && engine_workers > 1
-            && values.is_none()
-            && tracer.is_none())
-        .then(|| campaign::WorkerPool::new(engine_workers));
-
         // Sampler scratch, reused across every kernel of the run.
         let mut depth_scratch: Vec<u64> = Vec::new();
 
@@ -463,12 +446,6 @@ impl Machine {
                 ExecutionEngine::Interleaved => {
                     engine::run_kernel_interleaved(&mut ctx, self.config.trace_seed)
                 }
-                ExecutionEngine::Parallel => engine::run_kernel_parallel(
-                    &mut ctx,
-                    self.config.trace_seed,
-                    pool.as_ref(),
-                    self.config.epoch_cycles,
-                ),
             }
             depth_scratch = std::mem::take(&mut ctx.depth_scratch);
             // Per-core kernel report: one CoreReport event per core on the

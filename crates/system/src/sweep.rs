@@ -68,8 +68,12 @@ pub fn lower_descriptor(
         config.set_noc_model(model);
     }
     if let Some(engine) = &d.engine {
-        config.engine = crate::config::ExecutionEngine::from_id(engine)
-            .ok_or_else(|| format!("unknown execution engine '{engine}'"))?;
+        config.engine = crate::config::ExecutionEngine::from_id(engine).ok_or_else(|| {
+            format!(
+                "unknown execution engine '{engine}' (valid engines: {})",
+                campaign::ENGINE_IDS.join(", ")
+            )
+        })?;
     }
     if let Some(protocol) = &d.protocol {
         config.coherence_protocol = crate::config::CoherenceProtocol::from_id(protocol)
@@ -99,9 +103,8 @@ pub fn run_cache_key(kind: MachineKind, config: &SystemConfig, spec: &BenchmarkS
     config.debug_cores = false;
     config.trace = simkernel::trace::TraceSettings::default();
     config.cycle_accounting = false;
-    // The parallel engine is bit-identical across worker counts, so the
-    // pool size is presentation too.  `epoch_cycles` is NOT pinned: the
-    // epoch width bounds cross-core skew and changes results.
+    // `engine_jobs` has no reader (see its doc); pinned so its value never
+    // addresses a different cache entry.
     config.engine_jobs = 1;
     CacheKey::from_fields([
         ("format", CACHE_FORMAT.to_string()),
@@ -153,23 +156,10 @@ impl RunContext {
     /// Results come back in input order; the report carries the
     /// executed-vs-cached accounting.
     pub fn run_lowered(&self, runs: &[LoweredRun]) -> CampaignReport<RunResult> {
-        // Point fan-out takes precedence over engine fan-out: a scheduled
-        // point always runs its engine single-threaded, so `--jobs` workers
-        // never multiply into `jobs × engine_jobs` threads.  Harmless to
-        // results — the parallel engine is bit-identical across worker
-        // counts — and it keeps the cache key's `engine_jobs` pin honest.
-        let runs: Vec<LoweredRun> = runs
-            .iter()
-            .map(|(config, spec, kind)| {
-                let mut config = config.clone();
-                config.engine_jobs = 1;
-                (config, spec.clone(), *kind)
-            })
-            .collect();
         run_campaign(
             &self.executor,
             self.cache.as_ref(),
-            &runs,
+            runs,
             |(config, spec, kind)| run_cache_key(*kind, config, spec),
             &run_result_codec(),
             |(config, spec, kind)| Machine::new(*kind, config.clone()).run(spec),
@@ -305,10 +295,14 @@ mod tests {
     fn lowering_defaults_to_the_legacy_engine_and_rejects_unknown_engines() {
         let (config, _, _) = lower_descriptor(&quick_point()).unwrap();
         assert_eq!(config.engine, crate::config::ExecutionEngine::Legacy);
-        let mut d = quick_point();
-        d.engine = Some("warp".into());
-        let err = lower_descriptor(&d).unwrap_err();
-        assert!(err.contains("warp"), "{err}");
+        // "parallel" names the deleted epoch engine: rejected like a typo.
+        for unknown in ["warp", "parallel"] {
+            let mut d = quick_point();
+            d.engine = Some(unknown.into());
+            let err = lower_descriptor(&d).unwrap_err();
+            assert!(err.contains(&format!("'{unknown}'")), "{err}");
+            assert!(err.contains("legacy, interleaved"), "{err}");
+        }
     }
 
     #[test]
@@ -374,9 +368,6 @@ mod tests {
         let mut pooled = config.clone();
         pooled.engine_jobs = 8;
         assert_eq!(base, run_cache_key(kind, &pooled, &spec));
-        let mut widened = config.clone();
-        widened.epoch_cycles += 1;
-        assert_ne!(base, run_cache_key(kind, &widened, &spec));
         let mut rescaled = spec.clone();
         rescaled.kernels[0].outer_repeats += 1;
         assert_ne!(base, run_cache_key(kind, &config, &rescaled));

@@ -23,6 +23,7 @@
 //! The output is a stream of [`trace::TraceOp`]s per core, consumed by the
 //! `cpu` timing model under the direction of the `system` crate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -40,6 +40,8 @@
 //! assert!(cache.execution_time.as_u64() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use campaign;
 pub use cpu;
 pub use energy;

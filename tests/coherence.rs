@@ -49,7 +49,7 @@ fn directory_config(engine: ExecutionEngine, model: noc::NocModel, cores: usize)
     cfg
 }
 
-fn engines() -> [ExecutionEngine; 3] {
+fn engines() -> [ExecutionEngine; 2] {
     ExecutionEngine::ALL
 }
 
@@ -386,7 +386,7 @@ proptest! {
             .verify_raw(&program);
             let directory = Machine::new(
                 MachineKind::HybridProposed,
-                directory_config(ExecutionEngine::Parallel, noc::NocModel::DiscreteEvent, cores),
+                directory_config(ExecutionEngine::Interleaved, noc::NocModel::DiscreteEvent, cores),
             )
             .verify_raw(&program);
             prop_assert!(filterdir.ok(), "{}", filterdir.divergence_report());

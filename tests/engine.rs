@@ -91,13 +91,6 @@ fn single_core_engines_are_bit_identical_everywhere() {
                 encoded(&interleaved),
                 "{kind:?} under {noc_model:?}: engines diverged on a single core"
             );
-            let parallel =
-                Machine::new(kind, config_with(1, ExecutionEngine::Parallel, noc_model)).run(&spec);
-            assert_eq!(
-                encoded(&interleaved),
-                encoded(&parallel),
-                "{kind:?} under {noc_model:?}: parallel engine diverged on a single core"
-            );
         }
     }
 }
@@ -160,7 +153,7 @@ fn engine_campaigns_are_deterministic_across_worker_counts() {
         .with_engines(&spm_manycore::campaign::ENGINE_IDS)
         .small()
         .points();
-    assert_eq!(points.len(), 3);
+    assert_eq!(points.len(), 2);
     let serial = run_points(&RunContext::serial(), &points).unwrap();
     let parallel = run_points(
         &RunContext::new(spm_manycore::campaign::Executor::new(4), None),
@@ -211,48 +204,5 @@ proptest! {
         let a = Machine::new(MachineKind::HybridProposed, legacy).run(&spec);
         let b = Machine::new(MachineKind::HybridProposed, interleaved).run(&spec);
         prop_assert_eq!(encoded(&a), encoded(&b));
-    }
-
-    /// On one core there is nothing to overlap, so the parallel engine's
-    /// epoch schedule degenerates to the interleaved schedule: the runs are
-    /// bit-identical for any trace seed, machine kind and NoC model.
-    #[test]
-    fn single_core_parallel_matches_interleaved_for_any_seed(
-        seed in any::<u64>(),
-        kind_idx in 0usize..MachineKind::ALL.len(),
-        des in any::<bool>(),
-    ) {
-        let spec = NasBenchmark::Is.spec_scaled(1.0 / 1024.0);
-        let kind = MachineKind::ALL[kind_idx];
-        let noc_model = if des { noc::NocModel::DiscreteEvent } else { noc::NocModel::Analytic };
-        let mut interleaved = config_with(1, ExecutionEngine::Interleaved, noc_model);
-        interleaved.trace_seed = seed;
-        let mut parallel = interleaved.clone();
-        parallel.engine = ExecutionEngine::Parallel;
-        let a = Machine::new(kind, interleaved).run(&spec);
-        let b = Machine::new(kind, parallel).run(&spec);
-        prop_assert_eq!(encoded(&a), encoded(&b), "{:?} under {:?}", kind, noc_model);
-    }
-
-    /// The parallel engine's determinism contract: the worker count is pure
-    /// mechanism.  A multicore run on one worker and on eight is
-    /// bit-identical — same `RunResult` JSON — for any trace seed and both
-    /// NoC models, because cross-core interactions only ever execute at the
-    /// serial epoch-boundary commit, in `(clock, core)` order.
-    #[test]
-    fn parallel_engine_is_bit_identical_across_worker_counts(
-        seed in any::<u64>(),
-        des in any::<bool>(),
-    ) {
-        let spec = NasBenchmark::Cg.spec_scaled(1.0 / 1024.0);
-        let noc_model = if des { noc::NocModel::DiscreteEvent } else { noc::NocModel::Analytic };
-        let mut serial = config_with(4, ExecutionEngine::Parallel, noc_model);
-        serial.trace_seed = seed;
-        serial.engine_jobs = 1;
-        let mut pooled = serial.clone();
-        pooled.engine_jobs = 8;
-        let a = Machine::new(MachineKind::HybridProposed, serial).run(&spec);
-        let b = Machine::new(MachineKind::HybridProposed, pooled).run(&spec);
-        prop_assert_eq!(encoded(&a), encoded(&b), "under {:?}", noc_model);
     }
 }

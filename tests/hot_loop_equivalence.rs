@@ -22,8 +22,10 @@
 use std::fs;
 use std::path::PathBuf;
 
+use spm_manycore::campaign::Executor;
 use spm_manycore::noc::NocModel;
 use spm_manycore::simkernel::{Json, TraceSettings};
+use spm_manycore::system::sweep::{LoweredRun, RunContext};
 use spm_manycore::system::{
     CoherenceProtocol, ExecutionEngine, Machine, MachineKind, RunResult, SystemConfig,
 };
@@ -116,7 +118,7 @@ fn full_matrix_matches_pinned_goldens() {
             }
         }
     }
-    assert_eq!(checked, 36, "the matrix must cover every combination");
+    assert_eq!(checked, 24, "the matrix must cover every combination");
 }
 
 /// The directory-baseline wall, beside the paper-protocol one: the plain
@@ -170,36 +172,33 @@ fn directory_backend_matrix_matches_pinned_goldens() {
         }
     }
     assert_eq!(
-        checked, 12,
+        checked, 8,
         "the directory wall must cover every combination"
     );
 }
 
-/// The parallel engine's jobs-invariance pin, on the directory backend: the
-/// lane-local predicate is a backend method, and the directory baseline
-/// defers *every* guarded access to the commit phase — worker count must
-/// still never show up in the results.
+/// Worker count never shows up in the directory backend's results: the
+/// same runs on one campaign worker and on four encode bit-identically, for
+/// both engines and NoC models with value tracking on.
 #[test]
 fn directory_backend_is_bit_identical_across_parallel_jobs() {
-    for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
-        let run_with = |jobs: usize| {
-            let mut cfg = config(ExecutionEngine::Parallel, noc, true);
+    let mut runs: Vec<LoweredRun> = Vec::new();
+    for engine in ExecutionEngine::ALL {
+        for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
+            let mut cfg = config(engine, noc, true);
             cfg.coherence_protocol = CoherenceProtocol::Directory;
-            cfg.engine_jobs = jobs;
-            Machine::new(MachineKind::HybridProposed, cfg)
-                .run(&spec())
-                .to_json()
-        };
-        let serial = run_with(1);
-        for jobs in [2, 4] {
-            assert_eq!(
-                serial,
-                run_with(jobs),
-                "{}: directory backend diverges between jobs=1 and jobs={jobs}",
-                noc_id(noc)
-            );
+            runs.push((cfg, spec(), MachineKind::HybridProposed));
         }
     }
+    let run_with = |jobs: usize| -> Vec<String> {
+        RunContext::new(Executor::new(jobs), None)
+            .run_lowered(&runs)
+            .results
+            .iter()
+            .map(RunResult::to_json)
+            .collect()
+    };
+    assert_eq!(run_with(1), run_with(4));
 }
 
 /// Event tracing is pure presentation: arming the tracer with every
