@@ -58,7 +58,7 @@ pub struct RunDescriptor {
     pub filterdir_entries: Option<usize>,
     /// NoC model override (one of [`NOC_MODEL_IDS`]; `None` = analytic).
     pub noc_model: Option<String>,
-    /// Execution-engine override (one of [`ENGINE_IDS`]; `None` = legacy).
+    /// Execution-engine override (one of [`ENGINE_IDS`]; `None` = interleaved).
     pub engine: Option<String>,
     /// Coherence-protocol override (one of [`PROTOCOL_IDS`]; `None` = the
     /// paper's filterDir protocol).
@@ -189,7 +189,7 @@ pub struct SweepSpec {
     pub filterdir_entries: Vec<Option<usize>>,
     /// NoC models to sweep (one of [`NOC_MODEL_IDS`]; `None` = analytic).
     pub noc_models: Vec<Option<String>>,
-    /// Execution engines to sweep (one of [`ENGINE_IDS`]; `None` = legacy).
+    /// Execution engines to sweep (one of [`ENGINE_IDS`]; `None` = interleaved).
     pub engines: Vec<Option<String>>,
     /// Coherence protocols to sweep (one of [`PROTOCOL_IDS`]; `None` = the
     /// paper's filterDir protocol).

@@ -37,7 +37,7 @@ options (LIST = comma-separated values):
   --filters LIST      per-core filter entry counts (default: Table 1)
   --filterdirs LIST   filterDir entry counts (default: Table 1)
   --noc-models LIST   NoC models: {noc_models} (default analytic)
-  --engines LIST      execution engines: {engines} (default legacy)
+  --engines LIST      execution engines: {engines} (default interleaved)
   --protocols LIST    coherence protocols: {protocols} (default
                       filterdir; only the proposed machine differs)
   --small             use the scaled-down test machine at each core count

@@ -49,7 +49,7 @@ options:
   --cache-dir PATH   like --cache, with an explicit directory
   --noc-model NAME   network model: {noc_models} (default analytic;
                      des is an alias of discrete-event)
-  --engine NAME      execution engine: {engines} (default legacy)
+  --engine NAME      execution engine: {engines} (default interleaved)
   --protocol NAME    coherence protocol of the proposed machine:
                      {protocols} (default filterdir)
   --debug-cores      print per-core clock/work/stall figures after every
@@ -224,7 +224,7 @@ impl Default for CliOptions {
             jobs: 0,
             cache_dir: None,
             noc_model: noc::NocModel::Analytic,
-            engine: ExecutionEngine::Legacy,
+            engine: ExecutionEngine::Interleaved,
             protocol: CoherenceProtocol::FilterDir,
             debug_cores: false,
             track_values: false,
@@ -694,12 +694,12 @@ mod tests {
     #[test]
     fn engine_flag_threads_into_the_configuration() {
         let o = parse(&[]).unwrap();
-        assert_eq!(o.engine, ExecutionEngine::Legacy);
-        assert!(!o.debug_cores);
-        let o = parse(&["--engine", "interleaved", "--debug-cores"]).unwrap();
         assert_eq!(o.engine, ExecutionEngine::Interleaved);
+        assert!(!o.debug_cores);
+        let o = parse(&["--engine", "legacy", "--debug-cores"]).unwrap();
+        assert_eq!(o.engine, ExecutionEngine::Legacy);
         assert!(o.debug_cores);
-        assert_eq!(o.config().engine, ExecutionEngine::Interleaved);
+        assert_eq!(o.config().engine, ExecutionEngine::Legacy);
         assert!(o.config().debug_cores);
     }
 

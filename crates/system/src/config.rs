@@ -241,7 +241,7 @@ impl SystemConfig {
             energy: EnergyParams::isca2015_22nm().scaled_to_cores(cores),
             frequency: Frequency::ghz(2.0),
             trace_seed: 0x15CA_2015,
-            engine: ExecutionEngine::Legacy,
+            engine: ExecutionEngine::Interleaved,
             engine_jobs: 1,
             debug_cores: false,
             track_values: false,
@@ -428,7 +428,7 @@ mod tests {
     #[test]
     fn default_engine_is_legacy_with_debug_off() {
         let c = SystemConfig::isca2015();
-        assert_eq!(c.engine, ExecutionEngine::Legacy);
+        assert_eq!(c.engine, ExecutionEngine::Interleaved);
         assert!(!c.debug_cores);
         assert_eq!(c.coherence_protocol, CoherenceProtocol::FilterDir);
     }

@@ -762,9 +762,11 @@ mod tests {
             let des = Machine::new(kind, des_config.clone()).run(&spec);
             assert!(des.execution_time > Cycle::ZERO, "{kind}");
             assert!(des.instructions > 0, "{kind}");
-            // The two backends inject identical protocol traffic — only the
-            // latencies (and therefore the timing) differ.
-            assert_eq!(des.traffic, analytic.traffic, "{kind}");
+            // Both backends execute the same program.  Their traffic may
+            // differ: NoC latency feeds back into the order the scheduler
+            // steps cores, and so into which accesses hit (on cache-only the
+            // analytic run sends 83,244 packets and the DES run 83,141,
+            // both for 209,808 instructions).
             assert_eq!(des.instructions, analytic.instructions, "{kind}");
             // The DES backend measures link and home-node pressure.
             assert!(
@@ -821,10 +823,10 @@ mod tests {
         // interleaved engine parks and pays the wait on resume (`Park`).
         // That split is exactly the serialized-replay artifact of PR 4.
         let spec = small_spec();
-        let legacy = Machine::new(MachineKind::HybridProposed, config());
-        let mut inter_cfg = config();
-        inter_cfg.engine = ExecutionEngine::Interleaved;
-        let interleaved = Machine::new(MachineKind::HybridProposed, inter_cfg);
+        let mut legacy_cfg = config();
+        legacy_cfg.engine = ExecutionEngine::Legacy;
+        let legacy = Machine::new(MachineKind::HybridProposed, legacy_cfg);
+        let interleaved = Machine::new(MachineKind::HybridProposed, config());
         let (_, l) = legacy.run_accounted(&spec);
         let (_, i) = interleaved.run_accounted(&spec);
         l.check_exhaustive().unwrap();

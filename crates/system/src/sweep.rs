@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn lowering_defaults_to_the_legacy_engine_and_rejects_unknown_engines() {
         let (config, _, _) = lower_descriptor(&quick_point()).unwrap();
-        assert_eq!(config.engine, crate::config::ExecutionEngine::Legacy);
+        assert_eq!(config.engine, crate::config::ExecutionEngine::Interleaved);
         // "parallel" names the deleted epoch engine: rejected like a typo.
         for unknown in ["warp", "parallel"] {
             let mut d = quick_point();
@@ -349,9 +349,9 @@ mod tests {
         assert_ne!(base, run_cache_key(kind, &bigger, &spec));
         // Timing-relevant knobs address new entries; presentation-only
         // knobs do not.
-        let mut interleaved = config.clone();
-        interleaved.engine = crate::config::ExecutionEngine::Interleaved;
-        assert_ne!(base, run_cache_key(kind, &interleaved, &spec));
+        let mut legacy = config.clone();
+        legacy.engine = crate::config::ExecutionEngine::Legacy;
+        assert_ne!(base, run_cache_key(kind, &legacy, &spec));
         let mut directory = config.clone();
         directory.coherence_protocol = crate::config::CoherenceProtocol::Directory;
         assert_ne!(base, run_cache_key(kind, &directory, &spec));
