@@ -1,11 +1,10 @@
-//! Throughput of the per-op execution engines: tile-serialized legacy
-//! replay vs the cycle-interleaved min-clock scheduler, on the same
-//! workload.  The delta is the price of faithful multicore ordering —
-//! mostly the event-queue traffic and the per-op yield checks.
+//! Throughput of the per-op interpreter under the cycle-interleaved
+//! min-clock scheduler: whole-machine runs of one workload, so the cost
+//! includes the event-queue traffic and the per-op yield checks.
 
 use bench::{bench_config, BENCH_SCALE};
 use criterion::{criterion_group, criterion_main, Criterion};
-use system::{ExecutionEngine, Machine, MachineKind};
+use system::{Machine, MachineKind};
 use workloads::nas::NasBenchmark;
 
 fn bench_machine_step_throughput(c: &mut Criterion) {
@@ -13,24 +12,17 @@ fn bench_machine_step_throughput(c: &mut Criterion) {
     let spec = benchmark.spec_scaled(benchmark.recommended_scale() * BENCH_SCALE);
     let mut group = c.benchmark_group("machine_step_throughput");
     group.sample_size(10);
-    for engine in ExecutionEngine::ALL {
-        let mut config = bench_config();
-        config.engine = engine;
-        let result = Machine::new(MachineKind::HybridProposed, config.clone()).run(&spec);
-        println!(
-            "{}/{engine}: {} instructions in {} cycles",
-            benchmark.name(),
-            result.instructions,
-            result.execution_time.as_u64(),
-        );
-        group.bench_function(format!("{}/{engine}", benchmark.name()), |b| {
-            b.iter(|| {
-                std::hint::black_box(
-                    Machine::new(MachineKind::HybridProposed, config.clone()).run(&spec),
-                )
-            })
-        });
-    }
+    let machine = Machine::new(MachineKind::HybridProposed, bench_config());
+    let result = machine.run(&spec);
+    println!(
+        "{}: {} instructions in {} cycles",
+        benchmark.name(),
+        result.instructions,
+        result.execution_time.as_u64(),
+    );
+    group.bench_function(format!("{}/interleaved", benchmark.name()), |b| {
+        b.iter(|| std::hint::black_box(machine.run(&spec)))
+    });
     group.finish();
 }
 

@@ -31,7 +31,7 @@ use std::time::Instant;
 use bench::{bench_config, BENCH_SCALE};
 use noc::{run_synthetic, MessageClass, Noc, NocConfig, NocModel, SyntheticTraffic};
 use simkernel::{Cycle, NodeId, TraceSettings};
-use system::{ExecutionEngine, Machine, MachineKind};
+use system::{Machine, MachineKind};
 use workloads::nas::NasBenchmark;
 
 /// Allowed ops/sec drop before `--check` fails, as a fraction.
@@ -82,46 +82,31 @@ fn sample<R>(samples: usize, mut run: impl FnMut() -> R) -> (u128, u128) {
 fn measure_step_throughput(samples: usize) -> Vec<Entry> {
     let benchmark = NasBenchmark::Cg;
     let spec = benchmark.spec_scaled(benchmark.recommended_scale() * BENCH_SCALE);
-    ExecutionEngine::ALL
-        .into_iter()
-        .map(|engine| {
-            let mut config = bench_config();
-            config.engine = engine;
-            let ops = Machine::new(MachineKind::HybridProposed, config.clone())
-                .run(&spec)
-                .instructions;
-            let (min_ns, median_ns) = sample(samples, || {
-                Machine::new(MachineKind::HybridProposed, config.clone()).run(&spec)
-            });
-            Entry {
-                name: match engine {
-                    ExecutionEngine::Legacy => "cg/legacy",
-                    ExecutionEngine::Interleaved => "cg/interleaved",
-                },
-                ops,
-                unit: "instructions",
-                min_ns,
-                median_ns,
-                baseline_median_ns: match engine {
-                    ExecutionEngine::Legacy => 31_412_855,
-                    ExecutionEngine::Interleaved => 45_565_334,
-                },
-            }
-        })
-        .collect()
+    let machine = Machine::new(MachineKind::HybridProposed, bench_config());
+    let ops = machine.run(&spec).instructions;
+    let (min_ns, median_ns) = sample(samples, || machine.run(&spec));
+    vec![Entry {
+        name: "cg/interleaved",
+        ops,
+        unit: "instructions",
+        min_ns,
+        median_ns,
+        baseline_median_ns: 45_565_334,
+    }]
 }
 
 /// The observer cost on the machine-step workload: the shipping default
 /// (tracing and accounting both off), events-only tracing, events plus the
 /// stat time-series, and cycle accounting.  Baselines are the medians
-/// recorded when the entries were introduced; `--check` gates them like
-/// every other entry, so an observer that silently becomes always-on (or
-/// grows past its budget) fails CI.
+/// recorded when the min-clock scheduler became the only engine (the
+/// entries' earlier baselines timed the removed segment-serialized
+/// replay); `--check` gates them like every other entry, so an observer
+/// that silently becomes always-on (or grows past its budget) fails CI.
 fn measure_trace_overhead(samples: usize) -> Vec<Entry> {
     let benchmark = NasBenchmark::Cg;
     let spec = benchmark.spec_scaled(benchmark.recommended_scale() * BENCH_SCALE);
     let modes: [(&'static str, TraceSettings, bool, u64); 4] = [
-        ("observers_off", TraceSettings::default(), false, 13_968_579),
+        ("observers_off", TraceSettings::default(), false, 39_341_785),
         (
             "trace_events",
             TraceSettings {
@@ -129,19 +114,19 @@ fn measure_trace_overhead(samples: usize) -> Vec<Entry> {
                 ..TraceSettings::enabled()
             },
             false,
-            16_453_285,
+            51_717_603,
         ),
         (
             "trace_events_samples",
             TraceSettings::enabled(),
             false,
-            15_132_363,
+            49_043_315,
         ),
         (
             "cycle_accounting",
             TraceSettings::default(),
             true,
-            14_499_311,
+            40_708_244,
         ),
     ];
     modes
@@ -350,7 +335,7 @@ fn main() {
 
     let mut reports: Vec<(&str, String, Vec<Entry>)> = Vec::new();
     if wants("step") {
-        eprintln!("measuring machine_step_throughput ({samples} samples per engine)...");
+        eprintln!("measuring machine_step_throughput ({samples} samples)...");
         let step = measure_step_throughput(samples);
         reports.push((
             "BENCH_step_throughput.json",

@@ -175,8 +175,10 @@ pub fn summarize(records: &[PointRecord]) -> CampaignSummary {
 /// The nine `cycles_*` columns come strictly **after** every other column
 /// (consumers that slice the leading descriptor+metric columns keep
 /// working); they render empty unless the campaign ran accounted passes.  A
-/// test pins their names to [`CycleCategory::ALL`].
-pub const CSV_COLUMNS: [&str; 25] = [
+/// test pins their names to [`CycleCategory::ALL`].  `cycles_dma_wait` is
+/// always 0: the scheduler charges `dma-synch` waits to `cycles_park` (see
+/// [`CycleCategory::DmaWait`]).
+pub const CSV_COLUMNS: [&str; 24] = [
     "benchmark",
     "machine",
     "cores",
@@ -185,7 +187,6 @@ pub const CSV_COLUMNS: [&str; 25] = [
     "filter_entries",
     "filterdir_entries",
     "noc_model",
-    "engine",
     "protocol",
     "small_machine",
     "execution_cycles",
@@ -215,7 +216,7 @@ pub fn to_csv(records: &[PointRecord]) -> String {
         let d = &r.descriptor;
         let m = &r.metrics;
         out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             d.benchmark,
             d.machine,
             d.cores,
@@ -224,7 +225,6 @@ pub fn to_csv(records: &[PointRecord]) -> String {
             opt(&d.filter_entries),
             opt(&d.filterdir_entries),
             opt(&d.noc_model),
-            opt(&d.engine),
             opt(&d.protocol),
             d.small_machine,
             m.execution_cycles,
@@ -283,7 +283,6 @@ pub fn to_json(records: &[PointRecord]) -> String {
                             "noc_model",
                             d.noc_model.as_deref().map_or(Json::Null, Json::str),
                         ),
-                        ("engine", d.engine.as_deref().map_or(Json::Null, Json::str)),
                         (
                             "protocol",
                             d.protocol.as_deref().map_or(Json::Null, Json::str),
@@ -410,7 +409,7 @@ mod tests {
     fn csv_breakdown_columns_mirror_the_category_order() {
         // The appended column names are the category ids, in ALL order, so
         // the campaign CSV and the `cycle_report --csv` export agree.
-        for (column, category) in CSV_COLUMNS[16..].iter().zip(CycleCategory::ALL) {
+        for (column, category) in CSV_COLUMNS[15..].iter().zip(CycleCategory::ALL) {
             assert_eq!(*column, format!("cycles_{}", category.id()));
         }
         let mut records = three_machines();
@@ -418,7 +417,7 @@ mod tests {
         let csv = to_csv(&records);
         let accounted: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
         assert_eq!(
-            accounted[16..],
+            accounted[15..],
             ["100", "101", "102", "103", "104", "105", "106", "107", "108"]
         );
     }

@@ -65,7 +65,7 @@ pub use cache::ResultCache;
 pub use executor::Executor;
 pub use hash::{fnv1a64, CacheKey};
 pub use run::{run_campaign, CampaignReport, Codec, CACHE_FORMAT};
-pub use spec::{RunDescriptor, SweepSpec, ENGINE_IDS, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS};
+pub use spec::{RunDescriptor, SweepSpec, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS};
 
 impl RunDescriptor {
     /// The descriptor's own content-addressed key.

@@ -9,12 +9,14 @@ use crate::cache::ResultCache;
 use crate::executor::Executor;
 use crate::hash::CacheKey;
 
-/// Version of the cached-blob format.
+/// Version of the cached results: their blob format and the simulation
+/// semantics that computed them.
 ///
 /// Callers fold this into their cache keys (see
 /// `system::sweep::run_cache_key`), so bumping it orphans — rather than
-/// misinterprets — every blob written by older code.
-pub const CACHE_FORMAT: u32 = 6;
+/// misinterprets — every blob written by older code.  Version 7 is the first
+/// whose every entry comes from the min-clock scheduler.
+pub const CACHE_FORMAT: u32 = 7;
 
 /// Encoder/decoder pair turning results into cacheable byte strings.
 ///

@@ -23,12 +23,6 @@ pub const MACHINE_IDS: [&str; 3] = ["cache-only", "hybrid-ideal", "hybrid-propos
 /// maps them onto the `noc::NocModel` enum.
 pub const NOC_MODEL_IDS: [&str; 2] = ["analytic", "discrete-event"];
 
-/// Canonical execution-engine identifiers.
-///
-/// These are the strings a descriptor's `engine` field uses; `system` maps
-/// them onto its `ExecutionEngine` enum.
-pub const ENGINE_IDS: [&str; 2] = ["legacy", "interleaved"];
-
 /// Canonical coherence-protocol identifiers, the paper's protocol first.
 ///
 /// These are the strings a descriptor's `protocol` field uses; `system` maps
@@ -58,8 +52,6 @@ pub struct RunDescriptor {
     pub filterdir_entries: Option<usize>,
     /// NoC model override (one of [`NOC_MODEL_IDS`]; `None` = analytic).
     pub noc_model: Option<String>,
-    /// Execution-engine override (one of [`ENGINE_IDS`]; `None` = interleaved).
-    pub engine: Option<String>,
     /// Coherence-protocol override (one of [`PROTOCOL_IDS`]; `None` = the
     /// paper's filterDir protocol).
     pub protocol: Option<String>,
@@ -81,7 +73,6 @@ impl RunDescriptor {
             filter_entries: None,
             filterdir_entries: None,
             noc_model: None,
-            engine: None,
             protocol: None,
             small_machine: false,
         }
@@ -106,7 +97,6 @@ impl RunDescriptor {
             ("filter_entries", opt(&self.filter_entries)),
             ("filterdir_entries", opt(&self.filterdir_entries)),
             ("noc_model", opt(&self.noc_model)),
-            ("engine", opt(&self.engine)),
             ("protocol", opt(&self.protocol)),
             ("small_machine", self.small_machine.to_string()),
         ]
@@ -116,17 +106,17 @@ impl RunDescriptor {
     ///
     /// Derived purely from the descriptor's content — never from the worker
     /// that happens to execute the point — so serial and parallel campaign
-    /// runs are bit-identical.  The machine, NoC-model, engine and protocol
-    /// axes are deliberately excluded: the machine kinds (NoC backends,
-    /// execution engines, coherence backends) of one sweep point must stream
-    /// the *same* addresses for their comparison (speedup, protocol
-    /// overhead, analytic-vs-measured contention, the replay-ordering
-    /// artifact, filterDir-vs-directory) to be apples-to-apples, exactly as
+    /// runs are bit-identical.  The machine, NoC-model and protocol axes
+    /// are deliberately excluded: the machine kinds (NoC backends, coherence
+    /// backends) of one sweep point must stream the *same* addresses for
+    /// their comparison (speedup, protocol overhead, analytic-vs-measured
+    /// contention, filterDir-vs-directory) to be apples-to-apples, exactly as
     /// the paper runs one workload per machine.
     pub fn seed(&self) -> u64 {
-        let fields = self.fields().into_iter().filter(|(n, _)| {
-            *n != "machine" && *n != "noc_model" && *n != "engine" && *n != "protocol"
-        });
+        let fields = self
+            .fields()
+            .into_iter()
+            .filter(|(n, _)| *n != "machine" && *n != "noc_model" && *n != "protocol");
         CacheKey::from_fields(fields).as_u64()
     }
 
@@ -147,9 +137,6 @@ impl RunDescriptor {
         }
         if let Some(model) = &self.noc_model {
             label.push_str(&format!("/{model}"));
-        }
-        if let Some(engine) = &self.engine {
-            label.push_str(&format!("/{engine}"));
         }
         if let Some(protocol) = &self.protocol {
             label.push_str(&format!("/{protocol}"));
@@ -189,8 +176,6 @@ pub struct SweepSpec {
     pub filterdir_entries: Vec<Option<usize>>,
     /// NoC models to sweep (one of [`NOC_MODEL_IDS`]; `None` = analytic).
     pub noc_models: Vec<Option<String>>,
-    /// Execution engines to sweep (one of [`ENGINE_IDS`]; `None` = interleaved).
-    pub engines: Vec<Option<String>>,
     /// Coherence protocols to sweep (one of [`PROTOCOL_IDS`]; `None` = the
     /// paper's filterDir protocol).
     pub protocols: Vec<Option<String>>,
@@ -210,7 +195,6 @@ impl SweepSpec {
             filter_entries: vec![None],
             filterdir_entries: vec![None],
             noc_models: vec![None],
-            engines: vec![None],
             protocols: vec![None],
             small_machine: false,
         }
@@ -258,12 +242,6 @@ impl SweepSpec {
         self
     }
 
-    /// Replaces the execution-engine axis (identifiers from [`ENGINE_IDS`]).
-    pub fn with_engines(mut self, engines: &[&str]) -> Self {
-        self.engines = engines.iter().map(|e| Some(e.to_string())).collect();
-        self
-    }
-
     /// Replaces the coherence-protocol axis (identifiers from
     /// [`PROTOCOL_IDS`]).
     pub fn with_protocols(mut self, protocols: &[&str]) -> Self {
@@ -287,7 +265,6 @@ impl SweepSpec {
             * self.filter_entries.len()
             * self.filterdir_entries.len()
             * self.noc_models.len()
-            * self.engines.len()
             * self.protocols.len()
     }
 
@@ -308,22 +285,19 @@ impl SweepSpec {
                             for &filter in &self.filter_entries {
                                 for &filterdir in &self.filterdir_entries {
                                     for noc_model in &self.noc_models {
-                                        for engine in &self.engines {
-                                            for protocol in &self.protocols {
-                                                points.push(RunDescriptor {
-                                                    benchmark: benchmark.clone(),
-                                                    machine: machine.clone(),
-                                                    cores,
-                                                    scale_multiplier: scale,
-                                                    spm_kib: spm,
-                                                    filter_entries: filter,
-                                                    filterdir_entries: filterdir,
-                                                    noc_model: noc_model.clone(),
-                                                    engine: engine.clone(),
-                                                    protocol: protocol.clone(),
-                                                    small_machine: self.small_machine,
-                                                });
-                                            }
+                                        for protocol in &self.protocols {
+                                            points.push(RunDescriptor {
+                                                benchmark: benchmark.clone(),
+                                                machine: machine.clone(),
+                                                cores,
+                                                scale_multiplier: scale,
+                                                spm_kib: spm,
+                                                filter_entries: filter,
+                                                filterdir_entries: filterdir,
+                                                noc_model: noc_model.clone(),
+                                                protocol: protocol.clone(),
+                                                small_machine: self.small_machine,
+                                            });
                                         }
                                     }
                                 }
@@ -412,34 +386,6 @@ mod tests {
         let points = spec.points();
         assert_eq!(points[0].noc_model.as_deref(), Some("analytic"));
         assert_eq!(points[1].noc_model.as_deref(), Some("discrete-event"));
-    }
-
-    #[test]
-    fn engines_of_one_point_share_a_seed() {
-        // The ordering-artifact comparison runs one workload per engine.
-        let base = RunDescriptor::new("CG", "hybrid-proposed", 16);
-        let mut interleaved = base.clone();
-        interleaved.engine = Some("interleaved".into());
-        assert_eq!(base.seed(), interleaved.seed());
-        // ...but the descriptors remain distinct content.
-        assert_ne!(base.fields(), interleaved.fields());
-        assert!(
-            interleaved.label().contains("interleaved"),
-            "{}",
-            interleaved.label()
-        );
-    }
-
-    #[test]
-    fn engine_axis_multiplies_the_cross_product() {
-        let spec = SweepSpec::new(&["CG"])
-            .with_cores(&[8])
-            .with_machines(&["hybrid-proposed"])
-            .with_engines(&ENGINE_IDS);
-        assert_eq!(spec.len(), 2);
-        let points = spec.points();
-        assert_eq!(points[0].engine.as_deref(), Some("legacy"));
-        assert_eq!(points[1].engine.as_deref(), Some("interleaved"));
     }
 
     #[test]

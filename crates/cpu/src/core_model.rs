@@ -377,10 +377,7 @@ impl CoreTimingModel {
     /// Wakes a parked core, stalling it to its wake cycle; a no-op on a
     /// running core.
     ///
-    /// The parked span is charged to [`CycleCategory::Park`] — the
-    /// event-driven counterpart of the legacy engine's inline
-    /// [`CycleCategory::DmaWait`], so a cross-engine breakdown diff shows
-    /// the engines' ordering gap as movement between those two categories.
+    /// The parked span is charged to [`CycleCategory::Park`].
     pub fn resume(&mut self) {
         if let Some(wake) = self.parked_until.take() {
             self.stall_until(wake, CycleCategory::Park);
@@ -420,11 +417,11 @@ impl CoreTimingModel {
     /// The next value this core stores, as a deterministic function of the
     /// core's store sequence and the target address.
     ///
-    /// Because a core's op stream is identical under every execution engine
-    /// and NoC model, so is the value of its n-th store — which is what
-    /// lets the differential oracle compare runs across engines bit for
-    /// bit.  The core id is mixed in by the caller owning the per-core
-    /// sequence; here the sequence lives in the core model itself.
+    /// Because a core's op stream is identical under every NoC model and
+    /// coherence backend, so is the value of its n-th store — which is what
+    /// lets the differential oracle compare runs across them bit for bit.
+    /// The core id is mixed in by the caller owning the per-core sequence;
+    /// here the sequence lives in the core model itself.
     pub fn next_store_value(&mut self, core_index: usize, addr: Addr) -> u64 {
         self.store_seq += 1;
         let mut z = (core_index as u64)
@@ -763,7 +760,7 @@ mod tests {
         assert_eq!(account.get(CycleCategory::Park), 33);
         assert_eq!(account.get(CycleCategory::BarrierWait), 12);
         // Every stall category except the unaccounted-by-design barrier
-        // idle is also in the legacy stall counter.
+        // idle is also in the plain stall counter.
         assert_eq!(account.stall_total(), c.stall_cycles() + 12);
     }
 

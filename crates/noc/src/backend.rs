@@ -30,7 +30,9 @@ pub trait NocBackend {
     ///
     /// The discrete-event backend injects subsequent packets no earlier than
     /// this cycle; the analytic backend is memoryless and ignores it.  Time
-    /// only moves forward: passing an earlier cycle is a no-op.
+    /// only moves forward: passing an earlier cycle is a caller bug, which
+    /// the discrete-event backend asserts in debug builds (and ignores in
+    /// release builds).
     fn advance_to(&mut self, now: Cycle);
 
     /// Sends one packet and returns its latency, recording the traffic.

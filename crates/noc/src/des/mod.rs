@@ -100,8 +100,6 @@ pub struct DesNoc {
     inject_wait: Vec<u64>,
     eject_wait: Vec<u64>,
     delivered: u64,
-    /// `advance_to` calls that tried to move the clock backwards.
-    clock_regressions: u64,
     latency: RunningStat,
     traffic: TrafficAccountant,
 }
@@ -123,7 +121,6 @@ impl DesNoc {
             inject_wait: vec![0; nodes],
             eject_wait: vec![0; nodes],
             delivered: 0,
-            clock_regressions: 0,
             latency: RunningStat::new(),
             traffic: TrafficAccountant::new(),
         }
@@ -343,18 +340,6 @@ impl DesNoc {
         self.delivered
     }
 
-    /// Number of [`NocBackend::advance_to`] calls that ran backwards.
-    ///
-    /// Each regression is a driver hand-off from a core that is ahead in
-    /// simulated time to one that is behind — traffic the network observed
-    /// in an order no real machine would produce.  A globally-clocked
-    /// scheduler (the `interleaved` execution engine) keeps this near zero;
-    /// tile-serialized replay racks up one regression per core switch, which
-    /// makes the ordering artifact directly measurable.
-    pub fn clock_regressions(&self) -> u64 {
-        self.clock_regressions
-    }
-
     /// Running min/mean/max of the delivered packets' latencies.
     pub fn latency_stat(&self) -> RunningStat {
         self.latency
@@ -389,7 +374,6 @@ impl Clone for DesNoc {
             inject_wait: self.inject_wait.clone(),
             eject_wait: self.eject_wait.clone(),
             delivered: self.delivered,
-            clock_regressions: self.clock_regressions,
             latency: self.latency,
             traffic: self.traffic.clone(),
         }
@@ -402,11 +386,14 @@ impl NocBackend for DesNoc {
     }
 
     fn advance_to(&mut self, now: Cycle) {
-        if now < self.now {
-            // Time never runs backwards; count the attempt so drivers can
-            // quantify how far their clock discipline is from global time.
-            self.clock_regressions += 1;
-        }
+        // Callers step the network in simulated-time order (the machine's
+        // min-clock scheduler, synthetic traffic sorted by cycle), so a
+        // backwards call is a bug in the caller.
+        debug_assert!(
+            now >= self.now,
+            "NoC clock ran backwards: {now} < {}",
+            self.now
+        );
         self.now = self.now.max(now);
     }
 
@@ -452,7 +439,6 @@ impl NocBackend for DesNoc {
         stats.add_count("noc.des.eject.max_node_wait_cycles", wait);
         stats.set_value("noc.des.eject.hottest_node", hottest.index() as f64);
         stats.add_count("noc.des.packets.delivered", self.delivered);
-        stats.add_count("noc.des.clock.regressions", self.clock_regressions);
         stats.set_value("noc.des.latency.mean", self.latency.mean());
         stats.set_value("noc.des.latency.max", self.latency.max().unwrap_or(0.0));
     }
@@ -597,19 +583,21 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "NoC clock ran backwards")]
+    fn backwards_advance_panics_in_debug_builds() {
+        let mut noc = des(16);
+        noc.advance_to(Cycle::new(1_000));
+        noc.advance_to(Cycle::new(10));
+    }
+
+    #[test]
     fn advance_to_is_monotonic_and_clears_backlog() {
         let mut noc = des(16);
         let _ = noc.send(NodeId::new(0), NodeId::new(3), MessageClass::Read, 64);
-        assert_eq!(noc.clock_regressions(), 0);
         noc.advance_to(Cycle::new(1_000));
-        noc.advance_to(Cycle::new(10)); // ignored: time never runs backwards
+        noc.advance_to(Cycle::new(1_000)); // re-stating the time is fine
         assert_eq!(noc.now(), Cycle::new(1_000));
-        // ...but the backwards hand-off is counted: it measures how far the
-        // driver's clock discipline deviates from global time.
-        assert_eq!(noc.clock_regressions(), 1);
-        let mut stats = StatRegistry::new();
-        noc.export_stats(&mut stats);
-        assert_eq!(stats.count("noc.des.clock.regressions"), 1);
         let after = noc.send(NodeId::new(0), NodeId::new(3), MessageClass::Read, 64);
         assert_eq!(
             after,

@@ -10,7 +10,7 @@
 //! memory, plus the bookkeeping to report any disagreement as a precise,
 //! reproducible [`Divergence`].
 //!
-//! The oracle is driven *inside* the execution engines, one call per
+//! The oracle is driven *inside* the execution engine, one call per
 //! interpreted trace operation, so the detailed model and the reference see
 //! the same global interleaving by construction: a divergence always means
 //! the hardware model returned data from the wrong place (stale copy, wrong

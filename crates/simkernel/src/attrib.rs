@@ -8,7 +8,7 @@
 //! is structural: the core timing model funnels every clock movement through
 //! two charge points, and [`CycleBreakdown::check_exhaustive`] re-verifies
 //! the sum after a run (the cycle-accounting proptest drives it across
-//! every engine × machine kind × NoC model).
+//! every machine kind × NoC model).
 //!
 //! Accounting is presentation-only: charging is a pure observer of the
 //! timing model, so enabling it changes no observable number, and the
@@ -44,11 +44,10 @@ pub enum CycleCategory {
     /// Demand-miss latency visible past the hide window, minus the NoC
     /// queueing share (see [`CycleCategory::NocQueue`]).
     MissWait,
-    /// Waiting on `dma-synch` for in-flight DMA transfers — the *inline*
-    /// stall the legacy engine's serialized replay charges.  The
-    /// interleaved engine parks instead (see [`CycleCategory::Park`]), so a
-    /// cross-engine diff of these two categories is exactly the engines'
-    /// ordering gap.
+    /// An inline stall on `dma-synch` for in-flight DMA transfers.  Always 0
+    /// in a machine run: the scheduler parks a waiting core instead and
+    /// charges the wait to [`CycleCategory::Park`].  The category stays only
+    /// because the benchmark harness in `perfbench/` reports it.
     DmaWait,
     /// Idling at a kernel barrier for slower cores (load imbalance).
     BarrierWait,
@@ -110,11 +109,11 @@ impl CycleCategory {
             CycleCategory::IFetch => "instruction-fetch miss latency",
             CycleCategory::LsqStall => "LSQ window full or ordering-recheck flush",
             CycleCategory::MissWait => "visible demand-miss latency (minus NoC queueing)",
-            CycleCategory::DmaWait => "inline dma-synch wait (legacy engine)",
+            CycleCategory::DmaWait => "inline dma-synch wait (always 0; see park)",
             CycleCategory::BarrierWait => "kernel-barrier load imbalance",
             CycleCategory::NocQueue => "NoC queueing/contention share of miss latency",
             CycleCategory::Protocol => "coherence actions on guarded accesses",
-            CycleCategory::Park => "parked on a dma completion (interleaved engine)",
+            CycleCategory::Park => "parked on a dma completion",
         }
     }
 

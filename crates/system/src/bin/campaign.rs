@@ -15,8 +15,7 @@
 //! is the accounting, e.g. `campaign: 24 points, executed 0, cache hits 24`.
 
 use campaign::{
-    summarize, Executor, ResultCache, SweepSpec, ENGINE_IDS, MACHINE_IDS, NOC_MODEL_IDS,
-    PROTOCOL_IDS,
+    summarize, Executor, ResultCache, SweepSpec, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS,
 };
 use system::cli::{parse_list, write_export};
 use system::sweep::{attach_breakdowns, records_of, run_points, RunContext};
@@ -37,7 +36,6 @@ options (LIST = comma-separated values):
   --filters LIST      per-core filter entry counts (default: Table 1)
   --filterdirs LIST   filterDir entry counts (default: Table 1)
   --noc-models LIST   NoC models: {noc_models} (default analytic)
-  --engines LIST      execution engines: {engines} (default interleaved)
   --protocols LIST    coherence protocols: {protocols} (default
                       filterdir; only the proposed machine differs)
   --small             use the scaled-down test machine at each core count
@@ -54,7 +52,6 @@ options (LIST = comma-separated values):
 ",
         machines = MACHINE_IDS.join(", "),
         noc_models = NOC_MODEL_IDS.join(", "),
-        engines = ENGINE_IDS.join(", "),
         protocols = PROTOCOL_IDS.join(", "),
     )
 }
@@ -112,10 +109,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
             "--noc-models" => {
                 let models: Vec<String> = parse_list("--noc-models", &value("--noc-models")?)?;
                 options.spec.noc_models = models.into_iter().map(Some).collect();
-            }
-            "--engines" => {
-                let engines: Vec<String> = parse_list("--engines", &value("--engines")?)?;
-                options.spec.engines = engines.into_iter().map(Some).collect();
             }
             "--protocols" => {
                 let protocols: Vec<String> = parse_list("--protocols", &value("--protocols")?)?;
@@ -199,9 +192,8 @@ mod tests {
     #[test]
     fn usage_lists_every_axis_id() {
         let text = usage();
-        for id in ENGINE_IDS
+        for id in MACHINE_IDS
             .iter()
-            .chain(&MACHINE_IDS)
             .chain(&NOC_MODEL_IDS)
             .chain(&PROTOCOL_IDS)
         {

@@ -1,10 +1,9 @@
 //! Differential coherence checking: litmus catalogue + seeded fuzz sweeps
-//! across coherence protocols × machine kinds × NoC models × execution
-//! engines.
+//! across coherence protocols × machine kinds × NoC models.
 //!
 //! ```text
 //! coherence_check [--cores N] [--seeds N] [--seed-base S]
-//!                 [--machines LIST] [--engines LIST] [--noc-models LIST]
+//!                 [--machines LIST] [--noc-models LIST]
 //!                 [--protocols LIST|all]
 //!                 [--litmus-only | --fuzz-only]
 //!                 [--fuzz-rounds N] [--fuzz-ops N] [--jobs N] [--quiet]
@@ -49,7 +48,6 @@ enum Program {
 #[derive(Debug, Clone)]
 struct Point {
     kind: MachineKind,
-    engine: system::ExecutionEngine,
     noc: noc::NocModel,
     protocol: CoherenceProtocol,
     program: Program,
@@ -61,7 +59,6 @@ struct Options {
     seeds: u64,
     seed_base: u64,
     machines: Vec<MachineKind>,
-    engines: Vec<system::ExecutionEngine>,
     noc_models: Vec<noc::NocModel>,
     protocols: Vec<CoherenceProtocol>,
     litmus: bool,
@@ -81,7 +78,6 @@ impl Default for Options {
             seeds: 20,
             seed_base: 0,
             machines: MachineKind::ALL.to_vec(),
-            engines: system::ExecutionEngine::ALL.to_vec(),
             noc_models: vec![noc::NocModel::Analytic, noc::NocModel::DiscreteEvent],
             protocols: vec![CoherenceProtocol::FilterDir],
             litmus: true,
@@ -113,14 +109,6 @@ fn parse_options() -> Result<Options, String> {
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|s| MachineKind::from_id(s.trim()).ok_or(format!("unknown machine '{s}'")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--engines" => {
-                o.engines = parse_list::<String>("--engines", &value("--engines")?)?
-                    .iter()
-                    .map(|s| {
-                        system::ExecutionEngine::from_id(s).ok_or(format!("unknown engine '{s}'"))
-                    })
                     .collect::<Result<_, _>>()?;
             }
             "--noc-models" => {
@@ -174,16 +162,8 @@ fn parse_options() -> Result<Options, String> {
     Ok(o)
 }
 
-fn config_for(
-    o: &Options,
-    kind: MachineKind,
-    engine: system::ExecutionEngine,
-    model: noc::NocModel,
-    protocol: CoherenceProtocol,
-) -> SystemConfig {
-    let _ = kind;
+fn config_for(o: &Options, model: noc::NocModel, protocol: CoherenceProtocol) -> SystemConfig {
     let mut cfg = verification_config(o.cores);
-    cfg.engine = engine;
     cfg.set_noc_model(model);
     cfg.coherence_protocol = protocol;
     cfg
@@ -238,11 +218,10 @@ fn repro_hint(o: &Options, p: &Point) -> String {
     };
     format!(
         "cargo run --release -p system --bin coherence_check -- \
-         --cores {} --machines {} --engines {} --noc-models {} --protocols {} \
+         --cores {} --machines {} --noc-models {} --protocols {} \
          --fuzz-rounds {} --fuzz-ops {} {program}",
         o.cores,
         p.kind.id(),
-        p.engine.id(),
         p.noc.id(),
         p.protocol.id(),
         o.fuzz_rounds,
@@ -252,13 +231,7 @@ fn repro_hint(o: &Options, p: &Point) -> String {
 
 fn write_golden(o: &Options, dir: &std::path::Path) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
-    let cfg = config_for(
-        o,
-        MachineKind::HybridProposed,
-        system::ExecutionEngine::Legacy,
-        noc::NocModel::Analytic,
-        CoherenceProtocol::FilterDir,
-    );
+    let cfg = config_for(o, noc::NocModel::Analytic, CoherenceProtocol::FilterDir);
     for case in catalogue() {
         let program = (case.build)(o.cores, cfg.spm.size / 2);
         let outcome = Machine::new(MachineKind::HybridProposed, cfg.clone()).verify_raw(&program);
@@ -302,30 +275,28 @@ fn main() -> ExitCode {
         let protocol = fault_protocol(fault);
         let mut caught = 0usize;
         let mut missed = Vec::new();
-        for &engine in &o.engines {
-            for &model in &o.noc_models {
-                let cfg = config_for(&o, MachineKind::HybridProposed, engine, model, protocol);
-                let program = build_program(
-                    &o,
-                    MachineKind::HybridProposed,
-                    &Program::Litmus("stale_filter_after_map"),
-                    &cfg,
-                );
-                let outcome = Machine::new(MachineKind::HybridProposed, cfg)
-                    .with_fault(fault)
-                    .verify_raw(&program);
-                if outcome.ok() {
-                    missed.push(format!("{engine}/{model}"));
-                } else {
-                    caught += 1;
-                    if !o.quiet {
-                        println!(
-                            "fault caught under {engine}/{}/{}:\n{}",
-                            model.id(),
-                            protocol.id(),
-                            outcome.divergence_report()
-                        );
-                    }
+        for &model in &o.noc_models {
+            let cfg = config_for(&o, model, protocol);
+            let program = build_program(
+                &o,
+                MachineKind::HybridProposed,
+                &Program::Litmus("stale_filter_after_map"),
+                &cfg,
+            );
+            let outcome = Machine::new(MachineKind::HybridProposed, cfg)
+                .with_fault(fault)
+                .verify_raw(&program);
+            if outcome.ok() {
+                missed.push(model.id());
+            } else {
+                caught += 1;
+                if !o.quiet {
+                    println!(
+                        "fault caught under {}/{}:\n{}",
+                        model.id(),
+                        protocol.id(),
+                        outcome.divergence_report()
+                    );
                 }
             }
         }
@@ -354,29 +325,25 @@ fn main() -> ExitCode {
             &default_protocols
         };
         for &protocol in protocols {
-            for &engine in &o.engines {
-                for &model in &o.noc_models {
-                    if o.litmus && kind.has_spms() {
-                        for case in catalogue() {
-                            points.push(Point {
-                                kind,
-                                engine,
-                                noc: model,
-                                protocol,
-                                program: Program::Litmus(case.name),
-                            });
-                        }
+            for &model in &o.noc_models {
+                if o.litmus && kind.has_spms() {
+                    for case in catalogue() {
+                        points.push(Point {
+                            kind,
+                            noc: model,
+                            protocol,
+                            program: Program::Litmus(case.name),
+                        });
                     }
-                    if o.fuzz {
-                        for s in 0..o.seeds {
-                            points.push(Point {
-                                kind,
-                                engine,
-                                noc: model,
-                                protocol,
-                                program: Program::Fuzz(o.seed_base + s),
-                            });
-                        }
+                }
+                if o.fuzz {
+                    for s in 0..o.seeds {
+                        points.push(Point {
+                            kind,
+                            noc: model,
+                            protocol,
+                            program: Program::Fuzz(o.seed_base + s),
+                        });
                     }
                 }
             }
@@ -385,7 +352,7 @@ fn main() -> ExitCode {
 
     let executor = Executor::new(o.jobs);
     let results = executor.run(&points, |_, p| {
-        let cfg = config_for(&o, p.kind, p.engine, p.noc, p.protocol);
+        let cfg = config_for(&o, p.noc, p.protocol);
         let program = build_program(&o, p.kind, &p.program, &cfg);
         let outcome = Machine::new(p.kind, cfg).verify_raw(&program);
         (p.clone(), program.name.clone(), outcome)
@@ -400,9 +367,8 @@ fn main() -> ExitCode {
         if !outcome.ok() {
             failures += 1;
             eprintln!(
-                "DIVERGENCE: {name} on {} / {} / {} / {}\n{}\nreproduce: {}",
+                "DIVERGENCE: {name} on {} / {} / {}\n{}\nreproduce: {}",
                 p.kind.id(),
-                p.engine.id(),
                 p.noc.id(),
                 p.protocol.id(),
                 outcome.divergence_report(),
@@ -410,9 +376,8 @@ fn main() -> ExitCode {
             );
         } else if !o.quiet {
             println!(
-                "ok: {name:<28} {:<15} {:<11} {:<14} {:<10} {}",
+                "ok: {name:<28} {:<15} {:<14} {:<10} {}",
                 p.kind.id(),
-                p.engine.id(),
                 p.noc.id(),
                 p.protocol.id(),
                 outcome.report.summary()

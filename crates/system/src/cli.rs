@@ -15,10 +15,10 @@
 use std::path::PathBuf;
 
 use campaign::{Executor, ResultCache};
-use workloads::characterize;
 use workloads::nas::NasBenchmark;
+use workloads::{characterize, BenchmarkSpec};
 
-use crate::config::{CoherenceProtocol, ExecutionEngine, SystemConfig};
+use crate::config::{CoherenceProtocol, MachineKind, SystemConfig};
 use crate::experiments::{ablations, ExperimentSuite};
 use crate::sweep::RunContext;
 
@@ -49,7 +49,6 @@ options:
   --cache-dir PATH   like --cache, with an explicit directory
   --noc-model NAME   network model: {noc_models} (default analytic;
                      des is an alias of discrete-event)
-  --engine NAME      execution engine: {engines} (default interleaved)
   --protocol NAME    coherence protocol of the proposed machine:
                      {protocols} (default filterdir)
   --debug-cores      print per-core clock/work/stall figures after every
@@ -72,7 +71,6 @@ options:
 ",
         benchmarks = NasBenchmark::ALL.map(NasBenchmark::name).join(","),
         noc_models = campaign::NOC_MODEL_IDS.join(", "),
-        engines = campaign::ENGINE_IDS.join(", "),
         protocols = campaign::PROTOCOL_IDS.join(", "),
         categories = categories.join(", "),
     )
@@ -136,9 +134,9 @@ pub fn parse_trace_categories(list: &str) -> Result<simkernel::CategoryMask, Str
     })
 }
 
-/// Parses one ID-keyed axis value (`--noc-model`, `--engine`,
-/// `--protocol`), turning an unknown name into an error that lists the
-/// valid names — the same convention as [`parse_trace_categories`].
+/// Parses one ID-keyed axis value (`--noc-model`, `--protocol`), turning an
+/// unknown name into an error that lists the valid names — the same
+/// convention as [`parse_trace_categories`].
 pub fn parse_id_flag<T>(
     flag: &str,
     value: &str,
@@ -196,8 +194,6 @@ pub struct CliOptions {
     pub cache_dir: Option<PathBuf>,
     /// Which NoC model the simulations run under.
     pub noc_model: noc::NocModel,
-    /// Which execution engine drives the cores.
-    pub engine: ExecutionEngine,
     /// Which coherence protocol backs the proposed machine.
     pub protocol: CoherenceProtocol,
     /// Print per-core clock/work/stall figures after every kernel.
@@ -224,7 +220,6 @@ impl Default for CliOptions {
             jobs: 0,
             cache_dir: None,
             noc_model: noc::NocModel::Analytic,
-            engine: ExecutionEngine::Interleaved,
             protocol: CoherenceProtocol::FilterDir,
             debug_cores: false,
             track_values: false,
@@ -263,14 +258,6 @@ impl CliOptions {
                         &value("--noc-model")?,
                         noc::NocModel::from_id,
                         &campaign::NOC_MODEL_IDS,
-                    )?
-                }
-                "--engine" => {
-                    options.engine = parse_id_flag(
-                        "--engine",
-                        &value("--engine")?,
-                        ExecutionEngine::from_id,
-                        &campaign::ENGINE_IDS,
                     )?
                 }
                 "--protocol" => {
@@ -333,7 +320,6 @@ impl CliOptions {
     pub fn config(&self) -> SystemConfig {
         let mut config = SystemConfig::with_cores(self.cores);
         config.set_noc_model(self.noc_model);
-        config.engine = self.engine;
         config.coherence_protocol = self.protocol;
         config.debug_cores = self.debug_cores;
         config.track_values = self.track_values;
@@ -354,10 +340,23 @@ impl CliOptions {
         )
     }
 
-    /// When `--trace PATH` was given: runs the first selected benchmark once
-    /// on the proposed machine with tracing armed, writes the Chrome
-    /// trace-event JSON to PATH (`-` for stdout) and returns a one-line
-    /// summary.  Returns `None` when tracing was not requested.
+    /// The suite point that `--trace` and `--cycle-accounting` observe: the
+    /// first selected benchmark on the proposed machine, at the suite's data
+    /// scale (the benchmark's recommended scale times `--scale`).  Its run is
+    /// bit-identical to the suite's run of the same point, so the artifacts
+    /// describe the numbers printed beside them.  `None` when no benchmark
+    /// is selected.
+    pub(crate) fn observed_point(&self) -> Option<(crate::Machine, BenchmarkSpec)> {
+        let benchmark = *self.benchmarks.first()?;
+        let machine = crate::Machine::new(MachineKind::HybridProposed, self.config());
+        let spec = benchmark.spec_scaled(benchmark.recommended_scale() * self.scale);
+        Some((machine, spec))
+    }
+
+    /// When `--trace PATH` was given: runs the first selected benchmark on
+    /// the proposed machine, at the suite's data scale, once with tracing
+    /// armed, writes the Chrome trace-event JSON to PATH (`-` for stdout)
+    /// and returns a one-line summary.  Returns `None` when tracing was not requested.
     ///
     /// The traced run is a dedicated run — suite runs go through the result
     /// cache, which a presentation-only artefact must not address (the cache
@@ -365,10 +364,7 @@ impl CliOptions {
     /// uncached execution instead.
     pub fn write_trace(&self) -> Option<Result<String, String>> {
         let target = self.trace.as_deref()?;
-        let benchmark = *self.benchmarks.first()?;
-        let machine =
-            crate::Machine::new(crate::config::MachineKind::HybridProposed, self.config());
-        let spec = benchmark.spec_scaled(self.scale);
+        let (machine, spec) = self.observed_point()?;
         let (_, capture) = machine.run_traced(&spec);
         let json = capture.to_chrome().dump();
         Some(write_export(target, &json).map(|()| {
@@ -383,20 +379,18 @@ impl CliOptions {
     }
 
     /// When `--cycle-accounting PATH` was given: runs the first selected
-    /// benchmark once on the proposed machine with cycle accounting armed,
-    /// verifies the exhaustiveness invariant, writes the breakdown JSON (the
-    /// `cycle_report` input format) to PATH (`-` for stdout) and returns a
-    /// one-line summary.  Returns `None` when accounting was not requested.
+    /// benchmark on the proposed machine, at the suite's data scale, once
+    /// with cycle accounting armed, verifies the exhaustiveness invariant,
+    /// writes the breakdown JSON (the `cycle_report` input format) to PATH
+    /// (`-` for stdout) and returns a one-line summary.  Returns `None` when
+    /// accounting was not requested.
     ///
     /// Like `--trace`, this is a dedicated uncached run: the campaign cache
     /// key pins `cycle_accounting` to false, so a presentation-only
     /// breakdown never addresses (or misses) a cache entry.
     pub fn write_cycle_accounting(&self) -> Option<Result<String, String>> {
         let target = self.cycle_accounting.as_deref()?;
-        let benchmark = *self.benchmarks.first()?;
-        let machine =
-            crate::Machine::new(crate::config::MachineKind::HybridProposed, self.config());
-        let spec = benchmark.spec_scaled(self.scale);
+        let (machine, spec) = self.observed_point()?;
         let (_, breakdown) = machine.run_accounted(&spec);
         if let Err(error) = breakdown.check_exhaustive() {
             return Some(Err(format!("exhaustiveness invariant violated: {error}")));
@@ -422,7 +416,7 @@ impl CliOptions {
         ExperimentSuite::run_with(
             &self.config(),
             &self.benchmarks,
-            &crate::config::MachineKind::ALL,
+            &MachineKind::ALL,
             self.scale,
             &self.context(),
         )
@@ -648,8 +642,9 @@ mod tests {
             (&["--benchmarks", ","][..], "--benchmarks"),
             (&["--jobs"][..], "--jobs needs a value"),
             (&["--sample-interval", "often"][..], "'often'"),
-            // The deleted parallel engine's knob is an unknown flag now.
+            // The deleted engines' knobs are unknown flags now.
             (&["--epoch-cycles", "1"][..], "'--epoch-cycles'"),
+            (&["--engine", "interleaved"][..], "'--engine'"),
         ] {
             let error = invalid(args);
             assert!(error.contains(needle), "{args:?}: {error}");
@@ -692,14 +687,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_flag_threads_into_the_configuration() {
+    fn debug_cores_flag_threads_into_the_configuration() {
         let o = parse(&[]).unwrap();
-        assert_eq!(o.engine, ExecutionEngine::Interleaved);
         assert!(!o.debug_cores);
-        let o = parse(&["--engine", "legacy", "--debug-cores"]).unwrap();
-        assert_eq!(o.engine, ExecutionEngine::Legacy);
+        assert!(!o.config().debug_cores);
+        let o = parse(&["--debug-cores"]).unwrap();
         assert!(o.debug_cores);
-        assert_eq!(o.config().engine, ExecutionEngine::Legacy);
         assert!(o.config().debug_cores);
     }
 
@@ -715,7 +708,7 @@ mod tests {
 
     #[test]
     fn strict_axis_flags_reject_unknown_values() {
-        // `--protocol`, `--engine` and `--noc-model` share the
+        // `--protocol` and `--noc-model` share the
         // `--trace-categories` convention: an unknown value is an error
         // naming the valid set (the binary then exits with code 2).
         let error = parse_id_flag(
@@ -731,20 +724,6 @@ mod tests {
             assert!(error.contains(id), "{error}");
         }
         let error = parse_id_flag(
-            "--engine",
-            "warp",
-            ExecutionEngine::from_id,
-            &campaign::ENGINE_IDS,
-        )
-        .unwrap_err();
-        for id in campaign::ENGINE_IDS {
-            assert!(error.contains(id), "{error}");
-        }
-        // The deleted parallel engine is an unknown engine name.
-        let error = invalid(&["--engine", "parallel"]);
-        assert!(error.contains("'parallel'"), "{error}");
-        assert!(error.contains("legacy, interleaved"), "{error}");
-        let error = parse_id_flag(
             "--noc-model",
             "warp",
             noc::NocModel::from_id,
@@ -754,16 +733,13 @@ mod tests {
         for id in campaign::NOC_MODEL_IDS {
             assert!(error.contains(id), "{error}");
         }
-        // The fourth strict flag, `--trace-categories`, predates the other
-        // three and set the convention.
+        // The third strict flag, `--trace-categories`, predates the other
+        // two and set the convention.
         let error = parse_trace_categories("typo").unwrap_err();
         assert!(error.contains("--trace-categories"), "{error}");
         // The Ok paths still parse every canonical identifier.
         for id in campaign::PROTOCOL_IDS {
             parse_id_flag("--protocol", id, CoherenceProtocol::from_id, &[]).unwrap();
-        }
-        for id in campaign::ENGINE_IDS {
-            parse_id_flag("--engine", id, ExecutionEngine::from_id, &[]).unwrap();
         }
         for id in campaign::NOC_MODEL_IDS {
             parse_id_flag("--noc-model", id, noc::NocModel::from_id, &[]).unwrap();
@@ -807,6 +783,22 @@ mod tests {
             doc.get("benchmark").and_then(simkernel::Json::as_str),
             Some("CG")
         );
+    }
+
+    #[test]
+    fn observed_runs_match_the_suite_point() {
+        // The dedicated traced and accounted runs describe the very run
+        // whose numbers the figure prints: same data scale, same seed.
+        let mut o = parse(&["--cores", "4", "--scale", "0.001", "--jobs", "1"]).unwrap();
+        o.benchmarks = vec![NasBenchmark::Cg];
+        let suite = o.run_suite();
+        let expected = suite
+            .result("CG", MachineKind::HybridProposed)
+            .unwrap()
+            .to_json();
+        let (machine, spec) = o.observed_point().unwrap();
+        assert_eq!(machine.run_traced(&spec).0.to_json(), expected);
+        assert_eq!(machine.run_accounted(&spec).0.to_json(), expected);
     }
 
     #[test]

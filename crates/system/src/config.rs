@@ -114,49 +114,24 @@ impl std::fmt::Display for CoherenceProtocol {
 
 /// How the machine drives its cores through a kernel.
 ///
-/// The engines interpret the same per-core op streams through the same
-/// hardware models; they differ only in the *order* cores' operations reach
-/// the shared state (L2, coherence protocol, NoC).  With a single core the
-/// two are bit-identical; with many cores the interleaved engine is the
-/// faithful one, and the difference between them measures the ordering
-/// artifact of tile-serialized replay.
+/// Inert: every simulation runs the one min-clock scheduler, and nothing in
+/// the simulator reads this type.  It stays, with [`SystemConfig::engine`],
+/// because the benchmark harness in `perfbench/` sets and prints it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecutionEngine {
-    /// Tile-serialized replay: each core runs a whole trace segment to
-    /// completion before the next core starts.  Shared state observes
-    /// traffic in an order no real machine would produce, but every run is
-    /// cheap and the behaviour is pinned for regression comparisons.
-    Legacy,
     /// Cycle-interleaved scheduling: a min-clock event scheduler always
     /// steps the core with the earliest local time, parking cores on
-    /// `dma-synch` waits and kernel barriers, so concurrent cores' traffic
-    /// reaches the L2, the coherence protocol and the NoC in simulated-time
-    /// order.
+    /// `dma-synch` waits, so concurrent cores' traffic reaches the L2, the
+    /// coherence protocol and the NoC in simulated-time order.
     Interleaved,
 }
 
 impl ExecutionEngine {
-    /// All engines, legacy first.
-    pub const ALL: [ExecutionEngine; 2] = [ExecutionEngine::Legacy, ExecutionEngine::Interleaved];
-
-    /// Stable identifier used by campaign descriptors and CLI flags
-    /// (matches [`campaign::ENGINE_IDS`]).
+    /// Stable identifier of the engine.
     pub fn id(self) -> &'static str {
         match self {
-            ExecutionEngine::Legacy => "legacy",
             ExecutionEngine::Interleaved => "interleaved",
         }
-    }
-
-    /// Parses an engine identifier (the inverse of [`ExecutionEngine::id`]).
-    pub fn from_id(id: &str) -> Option<ExecutionEngine> {
-        ExecutionEngine::ALL.into_iter().find(|e| e.id() == id)
-    }
-}
-
-impl std::fmt::Display for ExecutionEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.id())
     }
 }
 
@@ -186,7 +161,9 @@ pub struct SystemConfig {
     pub frequency: Frequency,
     /// Seed for the workload address streams.
     pub trace_seed: u64,
-    /// How cores are scheduled through each kernel.
+    /// Inert, like `engine_jobs`: every simulation runs the one scheduler
+    /// (see [`ExecutionEngine`]).  It stays because the benchmark harness in
+    /// `perfbench/` sets and prints it.
     pub engine: ExecutionEngine,
     /// Inert: nothing in the simulator reads it, because every simulation
     /// runs on one host thread.  It stays because the benchmark harness in
@@ -357,6 +334,8 @@ mod tests {
         assert_eq!(c.protocol.spmdir_entries, 32);
         assert_eq!(c.protocol.filter_entries, 48);
         assert_eq!(c.protocol.filterdir_entries, 4096);
+        assert!(!c.debug_cores);
+        assert_eq!(c.coherence_protocol, CoherenceProtocol::FilterDir);
     }
 
     #[test]
@@ -409,28 +388,6 @@ mod tests {
         for (kind, id) in MachineKind::ALL.iter().zip(campaign::MACHINE_IDS) {
             assert_eq!(kind.id(), id);
         }
-    }
-
-    #[test]
-    fn engine_ids_round_trip_and_match_campaign() {
-        for engine in ExecutionEngine::ALL {
-            assert_eq!(ExecutionEngine::from_id(engine.id()), Some(engine));
-            assert_eq!(engine.to_string(), engine.id());
-        }
-        assert_eq!(ExecutionEngine::from_id("warp"), None);
-        assert_eq!(ExecutionEngine::from_id("parallel"), None);
-        assert_eq!(ExecutionEngine::ALL.len(), campaign::ENGINE_IDS.len());
-        for (engine, id) in ExecutionEngine::ALL.iter().zip(campaign::ENGINE_IDS) {
-            assert_eq!(engine.id(), id);
-        }
-    }
-
-    #[test]
-    fn default_engine_is_legacy_with_debug_off() {
-        let c = SystemConfig::isca2015();
-        assert_eq!(c.engine, ExecutionEngine::Interleaved);
-        assert!(!c.debug_cores);
-        assert_eq!(c.coherence_protocol, CoherenceProtocol::FilterDir);
     }
 
     #[test]

@@ -1,32 +1,19 @@
-//! The execution engines: how cores are driven through a kernel.
+//! The execution engine: how cores are driven through a kernel.
 //!
-//! Both engines interpret per-core [`TraceOp`] streams through the same
-//! hardware models via the shared [`step_op`] interpreter; they differ only
-//! in the order those ops reach the shared state:
+//! [`run_kernel`] is a min-clock scheduler over a
+//! [`simkernel::EventQueue`]: each core is a resumable op stream, and the
+//! scheduler always steps the core with the earliest local clock, parking
+//! cores on `dma-synch` waits and waking them from the queue.  Because the
+//! stepped core is the earliest one, its local clock *is* the global
+//! simulation clock, and the shared L2, the coherence protocol and the NoC
+//! observe traffic in simulated-time order — the order a real machine would
+//! produce.  Every op goes through the one per-op interpreter, [`step_op`].
 //!
-//! * [`run_kernel_legacy`] replays the trace segment-serialized — every
-//!   core's prologue, then tile 0 on every core, then tile 1, … — so the
-//!   shared L2, the coherence protocol and the NoC observe each core's
-//!   whole segment as one contiguous burst.
-//! * [`run_kernel_interleaved`] is a min-clock scheduler over a
-//!   [`simkernel::EventQueue`]: each core is a resumable op stream, and the
-//!   scheduler always steps the core with the earliest local clock, parking
-//!   cores on `dma-synch` waits and waking them from the queue.  Because
-//!   the stepped core is the earliest one, its local clock *is* the global
-//!   simulation clock, and shared state observes traffic in simulated-time
-//!   order — the order a real machine would produce.
-//!
-//! With one core the two engines make an identical sequence of model calls,
-//! which is what pins them bit-identical (see `tests/engine.rs`) and makes
-//! the multi-core difference a pure measurement of the ordering artifact.
-//!
-//! A kernel is either a *compiled* NAS-like kernel (trace synthesised by
-//! [`workloads::KernelExecution`]) or a *raw* kernel
-//! ([`workloads::RawKernel`]) whose per-core rounds are explicit — the
-//! representation the verification harness's litmus and fuzz programs use.
-//! Under the legacy engine a raw kernel's rounds play the role of tiles
-//! (round-robin across cores); under the interleaved engine the flattened
-//! stream is scheduled like any other.
+//! A kernel is either a *compiled* NAS-like kernel (op streams produced by
+//! [`workloads::OpCursor`]) or a *raw* kernel ([`workloads::RawKernel`])
+//! whose per-core rounds are explicit — the representation the verification
+//! harness's litmus and fuzz programs use.  A raw kernel's rounds are
+//! flattened into one stream per core and scheduled like any other.
 //!
 //! When [`KernelCtx::values`] is attached (`SystemConfig.track_values`),
 //! [`step_op`] additionally moves *data values* along the path every access
@@ -42,9 +29,7 @@ use mem::{AccessKind, Addr, MemorySystem};
 use noc::MessageClass;
 use spm::{Dmac, Scratchpad};
 use spm_coherence::{CoherenceBackend, GuardedTarget};
-use workloads::{
-    CompiledKernel, KernelExecution, MemRefClass, OpCursor, Phase, RawKernel, Segment, TraceOp,
-};
+use workloads::{CompiledKernel, MemRefClass, OpCursor, Phase, RawKernel, Segment, TraceOp};
 
 use crate::verify::ValueTracking;
 
@@ -143,8 +128,8 @@ impl OpStream<'_> {
     }
 }
 
-/// Everything one kernel's execution mutates, bundled so both engines (and
-/// the per-op interpreter) share one signature.
+/// Everything one kernel's execution mutates, bundled so the scheduler and
+/// the per-op interpreter share one signature.
 pub(crate) struct KernelCtx<'a> {
     /// The kernel being executed.
     pub program: ProgramRef<'a>,
@@ -174,23 +159,13 @@ pub(crate) struct KernelCtx<'a> {
     pub depth_scratch: Vec<u64>,
 }
 
-/// What [`step_op`] does when a `dma-synch` has to wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SyncPolicy {
-    /// Stall the core in place (legacy replay: nothing else can run anyway).
-    StallInline,
-    /// Report the wake cycle so the scheduler can park the core and run
-    /// whichever core is earliest in the meantime.
-    Park,
-}
-
 /// The result of interpreting one op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StepOutcome {
     /// The op completed; the core can take its next op.
     Ran,
-    /// The op left the core waiting for an event at `wake` (only under
-    /// [`SyncPolicy::Park`]).  The op itself is consumed; the deferred
+    /// The op left the core waiting for an event at `wake` (a `dma-synch`
+    /// on an unfinished transfer).  The op itself is consumed; the deferred
     /// stall is paid by [`CoreTimingModel::resume`].
     Parked {
         /// Cycle at which the core may continue.
@@ -202,20 +177,13 @@ pub(crate) enum StepOutcome {
 /// its timing, performs the implied instruction fetches and, with value
 /// tracking on, moves the data values the op carries.
 ///
-/// This is the simulator's hottest loop body, shared verbatim by both
-/// engines so their per-op semantics cannot drift apart.
-pub(crate) fn step_op(
-    op: &TraceOp,
-    core_id: CoreId,
-    ctx: &mut KernelCtx<'_>,
-    policy: SyncPolicy,
-) -> StepOutcome {
+/// This is the simulator's hottest loop body.
+pub(crate) fn step_op(op: &TraceOp, core_id: CoreId, ctx: &mut KernelCtx<'_>) -> StepOutcome {
     let c = core_id.index();
     if ctx.track_noc_clock {
-        // Queue this core's packets in simulation time.  Under the
-        // interleaved engine the stepped core is the earliest one, so this
-        // is the global scheduler clock; under legacy replay it regresses
-        // at every core switch (counted by `noc.des.clock.regressions`).
+        // Queue this core's packets in simulation time.  The stepped core
+        // is the earliest one, so this is the global scheduler clock and
+        // never runs backwards.
         ctx.memsys.advance_noc(ctx.cores[c].now());
     }
     if let Some(vt) = ctx.values.as_deref_mut() {
@@ -281,18 +249,11 @@ pub(crate) fn step_op(
                     [done.as_u64(), tags.len() as u64],
                 );
             }
-            if policy == SyncPolicy::Park && done > now {
+            if done > now {
                 // The transfer completion is a scheduled event: the core
                 // parks and another core may run in the meantime.  The
-                // stall to `done` is charged on resume, so the core-local
-                // timing is identical to the inline path.  Accounting-wise
-                // the deferred stall lands in `Park`, not `DmaWait`: the
-                // legacy engine's inline wait below is exactly the
-                // serialized-replay artifact, so the split keeps the
-                // engines' ordering gap attributable in a breakdown diff.
+                // stall to `done` is charged (to `Park`) on resume.
                 outcome = StepOutcome::Parked { wake: done };
-            } else {
-                ctx.cores[c].stall_until(done, CycleCategory::DmaWait);
             }
         }
         TraceOp::LoopEnd => {
@@ -468,8 +429,8 @@ fn op_epilogue(core_id: CoreId, ctx: &mut KernelCtx<'_>) {
         let _ = ctx.memsys.take_attributed_queue();
     }
 
-    // Periodic stat sampling, keyed off the stepping core's clock (under
-    // the interleaved engine that clock is global simulation time).
+    // Periodic stat sampling, keyed off the stepping core's clock (which is
+    // global simulation time).
     if let Some(tr) = ctx.tracer.as_deref_mut() {
         let now = ctx.cores[c].now();
         if tr.sample_due(now.as_u64()) {
@@ -585,65 +546,6 @@ fn route_guarded_value(
     }
 }
 
-/// Replays one kernel segment-serialized: every core's prologue, then each
-/// tile round-robin across the cores, then every core's epilogue.  A raw
-/// kernel's explicit rounds play the role of tiles.
-pub(crate) fn run_kernel_legacy(ctx: &mut KernelCtx<'_>, trace_seed: u64) {
-    let cores = ctx.cores.len();
-    match ctx.program {
-        ProgramRef::Compiled(kernel) => {
-            let mut execs: Vec<KernelExecution<'_>> = (0..cores)
-                .map(|i| KernelExecution::new(kernel, CoreId::new(i), cores, trace_seed))
-                .collect();
-
-            // Prologue on every core.
-            for (i, exec) in execs.iter_mut().enumerate() {
-                let ops = exec.prologue();
-                segment_begin(ctx, i, Segment::Prologue);
-                execute_ops(&ops, CoreId::new(i), ctx);
-            }
-
-            // Tiles are interleaved across cores so the shared L2 and the
-            // NoC see the concurrent working set of the whole chip, as in
-            // the fork-join execution the paper models.
-            let tiles = execs.iter().map(|e| e.num_tiles()).max().unwrap_or(0);
-            for tile in 0..tiles {
-                for (i, exec) in execs.iter_mut().enumerate() {
-                    if tile >= exec.num_tiles() {
-                        continue;
-                    }
-                    let ops = exec.tile(tile);
-                    segment_begin(ctx, i, Segment::Tile(tile));
-                    execute_ops(&ops, CoreId::new(i), ctx);
-                }
-            }
-
-            // Epilogue on every core.
-            for (i, exec) in execs.iter_mut().enumerate() {
-                let ops = exec.epilogue();
-                segment_begin(ctx, i, Segment::Epilogue);
-                execute_ops(&ops, CoreId::new(i), ctx);
-            }
-        }
-        ProgramRef::Raw(raw) => {
-            let rounds = raw.max_rounds();
-            for round in 0..rounds {
-                for core in 0..cores {
-                    if let Some(ops) = raw.rounds[core].get(round) {
-                        execute_ops(ops, CoreId::new(core), ctx);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn execute_ops(ops: &[TraceOp], core_id: CoreId, ctx: &mut KernelCtx<'_>) {
-    for op in ops {
-        let _ = step_op(op, core_id, ctx, SyncPolicy::StallInline);
-    }
-}
-
 /// Records a segment-boundary event on `core`'s track at its current clock.
 fn segment_begin(ctx: &mut KernelCtx<'_>, core: usize, segment: Segment) {
     if let Some(tr) = ctx.tracer.as_deref_mut() {
@@ -665,7 +567,7 @@ fn segment_begin(ctx: &mut KernelCtx<'_>, core: usize, segment: Segment) {
 /// until its clock passes the next pending event, then yields.  The
 /// insertion-order FIFO tie-break of the queue makes the whole interleaving
 /// deterministic.
-pub(crate) fn run_kernel_interleaved(ctx: &mut KernelCtx<'_>, trace_seed: u64) {
+pub(crate) fn run_kernel(ctx: &mut KernelCtx<'_>, trace_seed: u64) {
     let cores = ctx.cores.len();
     let program = ctx.program;
     let mut cursors: Vec<OpStream<'_>> = (0..cores)
@@ -708,7 +610,7 @@ pub(crate) fn run_kernel_interleaved(ctx: &mut KernelCtx<'_>, trace_seed: u64) {
                     }
                 }
             }
-            match step_op(&op, CoreId::new(c), ctx, SyncPolicy::Park) {
+            match step_op(&op, CoreId::new(c), ctx) {
                 StepOutcome::Parked { wake } => {
                     ctx.cores[c].park_until(wake);
                     queue.schedule(wake, c);

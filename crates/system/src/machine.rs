@@ -19,7 +19,7 @@ use spm_coherence::{
 };
 use workloads::{compile, BenchmarkSpec, ExecMode, MachineParams, Phase, RawKernel};
 
-use crate::config::{CoherenceProtocol, ExecutionEngine, MachineKind, SystemConfig};
+use crate::config::{CoherenceProtocol, MachineKind, SystemConfig};
 use crate::engine::{self, KernelCtx, ProgramRef};
 use crate::verify::{merge_image, ValueTracking, VerifyOutcome};
 
@@ -439,14 +439,7 @@ impl Machine {
                 tracer: tracer.as_mut(),
                 depth_scratch: std::mem::take(&mut depth_scratch),
             };
-            match self.config.engine {
-                ExecutionEngine::Legacy => {
-                    engine::run_kernel_legacy(&mut ctx, self.config.trace_seed)
-                }
-                ExecutionEngine::Interleaved => {
-                    engine::run_kernel_interleaved(&mut ctx, self.config.trace_seed)
-                }
-            }
+            engine::run_kernel(&mut ctx, self.config.trace_seed);
             depth_scratch = std::mem::take(&mut ctx.depth_scratch);
             // Per-core kernel report: one CoreReport event per core on the
             // shared tracer; `--debug-cores` pretty-prints the same events.
@@ -818,22 +811,16 @@ mod tests {
     }
 
     #[test]
-    fn accounting_splits_dma_wait_by_engine() {
-        // The legacy engine stalls `dma-synch` inline (`DmaWait`); the
-        // interleaved engine parks and pays the wait on resume (`Park`).
-        // That split is exactly the serialized-replay artifact of PR 4.
+    fn dma_synch_waits_are_charged_to_park() {
+        // The scheduler parks a core on an unfinished `dma-synch` and pays
+        // the wait on resume, so it lands in `Park`; `DmaWait` (the inline
+        // stall of the removed segment-serialized replay) stays empty.
         let spec = small_spec();
-        let mut legacy_cfg = config();
-        legacy_cfg.engine = ExecutionEngine::Legacy;
-        let legacy = Machine::new(MachineKind::HybridProposed, legacy_cfg);
-        let interleaved = Machine::new(MachineKind::HybridProposed, config());
-        let (_, l) = legacy.run_accounted(&spec);
-        let (_, i) = interleaved.run_accounted(&spec);
-        l.check_exhaustive().unwrap();
-        i.check_exhaustive().unwrap();
-        assert_eq!(l.totals().get(CycleCategory::Park), 0);
-        assert!(l.totals().get(CycleCategory::DmaWait) > 0);
-        assert!(i.totals().get(CycleCategory::Park) > 0);
+        let machine = Machine::new(MachineKind::HybridProposed, config());
+        let (_, breakdown) = machine.run_accounted(&spec);
+        breakdown.check_exhaustive().unwrap();
+        assert!(breakdown.totals().get(CycleCategory::Park) > 0);
+        assert_eq!(breakdown.totals().get(CycleCategory::DmaWait), 0);
     }
 
     #[test]

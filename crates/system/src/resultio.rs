@@ -20,9 +20,16 @@ use spm_coherence::ProtocolStats;
 use crate::config::MachineKind;
 use crate::machine::RunResult;
 
-/// Version stamp embedded in every encoded blob; decoding rejects blobs
-/// carrying a different version.
-const RESULT_FORMAT: u64 = campaign::CACHE_FORMAT as u64;
+/// Version stamp of the blob layout, embedded in every encoded blob;
+/// decoding rejects blobs carrying a different version.
+///
+/// Bump it when the layout changes.  It is independent of
+/// [`campaign::CACHE_FORMAT`], which the cache key also folds in and which
+/// additionally versions the simulation semantics a blob was computed
+/// under: changing what a run computes bumps the cache format alone, so no
+/// older entry is ever served while the layout (and every golden written in
+/// it) stays as it was.
+const RESULT_FORMAT: u64 = 6;
 
 macro_rules! protocol_stats_codec {
     ($($field:ident),* $(,)?) => {

@@ -67,14 +67,6 @@ pub fn lower_descriptor(
             noc::NocModel::from_id(model).ok_or_else(|| format!("unknown NoC model '{model}'"))?;
         config.set_noc_model(model);
     }
-    if let Some(engine) = &d.engine {
-        config.engine = crate::config::ExecutionEngine::from_id(engine).ok_or_else(|| {
-            format!(
-                "unknown execution engine '{engine}' (valid engines: {})",
-                campaign::ENGINE_IDS.join(", ")
-            )
-        })?;
-    }
     if let Some(protocol) = &d.protocol {
         config.coherence_protocol = crate::config::CoherenceProtocol::from_id(protocol)
             .ok_or_else(|| format!("unknown coherence protocol '{protocol}'"))?;
@@ -257,7 +249,6 @@ mod tests {
         d.filter_entries = Some(8);
         d.filterdir_entries = Some(256);
         d.noc_model = Some("discrete-event".into());
-        d.engine = Some("interleaved".into());
         d.protocol = Some("directory".into());
         let (config, spec, kind) = lower_descriptor(&d).unwrap();
         assert_eq!(kind, MachineKind::HybridProposed);
@@ -271,7 +262,6 @@ mod tests {
             config.memory_cache_baseline.noc.model,
             noc::NocModel::DiscreteEvent
         );
-        assert_eq!(config.engine, crate::config::ExecutionEngine::Interleaved);
         assert_eq!(
             config.coherence_protocol,
             crate::config::CoherenceProtocol::Directory
@@ -289,20 +279,6 @@ mod tests {
         d.noc_model = Some("wormhole".into());
         let err = lower_descriptor(&d).unwrap_err();
         assert!(err.contains("wormhole"), "{err}");
-    }
-
-    #[test]
-    fn lowering_defaults_to_the_legacy_engine_and_rejects_unknown_engines() {
-        let (config, _, _) = lower_descriptor(&quick_point()).unwrap();
-        assert_eq!(config.engine, crate::config::ExecutionEngine::Interleaved);
-        // "parallel" names the deleted epoch engine: rejected like a typo.
-        for unknown in ["warp", "parallel"] {
-            let mut d = quick_point();
-            d.engine = Some(unknown.into());
-            let err = lower_descriptor(&d).unwrap_err();
-            assert!(err.contains(&format!("'{unknown}'")), "{err}");
-            assert!(err.contains("legacy, interleaved"), "{err}");
-        }
     }
 
     #[test]
@@ -349,9 +325,6 @@ mod tests {
         assert_ne!(base, run_cache_key(kind, &bigger, &spec));
         // Timing-relevant knobs address new entries; presentation-only
         // knobs do not.
-        let mut legacy = config.clone();
-        legacy.engine = crate::config::ExecutionEngine::Legacy;
-        assert_ne!(base, run_cache_key(kind, &legacy, &spec));
         let mut directory = config.clone();
         directory.coherence_protocol = crate::config::CoherenceProtocol::Directory;
         assert_ne!(base, run_cache_key(kind, &directory, &spec));

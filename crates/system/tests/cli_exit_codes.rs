@@ -22,7 +22,6 @@ fn help_exits_zero_with_usage() {
 fn malformed_input_exits_two_with_usage() {
     for args in [
         &["--bogus"][..],
-        &["--engine", "parallel"][..],
         &["--epoch-cycles", "1"][..],
         &["--cores", "abc"][..],
         &["--benchmarks", "XX"][..],
@@ -32,7 +31,9 @@ fn malformed_input_exits_two_with_usage() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
-    let out = fig9(&["--engine", "parallel"]);
+    // There is one scheduler, so the engine selector is an unknown flag.
+    let out = fig9(&["--engine", "interleaved"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("legacy, interleaved"), "{stderr}");
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown argument '--engine'"), "{stderr}");
 }

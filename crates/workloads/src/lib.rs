@@ -39,7 +39,7 @@ pub use characterize::{characterize, CharacterizationRow};
 pub use compiler::{compile, CompiledBenchmark, CompiledKernel, ExecMode, MachineParams};
 pub use litmus::{random_program, FuzzParams, LitmusCase, ProgramBuilder, RawKernel};
 pub use nas::NasBenchmark;
-pub use program::{KernelExecution, OpCursor, Segment};
+pub use program::{OpCursor, Segment};
 pub use spec::{ArrayRef, BenchmarkSpec, GuardedRef, KernelSpec};
 pub use trace::{MemRefClass, Phase, TraceOp};
 

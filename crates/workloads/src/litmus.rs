@@ -4,16 +4,13 @@
 //! A [`RawKernel`] is a hand-authored (or generated) multi-core trace: per
 //! core, a sequence of *rounds* of [`TraceOp`]s.  Unlike the NAS-like
 //! compiled kernels, nothing is synthesised — every address and transfer is
-//! explicit, which is what directed protocol tests need.  Both execution
-//! engines run raw kernels through the same per-op interpreter as compiled
-//! ones:
-//!
-//! * the legacy engine replays rounds round-robin across the cores (round
-//!   `k` of every core completes before round `k + 1` of any core), giving
-//!   directed tests an exact total order;
-//! * the interleaved engine schedules by core-local clocks, so litmus steps
-//!   carry a large compute pad that keeps the cores' clocks aligned and the
-//!   intended step order intact under min-clock scheduling too.
+//! explicit, which is what directed protocol tests need.  The machine runs
+//! raw kernels through the same per-op interpreter and the same min-clock
+//! scheduler as compiled ones: each core's rounds are flattened into one op
+//! stream, and the scheduler always steps the core with the earliest clock.
+//! Litmus steps therefore carry a large compute pad that keeps the cores'
+//! clocks aligned, so the intended step order holds: round `k` of every core
+//! runs before round `k + 1` of any core.
 //!
 //! The [`catalogue`] targets the hazard corners the paper's protocol exists
 //! for: a DMA `get` overlapping a dirty cached line, a guest-line write-back
@@ -25,8 +22,8 @@
 //! footprints while honouring the paper's software contract (no unguarded
 //! access aliases mapped data; chunks are mapped by at most one core) and a
 //! single-writer-per-address discipline, which makes the final memory image
-//! independent of the legal interleaving — the property the cross-engine
-//! equivalence tests pin.
+//! independent of the legal interleaving — the property the cross-NoC-model
+//! and cross-protocol equivalence tests pin.
 
 use simkernel::{ByteSize, SimRng};
 
@@ -59,11 +56,6 @@ impl RawKernel {
         self.rounds.len()
     }
 
-    /// The longest per-core round count.
-    pub fn max_rounds(&self) -> usize {
-        self.rounds.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Total op count over all cores and rounds.
     pub fn total_ops(&self) -> usize {
         self.rounds
@@ -76,7 +68,7 @@ impl RawKernel {
 
 /// Compute pad prepended to every litmus step.
 ///
-/// Under the interleaved engine the cores advance by their own clocks; a
+/// Under the min-clock scheduler the cores advance by their own clocks; a
 /// pad much larger than any single step's latency keeps every core inside
 /// the same global step window, so step `k` of one core always precedes
 /// step `k + 1` of every other core.
@@ -104,7 +96,7 @@ impl ProgramBuilder {
     }
 
     /// Appends one global step in which only `core` acts; every other core
-    /// pads, so the step order is total under both engines.
+    /// pads, so the step order is total.
     pub fn step(&mut self, core: usize, ops: Vec<TraceOp>) -> &mut Self {
         self.guarded |= has_guarded(&ops);
         for (c, rounds) in self.rounds.iter_mut().enumerate() {
@@ -119,8 +111,7 @@ impl ProgramBuilder {
         self
     }
 
-    /// Appends one global step in which every core acts (core-index order
-    /// under the legacy engine).
+    /// Appends one global step in which every core acts.
     pub fn all(&mut self, f: impl Fn(usize) -> Vec<TraceOp>) -> &mut Self {
         for (c, rounds) in self.rounds.iter_mut().enumerate() {
             let ops = f(c);
@@ -488,7 +479,7 @@ fn rand_word_in(rng: &mut SimRng, range: AddressRange) -> Addr {
 
 /// Generates a seeded random multi-core program.
 ///
-/// Invariants honoured (they are what make the oracle and the cross-engine
+/// Invariants honoured (they are what make the oracle and the cross-model
 /// image comparison sound — see the module docs):
 ///
 /// * strided (SPM-class) accesses stay inside the chunk their buffer
@@ -656,7 +647,7 @@ mod tests {
                 let k = (case.build)(cores, bs());
                 assert_eq!(k.cores(), cores, "{}", case.name);
                 assert!(k.total_ops() > 0);
-                assert!(k.max_rounds() >= 2);
+                assert!(k.rounds.iter().any(|r| r.len() >= 2));
                 // Every DMA mapping is written back and the loop is ended.
                 let ops: Vec<&TraceOp> = k.rounds.iter().flatten().flatten().collect();
                 let gets = ops

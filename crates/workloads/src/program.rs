@@ -1,8 +1,8 @@
 //! The runtime-library / trace-generation model.
 //!
-//! [`KernelExecution`] plays the role of one thread executing one compiled
-//! kernel: it produces, tile by tile, the stream of [`TraceOp`]s that the
-//! core timing model executes.  In hybrid mode each tile follows the
+//! [`OpCursor`] plays the role of one thread executing one compiled kernel:
+//! it streams, tile by tile, the [`TraceOp`]s that the core timing model
+//! executes.  In hybrid mode each tile follows the
 //! transformed structure of the paper's Figure 3 — a control phase that maps
 //! the next chunks with `dma-get` (writing back the previous ones with
 //! `dma-put` where needed), a synchronization phase that waits on the
@@ -20,9 +20,10 @@ use crate::trace::{MemRefClass, Phase, TraceOp};
 /// software-cache lookup hit: no transfer is programmed).
 const MAP_HIT_INSTS: u64 = 12;
 
-/// One core's execution of one compiled kernel.
+/// One core's execution of one compiled kernel, materialized a segment at a
+/// time; [`OpCursor`] streams it.
 #[derive(Debug)]
-pub struct KernelExecution<'a> {
+pub(crate) struct KernelExecution<'a> {
     kernel: &'a CompiledKernel,
     core: CoreId,
     cores: usize,
@@ -347,17 +348,15 @@ impl Segment {
 
 /// A resumable, streaming view of one core's kernel trace.
 ///
-/// [`KernelExecution`] materializes each segment (prologue, tile, epilogue)
-/// as a `Vec<TraceOp>`; the cursor owns the execution and hands the ops out
-/// one at a time, generating the next segment lazily when the current one
-/// runs dry.  This is what lets a scheduler suspend a core mid-kernel (e.g.
-/// parked on a `dma-synch`) and resume it later without re-generating or
-/// buffering whole per-core traces: at most one segment per core is ever
-/// materialized at a time.
+/// The cursor generates each segment (prologue, tile, epilogue) as a
+/// `Vec<TraceOp>` and hands the ops out one at a time, generating the next
+/// segment lazily when the current one runs dry.  This is what lets a
+/// scheduler suspend a core mid-kernel (e.g. parked on a `dma-synch`) and
+/// resume it later without re-generating or buffering whole per-core traces:
+/// at most one segment per core is ever materialized at a time.
 ///
 /// The op stream is exactly `prologue ++ tile(0) ++ … ++ tile(n-1) ++
-/// epilogue`, so draining a cursor visits the same ops, in the same order,
-/// as the eager segment-by-segment replay.
+/// epilogue`.
 #[derive(Debug)]
 pub struct OpCursor<'a> {
     exec: KernelExecution<'a>,
@@ -368,18 +367,14 @@ pub struct OpCursor<'a> {
 impl<'a> OpCursor<'a> {
     /// Creates a cursor over `kernel` for `core` of a `cores`-core machine.
     ///
-    /// Same seeding contract as [`KernelExecution::new`]: the `(seed, core)`
-    /// pair fully determines the op stream.
+    /// `seed` makes the random-reference address streams reproducible: the
+    /// `(seed, core)` pair fully determines the op stream.
     ///
     /// # Panics
     ///
     /// Panics if `core` is outside the machine.
     pub fn new(kernel: &'a CompiledKernel, core: CoreId, cores: usize, seed: u64) -> Self {
-        Self::from_execution(KernelExecution::new(kernel, core, cores, seed))
-    }
-
-    /// Wraps an existing execution, starting at the prologue.
-    pub fn from_execution(exec: KernelExecution<'a>) -> Self {
+        let exec = KernelExecution::new(kernel, core, cores, seed);
         let ops = exec.prologue().into_iter();
         OpCursor {
             exec,

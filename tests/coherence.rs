@@ -4,7 +4,7 @@
 //!
 //! 1. **Soundness of the models** — every directed litmus program and a
 //!    batch of seeded fuzz programs run divergence-free on every machine
-//!    kind × NoC model × execution engine (with deliberately tiny filter /
+//!    kind × NoC model (with deliberately tiny filter /
 //!    filterDir structures, so capacity-eviction paths are exercised).
 //! 2. **The harness can fail** — injecting
 //!    `ProtocolFault::SkipFilterInvalidationOnMap` makes the designated
@@ -13,11 +13,12 @@
 //!    `tests/golden/litmus/<name>.txt` (regenerate with
 //!    `cargo run --release -p system --bin coherence_check -- --write-golden
 //!    tests/golden/litmus`), and re-running is bit-identical.
-//! 4. **Engine/NoC equivalence** — random programs with `track_values` on
-//!    produce bit-identical final value images across `legacy` vs
-//!    `interleaved` engines and `analytic` vs `discrete-event` NoC models
-//!    (cores = 1 and cores = 4), because the generator honours the paper's
-//!    software contract and a single-writer-per-address discipline.
+//! 4. **NoC equivalence** — random programs with `track_values` on produce
+//!    bit-identical final value images across the `analytic` and
+//!    `discrete-event` NoC models (cores = 1 and cores = 4), although the
+//!    two models schedule the cores' accesses in different orders, because
+//!    the generator honours the paper's software contract and a
+//!    single-writer-per-address discipline.
 //! 5. **Protocol equivalence** — the directory baseline backend passes the
 //!    same litmus matrix, renders the *same* golden images (final memory
 //!    state is protocol-independent), has its own catchable injected fault,
@@ -27,30 +28,23 @@ use proptest::prelude::*;
 
 use spm_manycore::coherence::ProtocolFault;
 use spm_manycore::system::verify::verification_config;
-use spm_manycore::system::{
-    CoherenceProtocol, ExecutionEngine, Machine, MachineKind, MemoryImage, SystemConfig,
-};
+use spm_manycore::system::{CoherenceProtocol, Machine, MachineKind, MemoryImage, SystemConfig};
 use spm_manycore::workloads::litmus::{catalogue, random_program, FuzzParams};
 use spm_manycore::workloads::nas::NasBenchmark;
 use spm_manycore::workloads::{ExecMode, RawKernel};
 
 const CORES: usize = 4;
 
-fn config(engine: ExecutionEngine, model: noc::NocModel, cores: usize) -> SystemConfig {
+fn config(model: noc::NocModel, cores: usize) -> SystemConfig {
     let mut cfg = verification_config(cores);
-    cfg.engine = engine;
     cfg.set_noc_model(model);
     cfg
 }
 
-fn directory_config(engine: ExecutionEngine, model: noc::NocModel, cores: usize) -> SystemConfig {
-    let mut cfg = config(engine, model, cores);
+fn directory_config(model: noc::NocModel, cores: usize) -> SystemConfig {
+    let mut cfg = config(model, cores);
     cfg.coherence_protocol = CoherenceProtocol::Directory;
     cfg
-}
-
-fn engines() -> [ExecutionEngine; 2] {
-    ExecutionEngine::ALL
 }
 
 fn noc_models() -> [noc::NocModel; 2] {
@@ -66,23 +60,21 @@ fn fuzz(seed: u64, cores: usize, mode: ExecMode) -> RawKernel {
 fn litmus_catalogue_is_coherent_across_the_whole_matrix() {
     for case in catalogue() {
         for kind in [MachineKind::HybridProposed, MachineKind::HybridIdeal] {
-            for engine in engines() {
-                for model in noc_models() {
-                    let cfg = config(engine, model, CORES);
-                    let program = (case.build)(CORES, cfg.spm.size / 2);
-                    let outcome = Machine::new(kind, cfg).verify_raw(&program);
-                    assert!(
-                        outcome.ok(),
-                        "{} on {kind:?}/{engine}/{model:?}:\n{}",
-                        case.name,
-                        outcome.divergence_report()
-                    );
-                    assert!(
-                        outcome.report.loads_checked > 0,
-                        "{}: the oracle actually checked loads",
-                        case.name
-                    );
-                }
+            for model in noc_models() {
+                let cfg = config(model, CORES);
+                let program = (case.build)(CORES, cfg.spm.size / 2);
+                let outcome = Machine::new(kind, cfg).verify_raw(&program);
+                assert!(
+                    outcome.ok(),
+                    "{} on {kind:?}/{model:?}:\n{}",
+                    case.name,
+                    outcome.divergence_report()
+                );
+                assert!(
+                    outcome.report.loads_checked > 0,
+                    "{}: the oracle actually checked loads",
+                    case.name
+                );
             }
         }
     }
@@ -98,12 +90,12 @@ fn fuzz_programs_are_coherent_on_every_machine_kind() {
                 ExecMode::Hybrid
             };
             let program = fuzz(seed, CORES, mode);
-            for engine in engines() {
-                let cfg = config(engine, noc::NocModel::Analytic, CORES);
+            for model in noc_models() {
+                let cfg = config(model, CORES);
                 let outcome = Machine::new(kind, cfg).verify_raw(&program);
                 assert!(
                     outcome.ok(),
-                    "seed {seed} on {kind:?}/{engine}:\n{}",
+                    "seed {seed} on {kind:?}/{model:?}:\n{}",
                     outcome.divergence_report()
                 );
             }
@@ -117,20 +109,20 @@ fn injected_fault_is_caught_by_the_oracle() {
         .into_iter()
         .find(|c| c.name == "stale_filter_after_map")
         .expect("victim case exists");
-    for engine in engines() {
-        let cfg = config(engine, noc::NocModel::Analytic, CORES);
+    for model in noc_models() {
+        let cfg = config(model, CORES);
         let program = (case.build)(CORES, cfg.spm.size / 2);
 
         // Sanity: the same program is clean without the fault.
         let clean = Machine::new(MachineKind::HybridProposed, cfg.clone()).verify_raw(&program);
-        assert!(clean.ok(), "{engine}: {}", clean.divergence_report());
+        assert!(clean.ok(), "{model:?}: {}", clean.divergence_report());
 
         let broken = Machine::new(MachineKind::HybridProposed, cfg)
             .with_fault(ProtocolFault::SkipFilterInvalidationOnMap)
             .verify_raw(&program);
         assert!(
             !broken.ok(),
-            "{engine}: the injected defect must fail the oracle"
+            "{model:?}: the injected defect must fail the oracle"
         );
         let report = broken.divergence_report();
         let d = &broken.report.divergences[0];
@@ -152,7 +144,7 @@ fn fault_does_not_fire_on_the_ideal_machine() {
         .into_iter()
         .find(|c| c.name == "stale_filter_after_map")
         .unwrap();
-    let cfg = config(ExecutionEngine::Legacy, noc::NocModel::Analytic, CORES);
+    let cfg = config(noc::NocModel::Analytic, CORES);
     let program = (case.build)(CORES, cfg.spm.size / 2);
     let outcome = Machine::new(MachineKind::HybridIdeal, cfg)
         .with_fault(ProtocolFault::SkipFilterInvalidationOnMap)
@@ -178,7 +170,7 @@ fn golden(name: &str) -> &'static str {
 
 #[test]
 fn litmus_final_images_match_the_golden_snapshots() {
-    let cfg = config(ExecutionEngine::Legacy, noc::NocModel::Analytic, CORES);
+    let cfg = config(noc::NocModel::Analytic, CORES);
     for case in catalogue() {
         let program = (case.build)(CORES, cfg.spm.size / 2);
         let first = Machine::new(MachineKind::HybridProposed, cfg.clone()).verify_raw(&program);
@@ -205,22 +197,20 @@ fn litmus_final_images_match_the_golden_snapshots() {
 #[test]
 fn directory_backend_is_coherent_across_the_whole_matrix() {
     // The same litmus catalogue, on the directory baseline backend: every
-    // engine × NoC model must hold the oracle's invariants with no SPM
-    // filters in the machine at all.
+    // NoC model must hold the oracle's invariants with no SPM filters in
+    // the machine at all.
     for case in catalogue() {
-        for engine in engines() {
-            for model in noc_models() {
-                let cfg = directory_config(engine, model, CORES);
-                let program = (case.build)(CORES, cfg.spm.size / 2);
-                let outcome = Machine::new(MachineKind::HybridProposed, cfg).verify_raw(&program);
-                assert!(
-                    outcome.ok(),
-                    "{} on directory/{engine}/{model:?}:\n{}",
-                    case.name,
-                    outcome.divergence_report()
-                );
-                assert!(outcome.report.loads_checked > 0, "{}", case.name);
-            }
+        for model in noc_models() {
+            let cfg = directory_config(model, CORES);
+            let program = (case.build)(CORES, cfg.spm.size / 2);
+            let outcome = Machine::new(MachineKind::HybridProposed, cfg).verify_raw(&program);
+            assert!(
+                outcome.ok(),
+                "{} on directory/{model:?}:\n{}",
+                case.name,
+                outcome.divergence_report()
+            );
+            assert!(outcome.report.loads_checked > 0, "{}", case.name);
         }
     }
 }
@@ -230,7 +220,7 @@ fn directory_litmus_images_match_the_filterdir_goldens() {
     // Final memory state is protocol-independent: the directory baseline
     // renders byte-for-byte the *same* golden images as the paper's
     // protocol — only timing and traffic may differ between backends.
-    let cfg = directory_config(ExecutionEngine::Legacy, noc::NocModel::Analytic, CORES);
+    let cfg = directory_config(noc::NocModel::Analytic, CORES);
     for case in catalogue() {
         let program = (case.build)(CORES, cfg.spm.size / 2);
         let outcome = Machine::new(MachineKind::HybridProposed, cfg.clone()).verify_raw(&program);
@@ -255,25 +245,25 @@ fn directory_litmus_images_match_the_filterdir_goldens() {
 fn injected_directory_fault_is_caught_by_the_oracle() {
     // The directory backend's own defect knob: skipping the home-directory
     // update on map leaves guarded accesses going to (stale) global memory,
-    // and the oracle must notice under every engine.
+    // and the oracle must notice under every NoC model.
     let case = catalogue()
         .into_iter()
         .find(|c| c.name == "stale_filter_after_map")
         .expect("victim case exists");
-    for engine in engines() {
-        let cfg = directory_config(engine, noc::NocModel::Analytic, CORES);
+    for model in noc_models() {
+        let cfg = directory_config(model, CORES);
         let program = (case.build)(CORES, cfg.spm.size / 2);
 
         // Sanity: clean without the fault.
         let clean = Machine::new(MachineKind::HybridProposed, cfg.clone()).verify_raw(&program);
-        assert!(clean.ok(), "{engine}: {}", clean.divergence_report());
+        assert!(clean.ok(), "{model:?}: {}", clean.divergence_report());
 
         let broken = Machine::new(MachineKind::HybridProposed, cfg)
             .with_fault(ProtocolFault::SkipDirectoryUpdateOnMap)
             .verify_raw(&program);
         assert!(
             !broken.ok(),
-            "{engine}: the injected directory defect must fail the oracle"
+            "{model:?}: the injected directory defect must fail the oracle"
         );
     }
 }
@@ -297,7 +287,7 @@ fn each_fault_is_inert_on_the_other_backend() {
         ),
     ];
     for (protocol, fault) in pairs {
-        let mut cfg = config(ExecutionEngine::Legacy, noc::NocModel::Analytic, CORES);
+        let mut cfg = config(noc::NocModel::Analytic, CORES);
         cfg.coherence_protocol = protocol;
         let program = (case.build)(CORES, cfg.spm.size / 2);
         let outcome = Machine::new(MachineKind::HybridProposed, cfg)
@@ -312,7 +302,7 @@ fn each_fault_is_inert_on_the_other_backend() {
 }
 
 #[test]
-fn images_are_identical_across_engines_and_noc_models() {
+fn images_are_identical_across_noc_models() {
     for cores in [1, 4] {
         for seed in [5u64, 6] {
             for (kind, mode) in [
@@ -321,17 +311,15 @@ fn images_are_identical_across_engines_and_noc_models() {
             ] {
                 let program = fuzz(seed, cores, mode);
                 let mut images: Vec<(String, MemoryImage)> = Vec::new();
-                for engine in engines() {
-                    for model in noc_models() {
-                        let cfg = config(engine, model, cores);
-                        let outcome = Machine::new(kind, cfg).verify_raw(&program);
-                        assert!(
-                            outcome.ok(),
-                            "seed {seed} cores {cores} {kind:?}/{engine}/{model:?}:\n{}",
-                            outcome.divergence_report()
-                        );
-                        images.push((format!("{engine}/{model:?}"), outcome.image));
-                    }
+                for model in noc_models() {
+                    let cfg = config(model, cores);
+                    let outcome = Machine::new(kind, cfg).verify_raw(&program);
+                    assert!(
+                        outcome.ok(),
+                        "seed {seed} cores {cores} {kind:?}/{model:?}:\n{}",
+                        outcome.divergence_report()
+                    );
+                    images.push((format!("{model:?}"), outcome.image));
                 }
                 assert!(!images[0].1.is_empty(), "programs leave visible state");
                 for (label, image) in &images[1..] {
@@ -349,25 +337,25 @@ fn images_are_identical_across_engines_and_noc_models() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Satellite property: any seed's final value image is bit-identical
-    /// across `legacy` vs `interleaved` on the proposed-protocol machine.
+    /// Any seed's final value image is bit-identical across the analytic
+    /// and discrete-event NoC models on the proposed-protocol machine.
     #[test]
-    fn prop_any_seed_matches_across_engines(seed in 0u64..10_000) {
+    fn prop_any_seed_matches_across_noc_models(seed in 0u64..10_000) {
         for cores in [1usize, 4] {
             let program = fuzz(seed, cores, ExecMode::Hybrid);
-            let legacy = Machine::new(
+            let analytic = Machine::new(
                 MachineKind::HybridProposed,
-                config(ExecutionEngine::Legacy, noc::NocModel::Analytic, cores),
+                config(noc::NocModel::Analytic, cores),
             )
             .verify_raw(&program);
-            let interleaved = Machine::new(
+            let des = Machine::new(
                 MachineKind::HybridProposed,
-                config(ExecutionEngine::Interleaved, noc::NocModel::DiscreteEvent, cores),
+                config(noc::NocModel::DiscreteEvent, cores),
             )
             .verify_raw(&program);
-            prop_assert!(legacy.ok(), "{}", legacy.divergence_report());
-            prop_assert!(interleaved.ok(), "{}", interleaved.divergence_report());
-            prop_assert_eq!(&legacy.image, &interleaved.image, "seed {} cores {}", seed, cores);
+            prop_assert!(analytic.ok(), "{}", analytic.divergence_report());
+            prop_assert!(des.ok(), "{}", des.divergence_report());
+            prop_assert_eq!(&analytic.image, &des.image, "seed {} cores {}", seed, cores);
         }
     }
 
@@ -381,12 +369,12 @@ proptest! {
             let program = fuzz(seed, cores, ExecMode::Hybrid);
             let filterdir = Machine::new(
                 MachineKind::HybridProposed,
-                config(ExecutionEngine::Legacy, noc::NocModel::Analytic, cores),
+                config(noc::NocModel::Analytic, cores),
             )
             .verify_raw(&program);
             let directory = Machine::new(
                 MachineKind::HybridProposed,
-                directory_config(ExecutionEngine::Interleaved, noc::NocModel::DiscreteEvent, cores),
+                directory_config(noc::NocModel::DiscreteEvent, cores),
             )
             .verify_raw(&program);
             prop_assert!(filterdir.ok(), "{}", filterdir.divergence_report());
@@ -408,17 +396,13 @@ fn nas_benchmarks_verify_on_every_machine_kind() {
     // workload runs under the oracle too.
     let spec = NasBenchmark::Cg.spec_scaled(1.0 / 512.0);
     for kind in MachineKind::ALL {
-        for engine in engines() {
-            let mut cfg = SystemConfig::small(CORES);
-            cfg.engine = engine;
-            let outcome = Machine::new(kind, cfg).verify_spec(&spec);
-            assert!(
-                outcome.ok(),
-                "CG on {kind:?}/{engine}:\n{}",
-                outcome.divergence_report()
-            );
-            assert!(outcome.report.loads_checked > 1000);
-        }
+        let outcome = Machine::new(kind, SystemConfig::small(CORES)).verify_spec(&spec);
+        assert!(
+            outcome.ok(),
+            "CG on {kind:?}:\n{}",
+            outcome.divergence_report()
+        );
+        assert!(outcome.report.loads_checked > 1000);
     }
 }
 

@@ -1,8 +1,8 @@
 //! End-to-end properties of the cycle-accounting subsystem.
 //!
 //! The accountant's contract has three legs, and each is checked across the
-//! whole configuration space (machine kind × execution engine × NoC model)
-//! under arbitrary workload seeds:
+//! whole configuration space (machine kind × NoC model) under arbitrary
+//! workload seeds:
 //!
 //! 1. **Exhaustive** — on every core the nine category counters sum
 //!    bit-exactly to the elapsed cycles ([`CycleBreakdown::check_exhaustive`]);
@@ -17,7 +17,7 @@ use proptest::prelude::*;
 
 use spm_manycore::noc::NocModel;
 use spm_manycore::simkernel::{CycleBreakdown, CycleCategory};
-use spm_manycore::system::{ExecutionEngine, Machine, MachineKind, SystemConfig};
+use spm_manycore::system::{Machine, MachineKind, SystemConfig};
 use spm_manycore::workloads::nas::NasBenchmark;
 use spm_manycore::workloads::BenchmarkSpec;
 
@@ -25,34 +25,30 @@ fn spec() -> BenchmarkSpec {
     NasBenchmark::Cg.spec_scaled(1.0 / 1024.0)
 }
 
-fn config(seed: u64, engine: ExecutionEngine, noc: NocModel) -> SystemConfig {
+fn config(seed: u64, noc: NocModel) -> SystemConfig {
     let mut config = SystemConfig::small(4);
     config.trace_seed = seed;
-    config.engine = engine;
     config.set_noc_model(noc);
     config
 }
 
 proptest! {
     // Every case is a pair of full (small) simulations, so keep the case
-    // count modest; the kind × engine × NoC axes are swept exhaustively
-    // inside each case.
+    // count modest.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Exhaustive and exclusive on every machine kind, engine and NoC
-    /// model, for arbitrary workload seeds — and a pure observer: the
-    /// accounted run's observables are bit-identical to the plain run's.
+    /// Exhaustive and exclusive on every machine kind and NoC model, for
+    /// arbitrary workload seeds — and a pure observer: the accounted run's
+    /// observables are bit-identical to the plain run's.
     #[test]
     fn accounting_is_exhaustive_exclusive_and_invisible(
         seed in any::<u64>(),
         kind_index in 0usize..3,
-        engine_index in 0usize..2,
         des_noc in any::<bool>(),
     ) {
         let kind = MachineKind::ALL[kind_index];
-        let engine = ExecutionEngine::ALL[engine_index];
         let noc = if des_noc { NocModel::DiscreteEvent } else { NocModel::Analytic };
-        let config = config(seed, engine, noc);
+        let config = config(seed, noc);
         let plain = Machine::new(kind, config.clone()).run(&spec());
         let (accounted, breakdown) = Machine::new(kind, config).run_accounted(&spec());
 
@@ -65,7 +61,7 @@ proptest! {
         prop_assert_eq!(breakdown.cores.len(), 4);
         breakdown
             .check_exhaustive()
-            .unwrap_or_else(|e| panic!("{} × {} × {:?}: {e}", kind.id(), engine.id(), noc));
+            .unwrap_or_else(|e| panic!("{} × {:?}: {e}", kind.id(), noc));
         for core in &breakdown.cores {
             // Exclusivity: no single category can exceed the elapsed total
             // it is a part of.
@@ -87,7 +83,7 @@ proptest! {
         let make = || {
             Machine::new(
                 MachineKind::HybridProposed,
-                config(seed, ExecutionEngine::Legacy, NocModel::Analytic),
+                config(seed, NocModel::Analytic),
             )
             .run_accounted(&spec())
             .1
@@ -97,32 +93,4 @@ proptest! {
         let reparsed = CycleBreakdown::from_json(&breakdown.to_json()).unwrap();
         prop_assert_eq!(reparsed, breakdown);
     }
-}
-
-/// The two engines agree on what the serialized-replay artifact of the
-/// legacy engine looks like in the books: legacy charges its inline DMA
-/// synchronisation to `DmaWait` and never parks, the interleaved engine
-/// parks instead.  Diffing the two breakdowns is how the PR-4 ordering gap
-/// becomes attributable.
-#[test]
-fn engine_difference_is_attributable() {
-    let run = |engine| {
-        Machine::new(
-            MachineKind::HybridProposed,
-            config(7, engine, NocModel::Analytic),
-        )
-        .run_accounted(&spec())
-        .1
-    };
-    let legacy = run(ExecutionEngine::Legacy).totals();
-    let interleaved = run(ExecutionEngine::Interleaved).totals();
-    assert_eq!(legacy.get(CycleCategory::Park), 0);
-    assert!(legacy.get(CycleCategory::DmaWait) > 0);
-    assert!(interleaved.get(CycleCategory::Park) > 0);
-    // Both attribute the same compute: the engines execute the same
-    // instruction stream, they only overlap it differently.
-    assert_eq!(
-        legacy.get(CycleCategory::Compute),
-        interleaved.get(CycleCategory::Compute)
-    );
 }

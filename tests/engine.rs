@@ -1,16 +1,9 @@
-//! Scheduler-equivalence tests for the execution engines.
+//! Tests for the execution engine, the min-clock scheduler:
 //!
-//! The contract that makes the interleaved engine a safe refactor rather
-//! than a rewrite:
-//!
-//! 1. with one core the engines are **bit-identical** (same sequence of
-//!    model calls, so the full `RunResult` round-trips to the same JSON),
-//!    for every machine kind and both NoC models;
-//! 2. the interleaved engine is deterministic, serial or parallel;
-//! 3. with many cores under the discrete-event NoC the engines **differ**
-//!    — the ordering artifact of tile-serialized replay is now measurable
-//!    (per-link utilisation, clock regressions);
-//! 4. the scheduler never lets a core's clock pass an unreleased kernel
+//! 1. multicore runs are deterministic, serial or parallel;
+//! 2. under the discrete-event NoC the network clock only moves forward
+//!    (`DesNoc::advance_to` asserts it in debug builds);
+//! 3. the scheduler never lets a core's clock pass an unreleased kernel
 //!    barrier (checked from the [`EngineAudit`] clock data, over random
 //!    workloads and core counts).
 
@@ -20,7 +13,7 @@ use spm_manycore::campaign::SweepSpec;
 use spm_manycore::simkernel::Cycle;
 use spm_manycore::system::sweep::{run_points, RunContext};
 use spm_manycore::system::{
-    run_result_codec, EngineAudit, ExecutionEngine, Machine, MachineKind, RunResult, SystemConfig,
+    run_result_codec, EngineAudit, Machine, MachineKind, RunResult, SystemConfig,
 };
 use spm_manycore::workloads::nas::NasBenchmark;
 use spm_manycore::workloads::BenchmarkSpec;
@@ -29,10 +22,9 @@ fn small_spec() -> BenchmarkSpec {
     NasBenchmark::Cg.spec_scaled(1.0 / 512.0)
 }
 
-fn config_with(cores: usize, engine: ExecutionEngine, noc_model: noc::NocModel) -> SystemConfig {
+fn config_with(cores: usize, noc_model: noc::NocModel) -> SystemConfig {
     let mut config = SystemConfig::small(cores);
     config.set_noc_model(noc_model);
-    config.engine = engine;
     config
 }
 
@@ -75,31 +67,10 @@ fn assert_barriers_respected(audit: &EngineAudit) {
 }
 
 #[test]
-fn single_core_engines_are_bit_identical_everywhere() {
-    let spec = small_spec();
-    for noc_model in [noc::NocModel::Analytic, noc::NocModel::DiscreteEvent] {
-        for kind in MachineKind::ALL {
-            let legacy =
-                Machine::new(kind, config_with(1, ExecutionEngine::Legacy, noc_model)).run(&spec);
-            let interleaved = Machine::new(
-                kind,
-                config_with(1, ExecutionEngine::Interleaved, noc_model),
-            )
-            .run(&spec);
-            assert_eq!(
-                encoded(&legacy),
-                encoded(&interleaved),
-                "{kind:?} under {noc_model:?}: engines diverged on a single core"
-            );
-        }
-    }
-}
-
-#[test]
 fn interleaved_multicore_runs_are_deterministic() {
     let spec = small_spec();
     for noc_model in [noc::NocModel::Analytic, noc::NocModel::DiscreteEvent] {
-        let config = config_with(4, ExecutionEngine::Interleaved, noc_model);
+        let config = config_with(4, noc_model);
         let a = Machine::new(MachineKind::HybridProposed, config.clone()).run(&spec);
         let b = Machine::new(MachineKind::HybridProposed, config).run(&spec);
         assert_eq!(encoded(&a), encoded(&b), "{noc_model:?}");
@@ -107,50 +78,27 @@ fn interleaved_multicore_runs_are_deterministic() {
 }
 
 #[test]
-fn multicore_des_ordering_artifact_is_measurable() {
+fn multicore_des_runs_keep_the_noc_clock_monotonic() {
+    // The stepped core is always the earliest one, so the clock the
+    // scheduler hands the network never runs backwards; a backwards hand-off
+    // panics in `DesNoc::advance_to` (debug builds).
     let spec = small_spec();
-    let noc_model = noc::NocModel::DiscreteEvent;
-    let legacy = Machine::new(
-        MachineKind::HybridProposed,
-        config_with(4, ExecutionEngine::Legacy, noc_model),
-    )
-    .run(&spec);
-    let interleaved = Machine::new(
-        MachineKind::HybridProposed,
-        config_with(4, ExecutionEngine::Interleaved, noc_model),
-    )
-    .run(&spec);
-
-    // Same workload, same protocol semantics: identical command streams...
-    assert_eq!(legacy.instructions, interleaved.instructions);
-    assert_eq!(
-        legacy.stats.count("dmac.commands"),
-        interleaved.stats.count("dmac.commands")
-    );
-    // ...but the network observes them in a different order: the per-link
-    // utilisation differs, which is exactly the ordering artifact.
-    let legacy_util = legacy.stats.value("noc.des.links.max_utilization");
-    let interleaved_util = interleaved.stats.value("noc.des.links.max_utilization");
-    assert_ne!(
-        legacy_util, interleaved_util,
-        "per-link utilisation should differ between engines on a multicore run"
-    );
-    // Tile-serialized replay hands the DES clock backwards at every core
-    // switch; the min-clock scheduler advances it monotonically.
-    assert!(legacy.stats.count("noc.des.clock.regressions") > 0);
-    assert_eq!(interleaved.stats.count("noc.des.clock.regressions"), 0);
+    for kind in MachineKind::ALL {
+        let result = Machine::new(kind, config_with(4, noc::NocModel::DiscreteEvent)).run(&spec);
+        assert!(
+            result.stats.count("noc.des.packets.delivered") > 0,
+            "{kind}"
+        );
+    }
 }
 
 #[test]
 fn engine_campaigns_are_deterministic_across_worker_counts() {
-    // Under the discrete-event NoC the observation order feeds back into
-    // every latency, so the engine points of one sweep must differ.
     let points = SweepSpec::new(&["CG"])
         .with_machines(&["hybrid-proposed"])
         .with_cores(&[2])
         .with_scales(&[1.0 / 512.0])
-        .with_noc_models(&["discrete-event"])
-        .with_engines(&spm_manycore::campaign::ENGINE_IDS)
+        .with_noc_models(&spm_manycore::campaign::NOC_MODEL_IDS)
         .small()
         .points();
     assert_eq!(points.len(), 2);
@@ -163,9 +111,8 @@ fn engine_campaigns_are_deterministic_across_worker_counts() {
     for (a, b) in serial.results.iter().zip(&parallel.results) {
         assert_eq!(encoded(a), encoded(b));
     }
-    // Both engines really ran: the two points of one sweep share a seed
-    // (apples-to-apples workload) but not a result — with 2 cores the
-    // shared caches already observe a different access order.
+    // Both NoC models really ran: the two points of one sweep share a seed
+    // (apples-to-apples workload) but not a result.
     assert_ne!(encoded(&serial.results[0]), encoded(&serial.results[1]));
 }
 
@@ -183,26 +130,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let spec = NasBenchmark::ALL[bench].spec_scaled(1.0 / 1024.0);
-        let mut config = config_with(cores, ExecutionEngine::Interleaved, noc::NocModel::Analytic);
+        let mut config = config_with(cores, noc::NocModel::Analytic);
         config.trace_seed = seed;
         let (result, audit) = Machine::new(MachineKind::HybridProposed, config).run_audited(&spec);
         prop_assert!(result.execution_time > Cycle::ZERO);
         assert_barriers_respected(&audit);
         // The end-to-end time is the last barrier.
         prop_assert_eq!(result.execution_time, audit.kernels.last().unwrap().barrier);
-    }
-
-    /// Engine equivalence on one core holds for any trace seed, not just
-    /// the default one.
-    #[test]
-    fn single_core_equivalence_holds_for_any_seed(seed in any::<u64>()) {
-        let spec = NasBenchmark::Is.spec_scaled(1.0 / 1024.0);
-        let mut legacy = config_with(1, ExecutionEngine::Legacy, noc::NocModel::Analytic);
-        legacy.trace_seed = seed;
-        let mut interleaved = legacy.clone();
-        interleaved.engine = ExecutionEngine::Interleaved;
-        let a = Machine::new(MachineKind::HybridProposed, legacy).run(&spec);
-        let b = Machine::new(MachineKind::HybridProposed, interleaved).run(&spec);
-        prop_assert_eq!(encoded(&a), encoded(&b));
     }
 }

@@ -3,9 +3,10 @@
 //! The step-throughput overhaul rebuilds the simulator's inner loop (stat
 //! handles, pooled events, SoA cache slabs) and must not change a single
 //! observable number.  This matrix pins the full result-codec JSON of a
-//! small run for every machine kind × execution engine × NoC model ×
-//! value-tracking combination against goldens under
-//! `tests/golden/hot_loop/` captured from the pre-refactor tree.
+//! small run for every machine kind × NoC model × value-tracking
+//! combination against goldens under `tests/golden/hot_loop/` captured from
+//! the pre-refactor tree.  The `interleaved` segment of the golden names is
+//! the scheduler they were captured under, which is now the only one.
 //!
 //! A perf refactor that touches these files is by definition not a pure
 //! refactor: the goldens may only be regenerated by a PR that *intends* a
@@ -26,22 +27,19 @@ use spm_manycore::campaign::Executor;
 use spm_manycore::noc::NocModel;
 use spm_manycore::simkernel::{Json, TraceSettings};
 use spm_manycore::system::sweep::{LoweredRun, RunContext};
-use spm_manycore::system::{
-    CoherenceProtocol, ExecutionEngine, Machine, MachineKind, RunResult, SystemConfig,
-};
+use spm_manycore::system::{CoherenceProtocol, Machine, MachineKind, RunResult, SystemConfig};
 use spm_manycore::workloads::nas::NasBenchmark;
 use spm_manycore::workloads::BenchmarkSpec;
 
-/// The workload: small enough that the 24-run matrix stays fast in debug
+/// The workload: small enough that the 12-run matrix stays fast in debug
 /// builds, large enough to exercise DMA, guarded accesses, the prefetcher
 /// and both NoC backends.
 fn spec() -> BenchmarkSpec {
     NasBenchmark::Cg.spec_scaled(1.0 / 1024.0)
 }
 
-fn config(engine: ExecutionEngine, noc: NocModel, track_values: bool) -> SystemConfig {
+fn config(noc: NocModel, track_values: bool) -> SystemConfig {
     let mut config = SystemConfig::small(4);
-    config.engine = engine;
     config.set_noc_model(noc);
     config.track_values = track_values;
     config
@@ -54,11 +52,10 @@ fn noc_id(noc: NocModel) -> &'static str {
     }
 }
 
-fn golden_path(kind: MachineKind, engine: ExecutionEngine, noc: NocModel, values: bool) -> PathBuf {
+/// `tests/golden/hot_loop/<prefix>_interleaved_<noc>_<plain|valued>.json`.
+fn golden_path(prefix: &str, noc: NocModel, values: bool) -> PathBuf {
     let name = format!(
-        "{}_{}_{}_{}.json",
-        kind.id(),
-        engine.id(),
+        "{prefix}_interleaved_{}_{}.json",
         noc_id(noc),
         if values { "valued" } else { "plain" }
     );
@@ -67,8 +64,8 @@ fn golden_path(kind: MachineKind, engine: ExecutionEngine, noc: NocModel, values
         .join(name)
 }
 
-fn run(kind: MachineKind, engine: ExecutionEngine, noc: NocModel, values: bool) -> RunResult {
-    Machine::new(kind, config(engine, noc, values)).run(&spec())
+fn run(kind: MachineKind, noc: NocModel, values: bool) -> RunResult {
+    Machine::new(kind, config(noc, values)).run(&spec())
 }
 
 fn blessing() -> bool {
@@ -79,79 +76,16 @@ fn blessing() -> bool {
 fn full_matrix_matches_pinned_goldens() {
     let mut checked = 0usize;
     for kind in MachineKind::ALL {
-        for engine in ExecutionEngine::ALL {
-            for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
-                for values in [false, true] {
-                    let combo = format!(
-                        "{} × {} × {} × {}",
-                        kind.id(),
-                        engine.id(),
-                        noc_id(noc),
-                        if values { "valued" } else { "plain" }
-                    );
-                    let rendered = run(kind, engine, noc, values).to_json();
-                    let path = golden_path(kind, engine, noc, values);
-                    if blessing() {
-                        fs::create_dir_all(path.parent().unwrap()).unwrap();
-                        fs::write(&path, &rendered).unwrap();
-                        checked += 1;
-                        continue;
-                    }
-                    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
-                        panic!(
-                            "missing golden for {combo} at {}: {e}\n\
-                             capture the wall with BLESS_HOT_LOOP=1 \
-                             cargo test --release --test hot_loop_equivalence",
-                            path.display()
-                        )
-                    });
-                    assert_eq!(
-                        rendered,
-                        golden,
-                        "{combo} drifted from {}; the hot-loop refactor must \
-                         be bit-identical — if this change is an intentional \
-                         model change, re-bless and justify the drift",
-                        path.display()
-                    );
-                    checked += 1;
-                }
-            }
-        }
-    }
-    assert_eq!(checked, 24, "the matrix must cover every combination");
-}
-
-/// The directory-baseline wall, beside the paper-protocol one: the plain
-/// home-directory backend gets its own pinned goldens for every engine ×
-/// NoC model × value-tracking combination on the proposed machine (the only
-/// kind the protocol knob affects).  Same blessing path, same rules: only a
-/// PR that intends a model change may regenerate them.
-#[test]
-fn directory_backend_matrix_matches_pinned_goldens() {
-    let mut checked = 0usize;
-    for engine in ExecutionEngine::ALL {
         for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
             for values in [false, true] {
                 let combo = format!(
-                    "directory × {} × {} × {}",
-                    engine.id(),
+                    "{} × {} × {}",
+                    kind.id(),
                     noc_id(noc),
                     if values { "valued" } else { "plain" }
                 );
-                let mut cfg = config(engine, noc, values);
-                cfg.coherence_protocol = CoherenceProtocol::Directory;
-                let rendered = Machine::new(MachineKind::HybridProposed, cfg)
-                    .run(&spec())
-                    .to_json();
-                let name = format!(
-                    "directory_{}_{}_{}.json",
-                    engine.id(),
-                    noc_id(noc),
-                    if values { "valued" } else { "plain" }
-                );
-                let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                    .join("tests/golden/hot_loop")
-                    .join(name);
+                let rendered = run(kind, noc, values).to_json();
+                let path = golden_path(kind.id(), noc, values);
                 if blessing() {
                     fs::create_dir_all(path.parent().unwrap()).unwrap();
                     fs::write(&path, &rendered).unwrap();
@@ -161,34 +95,81 @@ fn directory_backend_matrix_matches_pinned_goldens() {
                 let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
                     panic!(
                         "missing golden for {combo} at {}: {e}\n\
-                         capture with BLESS_HOT_LOOP=1 \
+                         capture the wall with BLESS_HOT_LOOP=1 \
                          cargo test --release --test hot_loop_equivalence",
                         path.display()
                     )
                 });
-                assert_eq!(rendered, golden, "{combo} drifted from {}", path.display());
+                assert_eq!(
+                    rendered,
+                    golden,
+                    "{combo} drifted from {}; the hot-loop refactor must \
+                     be bit-identical — if this change is an intentional \
+                     model change, re-bless and justify the drift",
+                    path.display()
+                );
                 checked += 1;
             }
         }
     }
+    assert_eq!(checked, 12, "the matrix must cover every combination");
+}
+
+/// The directory-baseline wall, beside the paper-protocol one: the plain
+/// home-directory backend gets its own pinned goldens for every NoC model ×
+/// value-tracking combination on the proposed machine (the only kind the
+/// protocol knob affects).  Same blessing path, same rules: only a PR that
+/// intends a model change may regenerate them.
+#[test]
+fn directory_backend_matrix_matches_pinned_goldens() {
+    let mut checked = 0usize;
+    for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
+        for values in [false, true] {
+            let combo = format!(
+                "directory × {} × {}",
+                noc_id(noc),
+                if values { "valued" } else { "plain" }
+            );
+            let mut cfg = config(noc, values);
+            cfg.coherence_protocol = CoherenceProtocol::Directory;
+            let rendered = Machine::new(MachineKind::HybridProposed, cfg)
+                .run(&spec())
+                .to_json();
+            let path = golden_path("directory", noc, values);
+            if blessing() {
+                fs::create_dir_all(path.parent().unwrap()).unwrap();
+                fs::write(&path, &rendered).unwrap();
+                checked += 1;
+                continue;
+            }
+            let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
+                panic!(
+                    "missing golden for {combo} at {}: {e}\n\
+                     capture with BLESS_HOT_LOOP=1 \
+                     cargo test --release --test hot_loop_equivalence",
+                    path.display()
+                )
+            });
+            assert_eq!(rendered, golden, "{combo} drifted from {}", path.display());
+            checked += 1;
+        }
+    }
     assert_eq!(
-        checked, 8,
+        checked, 4,
         "the directory wall must cover every combination"
     );
 }
 
 /// Worker count never shows up in the directory backend's results: the
 /// same runs on one campaign worker and on four encode bit-identically, for
-/// both engines and NoC models with value tracking on.
+/// both NoC models with value tracking on.
 #[test]
 fn directory_backend_is_bit_identical_across_parallel_jobs() {
     let mut runs: Vec<LoweredRun> = Vec::new();
-    for engine in ExecutionEngine::ALL {
-        for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
-            let mut cfg = config(engine, noc, true);
-            cfg.coherence_protocol = CoherenceProtocol::Directory;
-            runs.push((cfg, spec(), MachineKind::HybridProposed));
-        }
+    for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
+        let mut cfg = config(noc, true);
+        cfg.coherence_protocol = CoherenceProtocol::Directory;
+        runs.push((cfg, spec(), MachineKind::HybridProposed));
     }
     let run_with = |jobs: usize| -> Vec<String> {
         RunContext::new(Executor::new(jobs), None)
@@ -203,50 +184,46 @@ fn directory_backend_is_bit_identical_across_parallel_jobs() {
 
 /// Event tracing is pure presentation: arming the tracer with every
 /// category and an aggressive sampling period must leave every observable
-/// number — the complete result-codec JSON — bit-identical, on both
-/// engines and both NoC backends.
+/// number — the complete result-codec JSON — bit-identical, on both NoC
+/// backends.
 #[test]
 fn tracing_leaves_timing_untouched() {
-    for engine in ExecutionEngine::ALL {
-        for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
-            let combo = format!("{} × {}", engine.id(), noc_id(noc));
-            let plain = run(MachineKind::HybridProposed, engine, noc, false);
-            let mut traced = config(engine, noc, false);
-            traced.trace = TraceSettings::enabled();
-            traced.trace.sample_interval = 500;
-            let traced = Machine::new(MachineKind::HybridProposed, traced).run(&spec());
-            assert_eq!(
-                plain.to_json(),
-                traced.to_json(),
-                "{combo}: tracing must not perturb any observable number"
-            );
-        }
+    for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
+        let combo = noc_id(noc);
+        let plain = run(MachineKind::HybridProposed, noc, false);
+        let mut traced = config(noc, false);
+        traced.trace = TraceSettings::enabled();
+        traced.trace.sample_interval = 500;
+        let traced = Machine::new(MachineKind::HybridProposed, traced).run(&spec());
+        assert_eq!(
+            plain.to_json(),
+            traced.to_json(),
+            "{combo}: tracing must not perturb any observable number"
+        );
     }
 }
 
 /// Cycle accounting is pure presentation, exactly like event tracing:
 /// arming the accountant must leave the complete result-codec JSON
-/// bit-identical on every engine × NoC combination, and the books it keeps
-/// must sum bit-exactly to the elapsed cycles (the exhaustiveness
-/// invariant).  `SystemConfig::cycle_accounting` documents this pin, and
-/// the campaign cache key relies on it.
+/// bit-identical on both NoC backends, and the books it keeps must sum
+/// bit-exactly to the elapsed cycles (the exhaustiveness invariant).
+/// `SystemConfig::cycle_accounting` documents this pin, and the campaign
+/// cache key relies on it.
 #[test]
 fn cycle_accounting_leaves_timing_untouched() {
-    for engine in ExecutionEngine::ALL {
-        for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
-            let combo = format!("{} × {}", engine.id(), noc_id(noc));
-            let plain = run(MachineKind::HybridProposed, engine, noc, false);
-            let machine = Machine::new(MachineKind::HybridProposed, config(engine, noc, false));
-            let (accounted, breakdown) = machine.run_accounted(&spec());
-            assert_eq!(
-                plain.to_json(),
-                accounted.to_json(),
-                "{combo}: accounting must not perturb any observable number"
-            );
-            breakdown
-                .check_exhaustive()
-                .unwrap_or_else(|e| panic!("{combo}: {e}"));
-        }
+    for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
+        let combo = noc_id(noc);
+        let plain = run(MachineKind::HybridProposed, noc, false);
+        let machine = Machine::new(MachineKind::HybridProposed, config(noc, false));
+        let (accounted, breakdown) = machine.run_accounted(&spec());
+        assert_eq!(
+            plain.to_json(),
+            accounted.to_json(),
+            "{combo}: accounting must not perturb any observable number"
+        );
+        breakdown
+            .check_exhaustive()
+            .unwrap_or_else(|e| panic!("{combo}: {e}"));
     }
 }
 
@@ -257,7 +234,7 @@ fn cycle_accounting_leaves_timing_untouched() {
 fn traced_run_emits_a_valid_chrome_document() {
     let machine = Machine::new(
         MachineKind::HybridProposed,
-        config(ExecutionEngine::Interleaved, NocModel::DiscreteEvent, false),
+        config(NocModel::DiscreteEvent, false),
     );
     let (result, capture) = machine.run_traced(&spec());
     assert!(result.execution_time.as_u64() > 0);
@@ -294,47 +271,45 @@ fn traced_run_emits_a_valid_chrome_document() {
 
 /// Value tracking moves real data along every access path but must leave
 /// the timing model completely untouched: same clocks, same traffic, same
-/// energy, on both engines and both NoC backends.
+/// energy, on both NoC backends.
 #[test]
 fn value_tracking_leaves_timing_untouched() {
-    for engine in ExecutionEngine::ALL {
-        for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
-            let plain = run(MachineKind::HybridProposed, engine, noc, false);
-            let valued = run(MachineKind::HybridProposed, engine, noc, true);
-            let combo = format!("{} × {}", engine.id(), noc_id(noc));
-            assert_eq!(
-                plain.execution_time, valued.execution_time,
-                "{combo}: execution time"
-            );
-            assert_eq!(
-                plain.phase_cycles, valued.phase_cycles,
-                "{combo}: phase breakdown"
-            );
-            assert_eq!(
-                plain.instructions, valued.instructions,
-                "{combo}: instructions"
-            );
-            assert_eq!(plain.traffic, valued.traffic, "{combo}: NoC traffic");
-            assert_eq!(
-                plain.total_energy().to_bits(),
-                valued.total_energy().to_bits(),
-                "{combo}: energy"
-            );
-            // Every exported stat matches except the value-forwarding
-            // counter, which is functional (it counts data actually moved
-            // through the LSQ, so it is zero without values).
-            let timing_stats = |r: &RunResult| {
-                r.stats
-                    .iter()
-                    .filter(|(name, _)| *name != "cpu.lsq.value_forwards")
-                    .map(|(name, value)| (name.to_owned(), format!("{value:?}")))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(
-                timing_stats(&plain),
-                timing_stats(&valued),
-                "{combo}: stat registry"
-            );
-        }
+    for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
+        let plain = run(MachineKind::HybridProposed, noc, false);
+        let valued = run(MachineKind::HybridProposed, noc, true);
+        let combo = noc_id(noc);
+        assert_eq!(
+            plain.execution_time, valued.execution_time,
+            "{combo}: execution time"
+        );
+        assert_eq!(
+            plain.phase_cycles, valued.phase_cycles,
+            "{combo}: phase breakdown"
+        );
+        assert_eq!(
+            plain.instructions, valued.instructions,
+            "{combo}: instructions"
+        );
+        assert_eq!(plain.traffic, valued.traffic, "{combo}: NoC traffic");
+        assert_eq!(
+            plain.total_energy().to_bits(),
+            valued.total_energy().to_bits(),
+            "{combo}: energy"
+        );
+        // Every exported stat matches except the value-forwarding
+        // counter, which is functional (it counts data actually moved
+        // through the LSQ, so it is zero without values).
+        let timing_stats = |r: &RunResult| {
+            r.stats
+                .iter()
+                .filter(|(name, _)| *name != "cpu.lsq.value_forwards")
+                .map(|(name, value)| (name.to_owned(), format!("{value:?}")))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            timing_stats(&plain),
+            timing_stats(&valued),
+            "{combo}: stat registry"
+        );
     }
 }
