@@ -334,6 +334,14 @@ mod tests {
         assert_eq!(c.protocol.spmdir_entries, 32);
         assert_eq!(c.protocol.filter_entries, 48);
         assert_eq!(c.protocol.filterdir_entries, 4096);
+    }
+
+    /// The name predates the removal of the legacy engine; the default is
+    /// now the only engine, the min-clock scheduler.
+    #[test]
+    fn default_engine_is_legacy_with_debug_off() {
+        let c = SystemConfig::isca2015();
+        assert_eq!(c.engine, ExecutionEngine::Interleaved);
         assert!(!c.debug_cores);
         assert_eq!(c.coherence_protocol, CoherenceProtocol::FilterDir);
     }
