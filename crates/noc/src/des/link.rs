@@ -28,6 +28,23 @@ pub(crate) struct LinkState {
     pub packets: u64,
 }
 
+/// One straight leg of an XY route: `count` directed links whose indices
+/// start at `first` and step by `stride` (±4 along a row, ±4·cols along a
+/// column, since consecutive nodes of a leg differ by ±1 or ±cols).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Leg {
+    first: usize,
+    stride: isize,
+    pub count: u64,
+}
+
+impl Leg {
+    /// The leg's directed-link indices in traversal order.
+    pub(crate) fn links(self) -> impl Iterator<Item = usize> {
+        (0..self.count as isize).map(move |i| self.first.wrapping_add_signed(i * self.stride))
+    }
+}
+
 /// The directed links of a mesh, indexed `node × 4 + direction`.
 #[derive(Debug, Clone)]
 pub(crate) struct LinkGrid {
@@ -45,8 +62,9 @@ impl LinkGrid {
 
     /// The index of the directed link from `from` to the adjacent node `to`.
     ///
-    /// The event loop routes through [`LinkGrid::next_toward`]; this direct
-    /// form remains as the test oracle for it.
+    /// The routing code goes through [`LinkGrid::next_toward`] and
+    /// [`LinkGrid::xy_legs`]; this direct form remains as the test oracle
+    /// for both.
     ///
     /// # Panics
     ///
@@ -70,7 +88,7 @@ impl LinkGrid {
     /// traverses, or `None` when the packet is already at its destination.
     ///
     /// One coordinate decomposition serves both the routing decision and the
-    /// link index, so the event loop never materialises a route.
+    /// link index, so the batch event loop never materialises a route.
     #[inline]
     pub(crate) fn next_toward(&self, at: NodeId, to: NodeId) -> Option<(NodeId, usize)> {
         let (ac, ar) = self.topology.coords(at);
@@ -87,6 +105,37 @@ impl LinkGrid {
             return None;
         };
         Some((NodeId::new(next), at.index() * 4 + dir))
+    }
+
+    /// The X leg and then the Y leg of the XY route from `from` to `to`,
+    /// with both coordinates decomposed once for the whole route.  A leg
+    /// along an axis the packet does not move on has `count == 0`, so a
+    /// local (same-tile) route has no links at all.
+    #[inline]
+    pub(crate) fn xy_legs(&self, from: NodeId, to: NodeId) -> [Leg; 2] {
+        let (fc, fr) = self.topology.coords(from);
+        let (tc, tr) = self.topology.coords(to);
+        let cols = self.topology.cols();
+        let (x_dir, x_stride) = if tc >= fc { (EAST, 4) } else { (WEST, -4) };
+        let (y_dir, y_stride) = if tr >= fr {
+            (SOUTH, 4 * cols as isize)
+        } else {
+            (NORTH, -4 * cols as isize)
+        };
+        // The turn happens at the source's row, in the destination's column.
+        let corner = fr * cols + tc;
+        [
+            Leg {
+                first: from.index() * 4 + x_dir,
+                stride: x_stride,
+                count: fc.abs_diff(tc) as u64,
+            },
+            Leg {
+                first: corner * 4 + y_dir,
+                stride: y_stride,
+                count: fr.abs_diff(tr) as u64,
+            },
+        ]
     }
 
     pub(crate) fn state_mut(&mut self, index: usize) -> &mut LinkState {
@@ -151,6 +200,42 @@ mod tests {
     fn non_neighbours_panic() {
         let mesh = MeshTopology::new(3, 3);
         LinkGrid::new(mesh).index_between(mesh.node_at(0, 0), mesh.node_at(2, 0));
+    }
+
+    #[test]
+    fn xy_legs_walk_the_same_links_as_next_toward() {
+        for (cols, rows) in [
+            (1, 1),
+            (3, 1),
+            (1, 3),
+            (3, 2),
+            (6, 2),
+            (9, 1),
+            (4, 3),
+            (12, 3),
+        ] {
+            let mesh = MeshTopology::new(cols, rows);
+            let grid = LinkGrid::new(mesh);
+            for from in 0..mesh.nodes() {
+                for to in 0..mesh.nodes() {
+                    let (from, to) = (NodeId::new(from), NodeId::new(to));
+                    let mut hop_by_hop = Vec::new();
+                    let mut at = from;
+                    while let Some((next, link)) = grid.next_toward(at, to) {
+                        assert_eq!(link, grid.index_between(at, next));
+                        hop_by_hop.push(link);
+                        at = next;
+                    }
+                    let legs: Vec<usize> = grid
+                        .xy_legs(from, to)
+                        .into_iter()
+                        .flat_map(Leg::links)
+                        .collect();
+                    assert_eq!(legs, hop_by_hop, "{cols}x{rows}: {from}->{to}");
+                    assert_eq!(legs.len() as u64, mesh.hops(from, to));
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,19 +4,27 @@
 //! hotspots — the filterDir home tiles the paper claims see "very low"
 //! contention — invisible by construction.  This backend *measures* them:
 //! every packet is XY-routed hop by hop over the mesh, claiming each
-//! directed link's per-virtual-channel FIFO slot in timestamp order through
-//! a [`simkernel::EventQueue`], with injection and ejection queues at every
-//! node.  Per-link utilisation and per-node queueing come out as
-//! first-class statistics instead of assumptions.
+//! directed link's per-virtual-channel FIFO slot, with injection and
+//! ejection queues at every node.  Per-link utilisation and per-node
+//! queueing come out as first-class statistics instead of assumptions.
 //!
-//! The clock model: packets are injected at the engine's current cycle
-//! (advanced by [`DesNoc::advance_to`] from the machine driver, or set per
-//! packet by [`DesNoc::inject_at`] for synthetic traffic), and every
-//! [`DesNoc::send`] drains the event queue so the caller gets the packet's
-//! latency synchronously — the same `send(...) → latency` contract the
-//! analytic model has.  On an idle network the latency is exactly the
-//! analytic zero-load latency, `hops·(link+router) + flits−1`, which the
-//! model-equivalence tests pin.
+//! Two entry points share one set of timing rules (the injection-, link-
+//! and ejection-claim helpers) and differ only in how they order the claims:
+//!
+//! * [`DesNoc::send`] — the machine's path.  It injects one packet at the
+//!   engine's current cycle (advanced by [`DesNoc::advance_to`]) and
+//!   reserves its whole XY route at once, returning the latency
+//!   synchronously — the same `send(...) → latency` contract the analytic
+//!   model has.  Nothing else is in flight during a send, so the route
+//!   order *is* the event order and no event queue is needed; the machine's
+//!   min-clock scheduler issues sends in simulated-time order.
+//! * [`DesNoc::inject_at`] + [`DesNoc::drain`] — the batch path for
+//!   synthetic traffic.  Packets with their own injection cycles interleave
+//!   hop by hop through a [`simkernel::EventQueue`].
+//!
+//! On an idle network the latency is exactly the analytic zero-load
+//! latency, `hops·(link+router) + flits−1`, which the model-equivalence
+//! tests pin.
 
 mod link;
 mod sim;
@@ -30,7 +38,7 @@ use crate::network::NocConfig;
 use crate::packet::{MessageClass, PacketKind, VirtualChannel, NUM_VIRTUAL_CHANNELS};
 use crate::traffic::TrafficAccountant;
 
-use link::LinkGrid;
+use link::{Leg, LinkGrid};
 
 /// One packet in flight (or delivered) within the current batch.
 ///
@@ -134,8 +142,10 @@ impl DesNoc {
     /// Schedules one packet for injection at cycle `at`, recording its
     /// traffic, and returns its index within the current batch.
     ///
-    /// Nothing moves until [`DesNoc::drain`] (or [`DesNoc::send`], which
-    /// drains internally) runs the event queue.
+    /// Nothing moves until [`DesNoc::drain`] runs the event queue.  Drain
+    /// the batch before the next [`DesNoc::send`]: a send reserves its
+    /// route as if nothing else were in flight, so calling it on an
+    /// undrained batch panics.
     pub fn inject_at(
         &mut self,
         at: Cycle,
@@ -144,20 +154,31 @@ impl DesNoc {
         class: MessageClass,
         payload_bytes: u64,
     ) -> usize {
-        let kind = PacketKind::for_payload(payload_bytes);
         let hops = self.config.topology.hops(from, to);
-        self.traffic.record(class, kind, hops.max(1));
+        let (vc, flits) = self.admit(class, payload_bytes, hops);
         let id = self.packets.len();
         self.packets.push(PacketState {
             src: from,
             dst: to,
-            vc: VirtualChannel::for_packet(class, kind).index(),
-            flits: kind.flits(),
+            vc,
+            flits,
             injected_at: at,
             delivered_at: None,
         });
         self.pending.push((at, id));
         id
+    }
+
+    /// Records one packet's traffic and returns its virtual channel and
+    /// length in flits.
+    #[inline]
+    fn admit(&mut self, class: MessageClass, payload_bytes: u64, hops: u64) -> (usize, u64) {
+        let kind = PacketKind::for_payload(payload_bytes);
+        self.traffic.record(class, kind, hops.max(1));
+        (
+            VirtualChannel::for_packet(class, kind).index(),
+            kind.flits(),
+        )
     }
 
     /// Processes every pending injection and in-flight arrival in global
@@ -180,7 +201,15 @@ impl DesNoc {
             if take_inject {
                 let (at, packet) = pending[next];
                 next += 1;
-                self.inject(at, packet);
+                let p = self.packets[packet];
+                let start = self.claim_injection(at, p.src, p.vc, p.flits);
+                self.queue.schedule(
+                    start,
+                    Arrive {
+                        packet,
+                        node: p.src,
+                    },
+                );
             } else {
                 let (when, event) = self.queue.pop().expect("peeked");
                 self.step(when, event);
@@ -206,51 +235,76 @@ impl DesNoc {
         batch
     }
 
-    /// A packet asks its source node's injection port for a slot.
-    fn inject(&mut self, when: Cycle, packet: usize) {
-        let (src, vc, flits) = {
-            let p = &self.packets[packet];
-            (p.src, p.vc, p.flits)
-        };
-        let port = &mut self.inject_free[src.index()][vc];
-        let start = when.max(*port);
-        *port = start + Cycle::new(flits);
-        self.inject_wait[src.index()] += (start - when).as_u64();
-        self.queue.schedule(start, Arrive { packet, node: src });
-    }
-
+    /// One hop-level event of the batch path: the packet's head flit has
+    /// reached `node`.
     fn step(&mut self, when: Cycle, Arrive { packet, node }: Arrive) {
         let p = self.packets[packet];
         match self.links.next_toward(node, p.dst) {
             None => {
-                // Local (same-tile) packets still loop through their
-                // router once, matching the analytic `hops.max(1)`.
-                let ready = if node == p.src {
-                    when + Cycle::new(self.config.hop_latency())
-                } else {
-                    when
-                };
-                let port = &mut self.eject_free[node.index()][p.vc];
-                let granted = ready.max(*port);
-                *port = granted + Cycle::new(p.flits);
-                self.eject_wait[node.index()] += (granted - ready).as_u64();
-                let delivered = granted + Cycle::new(p.flits - 1);
+                let delivered = self.claim_ejection(when, node, node == p.src, p.vc, p.flits);
                 self.packets[packet].delivered_at = Some(delivered);
-                self.horizon = self.horizon.max(delivered);
             }
             Some((next, link)) => {
-                let ready = when + self.config.router_latency;
-                let state = self.links.state_mut(link);
-                let depart = ready.max(state.free_at[p.vc]);
-                state.free_at[p.vc] = depart + Cycle::new(p.flits);
-                state.busy_cycles += p.flits;
-                state.packets += 1;
-                self.queue.schedule(
-                    depart + self.config.link_latency,
-                    Arrive { packet, node: next },
-                );
+                let arrive = self.claim_link(when, link, p.vc, p.flits);
+                self.queue.schedule(arrive, Arrive { packet, node: next });
             }
         }
+    }
+
+    // ------------------------------------------------------- timing rules
+    //
+    // Both paths move a packet through exactly these three claims; only the
+    // order they are called in differs.
+
+    /// A packet asks `src`'s injection port for a slot at `when`; returns
+    /// the cycle its head flit enters the source router.
+    #[inline]
+    fn claim_injection(&mut self, when: Cycle, src: NodeId, vc: usize, flits: u64) -> Cycle {
+        let port = &mut self.inject_free[src.index()][vc];
+        let start = when.max(*port);
+        *port = start + Cycle::new(flits);
+        self.inject_wait[src.index()] += (start - when).as_u64();
+        start
+    }
+
+    /// The head flit, in a router since `when`, crosses the directed link
+    /// `link` on channel `vc`; returns the cycle it reaches the next router.
+    #[inline]
+    fn claim_link(&mut self, when: Cycle, link: usize, vc: usize, flits: u64) -> Cycle {
+        let ready = when + self.config.router_latency;
+        let state = self.links.state_mut(link);
+        let depart = ready.max(state.free_at[vc]);
+        state.free_at[vc] = depart + Cycle::new(flits);
+        state.busy_cycles += flits;
+        state.packets += 1;
+        depart + self.config.link_latency
+    }
+
+    /// The head flit, at its destination `node` since `arrived`, claims the
+    /// ejection port; returns the cycle the tail flit is delivered.
+    #[inline]
+    fn claim_ejection(
+        &mut self,
+        arrived: Cycle,
+        node: NodeId,
+        local: bool,
+        vc: usize,
+        flits: u64,
+    ) -> Cycle {
+        // Local (same-tile) packets still loop through their router once,
+        // matching the analytic `hops.max(1)`.
+        let ready = if local {
+            arrived + Cycle::new(self.config.hop_latency())
+        } else {
+            arrived
+        };
+        let port = &mut self.eject_free[node.index()][vc];
+        let granted = ready.max(*port);
+        *port = granted + Cycle::new(flits);
+        self.eject_wait[node.index()] += (granted - ready).as_u64();
+        let delivered = granted + Cycle::new(flits - 1);
+        self.horizon = self.horizon.max(delivered);
+        delivered
     }
 
     // ------------------------------------------------------------- measured
@@ -397,12 +451,31 @@ impl NocBackend for DesNoc {
         self.now = self.now.max(now);
     }
 
+    /// Injects one packet at the current cycle and reserves its whole XY
+    /// route — injection port, the X leg's links, the Y leg's links,
+    /// ejection port — in one pass, returning its latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an [`DesNoc::inject_at`] batch is still undrained: the
+    /// route is reserved as if nothing else were in flight.
     fn send(&mut self, from: NodeId, to: NodeId, class: MessageClass, payload_bytes: u64) -> Cycle {
-        let id = self.inject_at(self.now, from, to, class, payload_bytes);
-        self.run_events();
-        let p = &self.packets[id];
-        let latency = p.delivered_at.expect("drained") - p.injected_at;
-        self.drain();
+        assert!(
+            self.packets.is_empty(),
+            "DesNoc::send with an undrained inject_at batch; call drain() first"
+        );
+        let legs = self.links.xy_legs(from, to);
+        let hops = legs[0].count + legs[1].count;
+        let (vc, flits) = self.admit(class, payload_bytes, hops);
+        let injected_at = self.now;
+        let mut head = self.claim_injection(injected_at, from, vc, flits);
+        for link in legs.into_iter().flat_map(Leg::links) {
+            head = self.claim_link(head, link, vc, flits);
+        }
+        let delivered = self.claim_ejection(head, to, hops == 0, vc, flits);
+        let latency = delivered - injected_at;
+        self.latency.record(latency.as_f64());
+        self.delivered += 1;
         latency
     }
 
@@ -656,6 +729,105 @@ mod tests {
         let copy = noc.clone();
         assert_eq!(copy.delivered(), noc.delivered());
         assert_eq!(copy.max_link_utilization(), noc.max_link_utilization());
+    }
+
+    #[test]
+    #[should_panic(expected = "undrained inject_at batch")]
+    fn send_on_an_undrained_batch_panics() {
+        let mut noc = des(16);
+        noc.inject_at(
+            Cycle::ZERO,
+            NodeId::new(0),
+            NodeId::new(5),
+            MessageClass::Read,
+            8,
+        );
+        let _ = noc.send(NodeId::new(1), NodeId::new(5), MessageClass::Read, 8);
+    }
+
+    mod properties {
+        use super::*;
+        use crate::topology::MeshTopology;
+        use proptest::prelude::*;
+
+        /// Mesh shapes, including non-power-of-two column counts (whose
+        /// coordinates take the division path) and a single tile.
+        const SHAPES: [(usize, usize); 8] = [
+            (1, 1),
+            (3, 1),
+            (3, 3),
+            (6, 2),
+            (9, 3),
+            (12, 2),
+            (4, 4),
+            (8, 8),
+        ];
+
+        /// `(gap before the send, from, to, class, payload bytes)`, with the
+        /// node ids reduced modulo the mesh size.
+        fn packet() -> impl Strategy<Value = (u64, usize, usize, (usize, u64))> {
+            (0u64..4, 0usize..1024, 0usize..1024, (0usize..6, 1u64..=72))
+        }
+
+        /// Everything the backend can report about its state.
+        fn observe(noc: &DesNoc) -> impl PartialEq + std::fmt::Debug {
+            let mut stats = StatRegistry::new();
+            noc.export_stats(&mut stats);
+            let mut depths = Vec::new();
+            noc.home_queue_depths(noc.now(), &mut depths);
+            (
+                stats,
+                noc.link_busy_cycles(),
+                depths,
+                noc.inject_wait_cycles().to_vec(),
+                noc.eject_wait_cycles().to_vec(),
+                noc.latency_stat(),
+                noc.horizon(),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The one-pass route walk of `send` and the batch event loop
+            /// (`inject_at` at the current cycle, then `drain`) are the same
+            /// timing model: after any history of earlier sends they agree
+            /// on the packet's latency and leave identical state behind.
+            #[test]
+            fn send_matches_a_one_packet_batch(
+                shape in 0usize..SHAPES.len(),
+                history in proptest::collection::vec(packet(), 0..48),
+                last in packet(),
+            ) {
+                let (cols, rows) = SHAPES[shape];
+                let mut config = NocConfig::isca2015(cols * rows).with_model(NocModel::DiscreteEvent);
+                config.topology = MeshTopology::new(cols, rows);
+                let nodes = config.topology.nodes();
+                let mut noc = DesNoc::new(config);
+                let mut now = Cycle::ZERO;
+                // Moves the clock by the packet's gap and resolves its fields.
+                let mut advance = |noc: &mut DesNoc, (gap, from, to, (class, bytes)): (u64, usize, usize, (usize, u64))| {
+                    now += Cycle::new(gap);
+                    noc.advance_to(now);
+                    (NodeId::new(from % nodes), NodeId::new(to % nodes), MessageClass::ALL[class], bytes)
+                };
+                for p in history {
+                    let (from, to, class, bytes) = advance(&mut noc, p);
+                    let _ = noc.send(from, to, class, bytes);
+                }
+                let (from, to, class, bytes) = advance(&mut noc, last);
+                let mut batch = noc.clone();
+
+                let walked = noc.send(from, to, class, bytes);
+                let id = batch.inject_at(batch.now(), from, to, class, bytes);
+                batch.run_events();
+                let queued = batch.packets[id].delivered_at.expect("delivered") - batch.now();
+                prop_assert_eq!(batch.drain(), 1);
+
+                prop_assert_eq!(walked, queued, "{}x{} {}->{}", cols, rows, from, to);
+                prop_assert_eq!(observe(&noc), observe(&batch));
+            }
+        }
     }
 
     #[test]

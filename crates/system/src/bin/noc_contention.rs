@@ -12,7 +12,7 @@
 //! that test the paper's "contention in the filterDir is very low" claim
 //! instead of assuming it.
 
-use system::cli::{parse_list, write_export};
+use system::cli::{parse_list, write_export, CliError};
 use system::experiments::ablations::{
     noc_contention_csv, noc_contention_json, noc_contention_sweep, noc_contention_table,
 };
@@ -20,10 +20,13 @@ use system::experiments::ablations::{
 const USAGE: &str = "\
 noc_contention — injection-rate × mesh-size × model contention sweep
 
+usage: noc_contention [options]
+
 options (LIST = comma-separated values):
-  --meshes LIST     mesh sizes in tiles (default 16,64)
-  --rates LIST      injection rates in packets/node/cycle (default 0.02,0.05,0.1,0.2)
-  --duration N      injection window in cycles (default 10000)
+  --meshes LIST     mesh sizes in tiles, each at least 1 (default 16,64)
+  --rates LIST      injection rates in packets/node/cycle, each in (0, 1]
+                    (default 0.02,0.05,0.1,0.2)
+  --duration N      injection window in cycles, at least 1 (default 10000)
   --csv PATH        write per-point metrics as CSV ('-' for stdout)
   --json PATH       write per-point metrics as JSON ('-' for stdout)
   --quiet           suppress the summary table
@@ -40,7 +43,7 @@ struct Options {
     quiet: bool,
 }
 
-fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
     let mut options = Options {
         meshes: vec![16, 64],
         rates: vec![0.02, 0.05, 0.1, 0.2],
@@ -56,19 +59,32 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
             "--meshes" => options.meshes = parse_list("--meshes", &value("--meshes")?)?,
             "--rates" => options.rates = parse_list("--rates", &value("--rates")?)?,
             "--duration" => {
-                options.duration = value("--duration")?
+                let duration = value("--duration")?;
+                options.duration = duration
                     .parse()
-                    .map_err(|_| "--duration: not a number")?
+                    .map_err(|_| format!("--duration: cannot parse '{duration}'"))?
             }
             "--csv" => options.csv = Some(value("--csv")?),
             "--json" => options.json = Some(value("--json")?),
             "--quiet" => options.quiet = true,
-            "--help" | "-h" => return Err(USAGE.to_owned()),
-            other => return Err(format!("unknown argument '{other}'\n\n{USAGE}")),
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(format!("unknown argument '{other}'").into()),
         }
     }
     if options.meshes.contains(&0) {
-        return Err("--meshes: mesh sizes must be at least 1".into());
+        return Err("--meshes: mesh sizes must be at least 1".to_owned().into());
+    }
+    // The synthetic generator clamps its rate into [0, 1], so an
+    // out-of-range rate would run a different point than the table labels.
+    if let Some(rate) = options
+        .rates
+        .iter()
+        .find(|&&rate| !(rate.is_finite() && rate > 0.0 && rate <= 1.0))
+    {
+        return Err(format!("--rates: every rate must lie in (0, 1], got {rate}").into());
+    }
+    if options.duration == 0 {
+        return Err("--duration: must be at least 1 cycle".to_owned().into());
     }
     Ok(options)
 }
@@ -76,8 +92,12 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
 fn main() {
     let options = match parse(std::env::args().skip(1)) {
         Ok(options) => options,
-        Err(message) => {
-            eprintln!("{message}");
+        Err(CliError::Help) => {
+            print!("{USAGE}");
+            std::process::exit(0);
+        }
+        Err(CliError::Invalid(message)) => {
+            eprintln!("{message}\n\n{USAGE}");
             std::process::exit(2);
         }
     };
