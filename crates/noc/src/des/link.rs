@@ -31,7 +31,7 @@ pub(crate) struct LinkState {
 /// One straight leg of an XY route: `count` directed links whose indices
 /// start at `first` and step by `stride` (±4 along a row, ±4·cols along a
 /// column, since consecutive nodes of a leg differ by ±1 or ±cols).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Leg {
     first: usize,
     stride: isize,
