@@ -96,45 +96,32 @@ fn measure_step_throughput(samples: usize) -> Vec<Entry> {
 }
 
 /// The observer cost on the machine-step workload: the shipping default
-/// (tracing and accounting both off), events-only tracing, events plus the
-/// stat time-series, and cycle accounting.  Baselines are the medians
-/// recorded when the min-clock scheduler became the only engine (the
-/// entries' earlier baselines timed the removed segment-serialized
-/// replay); `--check` gates them like every other entry, so an observer
-/// that silently becomes always-on (or grows past its budget) fails CI.
+/// (tracing off; cycle accounting is always on), events-only tracing and
+/// events plus the stat time-series.  Baselines are the medians recorded
+/// when the min-clock scheduler became the only engine (the entries'
+/// earlier baselines timed the removed segment-serialized replay);
+/// `--check` gates them like every other entry, so an observer that
+/// silently becomes always-on (or grows past its budget) fails CI.
 fn measure_trace_overhead(samples: usize) -> Vec<Entry> {
     let benchmark = NasBenchmark::Cg;
     let spec = benchmark.spec_scaled(benchmark.recommended_scale() * BENCH_SCALE);
-    let modes: [(&'static str, TraceSettings, bool, u64); 4] = [
-        ("observers_off", TraceSettings::default(), false, 39_341_785),
+    let modes: [(&'static str, TraceSettings, u64); 3] = [
+        ("observers_off", TraceSettings::default(), 39_341_785),
         (
             "trace_events",
             TraceSettings {
                 sample_interval: 0,
                 ..TraceSettings::enabled()
             },
-            false,
             51_717_603,
         ),
-        (
-            "trace_events_samples",
-            TraceSettings::enabled(),
-            false,
-            49_043_315,
-        ),
-        (
-            "cycle_accounting",
-            TraceSettings::default(),
-            true,
-            40_708_244,
-        ),
+        ("trace_events_samples", TraceSettings::enabled(), 49_043_315),
     ];
     modes
         .into_iter()
-        .map(|(name, trace, accounting, baseline_median_ns)| {
+        .map(|(name, trace, baseline_median_ns)| {
             let mut config = bench_config();
             config.trace = trace;
-            config.cycle_accounting = accounting;
             let ops = Machine::new(MachineKind::HybridProposed, config.clone())
                 .run(&spec)
                 .instructions;

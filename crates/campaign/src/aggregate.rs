@@ -28,9 +28,8 @@ pub struct PointMetrics {
     /// Filter hit ratio, when the proposed protocol ran and used filters.
     pub filter_hit_ratio: Option<f64>,
     /// Machine-wide cycle-accounting totals in [`CycleCategory::ALL`]
-    /// order, when the campaign ran dedicated accounted passes
-    /// (`--cycle-accounting`).  Like the knob itself, presentation-only.
-    pub breakdown: Option<[u64; CycleCategory::COUNT]>,
+    /// order: every core's cycles, summed per category.
+    pub breakdown: [u64; CycleCategory::COUNT],
 }
 
 /// One campaign point with its measurements.
@@ -174,8 +173,7 @@ pub fn summarize(records: &[PointRecord]) -> CampaignSummary {
 ///
 /// The nine `cycles_*` columns come strictly **after** every other column
 /// (consumers that slice the leading descriptor+metric columns keep
-/// working); they render empty unless the campaign ran accounted passes.  A
-/// test pins their names to [`CycleCategory::ALL`].  `cycles_dma_wait` is
+/// working).  A test pins their names to [`CycleCategory::ALL`].  `cycles_dma_wait` is
 /// always 0: the scheduler charges `dma-synch` waits to `cycles_park` (see
 /// [`CycleCategory::DmaWait`]).
 pub const CSV_COLUMNS: [&str; 24] = [
@@ -233,11 +231,9 @@ pub fn to_csv(records: &[PointRecord]) -> String {
             m.instructions,
             opt(&m.filter_hit_ratio),
         ));
-        for i in 0..CycleCategory::COUNT {
+        for count in m.breakdown {
             out.push(',');
-            if let Some(breakdown) = &m.breakdown {
-                out.push_str(&breakdown[i].to_string());
-            }
+            out.push_str(&count.to_string());
         }
         out.push('\n');
     }
@@ -300,15 +296,12 @@ pub fn to_json(records: &[PointRecord]) -> String {
                         ("filter_hit_ratio", Json::from(m.filter_hit_ratio)),
                         (
                             "breakdown",
-                            m.breakdown.map_or(Json::Null, |counts| {
-                                Json::obj(
-                                    CycleCategory::ALL
-                                        .iter()
-                                        .zip(counts)
-                                        .map(|(category, count)| (category.id(), Json::from(count)))
-                                        .collect::<Vec<_>>(),
-                                )
-                            }),
+                            Json::obj(
+                                CycleCategory::ALL
+                                    .iter()
+                                    .zip(m.breakdown)
+                                    .map(|(category, count)| (category.id(), Json::from(count))),
+                            ),
                         ),
                     ]),
                 ),
@@ -331,7 +324,7 @@ mod tests {
                 total_energy_j: energy,
                 instructions: 1000,
                 filter_hit_ratio: (machine == "hybrid-proposed").then_some(0.97),
-                breakdown: None,
+                breakdown: std::array::from_fn(|i| if i == 0 { cycles } else { 0 }),
             },
         }
     }
@@ -398,10 +391,10 @@ mod tests {
         // Optional fields render empty, not "None".
         assert!(!csv.contains("None"));
         assert!(lines[3].contains("0.97"));
-        // Every row has every column; unaccounted breakdowns are blank.
+        // Every row has every column, the breakdown included.
         for line in &lines[1..] {
             assert_eq!(line.matches(',').count(), CSV_COLUMNS.len() - 1);
-            assert!(line.ends_with(",,,,,,,,"), "{line}");
+            assert!(line.ends_with(",0,0,0,0,0,0,0,0"), "{line}");
         }
     }
 
@@ -413,7 +406,7 @@ mod tests {
             assert_eq!(*column, format!("cycles_{}", category.id()));
         }
         let mut records = three_machines();
-        records[0].metrics.breakdown = Some(std::array::from_fn(|i| 100 + i as u64));
+        records[0].metrics.breakdown = std::array::from_fn(|i| 100 + i as u64);
         let csv = to_csv(&records);
         let accounted: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
         assert_eq!(
@@ -448,18 +441,23 @@ mod tests {
             .get("filter_hit_ratio")
             .unwrap()
             .is_null());
-        assert!(first
-            .get("metrics")
-            .unwrap()
-            .get("breakdown")
-            .unwrap()
-            .is_null());
+        assert_eq!(
+            first
+                .get("metrics")
+                .unwrap()
+                .get("breakdown")
+                .unwrap()
+                .get("compute")
+                .unwrap()
+                .as_u64(),
+            Some(1200)
+        );
     }
 
     #[test]
     fn json_export_carries_breakdowns_by_category_id() {
         let mut records = three_machines();
-        records[2].metrics.breakdown = Some(std::array::from_fn(|i| 10 * i as u64));
+        records[2].metrics.breakdown = std::array::from_fn(|i| 10 * i as u64);
         let parsed = Json::parse(&to_json(&records)).unwrap();
         let breakdown = parsed.as_array().unwrap()[2]
             .get("metrics")

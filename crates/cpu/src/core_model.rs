@@ -100,15 +100,12 @@ pub struct CoreTimingModel {
     /// Monotone sequence feeding [`CoreTimingModel::next_store_value`].
     store_seq: u64,
     lsq: LoadStoreQueue,
-    /// Per-category cycle attribution, when cycle accounting is enabled.
-    ///
-    /// Boxed so the shipping default (off) costs the model one pointer and
-    /// the hot path one discriminant check — the same contract as the
-    /// tracer.  Every clock movement funnels through
-    /// [`CoreTimingModel::advance`] or [`CoreTimingModel::idle_until`], and
-    /// both charge the account, so the categories sum bit-exactly to
-    /// [`CoreTimingModel::now`] by construction.
-    account: Option<Box<CycleAccount>>,
+    /// Per-category cycle attribution.  Every clock movement funnels
+    /// through [`CoreTimingModel::advance`] or
+    /// [`CoreTimingModel::idle_until`], and both charge the account, so the
+    /// categories sum bit-exactly to [`CoreTimingModel::now`] by
+    /// construction.
+    account: CycleAccount,
 }
 
 impl CoreTimingModel {
@@ -132,28 +129,15 @@ impl CoreTimingModel {
             parked_until: None,
             parks: 0,
             store_seq: 0,
-            account: None,
+            account: CycleAccount::new(),
         }
     }
 
-    /// Switches cycle accounting on: from here every cycle the clock moves
-    /// is charged to a [`CycleCategory`].  Accounting is a pure observer —
-    /// it never changes the timing itself.
-    pub fn enable_cycle_accounting(&mut self) {
-        if self.account.is_none() {
-            self.account = Some(Box::default());
-        }
-    }
-
-    /// Whether cycle accounting is on.
-    #[inline]
-    pub fn accounting_enabled(&self) -> bool {
-        self.account.is_some()
-    }
-
-    /// The per-category account, when accounting is enabled.
-    pub fn cycle_account(&self) -> Option<&CycleAccount> {
-        self.account.as_deref()
+    /// The per-category account: every cycle the clock has moved, charged
+    /// to one [`CycleCategory`].  Accounting is a pure observer — it never
+    /// changes the timing itself.
+    pub fn cycle_account(&self) -> &CycleAccount {
+        &self.account
     }
 
     /// The configuration in use.
@@ -215,9 +199,7 @@ impl CoreTimingModel {
         if is_stall {
             self.stall_cycles += cycles.as_u64();
         }
-        if let Some(account) = &mut self.account {
-            account.charge(category, cycles.as_u64());
-        }
+        self.account.charge(category, cycles.as_u64());
     }
 
     /// Executes `insts` non-memory instructions.
@@ -396,9 +378,8 @@ impl CoreTimingModel {
     /// studies need attributed.
     pub fn idle_until(&mut self, cycle: Cycle) {
         if cycle > self.now {
-            if let Some(account) = &mut self.account {
-                account.charge(CycleCategory::BarrierWait, (cycle - self.now).as_u64());
-            }
+            self.account
+                .charge(CycleCategory::BarrierWait, (cycle - self.now).as_u64());
             self.now = cycle;
         }
     }
@@ -702,10 +683,7 @@ mod tests {
     #[test]
     fn cycle_account_is_exhaustive_and_exclusive() {
         let mut c = core();
-        assert!(!c.accounting_enabled());
-        assert!(c.cycle_account().is_none());
-        c.enable_cycle_accounting();
-        assert!(c.accounting_enabled());
+        assert_eq!(c.cycle_account().total(), 0);
 
         c.execute_compute(600);
         c.issue_memory_access(Cycle::new(200), true); // dependent miss
@@ -733,7 +711,7 @@ mod tests {
         c.apply_ifetch(Cycle::new(40), false);
         c.idle_until(c.now() + Cycle::new(12)); // barrier imbalance
 
-        let account = *c.cycle_account().unwrap();
+        let account = *c.cycle_account();
         assert_eq!(
             account.total(),
             c.now().as_u64(),
@@ -764,45 +742,11 @@ mod tests {
         assert_eq!(account.stall_total(), c.stall_cycles() + 12);
     }
 
-    /// Enabling accounting must not move a single observable number — same
-    /// clock, stalls, phase breakdown and instruction count as the plain
-    /// run of an identical op sequence.
-    #[test]
-    fn accounting_is_a_pure_observer() {
-        let drive = |c: &mut CoreTimingModel| {
-            c.set_phase(Phase::Work);
-            c.execute_compute(300);
-            c.issue_memory_access_classified(
-                Cycle::new(220),
-                true,
-                CycleCategory::MissWait,
-                Cycle::new(60),
-            );
-            for _ in 0..20 {
-                c.issue_memory_access(Cycle::new(180), false);
-            }
-            c.drain_memory();
-            c.stall_until(c.now() + Cycle::new(44), CycleCategory::DmaWait);
-            c.apply_ifetch(Cycle::new(30), false);
-            c.idle_until(c.now() + Cycle::new(9));
-        };
-        let mut plain = core();
-        drive(&mut plain);
-        let mut accounted = core();
-        accounted.enable_cycle_accounting();
-        drive(&mut accounted);
-        assert_eq!(plain.now(), accounted.now());
-        assert_eq!(plain.stall_cycles(), accounted.stall_cycles());
-        assert_eq!(plain.breakdown(), accounted.breakdown());
-        assert_eq!(plain.instructions(), accounted.instructions());
-    }
-
     /// The NocQueue pro-rating splits the visible stall without changing
     /// its sum, and clamps a queue estimate larger than the latency.
     #[test]
     fn noc_queue_share_is_prorated_and_clamped() {
         let mut c = core();
-        c.enable_cycle_accounting();
         let hide = c.config().hide_window;
         c.issue_memory_access_classified(
             hide + Cycle::new(100),
@@ -810,19 +754,18 @@ mod tests {
             CycleCategory::MissWait,
             hide + Cycle::new(100), // the whole latency was queueing
         );
-        let account = *c.cycle_account().unwrap();
+        let account = *c.cycle_account();
         assert_eq!(account.get(CycleCategory::NocQueue), 100);
         assert_eq!(account.get(CycleCategory::MissWait), 0);
 
         let mut c = core();
-        c.enable_cycle_accounting();
         c.issue_memory_access_classified(
             Cycle::new(1),
             true,
             CycleCategory::MissWait,
             Cycle::new(400), // clamped to the latency: no overdraw
         );
-        let account = *c.cycle_account().unwrap();
+        let account = *c.cycle_account();
         assert_eq!(account.total(), c.now().as_u64());
     }
 

@@ -252,14 +252,13 @@ pub struct MemorySystem {
     /// Optional functional memory: per-L1, per-L2-slice and DRAM value
     /// copies, moved along the same paths as the modelled transactions.
     values: Option<HierarchyValues>,
-    /// Presentation-only latency attribution (`SystemConfig.cycle_accounting`):
-    /// when on, demand-miss-path NoC legs accumulate their queueing component
+    /// Presentation-only latency attribution for cycle accounting:
+    /// demand-miss-path NoC legs accumulate their queueing component
     /// (measured latency minus the backend-agreed zero-load latency) here, and
     /// the engine drains it per access to split stall cycles between the
-    /// `NocQueue` and `MissWait` accounting categories.  One branch per send
-    /// when off; never changes any modelled latency.
+    /// `NocQueue` and `MissWait` accounting categories.  Never changes any
+    /// modelled latency.
     attrib_queue: Cycle,
-    attrib_enabled: bool,
 }
 
 /// The value copies of every level of the hierarchy (one [`ValueStore`] per
@@ -312,7 +311,6 @@ impl MemorySystem {
             cores_pow2: cores.is_power_of_two(),
             values: None,
             attrib_queue: Cycle::ZERO,
-            attrib_enabled: false,
         }
     }
 
@@ -331,35 +329,20 @@ impl MemorySystem {
         self.values.is_some()
     }
 
-    /// Turns on demand-miss latency attribution (cycle accounting).
-    ///
-    /// Presentation-only, like `enable_value_tracking`: the modelled
-    /// latencies are untouched; the hierarchy merely starts accumulating
-    /// the queueing component of demand-miss-path NoC legs for
-    /// [`take_attributed_queue`](Self::take_attributed_queue).
-    pub fn enable_latency_attribution(&mut self) {
-        self.attrib_enabled = true;
-    }
-
-    /// Returns `true` when demand-miss latency attribution is on.
-    pub fn attributes_latency(&self) -> bool {
-        self.attrib_enabled
-    }
-
     /// Drains the queueing cycles accumulated since the last call: the sum,
     /// over the demand-miss-path NoC legs of the accesses in between, of
     /// measured send latency minus the backend-agreed zero-load latency.
     ///
     /// Under the discrete-event NoC this is real home/link queueing; under
-    /// the analytic backend it is the modelled contention term.  Always zero
-    /// while attribution is off.  The engine calls this after every demand
-    /// access so the accumulator never spans unrelated instructions.
+    /// the analytic backend it is the modelled contention term.  The engine
+    /// calls this after every demand access so the accumulator never spans
+    /// unrelated instructions.
     pub fn take_attributed_queue(&mut self) -> Cycle {
         std::mem::replace(&mut self.attrib_queue, Cycle::ZERO)
     }
 
     /// Sends one packet on a demand-miss critical-path leg, accumulating its
-    /// queueing component when latency attribution is on.
+    /// queueing component for latency attribution.
     ///
     /// Off-critical-path traffic (prefetch fills, write-backs, DMA line
     /// moves) and invalidation fan-out (only the slowest sharer's round trip
@@ -373,10 +356,8 @@ impl MemorySystem {
         payload_bytes: u64,
     ) -> Cycle {
         let latency = self.noc.send(from, to, class, payload_bytes);
-        if self.attrib_enabled {
-            let zero_load = self.noc.config().zero_load_latency(from, to, payload_bytes);
-            self.attrib_queue += latency.saturating_sub(zero_load);
-        }
+        let zero_load = self.config.noc.zero_load_latency(from, to, payload_bytes);
+        self.attrib_queue += latency.saturating_sub(zero_load);
         latency
     }
 
@@ -824,14 +805,12 @@ impl MemorySystem {
     fn upgrade_for_write(&mut self, core: CoreId, line: LineAddr, class: MessageClass) -> Cycle {
         let home = self.home_slice(line);
         let rt = self.noc.round_trip(core.node(), home.node(), class, 8, 8);
-        if self.attrib_enabled {
-            // `round_trip` is two sends; its queueing component is whatever
-            // it took beyond the two zero-load legs.
-            let cfg = self.noc.config();
-            let zero_load = cfg.zero_load_latency(core.node(), home.node(), 8)
-                + cfg.zero_load_latency(home.node(), core.node(), 8);
-            self.attrib_queue += rt.saturating_sub(zero_load);
-        }
+        // `round_trip` is two sends; its queueing component is whatever it
+        // took beyond the two zero-load legs.
+        let cfg = &self.config.noc;
+        let zero_load = cfg.zero_load_latency(core.node(), home.node(), 8)
+            + cfg.zero_load_latency(home.node(), core.node(), 8);
+        self.attrib_queue += rt.saturating_sub(zero_load);
         let inv = self.invalidate_other_sharers(core, line, class);
         if let Some(entry) = self.l2[home.index()].lookup_mut(line) {
             entry.clear_sharers();
@@ -1589,45 +1568,10 @@ mod tests {
     }
 
     #[test]
-    fn latency_attribution_is_a_pure_observer() {
-        let mut plain = small_system();
-        let mut attributed = small_system();
-        attributed.enable_latency_attribution();
-        assert!(attributed.attributes_latency());
-        for i in 0..64u64 {
-            let a = Addr::new(0x200_0000 + i * 64);
-            let kind = if i % 3 == 0 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            let class = if kind.is_write() {
-                MessageClass::Write
-            } else {
-                MessageClass::Read
-            };
-            let core = CoreId::new((i % 4) as usize);
-            let p = plain.access(core, a, kind, class, i);
-            let q = attributed.access(core, a, kind, class, i);
-            assert_eq!(p.latency, q.latency, "access {i}");
-            assert_eq!(p.served_by, q.served_by, "access {i}");
-            // Drained or not, accumulation never leaks into timing; a
-            // non-attributing system always drains zero.
-            assert_eq!(plain.take_attributed_queue(), Cycle::ZERO);
-            let _ = attributed.take_attributed_queue();
-        }
-        assert_eq!(
-            plain.counters().dram_accesses,
-            attributed.counters().dram_accesses
-        );
-    }
-
-    #[test]
     fn attributed_queue_drains_once() {
         let mut cfg = MemorySystemConfig::small(4);
         cfg.noc.model = noc::NocModel::DiscreteEvent;
         let mut m = MemorySystem::new(cfg);
-        m.enable_latency_attribution();
         // Back-to-back misses at clock zero share links, so the DES backend
         // measures real queueing on at least one demand leg.
         let mut total = Cycle::ZERO;

@@ -10,9 +10,9 @@
 //! the sum after a run (the cycle-accounting proptest drives it across
 //! every machine kind × NoC model).
 //!
-//! Accounting is presentation-only: charging is a pure observer of the
-//! timing model, so enabling it changes no observable number, and the
-//! campaign result cache pins the knob to its default (like `trace`).
+//! Accounting is always on and a pure observer of the timing model:
+//! charging changes no other observable number.  Every run result carries
+//! its [`CycleBreakdown`], and the campaign result cache stores it.
 //!
 //! # Example
 //!

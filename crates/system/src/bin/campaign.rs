@@ -13,12 +13,14 @@
 //! `--cache-dir` (default `target/campaign-cache`), so a repeated
 //! invocation executes only new or changed points.  The last line printed
 //! is the accounting, e.g. `campaign: 24 points, executed 0, cache hits 24`.
+//! Every run carries its cycle breakdown, so the CSV/JSON exports always
+//! include the machine-wide `cycles_*` columns, cached points included.
 
 use campaign::{
     summarize, Executor, ResultCache, SweepSpec, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS,
 };
 use system::cli::{parse_list, write_export};
-use system::sweep::{attach_breakdowns, records_of, run_points, RunContext};
+use system::sweep::{records_of, run_points, RunContext};
 
 /// The `--help` text.  The axis value lists come from the canonical id
 /// arrays, so the text cannot drift from what the lowering accepts.
@@ -42,11 +44,10 @@ options (LIST = comma-separated values):
   --jobs N            parallel workers (default: available parallelism)
   --cache-dir PATH    result-cache directory (default target/campaign-cache)
   --no-cache          execute every point, read and write no cache
-  --csv PATH          write per-point metrics as CSV ('-' for stdout)
-  --json PATH         write per-point metrics as JSON ('-' for stdout)
-  --cycle-accounting  re-run every point with cycle accounting and append the
-                      machine-wide cycles_* breakdown to the CSV/JSON exports
-                      (dedicated passes, never cached)
+  --csv PATH          write per-point metrics as CSV ('-' for stdout),
+                      including the machine-wide cycles_* breakdown
+  --json PATH         write per-point metrics as JSON ('-' for stdout),
+                      including the machine-wide cycle breakdown
   --quiet             suppress the summary table (accounting still prints)
   --help              this text
 ",
@@ -63,7 +64,6 @@ struct Options {
     cache_dir: Option<std::path::PathBuf>,
     csv: Option<String>,
     json: Option<String>,
-    cycle_accounting: bool,
     quiet: bool,
 }
 
@@ -74,7 +74,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
         cache_dir: Some(ResultCache::default_dir()),
         csv: None,
         json: None,
-        cycle_accounting: false,
         quiet: false,
     };
     let mut args = args.into_iter();
@@ -124,7 +123,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
             "--no-cache" => options.cache_dir = None,
             "--csv" => options.csv = Some(value("--csv")?),
             "--json" => options.json = Some(value("--json")?),
-            "--cycle-accounting" => options.cycle_accounting = true,
             "--quiet" => options.quiet = true,
             "--help" | "-h" => {
                 print!("{}", usage());
@@ -157,13 +155,7 @@ fn main() {
         }
     };
 
-    let mut records = records_of(&points, &report.results);
-    if options.cycle_accounting {
-        if let Err(message) = attach_breakdowns(&ctx.executor, &points, &mut records) {
-            eprintln!("error: {message}");
-            std::process::exit(1);
-        }
-    }
+    let records = records_of(&points, &report.results);
     if let Some(target) = &options.csv {
         if let Err(message) = write_export(target, &campaign::aggregate::to_csv(&records)) {
             eprintln!("error: {message}");

@@ -29,11 +29,18 @@
 //! only applies to the proposed machine (the other kinds have no guarded
 //! protocol to swap), so `--protocols all` keeps cache-only/hybrid-ideal
 //! points single.
+//!
+//! Exit codes: 0 when every point agrees with the reference (or, with
+//! `--fault`, when the defect is caught); 1 when a divergence is found (or a
+//! fault goes uncaught); 2 for malformed input — an unknown flag, a missing
+//! or unparsable value, an empty axis list, or a selection with no point to
+//! check — with the usage text on stderr.  `--help` prints the usage text
+//! on stdout and exits 0.
 
 use std::process::ExitCode;
 
-use campaign::Executor;
-use system::cli::parse_list;
+use campaign::{Executor, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS};
+use system::cli::{parse_id_flag, parse_list, CliError};
 use system::verify::verification_config;
 use system::{CoherenceProtocol, Machine, MachineKind, SystemConfig};
 use workloads::litmus::{catalogue, random_program, FuzzParams, LitmusCase};
@@ -92,56 +99,111 @@ impl Default for Options {
     }
 }
 
-fn parse_options() -> Result<Options, String> {
+/// The `--help` text.  The axis value lists come from the canonical id
+/// arrays, so the text cannot drift from what the parser accepts.
+fn usage() -> String {
+    format!(
+        "\
+coherence_check — differential coherence checking (litmus + seeded fuzz)
+
+usage: coherence_check [options]
+
+options (LIST = comma-separated values):
+  --cores N           cores of the verification machine (default 4; the
+                      litmus programs need at least 2)
+  --seeds N           fuzz seeds per configuration (default 20)
+  --seed-base S       first fuzz seed (default 0)
+  --machines LIST     machine kinds: {machines} (default: all)
+  --noc-models LIST   NoC models: {noc_models} (default: both)
+  --protocols LIST    coherence protocols of the proposed machine:
+                      {protocols}, or 'all' (default filterdir)
+  --litmus-only       run the litmus catalogue only
+  --fuzz-only         run the fuzz programs only
+  --fuzz-rounds N     rounds per fuzz program (default 4)
+  --fuzz-ops N        ops per core per fuzz round (default 24)
+  --jobs N            parallel workers (default: available parallelism)
+  --quiet             print divergences and the summary line only
+  --fault NAME        inject skip-filter-invalidation or
+                      skip-directory-update and require the oracle to
+                      catch it
+  --write-golden DIR  write the litmus final images to DIR
+  --help              this text
+",
+        machines = MACHINE_IDS.join(", "),
+        noc_models = NOC_MODEL_IDS.join(", "),
+        protocols = PROTOCOL_IDS.join(", "),
+    )
+}
+
+/// Parses one numeric flag value, naming the flag and the value when it
+/// does not parse.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse '{value}'"))
+}
+
+/// Parses one axis list: every id must be valid, and the list must name at
+/// least one, so a run can never pass after checking nothing.
+fn axis<T>(
+    flag: &str,
+    list: &str,
+    from_id: impl Fn(&str) -> Option<T>,
+    valid: &[&str],
+) -> Result<Vec<T>, String> {
+    let values = parse_list::<String>(flag, list)?
+        .iter()
+        .map(|id| parse_id_flag(flag, id.trim(), &from_id, valid))
+        .collect::<Result<Vec<_>, _>>()?;
+    if values.is_empty() {
+        return Err(format!("{flag}: the list names no value"));
+    }
+    Ok(values)
+}
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
     let mut o = Options::default();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
         match arg.as_str() {
-            "--cores" => o.cores = value("--cores")?.parse().map_err(|e| format!("{e}"))?,
-            "--seeds" => o.seeds = value("--seeds")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed-base" => {
-                o.seed_base = value("--seed-base")?.parse().map_err(|e| format!("{e}"))?
-            }
+            "--cores" => o.cores = number("--cores", &value("--cores")?)?,
+            "--seeds" => o.seeds = number("--seeds", &value("--seeds")?)?,
+            "--seed-base" => o.seed_base = number("--seed-base", &value("--seed-base")?)?,
             "--machines" => {
-                let list = value("--machines")?;
-                o.machines = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| MachineKind::from_id(s.trim()).ok_or(format!("unknown machine '{s}'")))
-                    .collect::<Result<_, _>>()?;
+                o.machines = axis(
+                    "--machines",
+                    &value("--machines")?,
+                    MachineKind::from_id,
+                    &MACHINE_IDS,
+                )?
             }
             "--noc-models" => {
-                o.noc_models = parse_list::<String>("--noc-models", &value("--noc-models")?)?
-                    .iter()
-                    .map(|s| noc::NocModel::from_id(s).ok_or(format!("unknown NoC model '{s}'")))
-                    .collect::<Result<_, _>>()?;
+                o.noc_models = axis(
+                    "--noc-models",
+                    &value("--noc-models")?,
+                    noc::NocModel::from_id,
+                    &NOC_MODEL_IDS,
+                )?
             }
             "--protocols" => {
                 let list = value("--protocols")?;
                 o.protocols = if list == "all" {
                     CoherenceProtocol::ALL.to_vec()
                 } else {
-                    parse_list::<String>("--protocols", &list)?
-                        .iter()
-                        .map(|s| {
-                            CoherenceProtocol::from_id(s)
-                                .ok_or(format!("unknown coherence protocol '{s}'"))
-                        })
-                        .collect::<Result<_, _>>()?
+                    axis(
+                        "--protocols",
+                        &list,
+                        CoherenceProtocol::from_id,
+                        &PROTOCOL_IDS,
+                    )?
                 };
             }
             "--litmus-only" => o.fuzz = false,
             "--fuzz-only" => o.litmus = false,
-            "--fuzz-rounds" => {
-                o.fuzz_rounds = value("--fuzz-rounds")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--fuzz-ops" => {
-                o.fuzz_ops = value("--fuzz-ops")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--jobs" => o.jobs = value("--jobs")?.parse().map_err(|e| format!("{e}"))?,
+            "--fuzz-rounds" => o.fuzz_rounds = number("--fuzz-rounds", &value("--fuzz-rounds")?)?,
+            "--fuzz-ops" => o.fuzz_ops = number("--fuzz-ops", &value("--fuzz-ops")?)?,
+            "--jobs" => o.jobs = number("--jobs", &value("--jobs")?)?,
             "--quiet" => o.quiet = true,
             "--fault" => match value("--fault")?.as_str() {
                 "skip-filter-invalidation" => {
@@ -150,16 +212,28 @@ fn parse_options() -> Result<Options, String> {
                 "skip-directory-update" => {
                     o.fault = Some(spm_coherence::ProtocolFault::SkipDirectoryUpdateOnMap)
                 }
-                other => return Err(format!("unknown fault '{other}'")),
+                other => return Err(format!("--fault: unknown fault '{other}'").into()),
             },
             "--write-golden" => o.write_golden = Some(value("--write-golden")?.into()),
-            other => return Err(format!("unknown argument '{other}'")),
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(format!("unknown argument '{other}'").into()),
         }
     }
+    if o.cores == 0 {
+        return Err("--cores: must be at least 1".to_owned().into());
+    }
     if o.cores < 2 && o.litmus {
-        return Err("litmus programs need --cores >= 2".into());
+        return Err("--cores: litmus programs need at least 2 cores"
+            .to_owned()
+            .into());
     }
     Ok(o)
+}
+
+/// Prints the usage text after a malformed argument and exits 2.
+fn invalid(message: &str) -> ! {
+    eprintln!("coherence_check: {message}\n\n{}", usage());
+    std::process::exit(2);
 }
 
 fn config_for(o: &Options, model: noc::NocModel, protocol: CoherenceProtocol) -> SystemConfig {
@@ -251,12 +325,13 @@ fn write_golden(o: &Options, dir: &std::path::Path) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let o = match parse_options() {
+    let o = match parse(std::env::args().skip(1)) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("coherence_check: {e}");
-            return ExitCode::FAILURE;
+        Err(CliError::Help) => {
+            print!("{}", usage());
+            return ExitCode::SUCCESS;
         }
+        Err(CliError::Invalid(message)) => invalid(&message),
     };
 
     if let Some(dir) = &o.write_golden {
@@ -348,6 +423,10 @@ fn main() -> ExitCode {
                 }
             }
         }
+    }
+
+    if points.is_empty() {
+        invalid("the selection names no point to check");
     }
 
     let executor = Executor::new(o.jobs);

@@ -15,12 +15,12 @@
 use std::path::PathBuf;
 
 use campaign::{Executor, ResultCache};
+use workloads::characterize;
 use workloads::nas::NasBenchmark;
-use workloads::{characterize, BenchmarkSpec};
 
 use crate::config::{CoherenceProtocol, MachineKind, SystemConfig};
 use crate::experiments::{ablations, ExperimentSuite};
-use crate::sweep::RunContext;
+use crate::sweep::{LoweredRun, RunContext};
 
 /// The usage text every report binary prints for `--help` and after a
 /// malformed argument.  The value lists of the axis flags come from the
@@ -64,9 +64,10 @@ options:
                      stat-sampling period in cycles for the trace
                      time-series (default 5000; 0 disables sampling)
   --cycle-accounting PATH
-                     after the report, account the first selected benchmark
-                     once and write its per-core cycle breakdown JSON to
-                     PATH ('-' for stdout)
+                     after the report, write the per-core cycle breakdown
+                     JSON of the first selected benchmark on the proposed
+                     machine to PATH ('-' for stdout); with a cache it
+                     comes from the cache
   --help             print this text and exit
 ",
         benchmarks = NasBenchmark::ALL.map(NasBenchmark::name).join(","),
@@ -206,7 +207,7 @@ pub struct CliOptions {
     pub trace_categories: simkernel::CategoryMask,
     /// Stat-sampling period in cycles; `None` keeps the default.
     pub sample_interval: Option<u64>,
-    /// Where to write one accounted run's cycle breakdown (`-` for stdout).
+    /// Where to write the observed point's cycle breakdown (`-` for stdout).
     pub cycle_accounting: Option<String>,
 }
 
@@ -342,15 +343,13 @@ impl CliOptions {
 
     /// The suite point that `--trace` and `--cycle-accounting` observe: the
     /// first selected benchmark on the proposed machine, at the suite's data
-    /// scale (the benchmark's recommended scale times `--scale`).  Its run is
-    /// bit-identical to the suite's run of the same point, so the artifacts
-    /// describe the numbers printed beside them.  `None` when no benchmark
-    /// is selected.
-    pub(crate) fn observed_point(&self) -> Option<(crate::Machine, BenchmarkSpec)> {
+    /// scale (the benchmark's recommended scale times `--scale`).  It is the
+    /// suite's own lowered run of that point, so the artifacts describe the
+    /// numbers printed beside them.  `None` when no benchmark is selected.
+    pub(crate) fn observed_point(&self) -> Option<LoweredRun> {
         let benchmark = *self.benchmarks.first()?;
-        let machine = crate::Machine::new(MachineKind::HybridProposed, self.config());
         let spec = benchmark.spec_scaled(benchmark.recommended_scale() * self.scale);
-        Some((machine, spec))
+        Some((self.config(), spec, MachineKind::HybridProposed))
     }
 
     /// When `--trace PATH` was given: runs the first selected benchmark on
@@ -364,8 +363,8 @@ impl CliOptions {
     /// uncached execution instead.
     pub fn write_trace(&self) -> Option<Result<String, String>> {
         let target = self.trace.as_deref()?;
-        let (machine, spec) = self.observed_point()?;
-        let (_, capture) = machine.run_traced(&spec);
+        let (config, spec, kind) = self.observed_point()?;
+        let (_, capture) = crate::Machine::new(kind, config).run_traced(&spec);
         let json = capture.to_chrome().dump();
         Some(write_export(target, &json).map(|()| {
             format!(
@@ -378,34 +377,36 @@ impl CliOptions {
         }))
     }
 
-    /// When `--cycle-accounting PATH` was given: runs the first selected
-    /// benchmark on the proposed machine, at the suite's data scale, once
-    /// with cycle accounting armed, verifies the exhaustiveness invariant,
+    /// When `--cycle-accounting PATH` was given: takes the breakdown of the
+    /// observed point's result, verifies the exhaustiveness invariant,
     /// writes the breakdown JSON (the `cycle_report` input format) to PATH
     /// (`-` for stdout) and returns a one-line summary.  Returns `None` when
     /// accounting was not requested.
     ///
-    /// Like `--trace`, this is a dedicated uncached run: the campaign cache
-    /// key pins `cycle_accounting` to false, so a presentation-only
-    /// breakdown never addresses (or misses) a cache entry.
+    /// The result comes through [`CliOptions::context`], so with a cache
+    /// that already holds the suite's run of the point no simulation runs;
+    /// the summary reports whether the point executed or was a cache hit.
     pub fn write_cycle_accounting(&self) -> Option<Result<String, String>> {
         let target = self.cycle_accounting.as_deref()?;
-        let (machine, spec) = self.observed_point()?;
-        let (_, breakdown) = machine.run_accounted(&spec);
+        let run = self.observed_point()?;
+        let report = self.context().run_lowered(std::slice::from_ref(&run));
+        let breakdown = &report.results[0].breakdown;
         if let Err(error) = breakdown.check_exhaustive() {
             return Some(Err(format!("exhaustiveness invariant violated: {error}")));
         }
         let mut doc = breakdown.to_json();
         if let simkernel::Json::Obj(fields) = &mut doc {
-            fields.insert("benchmark".to_owned(), simkernel::Json::str(&spec.name));
+            fields.insert("benchmark".to_owned(), simkernel::Json::str(&run.1.name));
         }
         let totals = breakdown.totals();
         Some(write_export(target, &doc.dump()).map(|()| {
             format!(
-                "cycle accounting: {} cores, {} cycles ({} stall) -> {}",
+                "cycle accounting: {} cores, {} cycles ({} stall; executed {}, cache hits {}) -> {}",
                 breakdown.cores.len(),
                 breakdown.elapsed_total(),
                 totals.stall_total(),
+                report.executed,
+                report.cache_hits,
                 target
             )
         }))
@@ -448,8 +449,9 @@ pub enum Report {
 
 /// Runs the requested report and returns the text to print.
 ///
-/// When `--trace PATH` or `--cycle-accounting PATH` was given, also performs
-/// the dedicated traced/accounted run (see [`CliOptions::write_trace`] and
+/// When `--trace PATH` or `--cycle-accounting PATH` was given, also writes
+/// the trace of a dedicated traced run or the observed point's breakdown
+/// (see [`CliOptions::write_trace`] and
 /// [`CliOptions::write_cycle_accounting`]) and appends its one-line summary.
 pub fn run_report(report: Report, options: &CliOptions) -> String {
     let mut out = run_report_body(report, options);
@@ -768,8 +770,8 @@ mod tests {
         let path = path.to_str().unwrap().to_owned();
         let mut o = parse(&["--cycle-accounting", &path]).unwrap();
         assert_eq!(o.cycle_accounting.as_deref(), Some(path.as_str()));
-        // A real accounted run on a tiny machine: the summary reports the
-        // written path and the file round-trips as a breakdown document.
+        // A real run on a tiny machine: the summary reports the written
+        // path and the file round-trips as a breakdown document.
         o.cores = 4;
         o.scale = 1.0 / 512.0;
         o.benchmarks = vec![NasBenchmark::Cg];
@@ -787,8 +789,8 @@ mod tests {
 
     #[test]
     fn observed_runs_match_the_suite_point() {
-        // The dedicated traced and accounted runs describe the very run
-        // whose numbers the figure prints: same data scale, same seed.
+        // The observed point is the very run whose numbers the figure
+        // prints: same data scale, same seed.
         let mut o = parse(&["--cores", "4", "--scale", "0.001", "--jobs", "1"]).unwrap();
         o.benchmarks = vec![NasBenchmark::Cg];
         let suite = o.run_suite();
@@ -796,9 +798,46 @@ mod tests {
             .result("CG", MachineKind::HybridProposed)
             .unwrap()
             .to_json();
-        let (machine, spec) = o.observed_point().unwrap();
+        let (config, spec, kind) = o.observed_point().unwrap();
+        let machine = crate::Machine::new(kind, config);
         assert_eq!(machine.run_traced(&spec).0.to_json(), expected);
-        assert_eq!(machine.run_accounted(&spec).0.to_json(), expected);
+        assert_eq!(machine.run(&spec).to_json(), expected);
+    }
+
+    #[test]
+    fn cycle_accounting_with_a_cache_replays_the_cached_point() {
+        let dir = std::env::temp_dir().join(format!(
+            "cycle-accounting-cache-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("cycles.json");
+        let path = path.to_str().unwrap().to_owned();
+        let cache = dir.join("cache");
+        let o = parse(&[
+            "--cores",
+            "4",
+            "--scale",
+            "0.002",
+            "--benchmarks",
+            "CG",
+            "--jobs",
+            "1",
+            "--cache-dir",
+            cache.to_str().unwrap(),
+            "--cycle-accounting",
+            &path,
+        ])
+        .unwrap();
+        let first = o.write_cycle_accounting().unwrap().unwrap();
+        assert!(first.contains("executed 1, cache hits 0"), "{first}");
+        let written = std::fs::read(&path).unwrap();
+        // The second call is served from the cache: no simulation runs, and
+        // the file is byte-identical.
+        let second = o.write_cycle_accounting().unwrap().unwrap();
+        assert!(second.contains("executed 0, cache hits 1"), "{second}");
+        assert_eq!(std::fs::read(&path).unwrap(), written);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -187,14 +187,11 @@ pub struct SystemConfig {
     /// `tracing_leaves_timing_untouched`), so the campaign cache key pins
     /// this to its default.
     pub trace: TraceSettings,
-    /// Cycle accounting (`--cycle-accounting` on the report binaries):
-    /// per-core [`simkernel::attrib`] category counters whose sum is pinned
-    /// bit-exactly to each core's elapsed cycles.
-    ///
-    /// Presentation-only, like `trace` and `debug_cores`: an accounted run's
-    /// timing, traffic and statistics are bit-identical to a plain one
-    /// (pinned by `cycle_accounting_leaves_timing_untouched`), so the
-    /// campaign cache key pins this to false.
+    /// Inert, like `engine_jobs`: every run is accounted and carries its
+    /// [`RunResult::breakdown`](crate::RunResult::breakdown).  It stays
+    /// because the benchmark harness in `perfbench/` sets and prints it; the
+    /// campaign cache key pins it, so its value never addresses a cache
+    /// entry.
     pub cycle_accounting: bool,
 }
 

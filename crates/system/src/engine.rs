@@ -307,11 +307,7 @@ pub(crate) fn step_op(op: &TraceOp, core_id: CoreId, ctx: &mut KernelCtx<'_>) ->
                     // Guarded refs stall on the protocol's routing decision:
                     // their visible wait is `Protocol`, minus whatever NoC
                     // queueing the underlying legs measured.
-                    let queue = if ctx.cores[c].accounting_enabled() {
-                        ctx.memsys.take_attributed_queue()
-                    } else {
-                        Cycle::ZERO
-                    };
+                    let queue = ctx.memsys.take_attributed_queue();
                     ctx.cores[c].issue_memory_access_classified(
                         outcome.latency,
                         true,
@@ -369,11 +365,7 @@ pub(crate) fn step_op(op: &TraceOp, core_id: CoreId, ctx: &mut KernelCtx<'_>) ->
                     // work; strided and stack accesses are
                     // independent and overlap under the MLP window.
                     let dependent = matches!(class, MemRefClass::Gm);
-                    let queue = if ctx.cores[c].accounting_enabled() {
-                        ctx.memsys.take_attributed_queue()
-                    } else {
-                        Cycle::ZERO
-                    };
+                    let queue = ctx.memsys.take_attributed_queue();
                     ctx.cores[c].issue_memory_access_classified(
                         result.latency,
                         dependent,
@@ -423,11 +415,9 @@ fn drain_due_ifetches(core_id: CoreId, ctx: &mut KernelCtx<'_>) {
 /// tracer's stat time-series.
 fn op_epilogue(core_id: CoreId, ctx: &mut KernelCtx<'_>) {
     let c = core_id.index();
-    if ctx.cores[c].accounting_enabled() {
-        // Fetch misses are charged wholesale to `IFetch`; drop their queue
-        // component so it cannot leak into the next data access's split.
-        let _ = ctx.memsys.take_attributed_queue();
-    }
+    // Fetch misses are charged wholesale to `IFetch`; drop their queue
+    // component so it cannot leak into the next data access's split.
+    let _ = ctx.memsys.take_attributed_queue();
 
     // Periodic stat sampling, keyed off the stepping core's clock (which is
     // global simulation time).
@@ -448,9 +438,9 @@ fn op_epilogue(core_id: CoreId, ctx: &mut KernelCtx<'_>) {
 
 /// Snapshots the live counters into the tracer's time-series: `mem.*`
 /// interned deltas, per-home-node instantaneous queue depth and per-link
-/// busy-cycle deltas from the discrete-event NoC, DMA in-flight counts and,
-/// when cycle accounting is on, the machine-wide `cycles.*` category totals
-/// (so attribution renders as counter tracks on the trace timelines).
+/// busy-cycle deltas from the discrete-event NoC, DMA in-flight counts and
+/// the machine-wide `cycles.*` category totals (so attribution renders as
+/// counter tracks on the trace timelines).
 ///
 /// Reads only `&self` state — sampling can never perturb the simulation.
 /// `depth_scratch` is a caller-owned buffer reused across samples so the
@@ -471,15 +461,9 @@ pub(crate) fn sample_stats(
         "dmac.in_flight",
         dmacs.iter().map(|d| d.in_flight_at(now)).sum::<usize>() as f64,
     );
-    if cores.first().is_some_and(|c| c.accounting_enabled()) {
-        for category in CycleCategory::ALL {
-            let total: u64 = cores
-                .iter()
-                .filter_map(|c| c.cycle_account())
-                .map(|a| a.get(category))
-                .sum();
-            sample.counter(&format!("cycles.{}", category.id()), total as f64);
-        }
+    for category in CycleCategory::ALL {
+        let total: u64 = cores.iter().map(|c| c.cycle_account().get(category)).sum();
+        sample.counter(&format!("cycles.{}", category.id()), total as f64);
     }
     if let Some(des) = memsys.noc().des() {
         des.home_queue_depths(now, depth_scratch);

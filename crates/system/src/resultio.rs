@@ -11,7 +11,7 @@
 //! `None`, which the cache treats as a miss — never a wrong result.
 
 use simkernel::json::Json;
-use simkernel::{Cycle, StatRegistry};
+use simkernel::{Cycle, CycleBreakdown, StatRegistry};
 
 use energy::EnergyBreakdown;
 use noc::TrafficAccountant;
@@ -28,8 +28,9 @@ use crate::machine::RunResult;
 /// additionally versions the simulation semantics a blob was computed
 /// under: changing what a run computes bumps the cache format alone, so no
 /// older entry is ever served while the layout (and every golden written in
-/// it) stays as it was.
-const RESULT_FORMAT: u64 = 6;
+/// it) stays as it was.  Version 7 added the per-core cycle breakdown, so a
+/// version-6 blob (which has none) is a miss.
+const RESULT_FORMAT: u64 = 7;
 
 macro_rules! protocol_stats_codec {
     ($($field:ident),* $(,)?) => {
@@ -145,6 +146,7 @@ pub fn run_result_to_json(r: &RunResult) -> Json {
         ("protocol", protocol_to_json(&r.protocol)),
         ("instructions", Json::from(r.instructions)),
         ("stats", stats_to_json(&r.stats)),
+        ("breakdown", r.breakdown.to_json()),
     ])
 }
 
@@ -190,6 +192,7 @@ pub fn run_result_from_json(v: &Json) -> Option<RunResult> {
         protocol: protocol_from_json(v.get("protocol")?)?,
         instructions: v.get("instructions")?.as_u64()?,
         stats: stats_from_json(v.get("stats")?)?,
+        breakdown: CycleBreakdown::from_json(v.get("breakdown")?).ok()?,
     })
 }
 
@@ -248,6 +251,8 @@ mod tests {
             assert_eq!(restored.protocol, original.protocol);
             assert_eq!(restored.instructions, original.instructions);
             assert_eq!(restored.stats, original.stats);
+            assert_eq!(restored.breakdown, original.breakdown);
+            assert_eq!(restored.breakdown.cores.len(), 4);
             // And the encoding itself is a fixed point.
             assert_eq!(restored.to_json(), text);
         }
@@ -263,6 +268,25 @@ mod tests {
             members.insert("format".into(), Json::from(999u64));
         }
         assert!(run_result_from_json(&v).is_none(), "foreign version");
+    }
+
+    #[test]
+    fn format_6_blobs_without_a_breakdown_are_misses() {
+        let v = run_result_to_json(&sample_result(MachineKind::HybridProposed));
+        let Json::Obj(mut members) = v else {
+            unreachable!()
+        };
+        members.remove("breakdown");
+        members.insert("format".into(), Json::from(6u64));
+        let old = Json::Obj(members.clone());
+        assert!(run_result_from_json(&old).is_none(), "format 6");
+        // Stamping the current version does not make a blob without a
+        // breakdown decodable either.
+        members.insert("format".into(), Json::from(RESULT_FORMAT));
+        assert!(
+            run_result_from_json(&Json::Obj(members)).is_none(),
+            "no breakdown"
+        );
     }
 
     #[test]

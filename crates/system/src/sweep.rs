@@ -94,10 +94,10 @@ pub fn run_cache_key(kind: MachineKind, config: &SystemConfig, spec: &BenchmarkS
     let mut config = config.clone();
     config.debug_cores = false;
     config.trace = simkernel::trace::TraceSettings::default();
-    config.cycle_accounting = false;
-    // `engine_jobs` has no reader (see its doc); pinned so its value never
-    // addresses a different cache entry.
+    // `engine_jobs` and `cycle_accounting` have no reader (see their docs);
+    // pinned so their values never address a different cache entry.
     config.engine_jobs = 1;
+    config.cycle_accounting = false;
     CacheKey::from_fields([
         ("format", CACHE_FORMAT.to_string()),
         ("kind", kind.id().to_owned()),
@@ -183,7 +183,7 @@ pub fn metrics_of(r: &RunResult) -> PointMetrics {
         total_energy_j: r.total_energy(),
         instructions: r.instructions,
         filter_hit_ratio: r.filter_hit_ratio,
-        breakdown: None,
+        breakdown: *r.breakdown.totals().counts(),
     }
 }
 
@@ -197,37 +197,6 @@ pub fn records_of(points: &[RunDescriptor], results: &[RunResult]) -> Vec<PointR
             metrics: metrics_of(r),
         })
         .collect()
-}
-
-/// Fills every record's machine-wide cycle breakdown by re-running its
-/// point with cycle accounting enabled.
-///
-/// These are dedicated passes on `executor`'s workers, never cached: the
-/// cache key pins `cycle_accounting` to false (the knob is presentation
-/// only), so accounted runs neither consult nor pollute the result cache.
-/// Each pass re-verifies the exhaustiveness invariant before its totals are
-/// exported.
-pub fn attach_breakdowns(
-    executor: &Executor,
-    points: &[RunDescriptor],
-    records: &mut [PointRecord],
-) -> Result<(), String> {
-    assert_eq!(points.len(), records.len());
-    let lowered: Vec<LoweredRun> = points
-        .iter()
-        .map(|d| lower_descriptor(d).map_err(|e| format!("point {}: {e}", d.label())))
-        .collect::<Result<_, _>>()?;
-    let breakdowns = executor.run(&lowered, |_, (config, spec, kind)| {
-        let (_, breakdown) = Machine::new(*kind, config.clone()).run_accounted(spec);
-        breakdown
-    });
-    for ((point, record), breakdown) in points.iter().zip(records).zip(breakdowns) {
-        breakdown
-            .check_exhaustive()
-            .map_err(|e| format!("point {}: {e}", point.label()))?;
-        record.metrics.breakdown = Some(*breakdown.totals().counts());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -376,21 +345,28 @@ mod tests {
     }
 
     #[test]
-    fn attached_breakdowns_cover_the_elapsed_cycles() {
+    fn campaign_breakdowns_sum_to_the_elapsed_cycles() {
         let spec = SweepSpec::new(&["CG"])
             .with_cores(&[4])
             .with_scales(&[1.0 / 512.0])
             .small();
         let points = spec.points();
         let report = run_points(&RunContext::serial(), &points).unwrap();
-        let mut records = records_of(&points, &report.results);
-        attach_breakdowns(&Executor::serial(), &points, &mut records).unwrap();
-        for record in &records {
-            let breakdown = record.metrics.breakdown.expect("accounted pass ran");
-            // The accounted pass replays the same run, so its per-core
-            // elapsed sum covers at least the headline execution time.
-            let total: u64 = breakdown.iter().sum();
-            assert!(total >= record.metrics.execution_cycles, "{record:?}");
+        let records = records_of(&points, &report.results);
+        for (record, result) in records.iter().zip(&report.results) {
+            let breakdown = &result.breakdown;
+            breakdown.check_exhaustive().unwrap();
+            assert_eq!(breakdown.cores.len(), 4, "{record:?}");
+            // `cpu.cycles` sums every core's final clock.
+            assert_eq!(
+                breakdown.elapsed_total(),
+                result.stats.count("cpu.cycles"),
+                "{record:?}"
+            );
+            let slowest = breakdown.cores.iter().map(|c| c.elapsed).max();
+            assert_eq!(slowest, Some(result.execution_time.as_u64()), "{record:?}");
+            let total: u64 = record.metrics.breakdown.iter().sum();
+            assert_eq!(total, breakdown.elapsed_total(), "{record:?}");
         }
     }
 }

@@ -8,6 +8,12 @@
 //! the pre-refactor tree.  The `interleaved` segment of the golden names is
 //! the scheduler they were captured under, which is now the only one.
 //!
+//! Every result carries its per-core cycle breakdown, and every golden run's
+//! breakdown must pass the exhaustiveness check.  The breakdown joined the
+//! goldens additively: every other field was captured before cycle
+//! accounting was always on, so the wall also pins that accounting moves no
+//! observable number.
+//!
 //! A perf refactor that touches these files is by definition not a pure
 //! refactor: the goldens may only be regenerated by a PR that *intends* a
 //! model change, with
@@ -84,7 +90,12 @@ fn full_matrix_matches_pinned_goldens() {
                     noc_id(noc),
                     if values { "valued" } else { "plain" }
                 );
-                let rendered = run(kind, noc, values).to_json();
+                let result = run(kind, noc, values);
+                result
+                    .breakdown
+                    .check_exhaustive()
+                    .unwrap_or_else(|e| panic!("{combo}: {e}"));
+                let rendered = result.to_json();
                 let path = golden_path(kind.id(), noc, values);
                 if blessing() {
                     fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -132,9 +143,12 @@ fn directory_backend_matrix_matches_pinned_goldens() {
             );
             let mut cfg = config(noc, values);
             cfg.coherence_protocol = CoherenceProtocol::Directory;
-            let rendered = Machine::new(MachineKind::HybridProposed, cfg)
-                .run(&spec())
-                .to_json();
+            let result = Machine::new(MachineKind::HybridProposed, cfg).run(&spec());
+            result
+                .breakdown
+                .check_exhaustive()
+                .unwrap_or_else(|e| panic!("{combo}: {e}"));
+            let rendered = result.to_json();
             let path = golden_path("directory", noc, values);
             if blessing() {
                 fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -203,30 +217,6 @@ fn tracing_leaves_timing_untouched() {
     }
 }
 
-/// Cycle accounting is pure presentation, exactly like event tracing:
-/// arming the accountant must leave the complete result-codec JSON
-/// bit-identical on both NoC backends, and the books it keeps must sum
-/// bit-exactly to the elapsed cycles (the exhaustiveness invariant).
-/// `SystemConfig::cycle_accounting` documents this pin, and the campaign
-/// cache key relies on it.
-#[test]
-fn cycle_accounting_leaves_timing_untouched() {
-    for noc in [NocModel::Analytic, NocModel::DiscreteEvent] {
-        let combo = noc_id(noc);
-        let plain = run(MachineKind::HybridProposed, noc, false);
-        let machine = Machine::new(MachineKind::HybridProposed, config(noc, false));
-        let (accounted, breakdown) = machine.run_accounted(&spec());
-        assert_eq!(
-            plain.to_json(),
-            accounted.to_json(),
-            "{combo}: accounting must not perturb any observable number"
-        );
-        breakdown
-            .check_exhaustive()
-            .unwrap_or_else(|e| panic!("{combo}: {e}"));
-    }
-}
-
 /// A traced run renders as a well-formed Chrome trace-event document:
 /// per-core kernel/barrier spans from the audit, engine/DMA events from
 /// the rings, and (on the DES NoC) per-home queue-depth counter tracks.
@@ -291,6 +281,10 @@ fn value_tracking_leaves_timing_untouched() {
             "{combo}: instructions"
         );
         assert_eq!(plain.traffic, valued.traffic, "{combo}: NoC traffic");
+        assert_eq!(
+            plain.breakdown, valued.breakdown,
+            "{combo}: cycle breakdown"
+        );
         assert_eq!(
             plain.total_energy().to_bits(),
             valued.total_energy().to_bits(),
