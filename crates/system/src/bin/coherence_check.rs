@@ -40,7 +40,7 @@
 use std::process::ExitCode;
 
 use campaign::{Executor, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS};
-use system::cli::{parse_id_flag, parse_list, CliError};
+use system::cli::{parse_id_flag, parse_list, parse_value, CliError};
 use system::verify::verification_config;
 use system::{CoherenceProtocol, Machine, MachineKind, SystemConfig};
 use workloads::litmus::{catalogue, random_program, FuzzParams, LitmusCase};
@@ -135,14 +135,6 @@ options (LIST = comma-separated values):
     )
 }
 
-/// Parses one numeric flag value, naming the flag and the value when it
-/// does not parse.
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: cannot parse '{value}'"))
-}
-
 /// Parses one axis list: every id must be valid, and the list must name at
 /// least one, so a run can never pass after checking nothing.
 fn axis<T>(
@@ -167,9 +159,9 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
         match arg.as_str() {
-            "--cores" => o.cores = number("--cores", &value("--cores")?)?,
-            "--seeds" => o.seeds = number("--seeds", &value("--seeds")?)?,
-            "--seed-base" => o.seed_base = number("--seed-base", &value("--seed-base")?)?,
+            "--cores" => o.cores = parse_value("--cores", &value("--cores")?)?,
+            "--seeds" => o.seeds = parse_value("--seeds", &value("--seeds")?)?,
+            "--seed-base" => o.seed_base = parse_value("--seed-base", &value("--seed-base")?)?,
             "--machines" => {
                 o.machines = axis(
                     "--machines",
@@ -201,9 +193,11 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
             }
             "--litmus-only" => o.fuzz = false,
             "--fuzz-only" => o.litmus = false,
-            "--fuzz-rounds" => o.fuzz_rounds = number("--fuzz-rounds", &value("--fuzz-rounds")?)?,
-            "--fuzz-ops" => o.fuzz_ops = number("--fuzz-ops", &value("--fuzz-ops")?)?,
-            "--jobs" => o.jobs = number("--jobs", &value("--jobs")?)?,
+            "--fuzz-rounds" => {
+                o.fuzz_rounds = parse_value("--fuzz-rounds", &value("--fuzz-rounds")?)?
+            }
+            "--fuzz-ops" => o.fuzz_ops = parse_value("--fuzz-ops", &value("--fuzz-ops")?)?,
+            "--jobs" => o.jobs = parse_value("--jobs", &value("--jobs")?)?,
             "--quiet" => o.quiet = true,
             "--fault" => match value("--fault")?.as_str() {
                 "skip-filter-invalidation" => {

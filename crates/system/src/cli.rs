@@ -79,7 +79,7 @@ options:
 
 /// Parses one flag value, naming the flag and the value when it does not
 /// parse.
-fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+pub fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value
         .trim()
         .parse()
@@ -90,7 +90,7 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Strin
 ///
 /// Empty segments are skipped; the first unparsable segment fails the whole
 /// flag with a message naming it.  Shared by the strict-parsing binaries
-/// (`campaign`, `noc_contention`).
+/// (`campaign`, `noc_contention`, `coherence_check`).
 pub fn parse_list<T: std::str::FromStr>(flag: &str, list: &str) -> Result<Vec<T>, String> {
     list.split(',')
         .filter(|s| !s.is_empty())
@@ -390,13 +390,17 @@ impl CliOptions {
         let target = self.cycle_accounting.as_deref()?;
         let run = self.observed_point()?;
         let report = self.context().run_lowered(std::slice::from_ref(&run));
-        let breakdown = &report.results[0].breakdown;
+        let result = &report.results[0];
+        let breakdown = &result.breakdown;
         if let Err(error) = breakdown.check_exhaustive() {
             return Some(Err(format!("exhaustiveness invariant violated: {error}")));
         }
         let mut doc = breakdown.to_json();
         if let simkernel::Json::Obj(fields) = &mut doc {
-            fields.insert("benchmark".to_owned(), simkernel::Json::str(&run.1.name));
+            fields.insert(
+                "benchmark".to_owned(),
+                simkernel::Json::str(&result.benchmark),
+            );
         }
         let totals = breakdown.totals();
         Some(write_export(target, &doc.dump()).map(|()| {
