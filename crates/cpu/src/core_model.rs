@@ -82,7 +82,6 @@ pub struct CoreTimingModel {
     phase: Phase,
     breakdown: PhaseBreakdown,
     instructions: u64,
-    stall_cycles: u64,
     memory_accesses: u64,
     flushes: u64,
     ifetches_due: u64,
@@ -118,7 +117,6 @@ impl CoreTimingModel {
             phase: Phase::Work,
             breakdown: PhaseBreakdown::default(),
             instructions: 0,
-            stall_cycles: 0,
             memory_accesses: 0,
             flushes: 0,
             ifetches_due: 0,
@@ -155,9 +153,10 @@ impl CoreTimingModel {
         self.instructions
     }
 
-    /// Cycles spent stalled on memory.
+    /// Cycles spent stalled: every accounted cycle except compute and
+    /// barrier waits (which [`CoreTimingModel::idle_until`] leaves out).
     pub fn stall_cycles(&self) -> u64 {
-        self.stall_cycles
+        self.account.stall_total() - self.account.get(CycleCategory::BarrierWait)
     }
 
     /// Demand memory accesses issued.
@@ -190,15 +189,12 @@ impl CoreTimingModel {
         self.phase
     }
 
-    fn advance(&mut self, cycles: Cycle, is_stall: bool, category: CycleCategory) {
+    fn advance(&mut self, cycles: Cycle, category: CycleCategory) {
         if cycles.is_zero() {
             return;
         }
         self.now += cycles;
         self.breakdown.add(self.phase, cycles);
-        if is_stall {
-            self.stall_cycles += cycles.as_u64();
-        }
         self.account.charge(category, cycles.as_u64());
     }
 
@@ -210,7 +206,7 @@ impl CoreTimingModel {
         self.instructions += insts;
         self.fetch_bytes_accum += insts * self.config.instruction_bytes;
         let cycles = self.config.compute_cycles(insts);
-        self.advance(cycles, false, CycleCategory::Compute);
+        self.advance(cycles, CycleCategory::Compute);
     }
 
     /// Issues one memory access whose hierarchy latency is `latency`.
@@ -253,7 +249,7 @@ impl CoreTimingModel {
         self.mem_issue_accum += 1.0 / 3.0;
         if self.mem_issue_accum >= 1.0 {
             self.mem_issue_accum -= 1.0;
-            self.advance(Cycle::new(1), false, CycleCategory::Compute);
+            self.advance(Cycle::new(1), CycleCategory::Compute);
         }
 
         let hide = self.config.hide_window;
@@ -273,10 +269,9 @@ impl CoreTimingModel {
             } else {
                 (visible.as_u64() as u128 * queue as u128 / latency.as_u64().max(1) as u128) as u64
             };
-            self.advance(Cycle::new(queue_visible), true, CycleCategory::NocQueue);
+            self.advance(Cycle::new(queue_visible), CycleCategory::NocQueue);
             self.advance(
                 visible.saturating_sub(Cycle::new(queue_visible)),
-                true,
                 stall_category,
             );
             return;
@@ -291,7 +286,7 @@ impl CoreTimingModel {
                     let wait = earliest - self.now;
                     // A structural stall — the LSQ's MLP window is full —
                     // not a latency charge for any one miss.
-                    self.advance(wait, true, CycleCategory::LsqStall);
+                    self.advance(wait, CycleCategory::LsqStall);
                 }
             }
         }
@@ -309,16 +304,16 @@ impl CoreTimingModel {
         self.outstanding.clear();
         if latest > self.now {
             let wait = latest - self.now;
-            self.advance(wait, true, CycleCategory::MissWait);
+            self.advance(wait, CycleCategory::MissWait);
         }
     }
 
     /// Stalls the core until `cycle` (e.g. a `dma-synch` completion time),
-    /// charging the wait to `category`.
+    /// charging the wait to `category`, a stall category (not `Compute`).
     pub fn stall_until(&mut self, cycle: Cycle, category: CycleCategory) {
         if cycle > self.now {
             let wait = cycle - self.now;
-            self.advance(wait, true, category);
+            self.advance(wait, category);
         }
     }
 
@@ -425,7 +420,7 @@ impl CoreTimingModel {
             self.flushes += 1;
             self.lsq.flush();
             let penalty = self.config.flush_penalty();
-            self.advance(penalty, true, CycleCategory::LsqStall);
+            self.advance(penalty, CycleCategory::LsqStall);
             true
         } else {
             false
@@ -472,13 +467,13 @@ impl CoreTimingModel {
             return;
         }
         let stall = (latency.as_f64() * self.config.ifetch_stall_fraction).round() as u64;
-        self.advance(Cycle::new(stall), true, CycleCategory::IFetch);
+        self.advance(Cycle::new(stall), CycleCategory::IFetch);
     }
 
     /// Exports the core's counters under `cpu.*` names.
     pub fn export_stats(&self, stats: &mut StatRegistry) {
         stats.add_count("cpu.instructions", self.instructions);
-        stats.add_count("cpu.stall_cycles", self.stall_cycles);
+        stats.add_count("cpu.stall_cycles", self.stall_cycles());
         stats.add_count("cpu.memory_accesses", self.memory_accesses);
         stats.add_count("cpu.flushes", self.flushes);
         stats.add_count("cpu.ifetch_lines", self.ifetches_due);
