@@ -30,9 +30,10 @@ use std::time::Instant;
 
 use bench::{bench_config, BENCH_SCALE};
 use noc::{run_synthetic, MessageClass, Noc, NocConfig, NocModel, SyntheticTraffic};
-use simkernel::{Cycle, NodeId, TraceSettings};
+use simkernel::{CoreId, Cycle, NodeId, TraceSettings};
 use system::{Machine, MachineKind};
 use workloads::nas::NasBenchmark;
+use workloads::{compile, ExecMode, MachineParams, OpCursor};
 
 /// Allowed ops/sec drop before `--check` fails, as a fraction.
 const REGRESSION_BUDGET: f64 = 0.20;
@@ -85,14 +86,64 @@ fn measure_step_throughput(samples: usize) -> Vec<Entry> {
     let machine = Machine::new(MachineKind::HybridProposed, bench_config());
     let ops = machine.run(&spec).instructions;
     let (min_ns, median_ns) = sample(samples, || machine.run(&spec));
-    vec![Entry {
-        name: "cg/interleaved",
+    vec![
+        Entry {
+            name: "cg/interleaved",
+            ops,
+            unit: "instructions",
+            min_ns,
+            median_ns,
+            baseline_median_ns: 45_565_334,
+        },
+        measure_opgen(samples),
+    ]
+}
+
+/// Op generation alone on the `cg/interleaved` config: every core's
+/// `OpCursor` over every kernel, seeded like the machine and pulled one op
+/// per core in turn (as the scheduler interleaves cores) until all are
+/// exhausted.  The baseline is the median measured with the whole-tile
+/// generator the streaming cursor replaced.
+fn measure_opgen(samples: usize) -> Entry {
+    let benchmark = NasBenchmark::Cg;
+    let spec = benchmark.spec_scaled(benchmark.recommended_scale() * BENCH_SCALE);
+    let config = bench_config();
+    let cores = config.cores;
+    let params = MachineParams {
+        cores,
+        spm_size: config.spm.size,
+    };
+    let compiled = compile(&spec, ExecMode::Hybrid, &params);
+    let stream = || {
+        let mut ops = 0u64;
+        for kernel in &compiled.kernels {
+            let mut cursors: Vec<OpCursor<'_>> = (0..cores)
+                .map(|c| OpCursor::new(kernel, CoreId::new(c), cores, config.trace_seed))
+                .collect();
+            let mut pulled = true;
+            while pulled {
+                pulled = false;
+                for cursor in &mut cursors {
+                    if let Some(op) = cursor.next_op() {
+                        std::hint::black_box(op);
+                        ops += 1;
+                        pulled = true;
+                    }
+                }
+            }
+        }
+        ops
+    };
+    let ops = stream();
+    let (min_ns, median_ns) = sample(samples, stream);
+    Entry {
+        name: "cg/opgen",
         ops,
-        unit: "instructions",
+        unit: "ops",
         min_ns,
         median_ns,
-        baseline_median_ns: 45_565_334,
-    }]
+        baseline_median_ns: 6_754_768,
+    }
 }
 
 /// The observer cost on the machine-step workload: the shipping default

@@ -30,7 +30,16 @@ pub struct PointMetrics {
     /// Machine-wide cycle-accounting totals in [`CycleCategory::ALL`]
     /// order: every core's cycles, summed per category.
     pub breakdown: [u64; CycleCategory::COUNT],
+    /// NoC packets injected per message class, in [`TRAFFIC_CLASSES`] order.
+    pub packets: [u64; TRAFFIC_CLASSES.len()],
+    /// NoC flits injected per message class, in [`TRAFFIC_CLASSES`] order.
+    pub flits: [u64; TRAFFIC_CLASSES.len()],
 }
+
+/// The ids of the NoC message classes, in the simulator's class order (the
+/// `noc` crate's `MessageClass::ALL`; a `system` test pins the two
+/// together).  They name the per-class `packets_*`/`flits_*` columns.
+pub const TRAFFIC_CLASSES: [&str; 6] = ["ifetch", "read", "write", "wb_repl", "dma", "cohprot"];
 
 /// One campaign point with its measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,12 +180,13 @@ pub fn summarize(records: &[PointRecord]) -> CampaignSummary {
 
 /// The CSV column order used by [`to_csv`].
 ///
-/// The nine `cycles_*` columns come strictly **after** every other column
-/// (consumers that slice the leading descriptor+metric columns keep
-/// working).  A test pins their names to [`CycleCategory::ALL`].  `cycles_dma_wait` is
-/// always 0: the scheduler charges `dma-synch` waits to `cycles_park` (see
-/// [`CycleCategory::DmaWait`]).
-pub const CSV_COLUMNS: [&str; 24] = [
+/// The nine `cycles_*` columns come **after** every descriptor and headline
+/// metric column (consumers that slice the leading descriptor+metric columns
+/// keep working), followed by the per-class `packets_*` and then `flits_*`
+/// columns.  Tests pin their names to [`CycleCategory::ALL`] and
+/// [`TRAFFIC_CLASSES`].  `cycles_dma_wait` is always 0: the scheduler charges
+/// `dma-synch` waits to `cycles_park` (see [`CycleCategory::DmaWait`]).
+pub const CSV_COLUMNS: [&str; 36] = [
     "benchmark",
     "machine",
     "cores",
@@ -201,6 +211,18 @@ pub const CSV_COLUMNS: [&str; 24] = [
     "cycles_noc_queue",
     "cycles_protocol",
     "cycles_park",
+    "packets_ifetch",
+    "packets_read",
+    "packets_write",
+    "packets_wb_repl",
+    "packets_dma",
+    "packets_cohprot",
+    "flits_ifetch",
+    "flits_read",
+    "flits_write",
+    "flits_wb_repl",
+    "flits_dma",
+    "flits_cohprot",
 ];
 
 /// Exports every record as CSV, one row per point, header included.
@@ -231,7 +253,7 @@ pub fn to_csv(records: &[PointRecord]) -> String {
             m.instructions,
             opt(&m.filter_hit_ratio),
         ));
-        for count in m.breakdown {
+        for count in m.breakdown.iter().chain(&m.packets).chain(&m.flits) {
             out.push(',');
             out.push_str(&count.to_string());
         }
@@ -253,6 +275,14 @@ pub fn to_json(records: &[PointRecord]) -> String {
             let m = &r.metrics;
             fn opt_num<T: Copy + Into<u64>>(v: Option<T>) -> Json {
                 v.map_or(Json::Null, |v| Json::from(v.into()))
+            }
+            fn by_class(counts: &[u64; TRAFFIC_CLASSES.len()]) -> Json {
+                Json::obj(
+                    TRAFFIC_CLASSES
+                        .iter()
+                        .zip(counts)
+                        .map(|(class, &count)| (*class, Json::from(count))),
+                )
             }
             Json::obj([
                 (
@@ -303,6 +333,8 @@ pub fn to_json(records: &[PointRecord]) -> String {
                                     .map(|(category, count)| (category.id(), Json::from(count))),
                             ),
                         ),
+                        ("packets", by_class(&m.packets)),
+                        ("flits", by_class(&m.flits)),
                     ]),
                 ),
             ])
@@ -325,6 +357,8 @@ mod tests {
                 instructions: 1000,
                 filter_hit_ratio: (machine == "hybrid-proposed").then_some(0.97),
                 breakdown: std::array::from_fn(|i| if i == 0 { cycles } else { 0 }),
+                packets: [0; 6],
+                flits: [0; 6],
             },
         }
     }
@@ -410,9 +444,33 @@ mod tests {
         let csv = to_csv(&records);
         let accounted: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
         assert_eq!(
-            accounted[15..],
+            accounted[15..24],
             ["100", "101", "102", "103", "104", "105", "106", "107", "108"]
         );
+    }
+
+    #[test]
+    fn exports_carry_traffic_by_class() {
+        for (i, class) in TRAFFIC_CLASSES.iter().enumerate() {
+            assert_eq!(CSV_COLUMNS[24 + i], format!("packets_{class}"));
+            assert_eq!(CSV_COLUMNS[30 + i], format!("flits_{class}"));
+        }
+        let mut records = three_machines();
+        records[1].metrics.packets = std::array::from_fn(|i| 10 + i as u64);
+        records[1].metrics.flits = std::array::from_fn(|i| 20 + i as u64);
+        let csv = to_csv(&records);
+        let row: Vec<&str> = csv.lines().nth(2).unwrap().split(',').collect();
+        assert_eq!(
+            row[24..],
+            ["10", "11", "12", "13", "14", "15", "20", "21", "22", "23", "24", "25"]
+        );
+        let parsed = Json::parse(&to_json(&records)).unwrap();
+        let metrics = parsed.as_array().unwrap()[1].get("metrics").unwrap();
+        let packets = metrics.get("packets").unwrap();
+        assert_eq!(packets.get("ifetch").unwrap().as_u64(), Some(10));
+        assert_eq!(packets.get("cohprot").unwrap().as_u64(), Some(15));
+        let flits = metrics.get("flits").unwrap();
+        assert_eq!(flits.get("wb_repl").unwrap().as_u64(), Some(23));
     }
 
     #[test]

@@ -60,6 +60,18 @@ impl MessageClass {
         }
     }
 
+    /// Stable lower-case identifier for stat names and export columns.
+    pub fn id(self) -> &'static str {
+        match self {
+            MessageClass::Ifetch => "ifetch",
+            MessageClass::Read => "read",
+            MessageClass::Write => "write",
+            MessageClass::WbRepl => "wb_repl",
+            MessageClass::Dma => "dma",
+            MessageClass::CohProt => "cohprot",
+        }
+    }
+
     /// Stable index of the class (position in [`MessageClass::ALL`]).
     pub fn index(self) -> usize {
         match self {

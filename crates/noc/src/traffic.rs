@@ -97,7 +97,7 @@ impl TrafficAccountant {
     pub fn export(&self, stats: &mut StatRegistry) {
         for class in MessageClass::ALL {
             let i = class.index();
-            let label = class.label().to_lowercase().replace('-', "_");
+            let label = class.id();
             stats.add_count(&format!("noc.{label}.packets"), self.packets[i]);
             stats.add_count(&format!("noc.{label}.flits"), self.flits[i]);
             stats.add_count(&format!("noc.{label}.flit_hops"), self.flit_hops[i]);
@@ -110,6 +110,11 @@ impl TrafficAccountant {
     /// Per-class packet counts in [`MessageClass::ALL`] order.
     pub fn packets_by_class(&self) -> [u64; 6] {
         self.packets
+    }
+
+    /// Per-class flit counts in [`MessageClass::ALL`] order.
+    pub fn flits_by_class(&self) -> [u64; 6] {
+        self.flits
     }
 
     /// The complete internal state as `[packets, flits, flit_hops, bytes]`

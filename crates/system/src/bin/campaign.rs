@@ -13,8 +13,9 @@
 //! `--cache-dir` (default `target/campaign-cache`), so a repeated
 //! invocation executes only new or changed points.  The last line printed
 //! is the accounting, e.g. `campaign: 24 points, executed 0, cache hits 24`.
-//! Every run carries its cycle breakdown, so the CSV/JSON exports always
-//! include the machine-wide `cycles_*` columns, cached points included.
+//! Every run carries its cycle breakdown and its traffic by message class,
+//! so the CSV/JSON exports always include the machine-wide `cycles_*` and
+//! the per-class `packets_*`/`flits_*` columns, cached points included.
 
 use campaign::{
     summarize, Executor, ResultCache, SweepSpec, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS,
@@ -45,9 +46,11 @@ options (LIST = comma-separated values):
   --cache-dir PATH    result-cache directory (default target/campaign-cache)
   --no-cache          execute every point, read and write no cache
   --csv PATH          write per-point metrics as CSV ('-' for stdout),
-                      including the machine-wide cycles_* breakdown
+                      including the machine-wide cycles_* breakdown and
+                      the per-class packets_*/flits_* traffic
   --json PATH         write per-point metrics as JSON ('-' for stdout),
-                      including the machine-wide cycle breakdown
+                      including the machine-wide cycle breakdown and the
+                      per-class packets and flits
   --quiet             suppress the summary table (accounting still prints)
   --help              this text
 ",

@@ -12,8 +12,60 @@
 //! parse round trip bit-for-bit, and the breakdown must satisfy the
 //! exhaustiveness invariant (categories sum bit-exactly to elapsed cycles on
 //! every core) — the CI smoke step greps for both confirmations.
+//!
+//! `--help` exits 0; malformed arguments exit 2 with the usage text; a
+//! document that cannot be read or fails a check exits 1.
 
 use simkernel::{CycleBreakdown, CycleCategory, Json};
+use system::cli::{parse_value, CliError};
+
+const USAGE: &str = "\
+cycle_report — tables, top stalls and diffs of a cycle-accounting JSON
+
+usage: cycle_report PATH [options]
+
+options:
+  --diff PATH2   compare with a second breakdown, category by category
+  --top N        per-core stall sources to list (default 5)
+  --csv PATH     write the per-core breakdown as CSV ('-' for stdout)
+  --json PATH    re-export the breakdown as JSON ('-' for stdout)
+  --help         this text
+
+exit status: 0 on success, 1 if a document cannot be read or fails its
+checks, 2 on malformed arguments
+";
+
+struct Options {
+    path: String,
+    diff: Option<String>,
+    csv: Option<String>,
+    json: Option<String>,
+    top: usize,
+}
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
+    let (mut path, mut diff, mut csv, mut json, mut top) = (None, None, None, None, 5);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
+        match arg.as_str() {
+            "--diff" => diff = Some(value("--diff")?),
+            "--csv" => csv = Some(value("--csv")?),
+            "--json" => json = Some(value("--json")?),
+            "--top" => top = parse_value("--top", &value("--top")?)?,
+            "--help" | "-h" => return Err(CliError::Help),
+            other if path.is_none() && !other.starts_with('-') => path = Some(arg),
+            other => return Err(format!("unknown argument '{other}'").into()),
+        }
+    }
+    Ok(Options {
+        path: path.ok_or("missing the breakdown PATH".to_owned())?,
+        diff,
+        csv,
+        json,
+        top,
+    })
+}
 
 /// Loads, round-trip-checks and invariant-checks one breakdown document.
 fn load(path: &str) -> Result<(Json, CycleBreakdown), String> {
@@ -80,37 +132,13 @@ fn summarise(doc: &Json, breakdown: &CycleBreakdown, top: usize) -> String {
     out
 }
 
-fn run(args: &[String]) -> Result<String, String> {
-    let mut path = None;
-    let mut diff = None;
-    let mut csv = None;
-    let mut json = None;
-    let mut top = 5usize;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--diff" => diff = Some(iter.next().ok_or("--diff needs a path")?.to_string()),
-            "--csv" => csv = Some(iter.next().ok_or("--csv needs a path")?.to_string()),
-            "--json" => json = Some(iter.next().ok_or("--json needs a path")?.to_string()),
-            "--top" => {
-                top = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--top needs a number")?;
-            }
-            other if path.is_none() && !other.starts_with("--") => {
-                path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    let path =
-        path.ok_or("usage: cycle_report PATH [--diff PATH2] [--top N] [--csv PATH] [--json PATH]")?;
-    let (doc, breakdown) = load(&path)?;
+fn run(options: &Options) -> Result<String, String> {
+    let path = &options.path;
+    let (doc, breakdown) = load(path)?;
 
-    let mut out = summarise(&doc, &breakdown, top);
-    if let Some(diff_path) = diff {
-        let (_, other) = load(&diff_path)?;
+    let mut out = summarise(&doc, &breakdown, options.top);
+    if let Some(diff_path) = &options.diff {
+        let (_, other) = load(diff_path)?;
         // The diff normalizes by core count when the meshes differ; a
         // zero-core document has no per-core mean, so reject it instead of
         // printing rows of meaningless figures.
@@ -125,14 +153,14 @@ fn run(args: &[String]) -> Result<String, String> {
         out.push('\n');
         out.push_str(&breakdown.diff_table(&other));
     }
-    if let Some(csv_path) = csv {
-        system::write_export(&csv_path, &to_csv(&breakdown))?;
+    if let Some(csv_path) = &options.csv {
+        system::write_export(csv_path, &to_csv(&breakdown))?;
         out.push_str(&format!("CSV -> {csv_path}\n"));
     }
-    if let Some(json_path) = json {
+    if let Some(json_path) = &options.json {
         let mut dump = breakdown.to_json().dump();
         dump.push('\n');
-        system::write_export(&json_path, &dump)?;
+        system::write_export(json_path, &dump)?;
         out.push_str(&format!("JSON -> {json_path}\n"));
     }
     out.push_str("categories sum bit-exactly to elapsed cycles\n");
@@ -141,8 +169,18 @@ fn run(args: &[String]) -> Result<String, String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let options = match parse(std::env::args().skip(1)) {
+        Ok(options) => options,
+        Err(CliError::Help) => {
+            print!("{USAGE}");
+            return;
+        }
+        Err(CliError::Invalid(message)) => {
+            eprintln!("cycle_report: {message}\n\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    match run(&options) {
         Ok(report) => print!("{report}"),
         Err(error) => {
             eprintln!("cycle_report: {error}");
@@ -176,6 +214,11 @@ mod tests {
         CycleBreakdown { cores }
     }
 
+    /// Parses `args` and runs the report.
+    fn report(args: &[String]) -> Result<String, String> {
+        run(&parse(args.iter().cloned()).expect("valid arguments"))
+    }
+
     fn write_sample(name: &str, scale: u64) -> String {
         write_sized_sample(name, scale, 2)
     }
@@ -194,7 +237,7 @@ mod tests {
     #[test]
     fn reports_tables_and_top_stalls() {
         let path = write_sample("cycle-report-test-a.json", 1);
-        let out = run(&[path]).unwrap();
+        let out = report(&[path]).unwrap();
         assert!(out.contains("cycle accounting of CG on 2 cores"), "{out}");
         assert!(out.contains("compute"), "{out}");
         assert!(out.contains("miss_wait"), "{out}");
@@ -210,7 +253,7 @@ mod tests {
     fn diff_compares_two_runs() {
         let a = write_sample("cycle-report-test-b.json", 1);
         let b = write_sample("cycle-report-test-c.json", 2);
-        let out = run(&[a, "--diff".to_owned(), b]).unwrap();
+        let out = report(&[a, "--diff".to_owned(), b]).unwrap();
         assert!(out.contains("diff"), "{out}");
         // Machine-wide compute moves from 200 (2 cores × 100) to 400.
         assert!(out.contains("+200"), "{out}");
@@ -223,7 +266,7 @@ mod tests {
         // rather than comparing raw totals across mesh sizes.
         let small = write_sized_sample("cycle-report-test-e.json", 1, 2);
         let big = write_sized_sample("cycle-report-test-f.json", 2, 8);
-        let out = run(&[small, "--diff".to_owned(), big]).unwrap();
+        let out = report(&[small, "--diff".to_owned(), big]).unwrap();
         assert!(out.contains("2 vs 8 cores, per-core means"), "{out}");
         // Per-core compute: 100 vs 200 → +100.0 per core.
         assert!(out.contains("+100.0"), "{out}");
@@ -237,10 +280,10 @@ mod tests {
         // empty is a load-time-style error naming the offending file.
         let ok = write_sized_sample("cycle-report-test-g.json", 1, 2);
         let empty = write_sized_sample("cycle-report-test-h.json", 1, 0);
-        let err = run(&[empty.clone(), "--diff".to_owned(), ok.clone()]).unwrap_err();
+        let err = report(&[empty.clone(), "--diff".to_owned(), ok.clone()]).unwrap_err();
         assert!(err.contains("empty breakdown"), "{err}");
         assert!(err.contains("cycle-report-test-h.json"), "{err}");
-        let err = run(&[ok, "--diff".to_owned(), empty]).unwrap_err();
+        let err = report(&[ok, "--diff".to_owned(), empty]).unwrap_err();
         assert!(err.contains("empty breakdown"), "{err}");
         assert!(err.contains("cycle-report-test-h.json"), "{err}");
     }
@@ -252,7 +295,7 @@ mod tests {
         let csv = csv.to_str().unwrap().to_owned();
         let json = std::env::temp_dir().join("cycle-report-test-d-out.json");
         let json = json.to_str().unwrap().to_owned();
-        let out = run(&[
+        let out = report(&[
             path,
             "--csv".to_owned(),
             csv.clone(),
@@ -282,10 +325,8 @@ mod tests {
         let mut bad = sample_breakdown(1);
         bad.cores[0].elapsed += 1;
         std::fs::write(&path, bad.to_json().dump()).unwrap();
-        let err = run(&[path_s]).unwrap_err();
+        let err = report(&[path_s]).unwrap_err();
         assert!(err.contains("exhaustiveness invariant violated"), "{err}");
-        assert!(run(&["nope.json".to_owned()]).is_err());
-        assert!(run(&[]).unwrap_err().contains("usage"));
-        assert!(run(&["--bogus".to_owned()]).is_err());
+        assert!(report(&["nope.json".to_owned()]).is_err());
     }
 }

@@ -10,10 +10,58 @@
 //! The summariser re-parses its own dump of the document first, so a
 //! successful run doubles as a round-trip check of the trace format (the CI
 //! smoke step relies on this).
+//!
+//! `--help` exits 0; malformed arguments exit 2 with the usage text; a
+//! document that cannot be read or fails a check exits 1.
 
 use std::collections::BTreeMap;
 
 use simkernel::Json;
+use system::cli::{parse_value, CliError};
+
+const USAGE: &str = "\
+trace_report — event counts, hottest homes and links of a Chrome trace JSON
+
+usage: trace_report PATH [options]
+
+options:
+  --top N        homes and links to list per window (default 5)
+  --windows N    time windows to split the sampled span into, at least 1
+                 (default 4)
+  --help         this text
+
+exit status: 0 on success, 1 if the document cannot be read or fails its
+checks, 2 on malformed arguments
+";
+
+struct Options {
+    path: String,
+    top: usize,
+    windows: u64,
+}
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
+    let (mut path, mut top, mut windows) = (None, 5, 4);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
+        match arg.as_str() {
+            "--top" => top = parse_value("--top", &value("--top")?)?,
+            "--windows" => windows = parse_value("--windows", &value("--windows")?)?,
+            "--help" | "-h" => return Err(CliError::Help),
+            other if path.is_none() && !other.starts_with('-') => path = Some(arg),
+            other => return Err(format!("unknown argument '{other}'").into()),
+        }
+    }
+    if windows == 0 {
+        return Err("--windows: must be at least 1".to_owned().into());
+    }
+    Ok(Options {
+        path: path.ok_or("missing the trace PATH".to_owned())?,
+        top,
+        windows,
+    })
+}
 
 /// One counter track: `(cycle, value)` samples in time order.
 type Track = Vec<(u64, f64)>;
@@ -185,33 +233,9 @@ fn summarise(doc: &Json, top: usize, windows: u64) -> Result<String, String> {
     Ok(out)
 }
 
-fn run(args: &[String]) -> Result<String, String> {
-    let mut path = None;
-    let mut top = 5usize;
-    let mut windows = 4u64;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--top" => {
-                top = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--top needs a number")?;
-            }
-            "--windows" => {
-                windows = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--windows needs a number")?;
-            }
-            other if path.is_none() && !other.starts_with("--") => {
-                path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    let path = path.ok_or("usage: trace_report PATH [--top N] [--windows N]")?;
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+fn run(options: &Options) -> Result<String, String> {
+    let path = &options.path;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e:?}"))?;
     // The document must survive a dump → parse round trip bit-for-bit; a
     // mismatch means the emitter and parser disagree on the format.
@@ -220,14 +244,24 @@ fn run(args: &[String]) -> Result<String, String> {
     if reparsed != doc {
         return Err(format!("{path}: JSON round-trip changed the document"));
     }
-    let mut out = summarise(&doc, top, windows)?;
+    let mut out = summarise(&doc, options.top, options.windows)?;
     out.push_str("JSON round-trip OK\n");
     Ok(out)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let options = match parse(std::env::args().skip(1)) {
+        Ok(options) => options,
+        Err(CliError::Help) => {
+            print!("{USAGE}");
+            return;
+        }
+        Err(CliError::Invalid(message)) => {
+            eprintln!("trace_report: {message}\n\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    match run(&options) {
         Ok(report) => print!("{report}"),
         Err(error) => {
             eprintln!("trace_report: {error}");
@@ -276,6 +310,16 @@ mod tests {
     #[test]
     fn rejects_non_trace_documents() {
         assert!(summarise(&Json::from(1u64), 5, 4).is_err());
+    }
+
+    #[test]
+    fn parses_path_and_options_in_any_order() {
+        let args = ["--top", "3", "a.json", "--windows", "2"].map(str::to_owned);
+        let options = parse(args).unwrap();
+        assert_eq!(
+            (options.path.as_str(), options.top, options.windows),
+            ("a.json", 3, 2)
+        );
     }
 
     #[test]

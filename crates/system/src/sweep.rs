@@ -184,6 +184,8 @@ pub fn metrics_of(r: &RunResult) -> PointMetrics {
         instructions: r.instructions,
         filter_hit_ratio: r.filter_hit_ratio,
         breakdown: *r.breakdown.totals().counts(),
+        packets: r.traffic.packets_by_class(),
+        flits: r.traffic.flits_by_class(),
     }
 }
 
@@ -340,8 +342,17 @@ mod tests {
         assert!(row.speedup.is_some());
         assert!(row.protocol_overhead.unwrap() >= 1.0);
         for r in &report.results {
-            assert!(metrics_of(r).execution_cycles > 0);
+            let metrics = metrics_of(r);
+            assert!(metrics.execution_cycles > 0);
+            assert_eq!(metrics.packets.iter().sum::<u64>(), metrics.total_packets);
+            assert_eq!(metrics.flits.iter().sum::<u64>(), r.traffic.total_flits());
         }
+    }
+
+    #[test]
+    fn traffic_columns_follow_the_message_classes() {
+        let ids: Vec<&str> = noc::MessageClass::ALL.iter().map(|c| c.id()).collect();
+        assert_eq!(ids, campaign::aggregate::TRAFFIC_CLASSES);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Exit codes of the binaries' strict argument parsing, checked on the real
-//! `fig9`, `noc_contention` and `coherence_check` executables: `--help`
-//! exits 0 with the usage text on stdout, and malformed input exits 2 with
-//! the usage text on stderr instead of running on defaults, on a silently
-//! clamped value or on an empty selection.
+//! `fig9`, `noc_contention`, `coherence_check`, `cycle_report` and
+//! `trace_report` executables: `--help` exits 0 with the usage text on
+//! stdout, and malformed input exits 2 with the usage text on stderr instead
+//! of running on defaults, on a silently clamped value or on an empty
+//! selection.
 
 use std::process::{Command, Output};
 
@@ -25,6 +26,18 @@ fn coherence_check(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("coherence_check starts")
+}
+
+fn analyzer(name: &str, args: &[&str]) -> Output {
+    let exe = match name {
+        "cycle_report" => env!("CARGO_BIN_EXE_cycle_report"),
+        "trace_report" => env!("CARGO_BIN_EXE_trace_report"),
+        other => unreachable!("no analyzer {other}"),
+    };
+    Command::new(exe)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("{name} starts: {e}"))
 }
 
 #[test]
@@ -173,4 +186,46 @@ fn coherence_check_runs_a_valid_selection() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("coherence_check: 1 points"), "{stdout}");
+}
+
+#[test]
+fn analyzers_help_exits_zero_on_stdout() {
+    for name in ["cycle_report", "trace_report"] {
+        let out = analyzer(name, &["--help"]);
+        assert_eq!(out.status.code(), Some(0), "{name}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(&format!("usage: {name}")), "{stdout}");
+        assert!(out.stderr.is_empty(), "{name}");
+    }
+}
+
+/// Malformed arguments exit 2 with the usage text; exit 1 stays reserved
+/// for a document that cannot be read or fails its checks.
+#[test]
+fn analyzers_malformed_input_exits_two_with_usage() {
+    for (name, args) in [
+        ("cycle_report", &[][..]),
+        ("cycle_report", &["--bogus"][..]),
+        ("cycle_report", &["a.json", "--top", "many"][..]),
+        ("cycle_report", &["a.json", "--diff"][..]),
+        ("cycle_report", &["a.json", "b.json"][..]),
+        ("trace_report", &[][..]),
+        ("trace_report", &["--bogus"][..]),
+        ("trace_report", &["a.json", "b.json"][..]),
+        ("trace_report", &["a.json", "--windows", "0"][..]),
+        ("trace_report", &["a.json", "--top", "-1"][..]),
+    ] {
+        let out = analyzer(name, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("usage: {name}")),
+            "{name} {args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{name} {args:?} must not report");
+    }
+    for name in ["cycle_report", "trace_report"] {
+        let out = analyzer(name, &["no-such-document.json"]);
+        assert_eq!(out.status.code(), Some(1), "{name}");
+    }
 }
