@@ -1,5 +1,5 @@
-//! Perf-trajectory reporter: re-measures the two hot-loop benchmarks and
-//! records the results as machine-readable `BENCH_*.json` files at the repo
+//! Perf-trajectory reporter: re-measures the hot-loop benchmarks and the
+//! memory hierarchy's set-up cost, and records the results as machine-readable `BENCH_*.json` files at the repo
 //! root, next to the pre-refactor baselines they are compared against.
 //!
 //! Unlike the criterion benches (which estimate distributions), this binary
@@ -29,6 +29,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use bench::{bench_config, BENCH_SCALE};
+use mem::{MemorySystem, MemorySystemConfig};
 use noc::{run_synthetic, MessageClass, Noc, NocConfig, NocModel, SyntheticTraffic};
 use simkernel::{CoreId, Cycle, NodeId, TraceSettings};
 use system::{Machine, MachineKind};
@@ -242,6 +243,24 @@ fn measure_noc_des(samples: usize) -> Vec<Entry> {
     ]
 }
 
+/// Building and dropping the 1024-core Table-1 hierarchy: 2,048 L1s and
+/// 1,024 256 KiB L2 slices, whose per-slot state is most of a wide run's
+/// set-up time and footprint.  The baseline is the median measured, in
+/// alternation with the compact layout, with the 40-byte directory entries
+/// and per-set heap PLRU trees it replaced.
+fn measure_mem_setup(samples: usize) -> Vec<Entry> {
+    let config = MemorySystemConfig::isca2015(1024);
+    let (min_ns, median_ns) = sample(samples, || MemorySystem::new(config.clone()));
+    vec![Entry {
+        name: "memsys/new_drop_1024",
+        ops: 1,
+        unit: "machines",
+        min_ns,
+        median_ns,
+        baseline_median_ns: 84_754_504,
+    }]
+}
+
 fn git_rev(root: &Path) -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
@@ -357,7 +376,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|s| s.parse().ok())
         .unwrap_or(15);
-    // `--only step|noc|trace` restricts the run to one report.
+    // `--only step|noc|trace|mem` restricts the run to one report.
     let only: Option<&str> = args
         .iter()
         .position(|a| a == "--only")
@@ -415,6 +434,23 @@ fn main() {
                 &trace,
             ),
             trace,
+        ));
+    }
+
+    if wants("mem") {
+        eprintln!("measuring mem_setup ({samples} samples)...");
+        let setup = measure_mem_setup(samples);
+        reports.push((
+            "BENCH_mem_setup.json",
+            render(
+                "mem_setup",
+                &rev,
+                "1024-core Table-1 hierarchy (MemorySystemConfig::isca2015(1024)): \
+                 32 KiB 4-way L1 I/D and a 256 KiB 16-way L2 slice per tile, new + drop",
+                samples,
+                &setup,
+            ),
+            setup,
         ));
     }
 

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use simkernel::{ByteSize, Cycle};
 
 use crate::addr::{LineAddr, LINE_BYTES};
-use crate::plru::TreePlru;
+use crate::plru::{TreePlru, MAX_WAYS};
 
 /// Geometry and latency of one cache.
 ///
@@ -38,7 +38,7 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero size, zero ways, ways not a
-    /// power of two, or fewer lines than ways).
+    /// power of two or above [`MAX_WAYS`], or fewer lines than ways).
     pub fn new(name: &str, size: ByteSize, ways: usize, latency: Cycle) -> Self {
         let cfg = CacheConfig {
             name: name.to_owned(),
@@ -49,6 +49,10 @@ impl CacheConfig {
         assert!(
             ways > 0 && ways.is_power_of_two(),
             "ways must be a power of two"
+        );
+        assert!(
+            ways <= MAX_WAYS,
+            "ways must be at most {MAX_WAYS} (tree-PLRU state is one u64 per set), got {ways}"
         );
         assert!(
             cfg.lines() >= ways as u64,
@@ -135,7 +139,7 @@ impl<S: Clone> CacheArray<S> {
             tags: vec![0; slots],
             valid: vec![false; slots],
             states: (0..slots).map(|_| None).collect(),
-            plru: (0..sets).map(|_| TreePlru::new(ways)).collect(),
+            plru: vec![TreePlru::new(ways); sets],
             config,
             hits: 0,
             misses: 0,
@@ -449,5 +453,11 @@ mod tests {
     #[should_panic]
     fn degenerate_geometry_panics() {
         let _ = CacheConfig::new("bad", ByteSize::bytes_exact(64), 4, Cycle::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "ways must be at most 64")]
+    fn more_than_64_ways_panics() {
+        let _ = CacheConfig::new("wide", ByteSize::kib(64), 128, Cycle::new(1));
     }
 }

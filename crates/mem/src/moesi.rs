@@ -61,16 +61,16 @@ impl fmt::Display for MoesiState {
 /// Which private caches hold a line: one bit per core.
 ///
 /// The paper's machine is 64 cores, so the common representation is a
-/// single word.  Bigger meshes (256–1024 cores) promote the set to a boxed
+/// single word.  Bigger meshes (128–1024 cores) promote the set to a boxed
 /// multi-word bitmap on the first sharer past core 63; every ≤64-core
-/// configuration only ever touches the narrow form, so the wide path costs
-/// nothing where the goldens pin behaviour.
+/// configuration only ever touches the narrow form.  The words sit behind a
+/// thin pointer, so either form is two words wide.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 enum SharerSet {
     /// One `u64`, bit per core — cores 0..64.
     Narrow(u64),
     /// One word per 64 cores, grown on demand.
-    Wide(Box<[u64]>),
+    Wide(Box<Box<[u64]>>),
 }
 
 impl Default for SharerSet {
@@ -87,13 +87,13 @@ impl SharerSet {
                 let mut words = vec![0u64; idx / 64 + 1];
                 words[0] = *bits;
                 words[idx / 64] |= 1u64 << (idx % 64);
-                *self = SharerSet::Wide(words.into_boxed_slice());
+                *self = SharerSet::Wide(Box::new(words.into_boxed_slice()));
             }
             SharerSet::Wide(words) => {
                 if idx / 64 >= words.len() {
                     let mut grown = vec![0u64; idx / 64 + 1];
                     grown[..words.len()].copy_from_slice(words);
-                    *words = grown.into_boxed_slice();
+                    **words = grown.into_boxed_slice();
                 }
                 words[idx / 64] |= 1u64 << (idx % 64);
             }
@@ -137,11 +137,17 @@ impl SharerSet {
         self.words().iter().all(|&w| w == 0)
     }
 
+    /// The set cores in ascending order, one `trailing_zeros` per sharer.
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words().iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64)
-                .filter(move |b| (bits >> b) & 1 == 1)
-                .map(move |b| w * 64 + b)
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + b
+                })
+            })
         })
     }
 }
@@ -149,9 +155,10 @@ impl SharerSet {
 /// Directory bookkeeping for one line of the shared L2.
 ///
 /// Tracks which L1 caches hold the line (a sharer bit-vector: one word up
-/// to the paper's 64-core machine, a multi-word bitmap on the bigger
-/// parallel-engine meshes), which of them — if any — owns a dirty copy, and
-/// whether the L2's own copy is dirty with respect to memory.
+/// to the paper's 64-core machine, a multi-word bitmap on bigger meshes),
+/// which of them — if any — owns a dirty copy, and whether the L2's own copy
+/// is dirty with respect to memory.  Every L2 slot holds one, so the entry
+/// is kept to 24 bytes: the owner is a `u32` core index.
 ///
 /// # Example
 ///
@@ -165,13 +172,39 @@ impl SharerSet {
 /// dir.add_sharer(CoreId::new(5), MoesiState::Shared);
 /// assert_eq!(dir.sharer_count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DirectoryEntry {
     sharers: SharerSet,
-    owner: Option<CoreId>,
+    /// Index of the owning core, or [`NO_OWNER`].
+    owner: u32,
     owner_state: MoesiState,
     /// Whether the L2 copy is newer than main memory.
     pub l2_dirty: bool,
+}
+
+/// The `owner` index of an entry no core owns.
+const NO_OWNER: u32 = u32::MAX;
+
+impl Default for DirectoryEntry {
+    fn default() -> Self {
+        DirectoryEntry {
+            sharers: SharerSet::default(),
+            owner: NO_OWNER,
+            owner_state: MoesiState::Invalid,
+            l2_dirty: false,
+        }
+    }
+}
+
+impl fmt::Debug for DirectoryEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DirectoryEntry")
+            .field("sharers", &self.sharers)
+            .field("owner", &self.owner())
+            .field("owner_state", &self.owner_state)
+            .field("l2_dirty", &self.l2_dirty)
+            .finish()
+    }
 }
 
 impl DirectoryEntry {
@@ -183,13 +216,19 @@ impl DirectoryEntry {
     /// Adds a private-cache sharer in the given state.
     ///
     /// A `Modified`, `Owned` or `Exclusive` state makes that core the owner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core index does not fit the entry's `u32` owner field.
     pub fn add_sharer(&mut self, core: CoreId, state: MoesiState) {
-        self.sharers.insert(core.index());
+        let idx = core.index();
+        assert!(idx < NO_OWNER as usize, "core index {idx} out of range");
+        self.sharers.insert(idx);
         if matches!(
             state,
             MoesiState::Modified | MoesiState::Owned | MoesiState::Exclusive
         ) {
-            self.owner = Some(core);
+            self.owner = idx as u32;
             self.owner_state = state;
         }
     }
@@ -197,8 +236,8 @@ impl DirectoryEntry {
     /// Removes a sharer (e.g. on an L1 eviction or invalidation).
     pub fn remove_sharer(&mut self, core: CoreId) {
         self.sharers.remove(core.index());
-        if self.owner == Some(core) {
-            self.owner = None;
+        if self.owner() == Some(core) {
+            self.owner = NO_OWNER;
             self.owner_state = MoesiState::Invalid;
         }
     }
@@ -210,12 +249,12 @@ impl DirectoryEntry {
 
     /// The core owning a dirty/exclusive copy, if any.
     pub fn owner(&self) -> Option<CoreId> {
-        self.owner
+        (self.owner != NO_OWNER).then(|| CoreId::new(self.owner as usize))
     }
 
     /// The MOESI state of the owner's copy ([`MoesiState::Invalid`] if none).
     pub fn owner_state(&self) -> MoesiState {
-        if self.owner.is_some() {
+        if self.owner != NO_OWNER {
             self.owner_state
         } else {
             MoesiState::Invalid
@@ -224,7 +263,7 @@ impl DirectoryEntry {
 
     /// Returns `true` if some L1 holds a dirty copy that must be forwarded.
     pub fn has_dirty_owner(&self) -> bool {
-        self.owner.is_some() && self.owner_state.is_dirty()
+        self.owner != NO_OWNER && self.owner_state.is_dirty()
     }
 
     /// Number of private caches holding the line.
@@ -246,7 +285,7 @@ impl DirectoryEntry {
     pub fn clear_sharers(&mut self) -> u32 {
         let n = self.sharer_count();
         self.sharers = SharerSet::default();
-        self.owner = None;
+        self.owner = NO_OWNER;
         self.owner_state = MoesiState::Invalid;
         n
     }
@@ -362,5 +401,36 @@ mod tests {
         assert_eq!(d.sharer_count(), 2);
         assert_eq!(d.clear_sharers(), 2);
         assert!(d.is_unshared());
+
+        // Owner and sharer round trip on both sides of every word boundary,
+        // inserted out of order so the walk must sort across words.
+        let cores = [0, 63, 64, 127, 1023].map(CoreId::new);
+        let mut d = DirectoryEntry::new();
+        for &core in cores.iter().rev() {
+            d.add_sharer(core, MoesiState::Exclusive);
+            assert_eq!(d.owner(), Some(core));
+            assert_eq!(d.owner_state(), MoesiState::Exclusive);
+            assert!(d.is_sharer(core));
+        }
+        assert_eq!(d.sharers().collect::<Vec<_>>(), cores);
+        for &skip in &cores {
+            let expected: Vec<_> = cores.iter().copied().filter(|&c| c != skip).collect();
+            assert_eq!(d.sharers_except(skip).collect::<Vec<_>>(), expected);
+        }
+        for &core in &cores {
+            d.add_sharer(core, MoesiState::Modified);
+            assert_eq!(d.owner(), Some(core));
+            assert!(d.has_dirty_owner());
+            d.remove_sharer(core);
+            assert_eq!(d.owner(), None);
+            assert!(!d.is_sharer(core));
+        }
+        assert!(d.is_unshared());
+    }
+
+    #[test]
+    fn entry_fits_24_bytes() {
+        // One entry per L2 slot: 4M of them on a 1024-core Table-1 machine.
+        assert!(std::mem::size_of::<Option<DirectoryEntry>>() <= 24);
     }
 }

@@ -3,16 +3,17 @@
 //! All caches in the paper's configuration (L1 I/D, L2, and the filter of the
 //! proposed coherence protocol) use pseudo-LRU replacement (Table 1).  The
 //! classic tree-PLRU scheme is implemented here for any power-of-two number
-//! of ways.
+//! of ways up to 64, so a set's tree bits fit in one inline word.
 
 use serde::{Deserialize, Serialize};
 
 /// Tree pseudo-LRU state for one cache set.
 ///
-/// The tree is stored as a flat bit array: node `0` is the root, node `i` has
-/// children `2i + 1` and `2i + 2`.  A bit value of `false` means "the LRU
-/// side is the left subtree", `true` means "the LRU side is the right
-/// subtree".
+/// The `ways - 1` tree nodes are the low bits of one `u64`: node `0` is the
+/// root, node `i` has children `2i + 1` and `2i + 2`.  A clear bit means
+/// "the LRU side is the left subtree", a set bit means "the LRU side is the
+/// right subtree".  Keeping the bits inline means a cache allocates no
+/// replacement state per set.
 ///
 /// # Example
 ///
@@ -30,24 +31,28 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TreePlru {
     ways: usize,
-    bits: Vec<bool>,
+    bits: u64,
 }
+
+/// The widest set a [`TreePlru`] tracks: its `ways - 1` nodes fill one `u64`.
+pub const MAX_WAYS: usize = 64;
 
 impl TreePlru {
     /// Creates replacement state for a set with `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is zero or not a power of two.
+    /// Panics if `ways` is zero, not a power of two, or above [`MAX_WAYS`].
     pub fn new(ways: usize) -> Self {
         assert!(
             ways > 0 && ways.is_power_of_two(),
             "ways must be a power of two, got {ways}"
         );
-        TreePlru {
-            ways,
-            bits: vec![false; ways.saturating_sub(1)],
-        }
+        assert!(
+            ways <= MAX_WAYS,
+            "tree PLRU tracks at most {MAX_WAYS} ways, got {ways}"
+        );
+        TreePlru { ways, bits: 0 }
     }
 
     /// Number of ways tracked.
@@ -78,12 +83,12 @@ impl TreePlru {
             let mid = (lo + hi) / 2;
             if way < mid {
                 // Went left: LRU side becomes the right subtree.
-                self.bits[node] = true;
+                self.bits |= 1u64 << node;
                 node = 2 * node + 1;
                 hi = mid;
             } else {
                 // Went right: LRU side becomes the left subtree.
-                self.bits[node] = false;
+                self.bits &= !(1u64 << node);
                 node = 2 * node + 2;
                 lo = mid;
             }
@@ -100,7 +105,7 @@ impl TreePlru {
         let mut hi = self.ways;
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
-            if self.bits[node] {
+            if (self.bits >> node) & 1 == 1 {
                 // LRU side is the right subtree.
                 node = 2 * node + 2;
                 lo = mid;
@@ -176,5 +181,94 @@ mod tests {
     #[should_panic]
     fn touch_out_of_range_panics() {
         TreePlru::new(4).touch(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "tree PLRU tracks at most 64 ways, got 128")]
+    fn more_than_64_ways_panics() {
+        let _ = TreePlru::new(128);
+    }
+
+    #[test]
+    fn state_is_two_words() {
+        assert!(std::mem::size_of::<TreePlru>() <= 16);
+    }
+
+    /// The tree as it was stored before the bits moved inline: one heap
+    /// `bool` per node.  Kept only as the reference for the property below.
+    struct VecTreePlru {
+        ways: usize,
+        bits: Vec<bool>,
+    }
+
+    impl VecTreePlru {
+        fn new(ways: usize) -> Self {
+            VecTreePlru {
+                ways,
+                bits: vec![false; ways - 1],
+            }
+        }
+
+        fn touch(&mut self, way: usize) {
+            let (mut node, mut lo, mut hi) = (0, 0, self.ways);
+            while hi - lo > 1 {
+                let mid = (lo + hi) / 2;
+                if way < mid {
+                    self.bits[node] = true;
+                    node = 2 * node + 1;
+                    hi = mid;
+                } else {
+                    self.bits[node] = false;
+                    node = 2 * node + 2;
+                    lo = mid;
+                }
+            }
+        }
+
+        fn victim(&self) -> usize {
+            let (mut node, mut lo, mut hi) = (0, 0, self.ways);
+            while hi - lo > 1 {
+                let mid = (lo + hi) / 2;
+                if self.bits[node] {
+                    node = 2 * node + 2;
+                    lo = mid;
+                } else {
+                    node = 2 * node + 1;
+                    hi = mid;
+                }
+            }
+            lo
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The inline-bit tree picks exactly the victims the per-node
+            /// `Vec<bool>` tree picks, for every associativity up to 64,
+            /// under arbitrary interleavings of touches and victim fills.
+            #[test]
+            fn inline_bits_match_the_vec_tree(
+                log_ways in 0usize..7,
+                ops in proptest::collection::vec((any::<bool>(), any::<u64>()), 0..256)
+            ) {
+                let ways = 1usize << log_ways;
+                let mut inline = TreePlru::new(ways);
+                let mut reference = VecTreePlru::new(ways);
+                for &(fill, raw) in &ops {
+                    prop_assert_eq!(inline.victim(), reference.victim());
+                    // A fill touches the victim, as `CacheArray::insert` does;
+                    // otherwise touch an arbitrary way, as a hit does.
+                    let way = if fill { reference.victim() } else { raw as usize % ways };
+                    inline.touch(way);
+                    reference.touch(way);
+                }
+                prop_assert_eq!(inline.victim(), reference.victim());
+            }
+        }
     }
 }

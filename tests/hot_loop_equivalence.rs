@@ -174,6 +174,41 @@ fn directory_backend_matrix_matches_pinned_goldens() {
     );
 }
 
+/// The wide-mesh wall: every golden above runs on 4 cores, so none of them
+/// ever promotes a directory entry's sharer vector past one word.  This one
+/// runs the proposed machine on 128 cores under the DES NoC, where sharers
+/// past core 63 take the multi-word path, and pins its full result JSON.
+#[test]
+fn wide_mesh_matches_pinned_golden() {
+    let mut cfg = SystemConfig::small(128);
+    cfg.set_noc_model(NocModel::DiscreteEvent);
+    let result = Machine::new(MachineKind::HybridProposed, cfg).run(&spec());
+    result
+        .breakdown
+        .check_exhaustive()
+        .unwrap_or_else(|e| panic!("128 cores: {e}"));
+    let rendered = result.to_json();
+    let path = golden_path("hybrid-proposed-128c", NocModel::DiscreteEvent, false);
+    if blessing() {
+        fs::write(&path, &rendered).unwrap();
+        return;
+    }
+    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden at {}: {e}\n\
+             capture with BLESS_HOT_LOOP=1 \
+             cargo test --release --test hot_loop_equivalence",
+            path.display()
+        )
+    });
+    assert_eq!(
+        rendered,
+        golden,
+        "128 cores drifted from {}",
+        path.display()
+    );
+}
+
 /// Worker count never shows up in the directory backend's results: the
 /// same runs on one campaign worker and on four encode bit-identically, for
 /// both NoC models with value tracking on.
