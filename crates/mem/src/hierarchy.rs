@@ -1313,6 +1313,25 @@ mod tests {
     }
 
     #[test]
+    fn one_load_on_1024_cores_materialises_two_sets() {
+        let mut m = MemorySystem::new(MemorySystemConfig::isca2015(1024));
+        fn sets<S: Clone>(arrays: &[CacheArray<S>]) -> Vec<usize> {
+            arrays.iter().map(CacheArray::materialised_sets).collect()
+        }
+        assert!(sets(&m.l2).iter().all(|&n| n == 0));
+        let a = Addr::new(0x4_0000);
+        let _ = m.access(CoreId::new(3), a, AccessKind::Load, MessageClass::Read, 1);
+        let home = m.home_slice(a.line()).index();
+        let l2 = sets(&m.l2);
+        let l1d = sets(&m.l1d);
+        assert_eq!(l2[home], 1);
+        assert_eq!(l2.iter().sum::<usize>(), 1);
+        assert_eq!(l1d[3], 1);
+        assert_eq!(l1d.iter().sum::<usize>(), 1);
+        assert_eq!(sets(&m.l1i).iter().sum::<usize>(), 0);
+    }
+
+    #[test]
     fn second_core_hits_in_l2() {
         let mut m = small_system();
         let a = Addr::new(0x8_0000);
