@@ -85,7 +85,7 @@ pub struct EvictedLine<S> {
 const UNTOUCHED: u32 = u32::MAX;
 
 /// Tag of an invalid way.  No line built from a byte address reaches this
-/// number (line numbers are addresses shifted right by six bits), and
+/// number (a line number is an address divided by the 64-byte line), and
 /// [`CacheArray::insert`] rejects it, so an invalid way never matches a
 /// lookup.
 const NO_TAG: u64 = u64::MAX;
