@@ -10,7 +10,7 @@
 //! Figure 10.
 
 use serde::{Deserialize, Serialize};
-use simkernel::{ByteSize, CoreId, Cycle, InternedStats, NodeId, StatHandle, StatRegistry};
+use simkernel::{ByteSize, CoreId, Cycle, NodeId, StatRegistry};
 
 use noc::{MessageClass, Noc, NocConfig};
 
@@ -133,12 +133,12 @@ impl Default for MemorySystemConfig {
     }
 }
 
-/// A point-in-time snapshot of the aggregate hierarchy counters, used for
-/// reports and the energy model.
+/// The aggregate hierarchy counters, used for reports, the energy model and
+/// the trace's `mem.*` tracks.
 ///
-/// The live counters are handle-indexed [`InternedStats`] bumped on the
-/// access hot paths; [`MemorySystem::counters`] materialises this struct
-/// from them on demand.
+/// The access paths bump these fields directly; [`MemorySystem::counters`]
+/// returns a copy and [`HierarchyCounters::named`] lists them under their
+/// `mem.*` statistic names.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HierarchyCounters {
     /// L1 data cache accesses (loads + stores reaching the tag array).
@@ -171,46 +171,43 @@ pub struct HierarchyCounters {
     pub dma_line_writes: u64,
 }
 
-/// Dense [`StatHandle`]s for every hierarchy counter, interned once at
-/// construction so the access paths bump a `Vec` index instead of walking a
-/// string-keyed map; [`MemorySystem::export_stats`] batch-flushes them into
-/// the report registry under the `mem.*` names.
-#[derive(Debug, Clone, Copy)]
-struct CounterHandles {
-    l1d_accesses: StatHandle,
-    l1d_hits: StatHandle,
-    l1i_accesses: StatHandle,
-    l1i_hits: StatHandle,
-    l2_accesses: StatHandle,
-    l2_hits: StatHandle,
-    dram_accesses: StatHandle,
-    l1_writebacks: StatHandle,
-    l2_evictions: StatHandle,
-    invalidations: StatHandle,
-    prefetches: StatHandle,
-    forwards: StatHandle,
-    dma_line_reads: StatHandle,
-    dma_line_writes: StatHandle,
-}
-
-impl CounterHandles {
-    fn register(stats: &mut InternedStats) -> Self {
-        CounterHandles {
-            l1d_accesses: stats.intern_count("mem.l1d.accesses"),
-            l1d_hits: stats.intern_count("mem.l1d.hits"),
-            l1i_accesses: stats.intern_count("mem.l1i.accesses"),
-            l1i_hits: stats.intern_count("mem.l1i.hits"),
-            l2_accesses: stats.intern_count("mem.l2.accesses"),
-            l2_hits: stats.intern_count("mem.l2.hits"),
-            dram_accesses: stats.intern_count("mem.dram.accesses"),
-            l1_writebacks: stats.intern_count("mem.l1.writebacks"),
-            l2_evictions: stats.intern_count("mem.l2.evictions"),
-            invalidations: stats.intern_count("mem.invalidations"),
-            prefetches: stats.intern_count("mem.prefetches"),
-            forwards: stats.intern_count("mem.forwards"),
-            dma_line_reads: stats.intern_count("mem.dma.line_reads"),
-            dma_line_writes: stats.intern_count("mem.dma.line_writes"),
-        }
+impl HierarchyCounters {
+    /// Every counter under its `mem.*` statistic name, in the order the
+    /// trace lays out its counter tracks.
+    pub fn named(&self) -> [(&'static str, u64); 14] {
+        // No `..`: a new field fails to compile until it is named here.
+        let HierarchyCounters {
+            l1d_accesses,
+            l1d_hits,
+            l1i_accesses,
+            l1i_hits,
+            l2_accesses,
+            l2_hits,
+            dram_accesses,
+            l1_writebacks,
+            l2_evictions,
+            invalidations,
+            prefetches,
+            forwards,
+            dma_line_reads,
+            dma_line_writes,
+        } = *self;
+        [
+            ("mem.l1d.accesses", l1d_accesses),
+            ("mem.l1d.hits", l1d_hits),
+            ("mem.l1i.accesses", l1i_accesses),
+            ("mem.l1i.hits", l1i_hits),
+            ("mem.l2.accesses", l2_accesses),
+            ("mem.l2.hits", l2_hits),
+            ("mem.dram.accesses", dram_accesses),
+            ("mem.l1.writebacks", l1_writebacks),
+            ("mem.l2.evictions", l2_evictions),
+            ("mem.invalidations", invalidations),
+            ("mem.prefetches", prefetches),
+            ("mem.forwards", forwards),
+            ("mem.dma.line_reads", dma_line_reads),
+            ("mem.dma.line_writes", dma_line_writes),
+        ]
     }
 }
 
@@ -242,8 +239,7 @@ pub struct MemorySystem {
     prefetchers: Vec<StridePrefetcher>,
     mshrs: Vec<MshrFile>,
     dram: DramModel,
-    stats: InternedStats,
-    handles: CounterHandles,
+    counters: HierarchyCounters,
     /// `cores - 1`, meaningful only when `cores_pow2`: the home-slice hash
     /// runs on every access of every core, so the usual power-of-two core
     /// counts take an AND instead of a modulo.
@@ -284,8 +280,6 @@ impl MemorySystem {
     /// Builds the hierarchy for the given configuration.
     pub fn new(config: MemorySystemConfig) -> Self {
         let cores = config.cores;
-        let mut stats = InternedStats::new();
-        let handles = CounterHandles::register(&mut stats);
         MemorySystem {
             noc: Noc::new(config.noc),
             l1i: (0..cores)
@@ -305,8 +299,7 @@ impl MemorySystem {
                 .collect(),
             dram: DramModel::new(config.dram.clone(), cores),
             config,
-            stats,
-            handles,
+            counters: HierarchyCounters::default(),
             cores_mask: (cores as u64).wrapping_sub(1),
             cores_pow2: cores.is_power_of_two(),
             values: None,
@@ -388,33 +381,11 @@ impl MemorySystem {
         self.noc.advance_to(now);
     }
 
-    /// The interned hot-path statistics, live: cumulative `mem.*` counter
-    /// values mid-run, which the trace sampler differentiates into a
-    /// time-series without waiting for end-of-run export.
-    pub fn interned_stats(&self) -> &InternedStats {
-        &self.stats
-    }
-
-    /// A snapshot of the aggregate counters for reports and the energy model.
+    /// A snapshot of the aggregate counters for reports and the energy model;
+    /// mid-run it is the cumulative count so far, which the trace sampler
+    /// differentiates into a time-series.
     pub fn counters(&self) -> HierarchyCounters {
-        let s = &self.stats;
-        let h = &self.handles;
-        HierarchyCounters {
-            l1d_accesses: s.get(h.l1d_accesses),
-            l1d_hits: s.get(h.l1d_hits),
-            l1i_accesses: s.get(h.l1i_accesses),
-            l1i_hits: s.get(h.l1i_hits),
-            l2_accesses: s.get(h.l2_accesses),
-            l2_hits: s.get(h.l2_hits),
-            dram_accesses: s.get(h.dram_accesses),
-            l1_writebacks: s.get(h.l1_writebacks),
-            l2_evictions: s.get(h.l2_evictions),
-            invalidations: s.get(h.invalidations),
-            prefetches: s.get(h.prefetches),
-            forwards: s.get(h.forwards),
-            dma_line_reads: s.get(h.dma_line_reads),
-            dma_line_writes: s.get(h.dma_line_writes),
-        }
+        self.counters
     }
 
     /// Which L2 slice (core/tile index) is home for a line.
@@ -584,10 +555,10 @@ impl MemorySystem {
 
     fn ifetch(&mut self, core: CoreId, addr: Addr) -> MemAccessResult {
         let line = addr.line();
-        self.stats.inc(self.handles.l1i_accesses);
+        self.counters.l1i_accesses += 1;
         let l1_latency = self.config.l1i.latency;
         if self.l1i[core.index()].access(line).is_some() {
-            self.stats.inc(self.handles.l1i_hits);
+            self.counters.l1i_hits += 1;
             return MemAccessResult {
                 latency: l1_latency,
                 served_by: ServedBy::L1,
@@ -615,7 +586,7 @@ impl MemorySystem {
     ) -> MemAccessResult {
         let line = addr.line();
         let is_write = kind.is_write();
-        self.stats.inc(self.handles.l1d_accesses);
+        self.counters.l1d_accesses += 1;
         let l1_latency = self.config.l1d.latency;
 
         // The tag-array access hands back the resident state mutably, so a
@@ -635,7 +606,7 @@ impl MemorySystem {
         let result = match l1_state {
             Some(state) if !is_write || state.can_write_silently() => {
                 // Plain hit.
-                self.stats.inc(self.handles.l1d_hits);
+                self.counters.l1d_hits += 1;
                 if is_write {
                     self.set_directory_owner(core, line, MoesiState::Modified);
                 }
@@ -647,7 +618,7 @@ impl MemorySystem {
             }
             Some(_) => {
                 // Write hit on a Shared/Owned line: upgrade (invalidate peers).
-                self.stats.inc(self.handles.l1d_hits);
+                self.counters.l1d_hits += 1;
                 let upgrade_latency = self.upgrade_for_write(core, line, class);
                 if let Some(s) = self.l1d[core.index()].lookup_mut(line) {
                     *s = MoesiState::Modified;
@@ -699,16 +670,16 @@ impl MemorySystem {
         // Request to the home slice.
         let request = self.send_demand(core_node, home_node, class, 8);
         let l2_latency = self.config.l2_slice.latency;
-        self.stats.inc(self.handles.l2_accesses);
+        self.counters.l2_accesses += 1;
 
         let l2_entry = self.l2[home.index()].access(line).cloned();
         let mut fill_values: Option<LineValues> = None;
         let (beyond_l2, served_by) = if let Some(entry) = l2_entry {
-            self.stats.inc(self.handles.l2_hits);
+            self.counters.l2_hits += 1;
             if entry.has_dirty_owner() && entry.owner() != Some(core) {
                 // Forward from the dirty owner's L1 straight to the requestor.
                 let owner = entry.owner().expect("dirty owner");
-                self.stats.inc(self.handles.forwards);
+                self.counters.forwards += 1;
                 let fwd = self.send_demand(home_node, owner.node(), class, 8);
                 let data = self.send_demand(owner.node(), core_node, class, LINE_BYTES);
                 if let Some(vals) = &self.values {
@@ -722,7 +693,7 @@ impl MemorySystem {
                     if let Some(vals) = &mut self.values {
                         vals.l1d[owner.index()].remove_line(line);
                     }
-                    self.stats.inc(self.handles.invalidations);
+                    self.counters.invalidations += 1;
                 } else if let Some(s) = self.l1d[owner.index()].lookup_mut(line) {
                     *s = MoesiState::Owned;
                 }
@@ -847,7 +818,7 @@ impl MemorySystem {
                 // values is needed here.
                 vals.l1d[sharer.index()].remove_line(line);
             }
-            self.stats.inc(self.handles.invalidations);
+            self.counters.invalidations += 1;
             let inv = self
                 .noc
                 .send(home.node(), sharer.node(), MessageClass::WbRepl, 8);
@@ -885,7 +856,7 @@ impl MemorySystem {
                 .and_then(|v| v.l1d[core.index()].remove_line(victim.line));
             if victim.state.is_dirty() {
                 // Write the dirty victim back to its home L2 slice.
-                self.stats.inc(self.handles.l1_writebacks);
+                self.counters.l1_writebacks += 1;
                 let _ = self.noc.send(
                     core.node(),
                     victim_home.node(),
@@ -929,10 +900,10 @@ impl MemorySystem {
     ) -> (Cycle, ServedBy) {
         let home = self.home_slice(line);
         let request = self.send_demand(core.node(), home.node(), class, 8);
-        self.stats.inc(self.handles.l2_accesses);
+        self.counters.l2_accesses += 1;
         let l2_latency = self.config.l2_slice.latency;
         if self.l2[home.index()].access(line).is_some() {
-            self.stats.inc(self.handles.l2_hits);
+            self.counters.l2_hits += 1;
             let data = self.send_demand(home.node(), core.node(), class, LINE_BYTES);
             (request + l2_latency + data, ServedBy::L2)
         } else {
@@ -945,7 +916,7 @@ impl MemorySystem {
     /// Fetches a line from DRAM into the home L2 slice (allocating it there)
     /// and returns the latency of the DRAM leg.
     fn dram_fetch(&mut self, home: CoreId, line: LineAddr, class: MessageClass) -> Cycle {
-        self.stats.inc(self.handles.dram_accesses);
+        self.counters.dram_accesses += 1;
         let mem_node = self.dram.node_for(line);
         let to_mem = self.send_demand(home.node(), mem_node, class, 8);
         let dram_latency = self.dram.access(line);
@@ -959,7 +930,7 @@ impl MemorySystem {
     /// data to memory).
     fn allocate_in_l2(&mut self, home: CoreId, line: LineAddr, entry: DirectoryEntry) {
         if let Some(victim) = self.l2[home.index()].insert(line, entry) {
-            self.stats.inc(self.handles.l2_evictions);
+            self.counters.l2_evictions += 1;
             // Back-invalidate every L1 holding the victim (inclusive L2).
             let mut any_dirty_l1 = false;
             let mut dirty_l1_values: Option<LineValues> = None;
@@ -974,7 +945,7 @@ impl MemorySystem {
                         dirty_l1_values = dropped_values.or(dirty_l1_values);
                     }
                 }
-                self.stats.inc(self.handles.invalidations);
+                self.counters.invalidations += 1;
                 let _ = self
                     .noc
                     .send(home.node(), sharer.node(), MessageClass::WbRepl, 8);
@@ -988,7 +959,7 @@ impl MemorySystem {
                 .and_then(|v| v.l2[home.index()].remove_line(victim.line));
             if victim.state.l2_dirty || any_dirty_l1 {
                 // Write the dirty victim back to memory.
-                self.stats.inc(self.handles.dram_accesses);
+                self.counters.dram_accesses += 1;
                 let mem_node = self.dram.node_for(victim.line);
                 let _ = self
                     .noc
@@ -1014,17 +985,17 @@ impl MemorySystem {
         if self.l1d[core.index()].contains(line) {
             return;
         }
-        self.stats.inc(self.handles.prefetches);
+        self.counters.prefetches += 1;
         let home = self.home_slice(line);
         // Prefetch request + data response are real traffic (Read group).
         let _ = self
             .noc
             .send(core.node(), home.node(), MessageClass::Read, 8);
-        self.stats.inc(self.handles.l2_accesses);
+        self.counters.l2_accesses += 1;
         if self.l2[home.index()].access(line).is_none() {
             self.dram_prefetch_fill(home, line);
         } else {
-            self.stats.inc(self.handles.l2_hits);
+            self.counters.l2_hits += 1;
         }
         let entry = self.l2[home.index()]
             .lookup(line)
@@ -1037,7 +1008,7 @@ impl MemorySystem {
             // later writes go through an upgrade (and invalidate this copy)
             // instead of happening silently next to a stale prefetched line.
             let owner = entry.owner().expect("dirty owner");
-            self.stats.inc(self.handles.forwards);
+            self.counters.forwards += 1;
             let _ = self
                 .noc
                 .send(home.node(), owner.node(), MessageClass::Read, 8);
@@ -1075,7 +1046,7 @@ impl MemorySystem {
     }
 
     fn dram_prefetch_fill(&mut self, home: CoreId, line: LineAddr) {
-        self.stats.inc(self.handles.dram_accesses);
+        self.counters.dram_accesses += 1;
         let mem_node = self.dram.node_for(line);
         let _ = self.noc.send(home.node(), mem_node, MessageClass::Read, 8);
         let _ = self.dram.access(line);
@@ -1116,20 +1087,20 @@ impl MemorySystem {
         requestor: CoreId,
         line: LineAddr,
     ) -> (Cycle, Option<LineValues>) {
-        self.stats.inc(self.handles.dma_line_reads);
+        self.counters.dma_line_reads += 1;
         let home = self.home_slice(line);
         let request = self
             .noc
             .send(requestor.node(), home.node(), MessageClass::Dma, 8);
-        self.stats.inc(self.handles.l2_accesses);
+        self.counters.l2_accesses += 1;
         let l2_latency = self.config.l2_slice.latency;
 
         let entry = self.l2[home.index()].lookup(line).cloned();
         let mut read_values: Option<LineValues> = None;
         let beyond = match entry {
             Some(e) if e.has_dirty_owner() => {
-                self.stats.inc(self.handles.l2_hits);
-                self.stats.inc(self.handles.forwards);
+                self.counters.l2_hits += 1;
+                self.counters.forwards += 1;
                 let owner = e.owner().expect("dirty owner");
                 if let Some(vals) = &self.values {
                     read_values = Some(
@@ -1151,7 +1122,7 @@ impl MemorySystem {
                 fwd + data
             }
             Some(_) => {
-                self.stats.inc(self.handles.l2_hits);
+                self.counters.l2_hits += 1;
                 if let Some(vals) = &self.values {
                     read_values = Some(
                         vals.l2[home.index()]
@@ -1165,7 +1136,7 @@ impl MemorySystem {
                     .send(home.node(), requestor.node(), MessageClass::Dma, LINE_BYTES)
             }
             None => {
-                self.stats.inc(self.handles.dram_accesses);
+                self.counters.dram_accesses += 1;
                 if let Some(vals) = &self.values {
                     read_values = Some(vals.dram.line(line).copied().unwrap_or_default());
                 }
@@ -1201,12 +1172,12 @@ impl MemorySystem {
         line: LineAddr,
         words: Option<&[Option<u64>; WORDS_PER_LINE]>,
     ) -> Cycle {
-        self.stats.inc(self.handles.dma_line_writes);
+        self.counters.dma_line_writes += 1;
         let home = self.home_slice(line);
         let data = self
             .noc
             .send(requestor.node(), home.node(), MessageClass::Dma, LINE_BYTES);
-        self.stats.inc(self.handles.l2_accesses);
+        self.counters.l2_accesses += 1;
         let l2_latency = self.config.l2_slice.latency;
 
         // A partial-line put merges with the current line contents: flush
@@ -1225,7 +1196,7 @@ impl MemorySystem {
                 if let Some(vals) = &mut self.values {
                     vals.l1d[sharer.index()].remove_line(line);
                 }
-                self.stats.inc(self.handles.invalidations);
+                self.counters.invalidations += 1;
                 let _ = self
                     .noc
                     .send(home.node(), sharer.node(), MessageClass::Dma, 8);
@@ -1240,7 +1211,7 @@ impl MemorySystem {
         }
 
         // Write the line to memory.
-        self.stats.inc(self.handles.dram_accesses);
+        self.counters.dram_accesses += 1;
         if let (Some(vals), Some(words)) = (&mut self.values, words) {
             for (w, value) in words.iter().enumerate() {
                 if let Some(value) = value {
@@ -1264,13 +1235,15 @@ impl MemorySystem {
     /// Exports the hierarchy counters into a [`StatRegistry`], together with
     /// the NoC traffic.
     ///
-    /// The interned counters flush under their registered `mem.*` names in
-    /// one batch; only the derived figures (misses, hit ratio) are computed
-    /// here.
+    /// Every counter is written under its `mem.*` name, zeros included, so
+    /// the report lists the full schema; only the derived figures (misses,
+    /// hit ratio) are computed here.
     pub fn export_stats(&self, stats: &mut StatRegistry) {
-        self.stats.export_into(stats);
-        let accesses = self.stats.get(self.handles.l1d_accesses);
-        let hits = self.stats.get(self.handles.l1d_hits);
+        for (name, value) in self.counters.named() {
+            stats.add_count(name, value);
+        }
+        let accesses = self.counters.l1d_accesses;
+        let hits = self.counters.l1d_hits;
         stats.add_count("mem.l1d.misses", accesses - hits);
         if accesses > 0 {
             stats.set_value("mem.l1d.hit_ratio", hits as f64 / accesses as f64);

@@ -1,13 +1,13 @@
 //! The network model proper: latency computation and traffic recording.
 //!
-//! Two backends implement [`NocBackend`](crate::NocBackend):
+//! Two backends implement [`NocBackend`]:
 //!
 //! * [`AnalyticNoc`] — the closed-form model: XY hop count times per-hop
 //!   latency plus a utilisation-driven M/M/1-style contention penalty fed by
 //!   one hand-set utilisation scalar;
-//! * [`DesNoc`](crate::des::DesNoc) — the discrete-event model: every packet
-//!   is routed hop by hop over per-link, per-virtual-channel FIFOs, so
-//!   contention is *measured* instead of assumed.
+//! * [`DesNoc`] — the discrete-event model: every packet is routed hop by
+//!   hop over per-link, per-virtual-channel FIFOs, so contention is
+//!   *measured* instead of assumed.
 //!
 //! [`Noc`] is the facade the memory hierarchy and the coherence protocol
 //! talk to; [`NocConfig::model`] selects which backend it instantiates.

@@ -146,8 +146,8 @@ impl CycleAccount {
         Self::default()
     }
 
-    /// Charges `cycles` to `category` (saturating, like every counter in
-    /// the simulator).
+    /// Charges `cycles` to `category` (saturating, like `StatRegistry`
+    /// counts).
     #[inline]
     pub fn charge(&mut self, category: CycleCategory, cycles: u64) {
         let slot = &mut self.counts[category.index()];

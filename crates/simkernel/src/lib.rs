@@ -7,8 +7,8 @@
 //! * [`Cycle`] — a strongly typed simulation time stamp, plus helpers to
 //!   convert between cycles and wall-clock time at a given [`Frequency`].
 //! * [`EventQueue`] — a deterministic priority queue of timestamped events.
-//! * [`stats`] — counters, histograms and running statistics grouped into a
-//!   hierarchical [`stats::StatRegistry`].
+//! * [`stats`] — the [`stats::StatRegistry`] of named counts and values every
+//!   layer exports into, plus [`RunningStat`] for min / max / mean streams.
 //! * [`rng::SimRng`] — a small, fast, fully deterministic pseudo random
 //!   number generator (SplitMix64 seeded xoshiro256**) so simulations are
 //!   exactly reproducible without pulling a heavyweight dependency into every
@@ -51,7 +51,6 @@ pub mod attrib;
 pub mod cycles;
 pub mod events;
 pub mod ids;
-pub mod interned;
 pub mod json;
 pub mod mem_units;
 pub mod rng;
@@ -63,11 +62,10 @@ pub use attrib::{CycleAccount, CycleBreakdown, CycleCategory};
 pub use cycles::{Cycle, Frequency};
 pub use events::EventQueue;
 pub use ids::{CoreId, NodeId};
-pub use interned::{InternedStats, StatHandle};
 pub use json::Json;
 pub use mem_units::ByteSize;
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, RunningStat, StatRegistry};
+pub use stats::{RunningStat, StatRegistry};
 pub use table::TableBuilder;
 pub use trace::{
     CategoryMask, ChromeTrace, EventRing, StatTimeSeries, TraceCategory, TraceEvent, TraceKind,

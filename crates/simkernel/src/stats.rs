@@ -1,79 +1,16 @@
 //! Statistics collection.
 //!
 //! Every hardware model in the simulator (caches, directories, filters, NoC
-//! links, DMA engines) exposes its behaviour through named statistics.  The
-//! experiment drivers aggregate them into the tables and figures of the
-//! paper.  Three primitive statistic kinds are provided:
-//!
-//! * [`Counter`] — a monotonically increasing event count;
-//! * [`RunningStat`] — min / max / mean / count of a stream of samples;
-//! * [`Histogram`] — bucketed distribution of integer samples.
-//!
-//! [`StatRegistry`] groups statistics under hierarchical dot-separated names
-//! so reports can be produced generically.
+//! links, DMA engines) counts its behaviour in plain fields and exports them
+//! once, under hierarchical dot-separated names, into a [`StatRegistry`].
+//! The experiment drivers aggregate the registries into the tables and
+//! figures of the paper.  [`RunningStat`] keeps the min / max / mean of a
+//! stream of samples for models that summarise a distribution.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use simkernel::Counter;
-///
-/// let mut hits = Counter::new();
-/// hits.inc();
-/// hits.add(4);
-/// assert_eq!(hits.get(), 5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub const fn new() -> Self {
-        Counter { value: 0 }
-    }
-
-    /// Increments the counter by one, saturating at `u64::MAX`.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.value = self.value.saturating_add(1);
-    }
-
-    /// Increments the counter by `n`, saturating at `u64::MAX`.
-    ///
-    /// Event counters approaching `u64::MAX` are already meaningless as
-    /// measurements; pinning at the ceiling keeps a long campaign from
-    /// aborting on overflow in debug builds (or silently wrapping to a
-    /// small number in release builds).
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Returns the current count.
-    #[inline]
-    pub const fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.value)
-    }
-}
 
 /// Running min / max / mean over a stream of `f64` samples.
 ///
@@ -158,99 +95,6 @@ impl RunningStat {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// A power-of-two bucketed histogram of integer samples.
-///
-/// Bucket `i` counts samples in `[2^(i-1), 2^i)`, with bucket 0 counting the
-/// value zero and one.  This is the classic latency histogram layout: compact
-/// and adequate for reporting latency distributions.
-///
-/// # Example
-///
-/// ```
-/// use simkernel::Histogram;
-///
-/// let mut h = Histogram::new();
-/// h.record(1);
-/// h.record(100);
-/// assert_eq!(h.count(), 2);
-/// assert!(h.percentile(0.5) <= 100);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    total: u128,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 65],
-            count: 0,
-            total: 0,
-        }
-    }
-
-    fn bucket_index(sample: u64) -> usize {
-        if sample <= 1 {
-            0
-        } else {
-            (64 - sample.leading_zeros()) as usize
-        }
-    }
-
-    /// Records one integer sample.
-    pub fn record(&mut self, sample: u64) {
-        let idx = Self::bucket_index(sample);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.total += sample as u128;
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the recorded samples (zero when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total as f64 / self.count as f64
-        }
-    }
-
-    /// Upper bound of the bucket containing the requested percentile.
-    ///
-    /// `p` is clamped to `[0, 1]`.  Returns zero when the histogram is empty.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let p = p.clamp(0.0, 1.0);
-        let target = (p * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return if i == 0 { 1 } else { 1u64 << i };
-            }
-        }
-        u64::MAX
-    }
-
-    /// Iterates over non-empty buckets as `(upper_bound, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 1 } else { 1u64 << i }, c))
     }
 }
 
@@ -442,36 +286,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn counter_saturates_at_u64_max() {
-        let mut c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.inc();
-        assert_eq!(c.get(), u64::MAX);
-        c.inc();
-        c.add(1_000);
-        assert_eq!(c.get(), u64::MAX, "counter must pin, not wrap");
-
-        let mut reg = StatRegistry::new();
-        reg.add_count("events", u64::MAX);
-        reg.add_count("events", 42);
-        assert_eq!(reg.count("events"), u64::MAX);
-        reg.record_max("events", 7);
-        assert_eq!(reg.count("events"), u64::MAX);
-    }
-
-    #[test]
     fn running_stat_tracks_min_max_mean() {
         let mut s = RunningStat::new();
         assert_eq!(s.mean(), 0.0);
@@ -503,29 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_percentiles() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 3, 4, 8, 16, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 8);
-        assert!(h.mean() > 0.0);
-        assert!(h.percentile(0.0) >= 1);
-        assert!(h.percentile(1.0) >= 1000);
-        assert!(h.percentile(0.5) <= 8);
-        let buckets: Vec<_> = h.iter().collect();
-        assert!(!buckets.is_empty());
-        assert_eq!(buckets.iter().map(|(_, c)| c).sum::<u64>(), 8);
-    }
-
-    #[test]
-    fn empty_histogram_percentile_is_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.percentile(0.5), 0);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
     fn record_max_keeps_the_high_water_mark() {
         let mut r = StatRegistry::new();
         r.record_max("dmac.peak", 3);
@@ -538,6 +329,16 @@ mod tests {
         assert_eq!(r.value("occ.ratio"), 2.0);
         r.record_max("occ.ratio", 1);
         assert_eq!(r.value("occ.ratio"), 2.0);
+    }
+
+    #[test]
+    fn registry_counts_saturate_at_u64_max() {
+        let mut reg = StatRegistry::new();
+        reg.add_count("events", u64::MAX);
+        reg.add_count("events", 42);
+        assert_eq!(reg.count("events"), u64::MAX, "count must pin, not wrap");
+        reg.record_max("events", 7);
+        assert_eq!(reg.count("events"), u64::MAX);
     }
 
     #[test]

@@ -368,11 +368,10 @@ impl SampleBuilder<'_> {
     /// Records a cumulative counter on `name`'s track; the stored value is
     /// the delta against the previous sample of the same track.
     ///
-    /// The delta is clamped at zero: once the underlying counter saturates
-    /// at `u64::MAX` (every counter in the simulator saturates rather than
-    /// wraps), consecutive cumulative readings can stop growing — or, after
-    /// the `f64` cast rounds near 2^64, even appear to shrink — and a
-    /// negative "activity" sample would be nonsense.
+    /// The delta is clamped at zero: near `u64::MAX` consecutive cumulative
+    /// readings can stop growing (a saturated count) — or, after the `f64`
+    /// cast rounds near 2^64, even appear to shrink — and a negative
+    /// "activity" sample would be nonsense.
     pub fn counter(&mut self, name: &str, cumulative: f64) {
         let idx = self.series.track_index(name);
         let delta = (cumulative - self.series.tracks[idx].previous.unwrap_or(0.0)).max(0.0);

@@ -437,10 +437,10 @@ fn op_epilogue(core_id: CoreId, ctx: &mut KernelCtx<'_>) {
 }
 
 /// Snapshots the live counters into the tracer's time-series: `mem.*`
-/// interned deltas, per-home-node instantaneous queue depth and per-link
-/// busy-cycle deltas from the discrete-event NoC, DMA in-flight counts and
-/// the machine-wide `cycles.*` category totals (so attribution renders as
-/// counter tracks on the trace timelines).
+/// hierarchy counter deltas, per-home-node instantaneous queue depth and
+/// per-link busy-cycle deltas from the discrete-event NoC, DMA in-flight
+/// counts and the machine-wide `cycles.*` category totals (so attribution
+/// renders as counter tracks on the trace timelines).
 ///
 /// Reads only `&self` state — sampling can never perturb the simulation.
 /// `depth_scratch` is a caller-owned buffer reused across samples so the
@@ -454,7 +454,7 @@ pub(crate) fn sample_stats(
     depth_scratch: &mut Vec<u64>,
 ) {
     let mut sample = tracer.begin_sample(now.as_u64());
-    for (name, value) in memsys.interned_stats().iter() {
+    for (name, value) in memsys.counters().named() {
         sample.counter(name, value as f64);
     }
     sample.gauge(

@@ -12,7 +12,7 @@
 //! * [`ExperimentSuite::fig11`] — energy breakdown per component;
 //!
 //! plus Table 1 ([`crate::SystemConfig::table1`]) and Table 2
-//! ([`workloads::characterize`]).  The ablation sweeps live in [`ablations`].
+//! ([`workloads::characterize()`]).  The ablation sweeps live in [`ablations`].
 
 pub mod ablations;
 pub mod figures;

@@ -11,7 +11,7 @@
 //!
 //! * the number of kernels, strided (SPM) references and potentially
 //!   incoherent (guarded) references per benchmark, and the sizes of the data
-//!   sets each class touches (Table 2 — regenerated by [`characterize`]);
+//!   sets each class touches (Table 2 — regenerated by [`characterize()`]);
 //! * the per-iteration mix of strided, random-guarded, random-unaliased and
 //!   stack accesses, plus the compute instructions between them;
 //! * the code transformation of Figure 3: for the hybrid system the loop is

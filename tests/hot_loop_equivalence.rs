@@ -288,10 +288,51 @@ fn traced_run_emits_a_valid_chrome_document() {
         named("C", &|name| name.starts_with("noc.des.home_queue.")),
         "missing per-home queue-depth counter tracks"
     );
+    let series = capture.tracer.series();
     assert!(
-        !capture.tracer.series().is_empty(),
+        !series.is_empty(),
         "the stat time-series recorded no samples"
     );
+
+    // The sampled hierarchy counters: every `mem.*` name as its own track,
+    // in the hierarchy's counter order, whose interval deltas add up to no
+    // more than the count the run exported.
+    const MEM_TRACKS: [&str; 14] = [
+        "mem.l1d.accesses",
+        "mem.l1d.hits",
+        "mem.l1i.accesses",
+        "mem.l1i.hits",
+        "mem.l2.accesses",
+        "mem.l2.hits",
+        "mem.dram.accesses",
+        "mem.l1.writebacks",
+        "mem.l2.evictions",
+        "mem.invalidations",
+        "mem.prefetches",
+        "mem.forwards",
+        "mem.dma.line_reads",
+        "mem.dma.line_writes",
+    ];
+    let tracks: Vec<&str> = series.track_names().collect();
+    let mem_tracks: Vec<&str> = tracks
+        .iter()
+        .copied()
+        .filter(|name| name.starts_with("mem."))
+        .collect();
+    assert_eq!(mem_tracks, MEM_TRACKS, "the sampled mem.* tracks");
+    for name in MEM_TRACKS {
+        let idx = tracks.iter().position(|&t| t == name).unwrap();
+        let sampled: f64 = series
+            .samples()
+            .filter_map(|(_, values)| values.get(idx).copied().flatten())
+            .sum();
+        let exported = result.stats.count(name);
+        assert!(
+            sampled <= exported as f64,
+            "{name}: sampled deltas {sampled} exceed the exported {exported}"
+        );
+    }
+    assert!(result.stats.count("mem.l1d.accesses") > 0);
 }
 
 /// Value tracking moves real data along every access path but must leave
