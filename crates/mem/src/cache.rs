@@ -1,6 +1,4 @@
-//! Generic set-associative cache tag array.
-
-use std::fmt;
+//! Set-associative cache tag arrays, one bank per cache level.
 
 use serde::{Deserialize, Serialize};
 use simkernel::{ByteSize, Cycle};
@@ -81,29 +79,33 @@ pub struct EvictedLine<S> {
     pub state: S,
 }
 
-/// `set_base` entry of a set that owns no storage yet.
-const UNTOUCHED: u32 = u32::MAX;
-
 /// Tag of an invalid way.  No line built from a byte address reaches this
 /// number (a line number is an address divided by the 64-byte line), and
-/// [`CacheArray::insert`] rejects it, so an invalid way never matches a
+/// [`CacheBank::insert`] rejects it, so an invalid way never matches a
 /// lookup.
 const NO_TAG: u64 = u64::MAX;
 
-/// A set-associative tag array with tree-pseudoLRU replacement.
+/// The set-associative tag arrays of one cache level, one unit per cache:
+/// every core's L1, or every tile's L2 slice.  Each unit behaves as its own
+/// cache with tree-pseudoLRU replacement; a one-unit bank is a single cache.
 ///
-/// The array stores a caller-defined state value `S` for every resident line
-/// (a MOESI state for coherent caches, a dirty bit for simpler ones).  Data
+/// The bank stores a caller-defined state value `S` for every resident line
+/// (a MOESI state for coherent caches, a directory entry for the L2).  Data
 /// values are not stored: the simulator is a timing model, the workload
 /// generators never depend on loaded values.
 ///
-/// A set owns storage only once a line has been inserted into it.  Until
-/// then its `set_base` entry is the `UNTOUCHED` sentinel, and every read
-/// path misses at once.  The ways are laid out structure-of-arrays, one pool
-/// per field (`tags`, `states`), and an invalid way holds the `NO_TAG` tag:
-/// the first insertion into a set appends `ways` invalid slots to each pool
-/// and one PLRU tree to `plru`, and records the first slot in `set_base`.
-/// Host memory therefore follows the sets a run touches rather than the
+/// All units share one set index, entry `unit * sets + set`, holding the
+/// first pool slot of that set's ways.  The ways are laid out
+/// structure-of-arrays, one pool per field (`tags`, `states`), plus one PLRU
+/// tree per set in `plru`; an invalid way holds the `NO_TAG` tag.  Pool
+/// slots `0..ways` are a dummy set that is never filled, so the index is
+/// allocated zeroed: a set that owns no storage points at the dummy, and a
+/// lookup there scans `ways` invalid tags and misses like any other.  The
+/// first insertion into a set appends `ways` invalid slots to each pool and
+/// one tree to `plru`, and records the first slot in the index.  The first
+/// insertion into the bank reserves each pool for the whole geometry in one
+/// allocation, so a pool never moves; only the slots of filled sets are
+/// written, so host memory follows the sets a run fills rather than the
 /// configured capacity, which matters for the L2 slices of a wide mesh.  A
 /// way scan reads one dense run of tags, and since `ways` is a power of two
 /// a slot's way and PLRU tree come from a mask and a shift.
@@ -111,19 +113,20 @@ const NO_TAG: u64 = u64::MAX;
 /// # Example
 ///
 /// ```
-/// use mem::{CacheArray, CacheConfig, LineAddr};
+/// use mem::{CacheBank, CacheConfig, LineAddr};
 /// use simkernel::{ByteSize, Cycle};
 ///
-/// let mut cache: CacheArray<bool> =
-///     CacheArray::new(CacheConfig::new("l1d", ByteSize::kib(1), 2, Cycle::new(2)));
+/// // Two 1 KiB 2-way caches: the same line is cached per unit.
+/// let config = CacheConfig::new("l1d", ByteSize::kib(1), 2, Cycle::new(2));
+/// let mut bank: CacheBank<bool> = CacheBank::new(&config, 2);
 /// let line = LineAddr::new(7);
-/// assert!(cache.lookup(line).is_none());
-/// cache.insert(line, false);
-/// assert_eq!(cache.lookup(line), Some(&false));
+/// assert!(bank.lookup(0, line).is_none());
+/// bank.insert(0, line, false);
+/// assert_eq!(bank.lookup(0, line), Some(&false));
+/// assert!(bank.lookup(1, line).is_none());
 /// ```
 #[derive(Debug, Clone)]
-pub struct CacheArray<S> {
-    config: CacheConfig,
+pub struct CacheBank<S> {
     set_count: u64,
     /// `set_count - 1`, meaningful only when `sets_pow2`.
     set_mask: u64,
@@ -132,67 +135,59 @@ pub struct CacheArray<S> {
     /// `log2(ways)`: the PLRU tree of the set owning slot `s` is
     /// `plru[s >> way_shift]`.
     way_shift: u32,
-    /// First pool slot of each set's ways, or `UNTOUCHED`.
+    /// First pool slot of each unit's sets' ways, `0` (the dummy set) for a
+    /// set that owns no storage.
     set_base: Vec<u32>,
     tags: Vec<u64>,
     states: Vec<Option<S>>,
-    /// One tree per materialised set, in materialisation order.
+    /// One tree per materialised set, in materialisation order, after the
+    /// dummy set's.
     plru: Vec<TreePlru>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
-impl<S: Clone> CacheArray<S> {
-    /// Creates an empty cache with the given geometry.  No set owns storage
-    /// until a line is inserted into it.
+impl<S: Clone> CacheBank<S> {
+    /// Creates `units` empty caches with the given geometry.  No set owns
+    /// storage until a line is inserted into it.
     ///
     /// # Panics
     ///
-    /// Panics if the cache has `u32::MAX` lines or more.
-    pub fn new(config: CacheConfig) -> Self {
+    /// Panics if `units` is zero, or if the bank has `u32::MAX - ways`
+    /// lines or more.
+    pub fn new(config: &CacheConfig, units: usize) -> Self {
+        assert!(units > 0, "a cache bank needs at least one unit");
+        let ways = config.ways;
+        let slots = (units as u64)
+            .checked_mul(config.lines())
+            .and_then(|lines| lines.checked_add(ways as u64));
         assert!(
-            config.lines() < u64::from(UNTOUCHED),
-            "cache must have fewer than {UNTOUCHED} lines"
+            slots.is_some_and(|s| s < u64::from(u32::MAX)),
+            "a cache bank must have fewer than {} lines",
+            u32::MAX as usize - ways
         );
         let set_count = config.sets();
-        let ways = config.ways;
-        CacheArray {
+        CacheBank {
             set_count,
             set_mask: set_count.wrapping_sub(1),
             sets_pow2: set_count.is_power_of_two(),
             ways,
             way_shift: ways.trailing_zeros(),
-            set_base: vec![UNTOUCHED; set_count as usize],
-            tags: Vec::new(),
-            states: Vec::new(),
-            plru: Vec::new(),
-            config,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
+            set_base: vec![0; units * set_count as usize],
+            tags: vec![NO_TAG; ways],
+            states: vec![None; ways],
+            plru: vec![TreePlru::new(ways)],
         }
     }
 
-    /// The cache geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// Access latency of the array.
-    pub fn latency(&self) -> Cycle {
-        self.config.latency
-    }
-
+    /// Index entry of `line`'s set in `unit`.
     #[inline]
-    fn set_index(&self, line: LineAddr) -> usize {
+    fn set_index(&self, unit: usize, line: LineAddr) -> usize {
         let n = line.number();
-        let idx = if self.sets_pow2 {
+        let set = if self.sets_pow2 {
             n & self.set_mask
         } else {
             n % self.set_count
         };
-        idx as usize
+        unit * self.set_count as usize + set as usize
     }
 
     #[inline]
@@ -200,14 +195,14 @@ impl<S: Clone> CacheArray<S> {
         line.number()
     }
 
-    /// Pool slot of the valid way holding `tag` in `set_idx`, if any.
+    /// Pool slot of the valid way holding `tag` in the set at index entry
+    /// `set_idx`, if any.
     #[inline]
     fn find(&self, set_idx: usize, tag: u64) -> Option<usize> {
-        let base = self.set_base[set_idx];
-        if base == UNTOUCHED || tag == NO_TAG {
+        if tag == NO_TAG {
             return None;
         }
-        let base = base as usize;
+        let base = self.set_base[set_idx] as usize;
         self.tags[base..base + self.ways]
             .iter()
             .position(|&t| t == tag)
@@ -220,12 +215,20 @@ impl<S: Clone> CacheArray<S> {
         self.plru[slot >> self.way_shift].touch(slot & (self.ways - 1));
     }
 
-    /// First pool slot of `set_idx`'s ways, giving the set `ways` invalid
-    /// slots and a fresh PLRU tree if it owns no storage yet.
+    /// First pool slot of the ways of the set at index entry `set_idx`,
+    /// giving the set `ways` invalid slots and a fresh PLRU tree if it owns
+    /// no storage yet.
     fn materialise(&mut self, set_idx: usize) -> usize {
         let base = self.set_base[set_idx];
-        if base != UNTOUCHED {
+        if base != 0 {
             return base as usize;
+        }
+        if self.plru.len() == 1 {
+            // The bank's first fill: reserve every set's storage at once.
+            let sets = self.set_base.len();
+            self.tags.reserve_exact(sets * self.ways);
+            self.states.reserve_exact(sets * self.ways);
+            self.plru.reserve_exact(sets);
         }
         let base = self.tags.len();
         let end = base + self.ways;
@@ -236,39 +239,37 @@ impl<S: Clone> CacheArray<S> {
         base
     }
 
-    /// Looks up a line, updating hit/miss statistics and recency on a hit.
+    /// Looks up a line in `unit`, updating recency on a hit.
     #[inline]
-    pub fn access(&mut self, line: LineAddr) -> Option<&mut S> {
-        if let Some(slot) = self.find(self.set_index(line), Self::tag(line)) {
-            self.hits += 1;
-            self.touch(slot);
-            return self.states[slot].as_mut();
-        }
-        self.misses += 1;
-        None
+    pub fn access(&mut self, unit: usize, line: LineAddr) -> Option<&mut S> {
+        let slot = self.find(self.set_index(unit, line), Self::tag(line))?;
+        self.touch(slot);
+        self.states[slot].as_mut()
     }
 
-    /// Looks up a line without updating statistics or recency.
+    /// Looks up a line in `unit` without updating recency.
     #[inline]
-    pub fn lookup(&self, line: LineAddr) -> Option<&S> {
-        self.find(self.set_index(line), Self::tag(line))
+    pub fn lookup(&self, unit: usize, line: LineAddr) -> Option<&S> {
+        self.find(self.set_index(unit, line), Self::tag(line))
             .and_then(|slot| self.states[slot].as_ref())
     }
 
-    /// Mutable lookup without statistics or recency updates.
+    /// Mutable lookup in `unit` without updating recency.
     #[inline]
-    pub fn lookup_mut(&mut self, line: LineAddr) -> Option<&mut S> {
-        self.find(self.set_index(line), Self::tag(line))
+    pub fn lookup_mut(&mut self, unit: usize, line: LineAddr) -> Option<&mut S> {
+        self.find(self.set_index(unit, line), Self::tag(line))
             .and_then(move |slot| self.states[slot].as_mut())
     }
 
-    /// Returns `true` if the line is resident.
+    /// Returns `true` if the line is resident in `unit`.
     #[inline]
-    pub fn contains(&self, line: LineAddr) -> bool {
-        self.find(self.set_index(line), Self::tag(line)).is_some()
+    pub fn contains(&self, unit: usize, line: LineAddr) -> bool {
+        self.find(self.set_index(unit, line), Self::tag(line))
+            .is_some()
     }
 
-    /// Inserts (or updates) a line and returns any line evicted to make room.
+    /// Inserts (or updates) a line in `unit` and returns any line evicted to
+    /// make room.
     ///
     /// If the line is already resident its state is replaced and no eviction
     /// happens.  This is the only method that gives a set storage.
@@ -276,8 +277,8 @@ impl<S: Clone> CacheArray<S> {
     /// # Panics
     ///
     /// Panics if the line number is `u64::MAX`, the tag of an invalid way.
-    pub fn insert(&mut self, line: LineAddr, state: S) -> Option<EvictedLine<S>> {
-        let set_idx = self.set_index(line);
+    pub fn insert(&mut self, unit: usize, line: LineAddr, state: S) -> Option<EvictedLine<S>> {
+        let set_idx = self.set_index(unit, line);
         let tag = Self::tag(line);
         assert_ne!(tag, NO_TAG, "line number u64::MAX is reserved");
 
@@ -303,22 +304,21 @@ impl<S: Clone> CacheArray<S> {
         let old_state = self.states[slot].replace(state);
         self.tags[slot] = tag;
         self.touch(slot);
-        self.evictions += 1;
         Some(EvictedLine {
             line: LineAddr::new(old_tag),
             state: old_state.expect("valid way must hold a state"),
         })
     }
 
-    /// Removes a line from the cache, returning its state if it was resident.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<S> {
-        let slot = self.find(self.set_index(line), Self::tag(line))?;
+    /// Removes a line from `unit`, returning its state if it was resident.
+    pub fn invalidate(&mut self, unit: usize, line: LineAddr) -> Option<S> {
+        let slot = self.find(self.set_index(unit, line), Self::tag(line))?;
         self.tags[slot] = NO_TAG;
         self.states[slot].take()
     }
 
-    /// Removes every line, leaving statistics untouched.  Materialised sets
-    /// keep their storage and their PLRU trees.
+    /// Removes every line of every unit.  Materialised sets keep their
+    /// storage and their PLRU trees.
     pub fn invalidate_all(&mut self) {
         self.tags.fill(NO_TAG);
         for state in &mut self.states {
@@ -326,12 +326,18 @@ impl<S: Clone> CacheArray<S> {
         }
     }
 
-    /// Iterates over all resident lines and their states in (set, way)
-    /// order, whatever order the sets were materialised in.
-    pub fn resident_lines(&self) -> impl Iterator<Item = (LineAddr, &S)> {
-        self.set_base
+    /// The index entries of `unit`'s sets.
+    fn unit_sets(&self, unit: usize) -> &[u32] {
+        let sets = self.set_count as usize;
+        &self.set_base[unit * sets..(unit + 1) * sets]
+    }
+
+    /// Iterates over the resident lines of `unit` and their states in
+    /// (set, way) order, whatever order the sets were materialised in.
+    pub fn resident_lines(&self, unit: usize) -> impl Iterator<Item = (LineAddr, &S)> {
+        self.unit_sets(unit)
             .iter()
-            .filter(|&&base| base != UNTOUCHED)
+            .filter(|&&base| base != 0)
             .flat_map(move |&base| {
                 let base = base as usize;
                 (base..base + self.ways)
@@ -347,55 +353,18 @@ impl<S: Clone> CacheArray<S> {
             })
     }
 
-    /// Number of resident lines.
+    /// Number of resident lines over all units.
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != NO_TAG).count()
     }
 
-    /// Number of sets that own storage.
+    /// Number of `unit`'s sets that own storage.
     #[cfg(test)]
-    pub(crate) fn materialised_sets(&self) -> usize {
-        self.plru.len()
-    }
-
-    /// Number of recorded hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of recorded misses.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of evictions caused by insertions.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Hit ratio over all recorded accesses, or zero if none.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-impl<S: Clone> fmt::Display for CacheArray<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} ways={} hits={} misses={} evictions={}",
-            self.config.name,
-            self.config.size,
-            self.config.ways,
-            self.hits,
-            self.misses,
-            self.evictions
-        )
+    pub(crate) fn materialised_sets(&self, unit: usize) -> usize {
+        self.unit_sets(unit)
+            .iter()
+            .filter(|&&base| base != 0)
+            .count()
     }
 }
 
@@ -403,9 +372,12 @@ impl<S: Clone> fmt::Display for CacheArray<S> {
 mod tests {
     use super::*;
 
-    fn tiny_cache() -> CacheArray<u32> {
+    fn tiny_cache() -> CacheBank<u32> {
         // 1 KiB, 2-way, 64 B lines -> 16 lines, 8 sets.
-        CacheArray::new(CacheConfig::new("test", ByteSize::kib(1), 2, Cycle::new(2)))
+        CacheBank::new(
+            &CacheConfig::new("test", ByteSize::kib(1), 2, Cycle::new(2)),
+            1,
+        )
     }
 
     #[test]
@@ -419,21 +391,18 @@ mod tests {
     fn miss_then_hit() {
         let mut c = tiny_cache();
         let line = LineAddr::new(100);
-        assert!(c.access(line).is_none());
-        c.insert(line, 7);
-        assert_eq!(c.access(line).copied(), Some(7));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert!((c.hit_ratio() - 0.5).abs() < 1e-12);
+        assert!(c.access(0, line).is_none());
+        c.insert(0, line, 7);
+        assert_eq!(c.access(0, line).copied(), Some(7));
     }
 
     #[test]
     fn insert_same_line_updates_state_without_eviction() {
         let mut c = tiny_cache();
         let line = LineAddr::new(3);
-        assert!(c.insert(line, 1).is_none());
-        assert!(c.insert(line, 2).is_none());
-        assert_eq!(c.lookup(line), Some(&2));
+        assert!(c.insert(0, line, 1).is_none());
+        assert!(c.insert(0, line, 2).is_none());
+        assert_eq!(c.lookup(0, line), Some(&2));
         assert_eq!(c.occupancy(), 1);
     }
 
@@ -441,99 +410,99 @@ mod tests {
     fn conflict_eviction_in_one_set() {
         let mut c = tiny_cache();
         // Lines 0, 8, 16 all map to set 0 of an 8-set cache.
-        assert!(c.insert(LineAddr::new(0), 0).is_none());
-        assert!(c.insert(LineAddr::new(8), 1).is_none());
+        assert!(c.insert(0, LineAddr::new(0), 0).is_none());
+        assert!(c.insert(0, LineAddr::new(8), 1).is_none());
         let evicted = c
-            .insert(LineAddr::new(16), 2)
+            .insert(0, LineAddr::new(16), 2)
             .expect("third line must evict");
         assert!(evicted.line == LineAddr::new(0) || evicted.line == LineAddr::new(8));
         assert_eq!(c.occupancy(), 2);
-        assert_eq!(c.evictions(), 1);
     }
 
     #[test]
     fn invalidate_frees_way_for_reuse() {
         let mut c = tiny_cache();
-        c.insert(LineAddr::new(0), 0);
-        c.insert(LineAddr::new(8), 1);
-        assert_eq!(c.invalidate(LineAddr::new(0)), Some(0));
-        assert!(!c.contains(LineAddr::new(0)));
+        c.insert(0, LineAddr::new(0), 0);
+        c.insert(0, LineAddr::new(8), 1);
+        assert_eq!(c.invalidate(0, LineAddr::new(0)), Some(0));
+        assert!(!c.contains(0, LineAddr::new(0)));
         // The freed way is reused without evicting line 8.
-        assert!(c.insert(LineAddr::new(16), 2).is_none());
-        assert!(c.contains(LineAddr::new(8)));
-        assert_eq!(c.invalidate(LineAddr::new(999)), None);
+        assert!(c.insert(0, LineAddr::new(16), 2).is_none());
+        assert!(c.contains(0, LineAddr::new(8)));
+        assert_eq!(c.invalidate(0, LineAddr::new(999)), None);
     }
 
     #[test]
     fn invalidate_all_empties_cache() {
         let mut c = tiny_cache();
         for i in 0..10 {
-            c.insert(LineAddr::new(i), i as u32);
+            c.insert(0, LineAddr::new(i), i as u32);
         }
         assert!(c.occupancy() > 0);
         c.invalidate_all();
         assert_eq!(c.occupancy(), 0);
-        assert_eq!(c.resident_lines().count(), 0);
+        assert_eq!(c.resident_lines(0).count(), 0);
     }
 
     #[test]
-    fn lookup_does_not_touch_stats() {
+    fn lookup_does_not_touch_recency() {
         let mut c = tiny_cache();
-        c.insert(LineAddr::new(1), 1);
-        let _ = c.lookup(LineAddr::new(1));
-        let _ = c.lookup(LineAddr::new(2));
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
-        assert!(c.lookup_mut(LineAddr::new(1)).is_some());
+        // Filling lines 0 then 8 leaves line 0 the victim of set 0.
+        c.insert(0, LineAddr::new(0), 0);
+        c.insert(0, LineAddr::new(8), 1);
+        assert_eq!(c.lookup(0, LineAddr::new(0)), Some(&0));
+        assert!(c.lookup_mut(0, LineAddr::new(0)).is_some());
+        assert!(c.contains(0, LineAddr::new(0)));
+        let evicted = c.insert(0, LineAddr::new(16), 2).expect("set 0 is full");
+        assert_eq!(evicted.line, LineAddr::new(0));
+        // An access, unlike a lookup, makes the line most recently used.
+        let _ = c.access(0, LineAddr::new(8));
+        let evicted = c.insert(0, LineAddr::new(24), 3).expect("set 0 is full");
+        assert_eq!(evicted.line, LineAddr::new(16));
     }
 
     #[test]
     fn plru_keeps_hot_line_resident() {
         let mut c = tiny_cache();
         let hot = LineAddr::new(0);
-        c.insert(hot, 99);
+        c.insert(0, hot, 99);
         // Stream conflicting lines through set 0 while re-touching the hot line.
         for i in 1..50u64 {
-            let _ = c.access(hot);
-            c.insert(LineAddr::new(i * 8), i as u32);
-            assert!(c.contains(hot), "hot line evicted at iteration {i}");
+            let _ = c.access(0, hot);
+            c.insert(0, LineAddr::new(i * 8), i as u32);
+            assert!(c.contains(0, hot), "hot line evicted at iteration {i}");
         }
     }
 
     #[test]
-    fn display_mentions_name() {
-        let c = tiny_cache();
-        assert!(c.to_string().contains("test"));
-    }
-
-    #[test]
     fn sets_materialise_on_first_insert_only() {
-        // The Table-1 L2 slice: 256 KiB, 16 ways, 256 sets.
-        let mut c: CacheArray<u32> = CacheArray::new(CacheConfig::new(
-            "l2",
-            ByteSize::kib(256),
-            16,
-            Cycle::new(15),
-        ));
-        assert_eq!(c.materialised_sets(), 0);
+        // Two Table-1 L2 slices: 256 KiB, 16 ways, 256 sets each.
+        let config = CacheConfig::new("l2", ByteSize::kib(256), 16, Cycle::new(15));
+        let mut c: CacheBank<u32> = CacheBank::new(&config, 2);
+        assert_eq!(c.materialised_sets(0), 0);
         let line = LineAddr::new(12_345);
-        assert!(c.access(line).is_none());
-        assert!(c.lookup(line).is_none());
-        assert!(c.lookup_mut(line).is_none());
-        assert!(!c.contains(line));
-        assert_eq!(c.invalidate(line), None);
+        assert!(c.access(0, line).is_none());
+        assert!(c.lookup(0, line).is_none());
+        assert!(c.lookup_mut(0, line).is_none());
+        assert!(!c.contains(0, line));
+        assert_eq!(c.invalidate(0, line), None);
         c.invalidate_all();
-        assert_eq!(c.resident_lines().count(), 0);
+        assert_eq!(c.resident_lines(0).count(), 0);
         assert_eq!(c.occupancy(), 0);
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.materialised_sets(), 0);
+        assert_eq!(c.materialised_sets(0), 0);
 
-        assert!(c.insert(line, 1).is_none());
-        assert_eq!(c.materialised_sets(), 1);
+        assert!(c.insert(0, line, 1).is_none());
+        assert_eq!(c.materialised_sets(0), 1);
+        assert_eq!(c.materialised_sets(1), 0);
         // A second line of the same set reuses that set's storage.
-        assert!(c.insert(LineAddr::new(12_345 + 256), 2).is_none());
-        assert_eq!(c.materialised_sets(), 1);
-        assert_eq!(c.lookup(line), Some(&1));
+        assert!(c.insert(0, LineAddr::new(12_345 + 256), 2).is_none());
+        assert_eq!(c.materialised_sets(0), 1);
+        assert_eq!(c.lookup(0, line), Some(&1));
+        // The same line in the other unit is a separate set.
+        assert!(c.lookup(1, line).is_none());
+        assert!(c.insert(1, line, 3).is_none());
+        assert_eq!((c.materialised_sets(0), c.materialised_sets(1)), (1, 1));
+        assert_eq!((c.lookup(0, line), c.lookup(1, line)), (Some(&1), Some(&3)));
     }
 
     #[test]
@@ -541,18 +510,20 @@ mod tests {
     fn reserved_line_number_is_never_resident() {
         let mut c = tiny_cache();
         let reserved = LineAddr::new(u64::MAX);
-        // Set 7 is materialised with its second way still invalid.
-        c.insert(LineAddr::new(7), 1);
-        assert!(c.access(reserved).is_none());
-        assert!(!c.contains(reserved));
-        assert_eq!(c.invalidate(reserved), None);
+        // Set 7 is materialised with its second way still invalid, and set 0
+        // still reads the dummy set's invalid ways.
+        c.insert(0, LineAddr::new(7), 1);
+        assert!(c.access(0, reserved).is_none());
+        assert!(!c.contains(0, reserved));
+        assert!(!c.contains(0, LineAddr::new(0)));
+        assert_eq!(c.invalidate(0, reserved), None);
         assert_eq!(c.occupancy(), 1);
-        c.insert(reserved, 2);
+        c.insert(0, reserved, 2);
     }
 
-    /// The dense slab layout the lazy array replaced: every set's ways are
-    /// allocated up front at `set * ways + way`.  Kept as the oracle for
-    /// `lazy_sets_match_the_dense_slab`.
+    /// The dense slab layout of one cache, which the lazy bank replaced:
+    /// every set's ways are allocated up front at `set * ways + way`.  Kept
+    /// as the per-unit oracle for `lazy_sets_match_the_dense_slab`.
     struct DenseCacheArray<S> {
         set_count: u64,
         ways: usize,
@@ -560,9 +531,6 @@ mod tests {
         valid: Vec<bool>,
         states: Vec<Option<S>>,
         plru: Vec<TreePlru>,
-        hits: u64,
-        misses: u64,
-        evictions: u64,
     }
 
     impl<S: Clone> DenseCacheArray<S> {
@@ -577,9 +545,6 @@ mod tests {
                 valid: vec![false; slots],
                 states: (0..slots).map(|_| None).collect(),
                 plru: vec![TreePlru::new(ways); set_count as usize],
-                hits: 0,
-                misses: 0,
-                evictions: 0,
             }
         }
 
@@ -594,13 +559,9 @@ mod tests {
 
         fn access(&mut self, line: LineAddr) -> Option<&mut S> {
             let set_idx = self.set_index(line);
-            if let Some(way) = self.find(set_idx, line.number()) {
-                self.hits += 1;
-                self.plru[set_idx].touch(way);
-                return self.states[set_idx * self.ways + way].as_mut();
-            }
-            self.misses += 1;
-            None
+            let way = self.find(set_idx, line.number())?;
+            self.plru[set_idx].touch(way);
+            self.states[set_idx * self.ways + way].as_mut()
         }
 
         fn lookup(&self, line: LineAddr) -> Option<&S> {
@@ -641,7 +602,6 @@ mod tests {
             let old_state = self.states[slot].replace(state);
             self.tags[slot] = tag;
             self.plru[set_idx].touch(victim);
-            self.evictions += 1;
             Some(EvictedLine {
                 line: LineAddr::new(old_tag),
                 state: old_state.expect("valid way must hold a state"),
@@ -688,31 +648,41 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(160))]
 
-            /// Driven through the same random operations, the lazily
-            /// materialised array and the dense slab return the same values,
-            /// evict the same victims, count the same hits, misses and
-            /// evictions, and list resident lines in the same order.
+            /// Driven through the same random operations, interleaved over
+            /// the units, a lazily materialised bank and one dense slab per
+            /// unit return the same values, evict the same victims and list
+            /// resident lines in the same order.  Every unit draws lines from
+            /// the same pool, so units that shared a set would diverge.
             #[test]
             fn lazy_sets_match_the_dense_slab(
-                geometry in (0usize..5, 0usize..6),
-                ops in proptest::collection::vec((0u8..100, any::<u64>(), any::<u32>()), 1..1500)
+                geometry in (0usize..5, 0usize..6, 1usize..5),
+                ops in proptest::collection::vec(
+                    (0u8..100, any::<u64>(), any::<u32>(), 0usize..4),
+                    1..1500,
+                )
             ) {
                 let ways = [1, 2, 4, 16, 64][geometry.0];
                 let sets = [1u64, 2, 3, 6, 8, 12][geometry.1];
+                let units = geometry.2;
                 let config = CacheConfig::new(
                     "eq",
                     ByteSize::bytes_exact(sets * ways as u64 * LINE_BYTES),
                     ways,
                     Cycle::new(1),
                 );
-                let mut lazy: CacheArray<u32> = CacheArray::new(config.clone());
-                let mut dense: DenseCacheArray<u32> = DenseCacheArray::new(&config);
-                let resident = |lazy: &CacheArray<u32>, dense: &DenseCacheArray<u32>| {
-                    let l: Vec<_> = lazy.resident_lines().map(|(a, s)| (a, *s)).collect();
-                    let d: Vec<_> = dense.resident_lines().map(|(a, s)| (a, *s)).collect();
-                    prop_assert_eq!(l, d);
+                let mut bank: CacheBank<u32> = CacheBank::new(&config, units);
+                let mut dense: Vec<DenseCacheArray<u32>> =
+                    (0..units).map(|_| DenseCacheArray::new(&config)).collect();
+                let resident = |bank: &CacheBank<u32>, dense: &[DenseCacheArray<u32>]| {
+                    for (unit, d) in dense.iter().enumerate() {
+                        let l: Vec<_> = bank.resident_lines(unit).map(|(a, s)| (a, *s)).collect();
+                        let d: Vec<_> = d.resident_lines().map(|(a, s)| (a, *s)).collect();
+                        prop_assert_eq!(l, d);
+                    }
                 };
-                for &(op, raw, value) in &ops {
+                for &(op, raw, value, unit) in &ops {
+                    let unit = unit % units;
+                    let d = &mut dense[unit];
                     // Half the lines land in set 0 so that even 64-way sets
                     // overflow; each set has `2 * ways + 1` candidate lines.
                     let set = if raw & 1 == 0 { 0 } else { (raw >> 1) % sets };
@@ -720,38 +690,37 @@ mod tests {
                     let line = LineAddr::new(set + sets * k);
                     match op {
                         0 => {
-                            lazy.invalidate_all();
-                            dense.invalidate_all();
+                            bank.invalidate_all();
+                            dense.iter_mut().for_each(DenseCacheArray::invalidate_all);
                         }
-                        1..=3 => resident(&lazy, &dense),
-                        4..=40 => prop_assert_eq!(lazy.insert(line, value), dense.insert(line, value)),
+                        1..=3 => resident(&bank, &dense),
+                        4..=40 => prop_assert_eq!(bank.insert(unit, line, value), d.insert(line, value)),
                         41..=55 => {
-                            let (l, d) = (lazy.access(line), dense.access(line));
+                            let (l, d) = (bank.access(unit, line), d.access(line));
                             prop_assert_eq!(l.as_deref(), d.as_deref());
                             if let (Some(l), Some(d)) = (l, d) {
                                 *l = value;
                                 *d = value;
                             }
                         }
-                        56..=65 => prop_assert_eq!(lazy.lookup(line), dense.lookup(line)),
+                        56..=65 => prop_assert_eq!(bank.lookup(unit, line), d.lookup(line)),
                         66..=75 => {
-                            let (l, d) = (lazy.lookup_mut(line), dense.lookup_mut(line));
+                            let (l, d) = (bank.lookup_mut(unit, line), d.lookup_mut(line));
                             prop_assert_eq!(l.as_deref(), d.as_deref());
                             if let (Some(l), Some(d)) = (l, d) {
                                 *l ^= value;
                                 *d ^= value;
                             }
                         }
-                        76..=85 => prop_assert_eq!(lazy.contains(line), dense.contains(line)),
-                        _ => prop_assert_eq!(lazy.invalidate(line), dense.invalidate(line)),
+                        76..=85 => prop_assert_eq!(bank.contains(unit, line), d.contains(line)),
+                        _ => prop_assert_eq!(bank.invalidate(unit, line), d.invalidate(line)),
                     }
-                    prop_assert_eq!(lazy.occupancy(), dense.occupancy());
                     prop_assert_eq!(
-                        (lazy.hits(), lazy.misses(), lazy.evictions()),
-                        (dense.hits, dense.misses, dense.evictions)
+                        bank.occupancy(),
+                        dense.iter().map(DenseCacheArray::occupancy).sum::<usize>()
                     );
                 }
-                resident(&lazy, &dense);
+                resident(&bank, &dense);
             }
         }
     }

@@ -15,7 +15,7 @@ use simkernel::{ByteSize, CoreId, Cycle, NodeId, StatRegistry};
 use noc::{MessageClass, Noc, NocConfig};
 
 use crate::addr::{Addr, LineAddr, LINE_BYTES};
-use crate::cache::{CacheArray, CacheConfig};
+use crate::cache::{CacheBank, CacheConfig};
 use crate::dram::{DramConfig, DramModel};
 use crate::moesi::{DirectoryEntry, MoesiState};
 use crate::mshr::MshrFile;
@@ -233,9 +233,12 @@ impl HierarchyCounters {
 pub struct MemorySystem {
     config: MemorySystemConfig,
     noc: Noc,
-    l1i: Vec<CacheArray<()>>,
-    l1d: Vec<CacheArray<MoesiState>>,
-    l2: Vec<CacheArray<DirectoryEntry>>,
+    /// One unit per core: its private L1 instruction cache.
+    l1i: CacheBank<()>,
+    /// One unit per core: its private L1 data cache.
+    l1d: CacheBank<MoesiState>,
+    /// One unit per tile: its slice of the shared L2 and its directory.
+    l2: CacheBank<DirectoryEntry>,
     prefetchers: Vec<StridePrefetcher>,
     mshrs: Vec<MshrFile>,
     dram: DramModel,
@@ -282,15 +285,9 @@ impl MemorySystem {
         let cores = config.cores;
         MemorySystem {
             noc: Noc::new(config.noc),
-            l1i: (0..cores)
-                .map(|_| CacheArray::new(config.l1i.clone()))
-                .collect(),
-            l1d: (0..cores)
-                .map(|_| CacheArray::new(config.l1d.clone()))
-                .collect(),
-            l2: (0..cores)
-                .map(|_| CacheArray::new(config.l2_slice.clone()))
-                .collect(),
+            l1i: CacheBank::new(&config.l1i, cores),
+            l1d: CacheBank::new(&config.l1d, cores),
+            l2: CacheBank::new(&config.l2_slice, cores),
             prefetchers: (0..cores)
                 .map(|_| StridePrefetcher::new(config.prefetcher))
                 .collect(),
@@ -403,16 +400,16 @@ impl MemorySystem {
     /// Returns `true` if any L1 or L2 slice currently holds the line.
     pub fn is_cached(&self, line: LineAddr) -> bool {
         let home = self.home_slice(line);
-        if self.l2[home.index()].contains(line) {
+        if self.l2.contains(home.index(), line) {
             return true;
         }
-        self.l1d.iter().any(|l1| l1.contains(line))
+        (0..self.config.cores).any(|core| self.l1d.contains(core, line))
     }
 
     /// MOESI state of the line in a particular core's L1 data cache.
     pub fn l1_state(&self, core: CoreId, line: LineAddr) -> MoesiState {
-        self.l1d[core.index()]
-            .lookup(line)
+        self.l1d
+            .lookup(core.index(), line)
             .copied()
             .unwrap_or(MoesiState::Invalid)
     }
@@ -424,7 +421,7 @@ impl MemorySystem {
     fn freshest_line(&self, line: LineAddr) -> Option<LineValues> {
         let vals = self.values.as_ref()?;
         let home = self.home_slice(line);
-        if let Some(entry) = self.l2[home.index()].lookup(line) {
+        if let Some(entry) = self.l2.lookup(home.index(), line) {
             if entry.has_dirty_owner() {
                 if let Some(owner) = entry.owner() {
                     if let Some(v) = vals.l1d[owner.index()].line(line) {
@@ -463,8 +460,8 @@ impl MemorySystem {
         }
         let line = addr.line();
         let home = self.home_slice(line);
-        let in_l1 = self.l1d[core.index()].contains(line);
-        let in_l2 = self.l2[home.index()].contains(line);
+        let in_l1 = self.l1d.contains(core.index(), line);
+        let in_l2 = self.l2.contains(home.index(), line);
         let l2_seed = if !in_l1 && in_l2 {
             // Materialising an L2 value line for a partial write must start
             // from the DRAM copy it currently mirrors, not from zeros.
@@ -508,8 +505,8 @@ impl MemorySystem {
                 }
             }
         };
-        for (home, l2) in self.l2.iter().enumerate() {
-            for (line, entry) in l2.resident_lines() {
+        for home in 0..self.config.cores {
+            for (line, entry) in self.l2.resident_lines(home) {
                 if entry.l2_dirty {
                     if let Some(v) = vals.l2[home].line(line) {
                         overlay(line, v);
@@ -517,8 +514,8 @@ impl MemorySystem {
                 }
             }
         }
-        for (core, l1) in self.l1d.iter().enumerate() {
-            for (line, state) in l1.resident_lines() {
+        for core in 0..self.config.cores {
+            for (line, state) in self.l1d.resident_lines(core) {
                 if state.is_dirty() {
                     if let Some(v) = vals.l1d[core].line(line) {
                         overlay(line, v);
@@ -557,7 +554,7 @@ impl MemorySystem {
         let line = addr.line();
         self.counters.l1i_accesses += 1;
         let l1_latency = self.config.l1i.latency;
-        if self.l1i[core.index()].access(line).is_some() {
+        if self.l1i.access(core.index(), line).is_some() {
             self.counters.l1i_hits += 1;
             return MemAccessResult {
                 latency: l1_latency,
@@ -568,7 +565,7 @@ impl MemorySystem {
         // Instruction lines are read-only: fetch from the home L2 slice (or
         // memory) without directory bookkeeping.
         let (remote_latency, served_by) = self.fetch_into_l2(core, line, MessageClass::Ifetch);
-        self.l1i[core.index()].insert(line, ());
+        self.l1i.insert(core.index(), line, ());
         MemAccessResult {
             latency: l1_latency + remote_latency,
             served_by,
@@ -592,7 +589,7 @@ impl MemorySystem {
         // The tag-array access hands back the resident state mutably, so a
         // silent write hit flips it to Modified right here instead of paying
         // a second way scan through `lookup_mut`.
-        let l1_state = match self.l1d[core.index()].access(line) {
+        let l1_state = match self.l1d.access(core.index(), line) {
             Some(s) => {
                 let before = *s;
                 if is_write && before.can_write_silently() {
@@ -620,7 +617,7 @@ impl MemorySystem {
                 // Write hit on a Shared/Owned line: upgrade (invalidate peers).
                 self.counters.l1d_hits += 1;
                 let upgrade_latency = self.upgrade_for_write(core, line, class);
-                if let Some(s) = self.l1d[core.index()].lookup_mut(line) {
+                if let Some(s) = self.l1d.lookup_mut(core.index(), line) {
                     *s = MoesiState::Modified;
                 }
                 MemAccessResult {
@@ -672,13 +669,17 @@ impl MemorySystem {
         let l2_latency = self.config.l2_slice.latency;
         self.counters.l2_accesses += 1;
 
-        let l2_entry = self.l2[home.index()].access(line).cloned();
+        // The directory fields the fill reads: `(owner, owner holds it dirty)`.
+        let l2_entry = self
+            .l2
+            .access(home.index(), line)
+            .map(|e| (e.owner(), e.has_dirty_owner()));
         let mut fill_values: Option<LineValues> = None;
-        let (beyond_l2, served_by) = if let Some(entry) = l2_entry {
+        let (beyond_l2, served_by) = if let Some((owner, dirty)) = l2_entry {
             self.counters.l2_hits += 1;
-            if entry.has_dirty_owner() && entry.owner() != Some(core) {
+            if dirty && owner != Some(core) {
                 // Forward from the dirty owner's L1 straight to the requestor.
-                let owner = entry.owner().expect("dirty owner");
+                let owner = owner.expect("dirty owner");
                 self.counters.forwards += 1;
                 let fwd = self.send_demand(home_node, owner.node(), class, 8);
                 let data = self.send_demand(owner.node(), core_node, class, LINE_BYTES);
@@ -689,22 +690,22 @@ impl MemorySystem {
                 }
                 // Owner's copy: a read leaves it Owned; a write invalidates it.
                 if is_write {
-                    self.l1d[owner.index()].invalidate(line);
+                    self.l1d.invalidate(owner.index(), line);
                     if let Some(vals) = &mut self.values {
                         vals.l1d[owner.index()].remove_line(line);
                     }
                     self.counters.invalidations += 1;
-                } else if let Some(s) = self.l1d[owner.index()].lookup_mut(line) {
+                } else if let Some(s) = self.l1d.lookup_mut(owner.index(), line) {
                     *s = MoesiState::Owned;
                 }
                 (fwd + data, ServedBy::RemoteL1)
             } else {
                 // Data supplied by the L2 slice.  A clean Exclusive owner in
                 // another L1 is downgraded to Shared so it can no longer
-                // write silently.
-                if let Some(owner) = entry.owner() {
-                    if owner != core && !entry.owner_state().is_dirty() {
-                        if let Some(s) = self.l1d[owner.index()].lookup_mut(line) {
+                // write silently (a dirty owner here is the requestor).
+                if let Some(owner) = owner {
+                    if owner != core {
+                        if let Some(s) = self.l1d.lookup_mut(owner.index(), line) {
                             if *s == MoesiState::Exclusive {
                                 *s = MoesiState::Shared;
                             }
@@ -741,7 +742,7 @@ impl MemorySystem {
         // Update directory state at the home slice (one lookup decides the
         // fill state and applies the update; an absent entry is unshared, so
         // a read fill without one is Exclusive, matching the old default).
-        let new_state = if let Some(entry) = self.l2[home.index()].lookup_mut(line) {
+        let new_state = if let Some(entry) = self.l2.lookup_mut(home.index(), line) {
             let state = if is_write {
                 MoesiState::Modified
             } else if entry.is_unshared() {
@@ -783,7 +784,7 @@ impl MemorySystem {
             + cfg.zero_load_latency(home.node(), core.node(), 8);
         self.attrib_queue += rt.saturating_sub(zero_load);
         let inv = self.invalidate_other_sharers(core, line, class);
-        if let Some(entry) = self.l2[home.index()].lookup_mut(line) {
+        if let Some(entry) = self.l2.lookup_mut(home.index(), line) {
             entry.clear_sharers();
             entry.add_sharer(core, MoesiState::Modified);
             entry.l2_dirty = true;
@@ -803,15 +804,14 @@ impl MemorySystem {
         _class: MessageClass,
     ) -> Cycle {
         let home = self.home_slice(line);
-        let entry = match self.l2[home.index()].lookup(line) {
-            Some(e) => e.clone(),
-            None => return Cycle::ZERO,
+        // The entry borrows only the L2 bank, so its sharer set is walked in
+        // place while the L1s, values, counters and NoC are updated.
+        let Some(entry) = self.l2.lookup_mut(home.index(), line) else {
+            return Cycle::ZERO;
         };
         let mut worst = Cycle::ZERO;
-        // `entry` is a copy of the directory word, so the sharer bitmask can
-        // be walked directly while the caches are updated.
         for sharer in entry.sharers_except(requestor) {
-            self.l1d[sharer.index()].invalidate(line);
+            self.l1d.invalidate(sharer.index(), line);
             if let Some(vals) = &mut self.values {
                 // The requestor's own copy (about to be written) is at least
                 // as fresh as any dropped Owned copy, so no write-back of
@@ -827,12 +827,10 @@ impl MemorySystem {
                 .send(sharer.node(), requestor.node(), MessageClass::WbRepl, 8);
             worst = worst.max(inv + ack);
         }
-        if let Some(e) = self.l2[home.index()].lookup_mut(line) {
-            let keep_requestor = e.is_sharer(requestor);
-            e.clear_sharers();
-            if keep_requestor {
-                e.add_sharer(requestor, MoesiState::Modified);
-            }
+        let keep_requestor = entry.is_sharer(requestor);
+        entry.clear_sharers();
+        if keep_requestor {
+            entry.add_sharer(requestor, MoesiState::Modified);
         }
         worst
     }
@@ -848,7 +846,7 @@ impl MemorySystem {
         _class: MessageClass,
         values: Option<LineValues>,
     ) {
-        if let Some(victim) = self.l1d[core.index()].insert(line, state) {
+        if let Some(victim) = self.l1d.insert(core.index(), line, state) {
             let victim_home = self.home_slice(victim.line);
             let victim_values = self
                 .values
@@ -864,7 +862,7 @@ impl MemorySystem {
                     LINE_BYTES,
                 );
                 let l2_holds =
-                    if let Some(entry) = self.l2[victim_home.index()].lookup_mut(victim.line) {
+                    if let Some(entry) = self.l2.lookup_mut(victim_home.index(), victim.line) {
                         entry.remove_sharer(core);
                         entry.l2_dirty = true;
                         true
@@ -880,7 +878,7 @@ impl MemorySystem {
                         vals.dram.set_line(victim.line, v);
                     }
                 }
-            } else if let Some(entry) = self.l2[victim_home.index()].lookup_mut(victim.line) {
+            } else if let Some(entry) = self.l2.lookup_mut(victim_home.index(), victim.line) {
                 // Clean eviction: silently drop the sharer.
                 entry.remove_sharer(core);
             }
@@ -902,7 +900,7 @@ impl MemorySystem {
         let request = self.send_demand(core.node(), home.node(), class, 8);
         self.counters.l2_accesses += 1;
         let l2_latency = self.config.l2_slice.latency;
-        if self.l2[home.index()].access(line).is_some() {
+        if self.l2.access(home.index(), line).is_some() {
             self.counters.l2_hits += 1;
             let data = self.send_demand(home.node(), core.node(), class, LINE_BYTES);
             (request + l2_latency + data, ServedBy::L2)
@@ -929,7 +927,7 @@ impl MemorySystem {
     /// of the victim line (back-invalidation of L1 copies, write-back of dirty
     /// data to memory).
     fn allocate_in_l2(&mut self, home: CoreId, line: LineAddr, entry: DirectoryEntry) {
-        if let Some(victim) = self.l2[home.index()].insert(line, entry) {
+        if let Some(victim) = self.l2.insert(home.index(), line, entry) {
             self.counters.l2_evictions += 1;
             // Back-invalidate every L1 holding the victim (inclusive L2).
             let mut any_dirty_l1 = false;
@@ -939,7 +937,7 @@ impl MemorySystem {
                     .values
                     .as_mut()
                     .and_then(|v| v.l1d[sharer.index()].remove_line(victim.line));
-                if let Some(state) = self.l1d[sharer.index()].invalidate(victim.line) {
+                if let Some(state) = self.l1d.invalidate(sharer.index(), victim.line) {
                     if state.is_dirty() {
                         any_dirty_l1 = true;
                         dirty_l1_values = dropped_values.or(dirty_l1_values);
@@ -982,7 +980,7 @@ impl MemorySystem {
 
     /// Brings a prefetched line into the L1 (off the critical path).
     fn prefetch_fill(&mut self, core: CoreId, line: LineAddr) {
-        if self.l1d[core.index()].contains(line) {
+        if self.l1d.contains(core.index(), line) {
             return;
         }
         self.counters.prefetches += 1;
@@ -992,22 +990,26 @@ impl MemorySystem {
             .noc
             .send(core.node(), home.node(), MessageClass::Read, 8);
         self.counters.l2_accesses += 1;
-        if self.l2[home.index()].access(line).is_none() {
+        if self.l2.access(home.index(), line).is_none() {
             self.dram_prefetch_fill(home, line);
         } else {
             self.counters.l2_hits += 1;
         }
-        let entry = self.l2[home.index()]
-            .lookup(line)
-            .cloned()
-            .unwrap_or_default();
+        // `(owner, owner holds it dirty, no L1 holds it)`; an absent entry
+        // reads as a fresh, unshared one.
+        let (owner, dirty, unshared) = self
+            .l2
+            .lookup(home.index(), line)
+            .map_or((None, false, true), |e| {
+                (e.owner(), e.has_dirty_owner(), e.is_unshared())
+            });
         let mut fill_values: Option<LineValues> = None;
-        if entry.has_dirty_owner() && entry.owner() != Some(core) {
+        if dirty && owner != Some(core) {
             // A prefetch of a line that is dirty in another L1 gets the data
             // forwarded from the owner, which is downgraded to Owned so its
             // later writes go through an upgrade (and invalidate this copy)
             // instead of happening silently next to a stale prefetched line.
-            let owner = entry.owner().expect("dirty owner");
+            let owner = owner.expect("dirty owner");
             self.counters.forwards += 1;
             let _ = self
                 .noc
@@ -1015,7 +1017,7 @@ impl MemorySystem {
             let _ = self
                 .noc
                 .send(owner.node(), core.node(), MessageClass::Read, LINE_BYTES);
-            if let Some(s) = self.l1d[owner.index()].lookup_mut(line) {
+            if let Some(s) = self.l1d.lookup_mut(owner.index(), line) {
                 if *s == MoesiState::Modified {
                     *s = MoesiState::Owned;
                 }
@@ -1034,12 +1036,12 @@ impl MemorySystem {
                     .copied();
             }
         }
-        let state = if entry.is_unshared() {
+        let state = if unshared {
             MoesiState::Exclusive
         } else {
             MoesiState::Shared
         };
-        if let Some(entry) = self.l2[home.index()].lookup_mut(line) {
+        if let Some(entry) = self.l2.lookup_mut(home.index(), line) {
             entry.add_sharer(core, state);
         }
         self.fill_l1(core, line, state, MessageClass::Read, fill_values);
@@ -1058,7 +1060,7 @@ impl MemorySystem {
 
     fn set_directory_owner(&mut self, core: CoreId, line: LineAddr, state: MoesiState) {
         let home = self.home_slice(line);
-        if let Some(entry) = self.l2[home.index()].lookup_mut(line) {
+        if let Some(entry) = self.l2.lookup_mut(home.index(), line) {
             entry.add_sharer(core, state);
             entry.l2_dirty = true;
         }
@@ -1095,13 +1097,16 @@ impl MemorySystem {
         self.counters.l2_accesses += 1;
         let l2_latency = self.config.l2_slice.latency;
 
-        let entry = self.l2[home.index()].lookup(line).cloned();
+        // `Some(dirty owner)` for an L2 hit; the owner is `None` when clean.
+        let entry = self
+            .l2
+            .lookup(home.index(), line)
+            .map(|e| e.owner().filter(|_| e.has_dirty_owner()));
         let mut read_values: Option<LineValues> = None;
         let beyond = match entry {
-            Some(e) if e.has_dirty_owner() => {
+            Some(Some(owner)) => {
                 self.counters.l2_hits += 1;
                 self.counters.forwards += 1;
-                let owner = e.owner().expect("dirty owner");
                 if let Some(vals) = &self.values {
                     read_values = Some(
                         vals.l1d[owner.index()]
@@ -1121,7 +1126,7 @@ impl MemorySystem {
                 );
                 fwd + data
             }
-            Some(_) => {
+            Some(None) => {
                 self.counters.l2_hits += 1;
                 if let Some(vals) = &self.values {
                     read_values = Some(
@@ -1189,10 +1194,11 @@ impl MemorySystem {
             }
         }
 
-        // Invalidate every cached copy.
-        if let Some(entry) = self.l2[home.index()].lookup(line).cloned() {
+        // Invalidate every cached copy: take the directory entry out of the
+        // home slice, then drop each L1 copy it lists.
+        if let Some(entry) = self.l2.invalidate(home.index(), line) {
             for sharer in entry.sharers() {
-                self.l1d[sharer.index()].invalidate(line);
+                self.l1d.invalidate(sharer.index(), line);
                 if let Some(vals) = &mut self.values {
                     vals.l1d[sharer.index()].remove_line(line);
                 }
@@ -1204,7 +1210,6 @@ impl MemorySystem {
                     .noc
                     .send(sharer.node(), home.node(), MessageClass::Dma, 8);
             }
-            self.l2[home.index()].invalidate(line);
             if let Some(vals) = &mut self.values {
                 vals.l2[home.index()].remove_line(line);
             }
@@ -1288,8 +1293,8 @@ mod tests {
     #[test]
     fn one_load_on_1024_cores_materialises_two_sets() {
         let mut m = MemorySystem::new(MemorySystemConfig::isca2015(1024));
-        fn sets<S: Clone>(arrays: &[CacheArray<S>]) -> Vec<usize> {
-            arrays.iter().map(CacheArray::materialised_sets).collect()
+        fn sets<S: Clone>(bank: &CacheBank<S>) -> Vec<usize> {
+            (0..1024).map(|unit| bank.materialised_sets(unit)).collect()
         }
         assert!(sets(&m.l2).iter().all(|&n| n == 0));
         let a = Addr::new(0x4_0000);

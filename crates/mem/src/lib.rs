@@ -8,8 +8,10 @@
 //! model:
 //!
 //! * cache tag arrays are maintained exactly (set-associative arrays with
-//!   tree-pseudoLRU replacement), so hit/miss/conflict behaviour — including
-//!   the prefetcher-induced conflict misses the paper observes — is real;
+//!   tree-pseudoLRU replacement, one [`CacheBank`] per cache level holding
+//!   every core's or tile's array), so hit/miss/conflict behaviour —
+//!   including the prefetcher-induced conflict misses the paper observes —
+//!   is real;
 //! * every access returns its latency and injects the NoC packets the
 //!   corresponding directory-protocol transaction would send, so network
 //!   traffic and energy can be accounted per message class;
@@ -37,7 +39,7 @@ pub mod prefetcher;
 pub mod values;
 
 pub use addr::{Addr, AddressRange, LineAddr, LINE_BYTES};
-pub use cache::{CacheArray, CacheConfig, EvictedLine};
+pub use cache::{CacheBank, CacheConfig, EvictedLine};
 pub use directory::{MappingDirectory, MappingEntry};
 pub use dram::{DramConfig, DramModel};
 pub use hierarchy::{AccessKind, MemAccessResult, MemorySystem, MemorySystemConfig, ServedBy};

@@ -261,7 +261,7 @@ mod tests {
                 let mut reference = VecTreePlru::new(ways);
                 for &(fill, raw) in &ops {
                     prop_assert_eq!(inline.victim(), reference.victim());
-                    // A fill touches the victim, as `CacheArray::insert` does;
+                    // A fill touches the victim, as `CacheBank::insert` does;
                     // otherwise touch an arbitrary way, as a hit does.
                     let way = if fill { reference.victim() } else { raw as usize % ways };
                     inline.touch(way);

@@ -88,6 +88,8 @@ pub struct StridePrefetcher {
     /// (64 entries) and hit on every demand access, where a scan over a
     /// dense array beats hashing the key.  Eviction picks the minimum `lru`
     /// tick, which is unique, so the scan order never affects behaviour.
+    /// The table starts empty and grows to the streams the core trains it
+    /// with, up to `table_entries`.
     table: Vec<(u64, StreamEntry)>,
     tick: u64,
     issued: u64,
@@ -97,7 +99,7 @@ impl StridePrefetcher {
     /// Creates a prefetcher with the given configuration.
     pub fn new(config: PrefetcherConfig) -> Self {
         StridePrefetcher {
-            table: Vec::with_capacity(config.table_entries),
+            table: Vec::new(),
             config,
             tick: 0,
             issued: 0,

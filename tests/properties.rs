@@ -10,7 +10,7 @@ use spm_manycore::coherence::{
 use spm_manycore::mem::mshr::{MshrFile, MshrOutcome};
 use spm_manycore::mem::plru::TreePlru;
 use spm_manycore::mem::{
-    Addr, AddressRange, CacheArray, CacheConfig, LineAddr, MemorySystem, MemorySystemConfig,
+    Addr, AddressRange, CacheBank, CacheConfig, LineAddr, MemorySystem, MemorySystemConfig,
 };
 use spm_manycore::noc::{MeshTopology, MessageClass, Noc, NocConfig};
 use spm_manycore::simkernel::{ByteSize, CoreId, Cycle, SimRng};
@@ -67,10 +67,11 @@ proptest! {
     fn cache_occupancy_never_exceeds_capacity(lines in vec(0u64..4096, 1..400)) {
         let config = CacheConfig::new("prop", ByteSize::kib(4), 4, Cycle::new(2));
         let capacity = config.lines() as usize;
-        let mut cache: CacheArray<u8> = CacheArray::new(config);
+        // A one-unit bank is a single cache.
+        let mut cache: CacheBank<u8> = CacheBank::new(&config, 1);
         for (i, line) in lines.iter().enumerate() {
-            cache.insert(LineAddr::new(*line), i as u8);
-            prop_assert!(cache.contains(LineAddr::new(*line)));
+            cache.insert(0, LineAddr::new(*line), i as u8);
+            prop_assert!(cache.contains(0, LineAddr::new(*line)));
             prop_assert!(cache.occupancy() <= capacity);
         }
     }
