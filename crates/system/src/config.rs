@@ -176,9 +176,9 @@ pub struct SystemConfig {
     /// Thread real data values through the memory system (DRAM, caches,
     /// scratchpads, DMA) alongside the timing model.
     ///
-    /// Off by default: timing results are bit-identical either way (see the
-    /// `value_tracking_overhead` bench for the throughput cost), and the
-    /// verification entry points arm it themselves.
+    /// Off by default: timing results are bit-identical either way (see
+    /// `bench_report`'s `track_values` entry for the throughput cost), and
+    /// the verification entry points arm it themselves.
     pub track_values: bool,
     /// Structured event tracing (`--trace` on the report binaries).
     ///
@@ -225,8 +225,8 @@ impl SystemConfig {
     }
 
     /// A scaled-down machine (smaller caches, L2 slices and SPMs) for fast
-    /// unit tests, doctests and criterion benches.  Workloads meant for this
-    /// configuration should be scaled accordingly.
+    /// unit tests and doctests.  Workloads meant for this configuration
+    /// should be scaled accordingly.
     pub fn small(cores: usize) -> Self {
         let mut cfg = Self::with_cores(cores);
         cfg.memory = MemorySystemConfig::small(cores);

@@ -106,7 +106,7 @@ impl ExperimentSuite {
     }
 
     /// A reduced suite (fewer cores and much smaller data sets) used by the
-    /// integration tests and criterion benches.
+    /// integration tests.
     pub fn run_quick(
         config: &SystemConfig,
         benchmarks: &[NasBenchmark],
