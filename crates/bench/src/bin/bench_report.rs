@@ -19,10 +19,10 @@
 //! ```
 //!
 //! `--check` compares the fresh measurement against the checked-in JSON and
-//! exits 1 when any entry's ops/sec regressed by more than 20%; setting
-//! `BENCH_ALLOW_REGRESSION=1` (or passing `--allow-regression`) downgrades
-//! the failure to a warning for intentional trade-offs.  `--help` exits 0;
-//! malformed arguments exit 2 with the usage text.
+//! exits 1 when any entry's ops/sec regressed by more than 20%; passing
+//! `--allow-regression` downgrades the failure to a warning for intentional
+//! trade-offs.  `--help` exits 0; malformed arguments exit 2 with the usage
+//! text.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -32,7 +32,7 @@ use noc::{run_synthetic, MessageClass, Noc, NocConfig, NocModel, SyntheticTraffi
 use simkernel::{ByteSize, CoreId, Cycle, Json, NodeId, TraceSettings};
 use spm::{Scratchpad, SpmConfig};
 use spm_coherence::{CoherenceBackend, ProtocolConfig, SpmCoherenceProtocol};
-use system::cli::{parse_value, CliError};
+use system::cli::{parse_or_exit, Args, CliError};
 use system::{Machine, MachineKind, SystemConfig};
 use workloads::nas::NasBenchmark;
 use workloads::{compile, ExecMode, MachineParams, OpCursor};
@@ -48,7 +48,6 @@ options:
   --check              compare with the checked-in files instead of
                        rewriting them
   --allow-regression   report a --check regression without failing
-                       (also BENCH_ALLOW_REGRESSION=1)
   --help               this text
 
 exit status: 0 on success, 1 on a --check regression beyond the budget,
@@ -495,15 +494,35 @@ fn reports() -> [Report; 5] {
     ]
 }
 
+/// The rev the reports are stamped with: `HEAD`'s short hash, with
+/// `-dirty` when the working tree differs from it.
 fn git_rev(root: &Path) -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(root)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        .unwrap_or_else(|| "unknown".to_owned())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(root)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).into_owned())
+    };
+    rev_label(
+        git(&["rev-parse", "--short", "HEAD"]).as_deref(),
+        git(&["status", "--porcelain"]).as_deref(),
+    )
+}
+
+/// The label of `rev` (`git rev-parse --short HEAD`) given the output of
+/// `git status --porcelain`, which prints nothing for a clean tree.
+fn rev_label(rev: Option<&str>, status: Option<&str>) -> String {
+    let Some(rev) = rev.map(str::trim) else {
+        return "unknown".to_owned();
+    };
+    if status.is_some_and(|s| !s.trim().is_empty()) {
+        format!("{rev}-dirty")
+    } else {
+        rev.to_owned()
+    }
 }
 
 /// Compares fresh entries against a checked-in report; returns failures.
@@ -584,22 +603,20 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
         samples: 15,
         only: None,
     };
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_arg()? {
+        match flag.as_str() {
             "--check" => options.checking = true,
             "--allow-regression" => options.allow = true,
-            "--samples" => options.samples = parse_value("--samples", &value("--samples")?)?,
+            "--samples" => options.samples = args.parse()?,
             "--only" => {
-                let key = value("--only")?;
+                let key = args.value()?;
                 if !reports().iter().any(|r| r.key == key) {
                     return Err(format!("--only: unknown report '{key}'").into());
                 }
                 options.only = Some(key);
             }
-            "--help" | "-h" => return Err(CliError::Help),
-            other => return Err(format!("unknown argument '{other}'").into()),
+            _ => return Err(args.unknown()),
         }
     }
     if options.samples == 0 {
@@ -609,18 +626,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
 }
 
 fn main() {
-    let options = match parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(CliError::Help) => {
-            print!("{USAGE}");
-            return;
-        }
-        Err(CliError::Invalid(message)) => {
-            eprintln!("bench_report: {message}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let allow = options.allow || std::env::var("BENCH_ALLOW_REGRESSION").is_ok_and(|v| v == "1");
+    let options = parse_or_exit("bench_report", USAGE, std::env::args().skip(1), parse);
     let samples = options.samples;
 
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -673,11 +679,11 @@ fn main() {
         for f in &failures {
             eprintln!("perf regression: {f}");
         }
-        if allow {
-            eprintln!("BENCH_ALLOW_REGRESSION set — continuing despite regressions");
+        if options.allow {
+            eprintln!("--allow-regression given — continuing despite regressions");
         } else {
             eprintln!("re-record with `cargo run --release -p bench --bin bench_report`");
-            eprintln!("or override once with BENCH_ALLOW_REGRESSION=1 / --allow-regression");
+            eprintln!("or override once with --allow-regression");
             std::process::exit(1);
         }
     }
@@ -730,6 +736,16 @@ mod tests {
             failures[0].contains("beyond the 20% budget"),
             "{failures:?}"
         );
+    }
+
+    #[test]
+    fn rev_label_marks_a_dirty_tree() {
+        assert_eq!(rev_label(Some("abc1234\n"), Some("")), "abc1234");
+        assert_eq!(
+            rev_label(Some("abc1234\n"), Some(" M crates/cpu/src/lib.rs\n")),
+            "abc1234-dirty"
+        );
+        assert_eq!(rev_label(None, None), "unknown");
     }
 
     #[test]

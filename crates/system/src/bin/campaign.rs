@@ -20,8 +20,10 @@
 use campaign::{
     summarize, Executor, ResultCache, SweepSpec, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS,
 };
-use system::cli::{parse_list, write_export};
+use system::cli::{parse_or_exit, write_export, Args, CliError};
 use system::sweep::{records_of, run_points, RunContext};
+use system::{CoherenceProtocol, MachineKind};
+use workloads::nas::NasBenchmark;
 
 /// The `--help` text.  The axis value lists come from the canonical id
 /// arrays, so the text cannot drift from what the lowering accepts.
@@ -29,6 +31,8 @@ fn usage() -> String {
     format!(
         "\
 campaign — parameter-space sweeps over the ISCA'15 machines
+
+usage: campaign [options]
 
 options (LIST = comma-separated values):
   --benchmarks LIST   benchmarks to sweep (default CG,IS; all six: CG,EP,FT,IS,MG,SP)
@@ -70,7 +74,13 @@ struct Options {
     quiet: bool,
 }
 
-fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+/// Keeps an id as given once `from_id` accepts it, so the points carry the
+/// spelling on the command line.
+fn checked<T>(from_id: impl Fn(&str) -> Option<T>) -> impl Fn(&str) -> Option<String> {
+    move |id| from_id(id).map(|_| id.to_owned())
+}
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
     let mut options = Options {
         spec: SweepSpec::new(&["CG", "IS"]),
         jobs: 0,
@@ -79,72 +89,46 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
         json: None,
         quiet: false,
     };
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_arg()? {
+        match flag.as_str() {
             "--benchmarks" => {
-                options.spec.benchmarks = parse_list("--benchmarks", &value("--benchmarks")?)?
+                options.spec.benchmarks = args.ids(
+                    checked(NasBenchmark::from_name),
+                    &NasBenchmark::ALL.map(NasBenchmark::name),
+                )?
             }
             "--machines" => {
-                options.spec.machines = parse_list("--machines", &value("--machines")?)?
+                options.spec.machines = args.ids(checked(MachineKind::from_id), &MACHINE_IDS)?
             }
-            "--cores" => options.spec.core_counts = parse_list("--cores", &value("--cores")?)?,
-            "--scale" => {
-                options.spec.scale_multipliers = parse_list("--scale", &value("--scale")?)?
-            }
-            "--spm-kib" => {
-                options.spec = options
-                    .spec
-                    .with_spm_kib(&parse_list("--spm-kib", &value("--spm-kib")?)?)
-            }
-            "--filters" => {
-                options.spec = options
-                    .spec
-                    .with_filter_entries(&parse_list("--filters", &value("--filters")?)?)
-            }
-            "--filterdirs" => {
-                options.spec = options
-                    .spec
-                    .with_filterdir_entries(&parse_list("--filterdirs", &value("--filterdirs")?)?)
-            }
+            "--cores" => options.spec.core_counts = args.list()?,
+            "--scale" => options.spec.scale_multipliers = args.list()?,
+            "--spm-kib" => options.spec = options.spec.with_spm_kib(&args.list()?),
+            "--filters" => options.spec = options.spec.with_filter_entries(&args.list()?),
+            "--filterdirs" => options.spec = options.spec.with_filterdir_entries(&args.list()?),
             "--noc-models" => {
-                let models: Vec<String> = parse_list("--noc-models", &value("--noc-models")?)?;
+                let models = args.ids(checked(noc::NocModel::from_id), &NOC_MODEL_IDS)?;
                 options.spec.noc_models = models.into_iter().map(Some).collect();
             }
             "--protocols" => {
-                let protocols: Vec<String> = parse_list("--protocols", &value("--protocols")?)?;
+                let protocols = args.ids(checked(CoherenceProtocol::from_id), &PROTOCOL_IDS)?;
                 options.spec.protocols = protocols.into_iter().map(Some).collect();
             }
             "--small" => options.spec.small_machine = true,
-            "--jobs" => {
-                options.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs: not a number")?
-            }
-            "--cache-dir" => options.cache_dir = Some(value("--cache-dir")?.into()),
+            "--jobs" => options.jobs = args.parse()?,
+            "--cache-dir" => options.cache_dir = Some(args.value()?.into()),
             "--no-cache" => options.cache_dir = None,
-            "--csv" => options.csv = Some(value("--csv")?),
-            "--json" => options.json = Some(value("--json")?),
+            "--csv" => options.csv = Some(args.value()?),
+            "--json" => options.json = Some(args.value()?),
             "--quiet" => options.quiet = true,
-            "--help" | "-h" => {
-                print!("{}", usage());
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument '{other}'\n\n{}", usage())),
+            _ => return Err(args.unknown()),
         }
     }
     Ok(options)
 }
 
 fn main() {
-    let options = match parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("{message}");
-            std::process::exit(2);
-        }
-    };
+    let options = parse_or_exit("campaign", &usage(), std::env::args().skip(1), parse);
     let points = options.spec.points();
     let ctx = RunContext::new(
         Executor::new(options.jobs),

@@ -40,7 +40,7 @@
 use std::process::ExitCode;
 
 use campaign::{Executor, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS};
-use system::cli::{parse_id_flag, parse_list, parse_value, CliError};
+use system::cli::{parse_or_exit, Args, CliError};
 use system::verify::verification_config;
 use system::{CoherenceProtocol, Machine, MachineKind, SystemConfig};
 use workloads::litmus::{catalogue, random_program, FuzzParams, LitmusCase};
@@ -135,71 +135,29 @@ options (LIST = comma-separated values):
     )
 }
 
-/// Parses one axis list: every id must be valid, and the list must name at
-/// least one, so a run can never pass after checking nothing.
-fn axis<T>(
-    flag: &str,
-    list: &str,
-    from_id: impl Fn(&str) -> Option<T>,
-    valid: &[&str],
-) -> Result<Vec<T>, String> {
-    let values = parse_list::<String>(flag, list)?
-        .iter()
-        .map(|id| parse_id_flag(flag, id.trim(), &from_id, valid))
-        .collect::<Result<Vec<_>, _>>()?;
-    if values.is_empty() {
-        return Err(format!("{flag}: the list names no value"));
-    }
-    Ok(values)
-}
-
 fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
     let mut o = Options::default();
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--cores" => o.cores = parse_value("--cores", &value("--cores")?)?,
-            "--seeds" => o.seeds = parse_value("--seeds", &value("--seeds")?)?,
-            "--seed-base" => o.seed_base = parse_value("--seed-base", &value("--seed-base")?)?,
-            "--machines" => {
-                o.machines = axis(
-                    "--machines",
-                    &value("--machines")?,
-                    MachineKind::from_id,
-                    &MACHINE_IDS,
-                )?
-            }
-            "--noc-models" => {
-                o.noc_models = axis(
-                    "--noc-models",
-                    &value("--noc-models")?,
-                    noc::NocModel::from_id,
-                    &NOC_MODEL_IDS,
-                )?
-            }
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_arg()? {
+        match flag.as_str() {
+            "--cores" => o.cores = args.parse()?,
+            "--seeds" => o.seeds = args.parse()?,
+            "--seed-base" => o.seed_base = args.parse()?,
+            "--machines" => o.machines = args.ids(MachineKind::from_id, &MACHINE_IDS)?,
+            "--noc-models" => o.noc_models = args.ids(noc::NocModel::from_id, &NOC_MODEL_IDS)?,
             "--protocols" => {
-                let list = value("--protocols")?;
-                o.protocols = if list == "all" {
-                    CoherenceProtocol::ALL.to_vec()
-                } else {
-                    axis(
-                        "--protocols",
-                        &list,
-                        CoherenceProtocol::from_id,
-                        &PROTOCOL_IDS,
-                    )?
-                };
+                o.protocols = match args.value()?.as_str() {
+                    "all" => CoherenceProtocol::ALL.to_vec(),
+                    list => args.ids_in(list, CoherenceProtocol::from_id, &PROTOCOL_IDS)?,
+                }
             }
             "--litmus-only" => o.fuzz = false,
             "--fuzz-only" => o.litmus = false,
-            "--fuzz-rounds" => {
-                o.fuzz_rounds = parse_value("--fuzz-rounds", &value("--fuzz-rounds")?)?
-            }
-            "--fuzz-ops" => o.fuzz_ops = parse_value("--fuzz-ops", &value("--fuzz-ops")?)?,
-            "--jobs" => o.jobs = parse_value("--jobs", &value("--jobs")?)?,
+            "--fuzz-rounds" => o.fuzz_rounds = args.parse()?,
+            "--fuzz-ops" => o.fuzz_ops = args.parse()?,
+            "--jobs" => o.jobs = args.parse()?,
             "--quiet" => o.quiet = true,
-            "--fault" => match value("--fault")?.as_str() {
+            "--fault" => match args.value()?.as_str() {
                 "skip-filter-invalidation" => {
                     o.fault = Some(spm_coherence::ProtocolFault::SkipFilterInvalidationOnMap)
                 }
@@ -208,9 +166,8 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
                 }
                 other => return Err(format!("--fault: unknown fault '{other}'").into()),
             },
-            "--write-golden" => o.write_golden = Some(value("--write-golden")?.into()),
-            "--help" | "-h" => return Err(CliError::Help),
-            other => return Err(format!("unknown argument '{other}'").into()),
+            "--write-golden" => o.write_golden = Some(args.value()?.into()),
+            _ => return Err(args.unknown()),
         }
     }
     if o.cores == 0 {
@@ -221,13 +178,53 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
             .to_owned()
             .into());
     }
+    // `--write-golden` and `--fault` run programs of their own; the regular
+    // matrix must check at least one point.
+    if o.write_golden.is_none() && o.fault.is_none() && points(&o).is_empty() {
+        return Err("the selection names no point to check".to_owned().into());
+    }
     Ok(o)
 }
 
-/// Prints the usage text after a malformed argument and exits 2.
-fn invalid(message: &str) -> ! {
-    eprintln!("coherence_check: {message}\n\n{}", usage());
-    std::process::exit(2);
+/// The regular matrix: litmus catalogue + fuzz seeds.  The protocol axis
+/// only multiplies proposed-machine points; on the other kinds the
+/// coherence backend is inert, so extra protocols would re-run the same
+/// simulation.
+fn points(o: &Options) -> Vec<Point> {
+    let default_protocols = [CoherenceProtocol::FilterDir];
+    let mut points = Vec::new();
+    for &kind in &o.machines {
+        let protocols: &[CoherenceProtocol] = if kind == MachineKind::HybridProposed {
+            &o.protocols
+        } else {
+            &default_protocols
+        };
+        for &protocol in protocols {
+            for &model in &o.noc_models {
+                if o.litmus && kind.has_spms() {
+                    for case in catalogue() {
+                        points.push(Point {
+                            kind,
+                            noc: model,
+                            protocol,
+                            program: Program::Litmus(case.name),
+                        });
+                    }
+                }
+                if o.fuzz {
+                    for s in 0..o.seeds {
+                        points.push(Point {
+                            kind,
+                            noc: model,
+                            protocol,
+                            program: Program::Fuzz(o.seed_base + s),
+                        });
+                    }
+                }
+            }
+        }
+    }
+    points
 }
 
 fn config_for(o: &Options, model: noc::NocModel, protocol: CoherenceProtocol) -> SystemConfig {
@@ -319,14 +316,7 @@ fn write_golden(o: &Options, dir: &std::path::Path) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let o = match parse(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(CliError::Help) => {
-            print!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
-        Err(CliError::Invalid(message)) => invalid(&message),
-    };
+    let o = parse_or_exit("coherence_check", &usage(), std::env::args().skip(1), parse);
 
     if let Some(dir) = &o.write_golden {
         return match write_golden(&o, dir) {
@@ -381,48 +371,7 @@ fn main() -> ExitCode {
         };
     }
 
-    // The regular matrix: litmus catalogue + fuzz seeds.  The protocol axis
-    // only multiplies proposed-machine points; on the other kinds the
-    // coherence backend is inert, so extra protocols would re-run the same
-    // simulation.
-    let default_protocols = [CoherenceProtocol::FilterDir];
-    let mut points = Vec::new();
-    for &kind in &o.machines {
-        let protocols: &[CoherenceProtocol] = if kind == MachineKind::HybridProposed {
-            &o.protocols
-        } else {
-            &default_protocols
-        };
-        for &protocol in protocols {
-            for &model in &o.noc_models {
-                if o.litmus && kind.has_spms() {
-                    for case in catalogue() {
-                        points.push(Point {
-                            kind,
-                            noc: model,
-                            protocol,
-                            program: Program::Litmus(case.name),
-                        });
-                    }
-                }
-                if o.fuzz {
-                    for s in 0..o.seeds {
-                        points.push(Point {
-                            kind,
-                            noc: model,
-                            protocol,
-                            program: Program::Fuzz(o.seed_base + s),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    if points.is_empty() {
-        invalid("the selection names no point to check");
-    }
-
+    let points = points(&o);
     let executor = Executor::new(o.jobs);
     let results = executor.run(&points, |_, p| {
         let cfg = config_for(&o, p.noc, p.protocol);

@@ -17,7 +17,7 @@
 //! document that cannot be read or fails a check exits 1.
 
 use simkernel::{CycleBreakdown, CycleCategory, Json};
-use system::cli::{parse_value, CliError};
+use system::cli::{parse_or_exit, Args, CliError};
 
 const USAGE: &str = "\
 cycle_report — tables, top stalls and diffs of a cycle-accounting JSON
@@ -45,17 +45,15 @@ struct Options {
 
 fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
     let (mut path, mut diff, mut csv, mut json, mut top) = (None, None, None, None, 5);
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
-            "--diff" => diff = Some(value("--diff")?),
-            "--csv" => csv = Some(value("--csv")?),
-            "--json" => json = Some(value("--json")?),
-            "--top" => top = parse_value("--top", &value("--top")?)?,
-            "--help" | "-h" => return Err(CliError::Help),
+            "--diff" => diff = Some(args.value()?),
+            "--csv" => csv = Some(args.value()?),
+            "--json" => json = Some(args.value()?),
+            "--top" => top = args.parse()?,
             other if path.is_none() && !other.starts_with('-') => path = Some(arg),
-            other => return Err(format!("unknown argument '{other}'").into()),
+            _ => return Err(args.unknown()),
         }
     }
     Ok(Options {
@@ -169,17 +167,7 @@ fn run(options: &Options) -> Result<String, String> {
 }
 
 fn main() {
-    let options = match parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(CliError::Help) => {
-            print!("{USAGE}");
-            return;
-        }
-        Err(CliError::Invalid(message)) => {
-            eprintln!("cycle_report: {message}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let options = parse_or_exit("cycle_report", USAGE, std::env::args().skip(1), parse);
     match run(&options) {
         Ok(report) => print!("{report}"),
         Err(error) => {

@@ -3,9 +3,5 @@
 //! Usage: `cargo run --release --bin fig10 -- [--cores N] [--scale F] [--benchmarks CG,IS] [--json]`
 
 fn main() {
-    let options = system::CliOptions::parse_or_exit(std::env::args().skip(1));
-    print!(
-        "{}",
-        system::cli::run_report(system::Report::Fig10, &options)
-    );
+    system::cli::report_main("fig10", system::Report::Fig10);
 }

@@ -12,7 +12,7 @@
 //! that test the paper's "contention in the filterDir is very low" claim
 //! instead of assuming it.
 
-use system::cli::{parse_list, write_export, CliError};
+use system::cli::{parse_or_exit, write_export, Args, CliError};
 use system::experiments::ablations::{
     noc_contention_csv, noc_contention_json, noc_contention_sweep, noc_contention_table,
 };
@@ -52,23 +52,16 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
         json: None,
         quiet: false,
     };
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--meshes" => options.meshes = parse_list("--meshes", &value("--meshes")?)?,
-            "--rates" => options.rates = parse_list("--rates", &value("--rates")?)?,
-            "--duration" => {
-                let duration = value("--duration")?;
-                options.duration = duration
-                    .parse()
-                    .map_err(|_| format!("--duration: cannot parse '{duration}'"))?
-            }
-            "--csv" => options.csv = Some(value("--csv")?),
-            "--json" => options.json = Some(value("--json")?),
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_arg()? {
+        match flag.as_str() {
+            "--meshes" => options.meshes = args.list()?,
+            "--rates" => options.rates = args.list()?,
+            "--duration" => options.duration = args.parse()?,
+            "--csv" => options.csv = Some(args.value()?),
+            "--json" => options.json = Some(args.value()?),
             "--quiet" => options.quiet = true,
-            "--help" | "-h" => return Err(CliError::Help),
-            other => return Err(format!("unknown argument '{other}'").into()),
+            _ => return Err(args.unknown()),
         }
     }
     if options.meshes.contains(&0) {
@@ -90,17 +83,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
 }
 
 fn main() {
-    let options = match parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(CliError::Help) => {
-            print!("{USAGE}");
-            std::process::exit(0);
-        }
-        Err(CliError::Invalid(message)) => {
-            eprintln!("{message}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let options = parse_or_exit("noc_contention", USAGE, std::env::args().skip(1), parse);
     let points = noc_contention_sweep(&options.meshes, &options.rates, options.duration);
     if let Some(target) = &options.csv {
         if let Err(message) = write_export(target, &noc_contention_csv(&points)) {

@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use simkernel::Json;
-use system::cli::{parse_value, CliError};
+use system::cli::{parse_or_exit, Args, CliError};
 
 const USAGE: &str = "\
 trace_report — event counts, hottest homes and links of a Chrome trace JSON
@@ -42,15 +42,13 @@ struct Options {
 
 fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
     let (mut path, mut top, mut windows) = (None, 5, 4);
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
-            "--top" => top = parse_value("--top", &value("--top")?)?,
-            "--windows" => windows = parse_value("--windows", &value("--windows")?)?,
-            "--help" | "-h" => return Err(CliError::Help),
+            "--top" => top = args.parse()?,
+            "--windows" => windows = args.parse()?,
             other if path.is_none() && !other.starts_with('-') => path = Some(arg),
-            other => return Err(format!("unknown argument '{other}'").into()),
+            _ => return Err(args.unknown()),
         }
     }
     if windows == 0 {
@@ -250,17 +248,7 @@ fn run(options: &Options) -> Result<String, String> {
 }
 
 fn main() {
-    let options = match parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(CliError::Help) => {
-            print!("{USAGE}");
-            return;
-        }
-        Err(CliError::Invalid(message)) => {
-            eprintln!("trace_report: {message}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let options = parse_or_exit("trace_report", USAGE, std::env::args().skip(1), parse);
     match run(&options) {
         Ok(report) => print!("{report}"),
         Err(error) => {

@@ -1,11 +1,14 @@
-//! Shared command-line driver used by the report binaries (`table1`,
-//! `table2`, `fig7` … `fig11`, `ablations`, `full_eval`).
+//! Command-line parsing for every binary, and the shared driver of the
+//! report binaries (`table1`, `table2`, `fig7` … `fig11`, `ablations`,
+//! `full_eval`).
 //!
-//! Every binary accepts the options listed by [`usage`] and parses them
-//! through [`CliOptions::parse_or_exit`]: `--help` prints the usage text and
-//! exits 0, and malformed input — an unknown flag, a missing value, or a
-//! value that does not parse or names nothing valid — prints the error and
-//! the usage text and exits 2.  A typo never silently runs the defaults.
+//! Every binary reads its flags with [`Args`] and parses them through
+//! [`parse_or_exit`]: `--help` prints the binary's usage text and exits 0,
+//! and malformed input — an unknown flag, a missing value, a value that
+//! does not parse or names nothing valid, or a list that names no value —
+//! prints `<binary>: <error>` and the usage text and exits 2.  A typo never
+//! silently runs the defaults.  The report binaries parse the options
+//! listed by [`usage`] into [`CliOptions`].
 //!
 //! The cache is content-addressed over the complete run inputs, so it only
 //! ever replays *identical* runs; see the README's campaign section for the
@@ -13,6 +16,7 @@
 //! the directory).
 
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use campaign::{Executor, ResultCache};
 use workloads::characterize;
@@ -77,48 +81,6 @@ options:
     )
 }
 
-/// Parses one flag value, naming the flag and the value when it does not
-/// parse.
-pub fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .trim()
-        .parse()
-        .map_err(|_| format!("{flag}: cannot parse '{value}'"))
-}
-
-/// Parses a comma-separated value list for a CLI axis flag.
-///
-/// Empty segments are skipped; the first unparsable segment fails the whole
-/// flag with a message naming it.  Shared by the strict-parsing binaries
-/// (`campaign`, `noc_contention`, `coherence_check`).
-pub fn parse_list<T: std::str::FromStr>(flag: &str, list: &str) -> Result<Vec<T>, String> {
-    list.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| parse_value(flag, s))
-        .collect()
-}
-
-/// Parses the `--benchmarks` list: every name must be a NAS benchmark, and
-/// the list must name at least one.
-fn parse_benchmarks(list: &str) -> Result<Vec<NasBenchmark>, String> {
-    let benchmarks = list
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|name| {
-            NasBenchmark::from_name(name.trim()).ok_or_else(|| {
-                format!(
-                    "--benchmarks: unknown benchmark '{name}' (valid benchmarks: {})",
-                    NasBenchmark::ALL.map(NasBenchmark::name).join(", ")
-                )
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if benchmarks.is_empty() {
-        return Err("--benchmarks: the list names no benchmark".to_owned());
-    }
-    Ok(benchmarks)
-}
-
 /// Parses the `--trace-categories` value, turning an unknown category name
 /// into an error that lists the valid names instead of silently recording
 /// the default mask.
@@ -135,23 +97,6 @@ pub fn parse_trace_categories(list: &str) -> Result<simkernel::CategoryMask, Str
     })
 }
 
-/// Parses one ID-keyed axis value (`--noc-model`, `--protocol`), turning an
-/// unknown name into an error that lists the valid names — the same
-/// convention as [`parse_trace_categories`].
-pub fn parse_id_flag<T>(
-    flag: &str,
-    value: &str,
-    from_id: impl Fn(&str) -> Option<T>,
-    valid: &[&str],
-) -> Result<T, String> {
-    from_id(value).ok_or_else(|| {
-        format!(
-            "{flag}: unknown value '{value}' (valid values: {})",
-            valid.join(", ")
-        )
-    })
-}
-
 /// Writes an export to a file, or to stdout when `target` is `-`.
 pub fn write_export(target: &str, contents: &str) -> Result<(), String> {
     if target == "-" {
@@ -162,7 +107,7 @@ pub fn write_export(target: &str, contents: &str) -> Result<(), String> {
     }
 }
 
-/// Why [`CliOptions::parse`] produced no options.
+/// Why a binary's parser produced no options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
     /// `--help` or `-h`: print the usage text and exit 0.
@@ -175,6 +120,160 @@ pub enum CliError {
 impl From<String> for CliError {
     fn from(message: String) -> Self {
         CliError::Invalid(message)
+    }
+}
+
+/// The flag reader every binary parses its arguments with.
+///
+/// [`Args::next_arg`] yields the flags and positional arguments in order
+/// (and turns `--help`/`-h` into [`CliError::Help`]); the value readers take
+/// the current flag's value and name that flag in every error.
+#[derive(Debug)]
+pub struct Args<I> {
+    args: I,
+    /// The argument [`Args::next_arg`] returned last.
+    flag: String,
+}
+
+impl<I: Iterator<Item = String>> Args<I> {
+    /// A reader over `args` (usually `std::env::args().skip(1)`).
+    pub fn new(args: impl IntoIterator<Item = String, IntoIter = I>) -> Self {
+        Args {
+            args: args.into_iter(),
+            flag: String::new(),
+        }
+    }
+
+    /// The next flag or positional argument, `None` after the last one.
+    pub fn next_arg(&mut self) -> Result<Option<String>, CliError> {
+        let Some(arg) = self.args.next() else {
+            return Ok(None);
+        };
+        if arg == "--help" || arg == "-h" {
+            return Err(CliError::Help);
+        }
+        self.flag.clone_from(&arg);
+        Ok(Some(arg))
+    }
+
+    /// The error for an argument no flag arm accepts.
+    pub fn unknown(&self) -> CliError {
+        format!("unknown argument '{}'", self.flag).into()
+    }
+
+    /// The current flag's value as given.
+    pub fn value(&mut self) -> Result<String, CliError> {
+        self.args
+            .next()
+            .ok_or_else(|| format!("{} needs a value", self.flag).into())
+    }
+
+    /// The current flag's value parsed as one `T`.
+    pub fn parse<T: FromStr>(&mut self) -> Result<T, CliError> {
+        let value = self.value()?;
+        scalar(&self.flag, &value)
+    }
+
+    /// The current flag's value as a comma-separated list of `T`.  The list
+    /// must name at least one value.
+    pub fn list<T: FromStr>(&mut self) -> Result<Vec<T>, CliError> {
+        let list = self.value()?;
+        items(&self.flag, &list, |value| scalar(&self.flag, value))
+    }
+
+    /// The current flag's value as one id that `from_id` accepts; an unknown
+    /// id is an error listing `valid`.
+    pub fn id<T>(
+        &mut self,
+        from_id: impl Fn(&str) -> Option<T>,
+        valid: &[&str],
+    ) -> Result<T, CliError> {
+        let value = self.value()?;
+        lookup(&self.flag, value.trim(), &from_id, valid)
+    }
+
+    /// The current flag's value as a comma-separated list of ids, read like
+    /// [`Args::id`]; the list must name at least one.
+    pub fn ids<T>(
+        &mut self,
+        from_id: impl Fn(&str) -> Option<T>,
+        valid: &[&str],
+    ) -> Result<Vec<T>, CliError> {
+        let list = self.value()?;
+        self.ids_in(&list, from_id, valid)
+    }
+
+    /// [`Args::ids`] over a value the caller has already read.
+    pub fn ids_in<T>(
+        &self,
+        list: &str,
+        from_id: impl Fn(&str) -> Option<T>,
+        valid: &[&str],
+    ) -> Result<Vec<T>, CliError> {
+        items(&self.flag, list, |id| {
+            lookup(&self.flag, id, &from_id, valid)
+        })
+    }
+}
+
+fn scalar<T: FromStr>(flag: &str, value: &str) -> Result<T, CliError> {
+    value
+        .trim()
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse '{value}'").into())
+}
+
+fn lookup<T>(
+    flag: &str,
+    id: &str,
+    from_id: impl Fn(&str) -> Option<T>,
+    valid: &[&str],
+) -> Result<T, CliError> {
+    from_id(id).ok_or_else(|| {
+        format!(
+            "{flag}: unknown value '{id}' (valid values: {})",
+            valid.join(", ")
+        )
+        .into()
+    })
+}
+
+/// Reads every non-empty comma-separated segment of `list` through `item`.
+fn items<T>(
+    flag: &str,
+    list: &str,
+    item: impl Fn(&str) -> Result<T, CliError>,
+) -> Result<Vec<T>, CliError> {
+    let values = list
+        .split(',')
+        .filter(|s| !s.is_empty())
+        .map(|s| item(s.trim()))
+        .collect::<Result<Vec<_>, _>>()?;
+    if values.is_empty() {
+        return Err(format!("{flag}: the list names no value").into());
+    }
+    Ok(values)
+}
+
+/// Runs a binary's `parse` over `args`.  On `--help` prints `usage` on
+/// stdout and exits 0; on malformed input prints `<name>: <message>`, a
+/// blank line and `usage` on stderr and exits 2.
+pub fn parse_or_exit<I, T>(
+    name: &str,
+    usage: &str,
+    args: I,
+    parse: impl FnOnce(I) -> Result<T, CliError>,
+) -> T {
+    match parse(args) {
+        Ok(options) => options,
+        Err(CliError::Help) => {
+            print!("{usage}");
+            std::process::exit(0);
+        }
+        Err(CliError::Invalid(message)) => {
+            eprintln!("{name}: {message}\n\n{usage}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -238,54 +337,37 @@ impl CliOptions {
     /// with a valid value; see [`CliError`] for what else comes back.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, CliError> {
         let mut options = CliOptions::default();
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            let mut value = |flag: &str| {
-                args.next()
-                    .ok_or_else(|| CliError::Invalid(format!("{flag} needs a value")))
-            };
-            match arg.as_str() {
-                "--help" | "-h" => return Err(CliError::Help),
-                "--cores" => options.cores = parse_value("--cores", &value("--cores")?)?,
-                "--scale" => options.scale = parse_value("--scale", &value("--scale")?)?,
-                "--benchmarks" => options.benchmarks = parse_benchmarks(&value("--benchmarks")?)?,
-                "--json" => options.json = true,
-                "--jobs" => options.jobs = parse_value("--jobs", &value("--jobs")?)?,
-                "--cache" => options.cache_dir = Some(ResultCache::default_dir()),
-                "--cache-dir" => options.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-                "--noc-model" => {
-                    options.noc_model = parse_id_flag(
-                        "--noc-model",
-                        &value("--noc-model")?,
-                        noc::NocModel::from_id,
-                        &campaign::NOC_MODEL_IDS,
+        let mut args = Args::new(args);
+        while let Some(flag) = args.next_arg()? {
+            match flag.as_str() {
+                "--cores" => options.cores = args.parse()?,
+                "--scale" => options.scale = args.parse()?,
+                "--benchmarks" => {
+                    options.benchmarks = args.ids(
+                        NasBenchmark::from_name,
+                        &NasBenchmark::ALL.map(NasBenchmark::name),
                     )?
                 }
+                "--json" => options.json = true,
+                "--jobs" => options.jobs = args.parse()?,
+                "--cache" => options.cache_dir = Some(ResultCache::default_dir()),
+                "--cache-dir" => options.cache_dir = Some(PathBuf::from(args.value()?)),
+                "--noc-model" => {
+                    options.noc_model = args.id(noc::NocModel::from_id, &campaign::NOC_MODEL_IDS)?
+                }
                 "--protocol" => {
-                    options.protocol = parse_id_flag(
-                        "--protocol",
-                        &value("--protocol")?,
-                        CoherenceProtocol::from_id,
-                        &campaign::PROTOCOL_IDS,
-                    )?
+                    options.protocol =
+                        args.id(CoherenceProtocol::from_id, &campaign::PROTOCOL_IDS)?
                 }
                 "--debug-cores" => options.debug_cores = true,
                 "--track-values" => options.track_values = true,
-                "--trace" => options.trace = Some(value("--trace")?),
+                "--trace" => options.trace = Some(args.value()?),
                 "--trace-categories" => {
-                    options.trace_categories =
-                        parse_trace_categories(&value("--trace-categories")?)?
+                    options.trace_categories = parse_trace_categories(&args.value()?)?
                 }
-                "--sample-interval" => {
-                    options.sample_interval = Some(parse_value(
-                        "--sample-interval",
-                        &value("--sample-interval")?,
-                    )?)
-                }
-                "--cycle-accounting" => {
-                    options.cycle_accounting = Some(value("--cycle-accounting")?)
-                }
-                other => return Err(CliError::Invalid(format!("unknown argument '{other}'"))),
+                "--sample-interval" => options.sample_interval = Some(args.parse()?),
+                "--cycle-accounting" => options.cycle_accounting = Some(args.value()?),
+                _ => return Err(args.unknown()),
             }
         }
         if options.cores == 0 {
@@ -298,23 +380,6 @@ impl CliOptions {
             )));
         }
         Ok(options)
-    }
-
-    /// [`CliOptions::parse`] for a binary's `main`: on `--help` prints the
-    /// usage text and exits 0; on malformed input prints the error and the
-    /// usage text to stderr and exits 2.
-    pub fn parse_or_exit<I: IntoIterator<Item = String>>(args: I) -> Self {
-        match Self::parse(args) {
-            Ok(options) => options,
-            Err(CliError::Help) => {
-                print!("{}", usage());
-                std::process::exit(0);
-            }
-            Err(CliError::Invalid(message)) => {
-                eprintln!("{message}\n\n{}", usage());
-                std::process::exit(2);
-            }
-        }
     }
 
     /// The system configuration implied by the options.
@@ -449,6 +514,13 @@ pub enum Report {
     Ablations,
     /// Everything, including the headline summary.
     Full,
+}
+
+/// The `main` of the report binary `name`: parses the process arguments
+/// and prints `report`.
+pub fn report_main(name: &str, report: Report) {
+    let options = parse_or_exit(name, &usage(), std::env::args().skip(1), CliOptions::parse);
+    print!("{}", run_report(report, &options));
 }
 
 /// Runs the requested report and returns the text to print.
@@ -717,38 +789,26 @@ mod tests {
         // `--protocol` and `--noc-model` share the
         // `--trace-categories` convention: an unknown value is an error
         // naming the valid set (the binary then exits with code 2).
-        let error = parse_id_flag(
-            "--protocol",
-            "moesi-2000",
-            CoherenceProtocol::from_id,
-            &campaign::PROTOCOL_IDS,
-        )
-        .unwrap_err();
+        let error = invalid(&["--protocol", "moesi-2000"]);
         assert!(error.contains("--protocol"), "{error}");
         assert!(error.contains("moesi-2000"), "{error}");
         for id in campaign::PROTOCOL_IDS {
             assert!(error.contains(id), "{error}");
         }
-        let error = parse_id_flag(
-            "--noc-model",
-            "warp",
-            noc::NocModel::from_id,
-            &campaign::NOC_MODEL_IDS,
-        )
-        .unwrap_err();
+        let error = invalid(&["--noc-model", "warp"]);
         for id in campaign::NOC_MODEL_IDS {
             assert!(error.contains(id), "{error}");
         }
         // The third strict flag, `--trace-categories`, predates the other
         // two and set the convention.
-        let error = parse_trace_categories("typo").unwrap_err();
+        let error = invalid(&["--trace-categories", "typo"]);
         assert!(error.contains("--trace-categories"), "{error}");
         // The Ok paths still parse every canonical identifier.
         for id in campaign::PROTOCOL_IDS {
-            parse_id_flag("--protocol", id, CoherenceProtocol::from_id, &[]).unwrap();
+            parse(&["--protocol", id]).unwrap();
         }
         for id in campaign::NOC_MODEL_IDS {
-            parse_id_flag("--noc-model", id, noc::NocModel::from_id, &[]).unwrap();
+            parse(&["--noc-model", id]).unwrap();
         }
     }
 

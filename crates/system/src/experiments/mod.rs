@@ -99,12 +99,6 @@ impl ExperimentSuite {
         }
     }
 
-    /// Runs the full evaluation: all six benchmarks on all three machines at
-    /// the recommended scales.
-    pub fn run_full(config: &SystemConfig) -> Self {
-        Self::run(config, &NasBenchmark::ALL, &MachineKind::ALL, 1.0)
-    }
-
     /// A reduced suite (fewer cores and much smaller data sets) used by the
     /// integration tests.
     pub fn run_quick(

@@ -7,7 +7,7 @@ use simkernel::trace::{
 };
 use simkernel::{CoreId, Cycle, CycleBreakdown, Json, StatRegistry};
 
-use cpu::{CoreConfig, CoreTimingModel, PhaseBreakdown};
+use cpu::{CoreTimingModel, PhaseBreakdown};
 use energy::model::MachineFeatures;
 use energy::{EnergyBreakdown, EnergyModel};
 use mem::{AccessKind, MemorySystem};
@@ -268,12 +268,6 @@ impl Machine {
             .run_inner(Workload::Spec(spec), Some(&mut audit), false)
             .0;
         (result, audit)
-    }
-
-    /// Runs a raw (litmus / fuzz) program.  The program's core count must
-    /// match the configuration's.
-    pub fn run_raw(&self, program: &RawKernel) -> RunResult {
-        self.run_inner(Workload::Raw(program), None, false).0
     }
 
     /// Runs a benchmark with value tracking and the differential coherence
@@ -618,11 +612,6 @@ type InnerOutcome = (
 enum Workload<'a> {
     Spec(&'a BenchmarkSpec),
     Raw(&'a RawKernel),
-}
-
-/// Convenience: the core configuration used when none is specified.
-pub fn default_core_config() -> CoreConfig {
-    CoreConfig::isca2015()
 }
 
 #[cfg(test)]

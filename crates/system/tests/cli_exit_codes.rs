@@ -1,9 +1,7 @@
 //! Exit codes of the binaries' strict argument parsing, checked on the real
-//! `fig9`, `noc_contention`, `coherence_check`, `cycle_report` and
-//! `trace_report` executables: `--help` exits 0 with the usage text on
-//! stdout, and malformed input exits 2 with the usage text on stderr instead
-//! of running on defaults, on a silently clamped value or on an empty
-//! selection.
+//! executables: `--help` exits 0 with the usage text on stdout, and
+//! malformed input exits 2 with the usage text on stderr instead of running
+//! on defaults, on a silently clamped value or on an empty selection.
 
 use std::process::{Command, Output};
 
@@ -19,6 +17,13 @@ fn noc_contention(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("noc_contention starts")
+}
+
+fn campaign(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(args)
+        .output()
+        .expect("campaign starts")
 }
 
 fn coherence_check(args: &[&str]) -> Output {
@@ -87,6 +92,8 @@ fn noc_contention_malformed_input_exits_two_with_usage() {
         &["--duration", "0"][..],
         &["--meshes", "0"][..],
         &["--duration", "abc"][..],
+        &["--meshes", ""][..],
+        &["--rates", ""][..],
         &["--bogus"][..],
     ] {
         let out = noc_contention(args);
@@ -119,6 +126,53 @@ fn noc_contention_accepts_the_full_rate_range() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("noc_contention: 2 points"), "{stdout}");
+}
+
+#[test]
+fn campaign_help_exits_zero_on_stdout() {
+    let out = campaign(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("usage: campaign"), "{stdout}");
+    assert!(out.stderr.is_empty());
+}
+
+/// Malformed input exits 2 before any point runs: an empty axis list would
+/// sweep nothing and pass, and an unknown axis value names the valid ones.
+#[test]
+fn campaign_malformed_input_exits_two_with_usage() {
+    let mut cases = vec![
+        vec!["--jobs", "x"],
+        vec!["--cores"],
+        vec!["--machines", "quantum"],
+        vec!["--benchmarks", "NOPE"],
+        vec!["--noc-models", "warp"],
+        vec!["--protocols", "moesi"],
+        vec!["--bogus"],
+    ];
+    for axis in [
+        "--benchmarks",
+        "--machines",
+        "--cores",
+        "--scale",
+        "--spm-kib",
+        "--filters",
+        "--filterdirs",
+        "--noc-models",
+        "--protocols",
+    ] {
+        cases.push(vec![axis, ""]);
+    }
+    for args in &cases {
+        let out = campaign(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: campaign"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run the sweep");
+    }
+    let out = campaign(&["--machines", "quantum"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("hybrid-proposed"), "{stderr}");
 }
 
 #[test]
@@ -227,5 +281,50 @@ fn analyzers_malformed_input_exits_two_with_usage() {
     for name in ["cycle_report", "trace_report"] {
         let out = analyzer(name, &["no-such-document.json"]);
         assert_eq!(out.status.code(), Some(1), "{name}");
+    }
+}
+
+/// Every binary of this crate keeps the one contract: `--help` prints the
+/// usage on stdout only and exits 0; an unknown flag prints
+/// `<name>: <message>` and the usage on stderr only and exits 2.
+#[test]
+fn every_binary_keeps_the_one_contract() {
+    for (name, exe) in [
+        ("table1", env!("CARGO_BIN_EXE_table1")),
+        ("table2", env!("CARGO_BIN_EXE_table2")),
+        ("fig7", env!("CARGO_BIN_EXE_fig7")),
+        ("fig8", env!("CARGO_BIN_EXE_fig8")),
+        ("fig9", env!("CARGO_BIN_EXE_fig9")),
+        ("fig10", env!("CARGO_BIN_EXE_fig10")),
+        ("fig11", env!("CARGO_BIN_EXE_fig11")),
+        ("ablations", env!("CARGO_BIN_EXE_ablations")),
+        ("full_eval", env!("CARGO_BIN_EXE_full_eval")),
+        ("campaign", env!("CARGO_BIN_EXE_campaign")),
+        ("noc_contention", env!("CARGO_BIN_EXE_noc_contention")),
+        ("coherence_check", env!("CARGO_BIN_EXE_coherence_check")),
+        ("cycle_report", env!("CARGO_BIN_EXE_cycle_report")),
+        ("trace_report", env!("CARGO_BIN_EXE_trace_report")),
+    ] {
+        let run = |args: &[&str]| {
+            Command::new(exe)
+                .args(args)
+                .output()
+                .unwrap_or_else(|e| panic!("{name} starts: {e}"))
+        };
+        let help = run(&["--help"]);
+        assert_eq!(help.status.code(), Some(0), "{name}");
+        let usage = String::from_utf8_lossy(&help.stdout).into_owned();
+        assert!(usage.contains("usage:"), "{name}: {usage}");
+        assert!(help.stderr.is_empty(), "{name}");
+
+        let bogus = run(&["--bogus"]);
+        let stderr = String::from_utf8_lossy(&bogus.stderr);
+        assert_eq!(bogus.status.code(), Some(2), "{name}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("{name}: unknown argument '--bogus'\n\n{usage}\n"),
+            "{name}"
+        );
+        assert!(bogus.stdout.is_empty(), "{name}");
     }
 }
