@@ -8,19 +8,66 @@
 //! address to the LSQ, re-check the ordering and flush the pipeline on a
 //! violation.  [`LoadStoreQueue`] models the in-flight window and that
 //! re-check.
-
-use std::collections::VecDeque;
+//!
+//! The window is two fixed rings of addresses, one per queue: whether an
+//! entry is a store is implied by its ring, and a ring of store values
+//! exists only once a store carries one, which happens only when the system
+//! tracks values.
 
 use mem::Addr;
 
-/// One in-flight memory operation tracked by the LSQ window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LsqEntry {
-    addr: Addr,
-    is_store: bool,
-    /// The data value carried by the operation, when the system tracks
-    /// values (a store's written value, a load's observed value).
-    value: Option<u64>,
+/// A fixed-capacity FIFO of in-window addresses; a push into a full ring
+/// retires its oldest entry.
+///
+/// The live entries always occupy `addrs[..len]`: after a flush the ring
+/// fills from slot 0, and `next` wraps only once every slot is live.
+#[derive(Debug, Clone)]
+struct Ring {
+    addrs: Box<[Addr]>,
+    /// The slot the next push writes: the oldest entry's once full.
+    next: usize,
+    len: usize,
+}
+
+impl Ring {
+    fn new(capacity: usize) -> Self {
+        Ring {
+            addrs: vec![Addr::new(0); capacity].into_boxed_slice(),
+            next: 0,
+            len: 0,
+        }
+    }
+
+    /// Appends `addr` and returns the slot it went to.
+    #[inline]
+    fn push(&mut self, addr: Addr) -> usize {
+        let slot = self.next;
+        self.addrs[slot] = addr;
+        self.next = if slot + 1 == self.addrs.len() {
+            0
+        } else {
+            slot + 1
+        };
+        if self.len < self.addrs.len() {
+            self.len += 1;
+        }
+        slot
+    }
+
+    #[inline]
+    fn contains(&self, addr: Addr) -> bool {
+        self.addrs[..self.len].contains(&addr)
+    }
+
+    /// The live slots, youngest first.
+    fn youngest_first(&self) -> impl Iterator<Item = usize> {
+        (0..self.next).rev().chain((self.next..self.len).rev())
+    }
+
+    fn clear(&mut self) {
+        self.next = 0;
+        self.len = 0;
+    }
 }
 
 /// A simplified load/store queue: the window of memory operations that may
@@ -42,10 +89,11 @@ struct LsqEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LoadStoreQueue {
-    lq_capacity: usize,
-    sq_capacity: usize,
-    loads: VecDeque<LsqEntry>,
-    stores: VecDeque<LsqEntry>,
+    loads: Ring,
+    stores: Ring,
+    /// The data value of the store in each slot of `stores`, allocated by
+    /// the first store that carries a value.
+    store_values: Option<Box<[Option<u64>]>>,
     rechecks: u64,
     violations: u64,
     value_forwards: u64,
@@ -63,10 +111,9 @@ impl LoadStoreQueue {
             "LSQ capacities must be non-zero"
         );
         LoadStoreQueue {
-            lq_capacity,
-            sq_capacity,
-            loads: VecDeque::with_capacity(lq_capacity),
-            stores: VecDeque::with_capacity(sq_capacity),
+            loads: Ring::new(lq_capacity),
+            stores: Ring::new(sq_capacity),
+            store_values: None,
             rechecks: 0,
             violations: 0,
             value_forwards: 0,
@@ -84,40 +131,34 @@ impl LoadStoreQueue {
     /// the youngest in-window store to the same address counts as a
     /// store-to-load forward.
     pub fn record_valued(&mut self, addr: Addr, is_store: bool, value: Option<u64>) {
-        // Only scan the store queue when the load actually carries a value:
-        // in timing-only mode every access records `None`, and the forward
-        // check could never count, so the (pure) scan would be wasted work
-        // on the hottest path in the simulator.
-        if !is_store {
+        if is_store {
+            let slot = self.stores.push(addr);
+            if value.is_some() || self.store_values.is_some() {
+                let capacity = self.stores.addrs.len();
+                self.store_values
+                    .get_or_insert_with(|| vec![None; capacity].into_boxed_slice())[slot] = value;
+            }
+        } else {
+            // Only scan the store queue when the load carries a value: in
+            // timing-only mode every access records `None`, and the scan
+            // would be wasted work on the hottest path in the simulator.
             if let Some(observed) = value {
                 if self.latest_store_value(addr) == Some(observed) {
                     self.value_forwards += 1;
                 }
             }
+            self.loads.push(addr);
         }
-        let (queue, cap) = if is_store {
-            (&mut self.stores, self.sq_capacity)
-        } else {
-            (&mut self.loads, self.lq_capacity)
-        };
-        if queue.len() == cap {
-            queue.pop_front();
-        }
-        queue.push_back(LsqEntry {
-            addr,
-            is_store,
-            value,
-        });
     }
 
     /// The value of the youngest in-window store to `addr`, if it carried
     /// one (the data a store-to-load forward would supply).
     pub fn latest_store_value(&self, addr: Addr) -> Option<u64> {
+        let values = self.store_values.as_deref()?;
         self.stores
-            .iter()
-            .rev()
-            .find(|e| e.addr == addr)
-            .and_then(|e| e.value)
+            .youngest_first()
+            .find(|&slot| self.stores.addrs[slot] == addr)
+            .and_then(|slot| values[slot])
     }
 
     /// Re-checks ordering for an access whose effective address just changed
@@ -128,8 +169,8 @@ impl LoadStoreQueue {
     /// the pipeline must be flushed.
     pub fn recheck(&mut self, new_addr: Addr, is_store: bool) -> bool {
         self.rechecks += 1;
-        let conflict = |e: &LsqEntry| e.addr == new_addr && (e.is_store || is_store);
-        let violation = self.loads.iter().any(conflict) || self.stores.iter().any(conflict);
+        let violation =
+            self.stores.contains(new_addr) || (is_store && self.loads.contains(new_addr));
         if violation {
             self.violations += 1;
         }
@@ -144,7 +185,7 @@ impl LoadStoreQueue {
 
     /// Number of in-flight operations currently tracked.
     pub fn occupancy(&self) -> usize {
-        self.loads.len() + self.stores.len()
+        self.loads.len + self.stores.len
     }
 
     /// Number of ordering re-checks performed.
@@ -166,6 +207,8 @@ impl LoadStoreQueue {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
 
     #[test]
@@ -229,5 +272,162 @@ mod tests {
         assert_eq!(lsq.value_forwards(), 1);
         lsq.flush();
         assert_eq!(lsq.latest_store_value(Addr::new(0x100)), None);
+    }
+
+    #[test]
+    fn timing_only_recording_allocates_no_value_ring() {
+        let mut lsq = LoadStoreQueue::new(2, 2);
+        lsq.record(Addr::new(0x100), true);
+        lsq.record_valued(Addr::new(0x100), false, Some(3));
+        assert!(lsq.store_values.is_none());
+        lsq.record_valued(Addr::new(0x100), true, Some(3));
+        assert!(lsq.store_values.is_some());
+    }
+
+    /// One in-flight operation of [`DequeLsq`].
+    #[derive(Debug, Clone, Copy)]
+    struct DequeEntry {
+        addr: Addr,
+        is_store: bool,
+        value: Option<u64>,
+    }
+
+    /// The LSQ as it was before the address rings: one `VecDeque` of full
+    /// entries per queue.  Kept only as the reference for the property
+    /// below.
+    struct DequeLsq {
+        lq_capacity: usize,
+        sq_capacity: usize,
+        loads: VecDeque<DequeEntry>,
+        stores: VecDeque<DequeEntry>,
+        violations: u64,
+        value_forwards: u64,
+    }
+
+    impl DequeLsq {
+        fn new(lq_capacity: usize, sq_capacity: usize) -> Self {
+            DequeLsq {
+                lq_capacity,
+                sq_capacity,
+                loads: VecDeque::new(),
+                stores: VecDeque::new(),
+                violations: 0,
+                value_forwards: 0,
+            }
+        }
+
+        fn record_valued(&mut self, addr: Addr, is_store: bool, value: Option<u64>) {
+            if !is_store {
+                if let Some(observed) = value {
+                    if self.latest_store_value(addr) == Some(observed) {
+                        self.value_forwards += 1;
+                    }
+                }
+            }
+            let (queue, cap) = if is_store {
+                (&mut self.stores, self.sq_capacity)
+            } else {
+                (&mut self.loads, self.lq_capacity)
+            };
+            if queue.len() == cap {
+                queue.pop_front();
+            }
+            queue.push_back(DequeEntry {
+                addr,
+                is_store,
+                value,
+            });
+        }
+
+        fn latest_store_value(&self, addr: Addr) -> Option<u64> {
+            self.stores
+                .iter()
+                .rev()
+                .find(|e| e.addr == addr)
+                .and_then(|e| e.value)
+        }
+
+        fn recheck(&mut self, new_addr: Addr, is_store: bool) -> bool {
+            let conflict = |e: &DequeEntry| e.addr == new_addr && (e.is_store || is_store);
+            let violation = self.loads.iter().any(conflict) || self.stores.iter().any(conflict);
+            if violation {
+                self.violations += 1;
+            }
+            violation
+        }
+
+        fn flush(&mut self) {
+            self.loads.clear();
+            self.stores.clear();
+        }
+
+        fn occupancy(&self) -> usize {
+            self.loads.len() + self.stores.len()
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Driven through the same random records, re-checks and
+            /// flushes, the address rings and the `VecDeque` reference
+            /// agree on every re-check, on the counters, on the occupancy
+            /// and on the youngest store value of every address.  Untracked
+            /// cases record no value at all; tracked ones mix valued and
+            /// value-less records over few values, so forwards happen.
+            #[test]
+            fn rings_match_the_deque_reference(
+                capacities in (1usize..=8, 1usize..=8),
+                tracked in any::<bool>(),
+                ops in proptest::collection::vec(
+                    (0u8..100, 0u64..6, 0u64..3, 0u8..4),
+                    0..400,
+                )
+            ) {
+                let (lq, sq) = capacities;
+                let mut rings = LoadStoreQueue::new(lq, sq);
+                let mut reference = DequeLsq::new(lq, sq);
+                for &(op, addr, value, valueless) in &ops {
+                    let addr = Addr::new(addr * 8);
+                    let value = (tracked && valueless != 0).then_some(value);
+                    match op {
+                        0..=4 => {
+                            rings.flush();
+                            reference.flush();
+                        }
+                        5..=24 => {
+                            let is_store = op % 2 == 0;
+                            prop_assert_eq!(
+                                rings.recheck(addr, is_store),
+                                reference.recheck(addr, is_store)
+                            );
+                        }
+                        _ => {
+                            let is_store = op % 2 == 0;
+                            if tracked {
+                                rings.record_valued(addr, is_store, value);
+                            } else {
+                                rings.record(addr, is_store);
+                            }
+                            reference.record_valued(addr, is_store, value);
+                        }
+                    }
+                    prop_assert_eq!(rings.violations(), reference.violations);
+                    prop_assert_eq!(rings.value_forwards(), reference.value_forwards);
+                    prop_assert_eq!(rings.occupancy(), reference.occupancy());
+                    for a in 0..6 {
+                        let a = Addr::new(a * 8);
+                        prop_assert_eq!(
+                            rings.latest_store_value(a),
+                            reference.latest_store_value(a)
+                        );
+                    }
+                }
+            }
+        }
     }
 }

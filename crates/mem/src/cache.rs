@@ -1,4 +1,10 @@
 //! Set-associative cache tag arrays, one bank per cache level.
+//!
+//! A [`CacheBank`] holds every unit's sets of one level (all cores' L1s, or
+//! all tiles' L2 slices) in shared pools: one tag, one state and one PLRU
+//! bit per way slot.  The tag alone marks a valid way, and a set owns pool
+//! slots only from its first fill, so the host memory of a wide mesh follows
+//! the lines its run touches.
 
 use serde::{Deserialize, Serialize};
 use simkernel::{ByteSize, Cycle};
@@ -50,7 +56,7 @@ impl CacheConfig {
         );
         assert!(
             ways <= MAX_WAYS,
-            "ways must be at most {MAX_WAYS} (tree-PLRU state is one u64 per set), got {ways}"
+            "ways must be at most {MAX_WAYS} (a set's tree-PLRU bits fit one u64 word), got {ways}"
         );
         assert!(
             cfg.lines() >= ways as u64,
@@ -96,19 +102,23 @@ const NO_TAG: u64 = u64::MAX;
 ///
 /// All units share one set index, entry `unit * sets + set`, holding the
 /// first pool slot of that set's ways.  The ways are laid out
-/// structure-of-arrays, one pool per field (`tags`, `states`), plus one PLRU
-/// tree per set in `plru`; an invalid way holds the `NO_TAG` tag.  Pool
-/// slots `0..ways` are a dummy set that is never filled, so the index is
-/// allocated zeroed: a set that owns no storage points at the dummy, and a
-/// lookup there scans `ways` invalid tags and misses like any other.  The
-/// first insertion into a set appends `ways` invalid slots to each pool and
-/// one tree to `plru`, and records the first slot in the index.  The first
-/// insertion into the bank reserves each pool for the whole geometry in one
-/// allocation, so a pool never moves; only the slots of filled sets are
-/// written, so host memory follows the sets a run fills rather than the
-/// configured capacity, which matters for the L2 slices of a wide mesh.  A
-/// way scan reads one dense run of tags, and since `ways` is a power of two
-/// a slot's way and PLRU tree come from a mask and a shift.
+/// structure-of-arrays, one pool per field: `tags`, `states`, and `plru`,
+/// which holds one bit per slot, 64 slots to a word.  The tag alone marks a
+/// valid way: an invalid way holds the `NO_TAG` tag and a default state, so
+/// a zero-sized state such as the L1I's `()` occupies no memory.  A set's
+/// [`TreePlru`] tree is the `ways - 1` low bits of the `ways` bits starting
+/// at its first slot; sets start at multiples of `ways`, a power of two no
+/// larger than 64, so a tree never straddles a word.  Pool slots `0..ways`
+/// are a dummy set that is never filled, so the index is allocated zeroed:
+/// a set that owns no storage points at the dummy, and a lookup there scans
+/// `ways` invalid tags and misses like any other.  The first insertion into
+/// a set appends `ways` invalid slots (and their zeroed tree bits) to the
+/// pools and records the first slot in the index.  The first insertion into
+/// the bank reserves each pool for the whole geometry in one allocation, so
+/// a pool never moves; only the slots of filled sets are written, so host
+/// memory follows the sets a run fills rather than the configured capacity,
+/// which matters for the L2 slices of a wide mesh.  A way scan reads one
+/// dense run of tags.
 ///
 /// # Example
 ///
@@ -132,20 +142,18 @@ pub struct CacheBank<S> {
     set_mask: u64,
     sets_pow2: bool,
     ways: usize,
-    /// `log2(ways)`: the PLRU tree of the set owning slot `s` is
-    /// `plru[s >> way_shift]`.
-    way_shift: u32,
     /// First pool slot of each unit's sets' ways, `0` (the dummy set) for a
     /// set that owns no storage.
     set_base: Vec<u32>,
     tags: Vec<u64>,
-    states: Vec<Option<S>>,
-    /// One tree per materialised set, in materialisation order, after the
-    /// dummy set's.
-    plru: Vec<TreePlru>,
+    /// The state of each slot; meaningful only where the tag is valid.
+    states: Vec<S>,
+    /// One PLRU bit per pool slot, slot `s` at bit `s % 64` of word
+    /// `s / 64`.
+    plru: Vec<u64>,
 }
 
-impl<S: Clone> CacheBank<S> {
+impl<S: Default> CacheBank<S> {
     /// Creates `units` empty caches with the given geometry.  No set owns
     /// storage until a line is inserted into it.
     ///
@@ -170,11 +178,10 @@ impl<S: Clone> CacheBank<S> {
             set_mask: set_count.wrapping_sub(1),
             sets_pow2: set_count.is_power_of_two(),
             ways,
-            way_shift: ways.trailing_zeros(),
             set_base: vec![0; units * set_count as usize],
             tags: vec![NO_TAG; ways],
-            states: vec![None; ways],
-            plru: vec![TreePlru::new(ways)],
+            states: (0..ways).map(|_| S::default()).collect(),
+            plru: vec![0; ways.div_ceil(64)],
         }
     }
 
@@ -212,7 +219,19 @@ impl<S: Clone> CacheBank<S> {
     /// Marks the way at pool slot `slot` most recently used in its set.
     #[inline]
     fn touch(&mut self, slot: usize) {
-        self.plru[slot >> self.way_shift].touch(slot & (self.ways - 1));
+        let base = slot & !(self.ways - 1);
+        let shift = base % 64;
+        let word = &mut self.plru[base / 64];
+        let tree = *word >> shift;
+        // `touched` changes only the set's own `ways - 1` node bits.
+        *word ^= (tree ^ TreePlru::touched(tree, self.ways, slot - base)) << shift;
+    }
+
+    /// Pool slot of the pseudo-LRU victim of the set whose ways start at
+    /// pool slot `base`.
+    #[inline]
+    fn victim(&self, base: usize) -> usize {
+        base + TreePlru::victim_in(self.plru[base / 64] >> (base % 64), self.ways)
     }
 
     /// First pool slot of the ways of the set at index entry `set_idx`,
@@ -223,19 +242,20 @@ impl<S: Clone> CacheBank<S> {
         if base != 0 {
             return base as usize;
         }
-        if self.plru.len() == 1 {
+        if self.tags.len() == self.ways {
             // The bank's first fill: reserve every set's storage at once.
-            let sets = self.set_base.len();
-            self.tags.reserve_exact(sets * self.ways);
-            self.states.reserve_exact(sets * self.ways);
-            self.plru.reserve_exact(sets);
+            let slots = (self.set_base.len() + 1) * self.ways;
+            self.tags.reserve_exact(slots - self.tags.len());
+            self.states.reserve_exact(slots - self.states.len());
+            self.plru
+                .reserve_exact(slots.div_ceil(64) - self.plru.len());
         }
         let base = self.tags.len();
         let end = base + self.ways;
         self.set_base[set_idx] = base as u32;
         self.tags.resize(end, NO_TAG);
-        self.states.resize_with(end, || None);
-        self.plru.push(TreePlru::new(self.ways));
+        self.states.resize_with(end, S::default);
+        self.plru.resize(end.div_ceil(64), 0);
         base
     }
 
@@ -244,21 +264,21 @@ impl<S: Clone> CacheBank<S> {
     pub fn access(&mut self, unit: usize, line: LineAddr) -> Option<&mut S> {
         let slot = self.find(self.set_index(unit, line), Self::tag(line))?;
         self.touch(slot);
-        self.states[slot].as_mut()
+        Some(&mut self.states[slot])
     }
 
     /// Looks up a line in `unit` without updating recency.
     #[inline]
     pub fn lookup(&self, unit: usize, line: LineAddr) -> Option<&S> {
         self.find(self.set_index(unit, line), Self::tag(line))
-            .and_then(|slot| self.states[slot].as_ref())
+            .map(|slot| &self.states[slot])
     }
 
     /// Mutable lookup in `unit` without updating recency.
     #[inline]
     pub fn lookup_mut(&mut self, unit: usize, line: LineAddr) -> Option<&mut S> {
         self.find(self.set_index(unit, line), Self::tag(line))
-            .and_then(move |slot| self.states[slot].as_mut())
+            .map(move |slot| &mut self.states[slot])
     }
 
     /// Returns `true` if the line is resident in `unit`.
@@ -283,7 +303,7 @@ impl<S: Clone> CacheBank<S> {
         assert_ne!(tag, NO_TAG, "line number u64::MAX is reserved");
 
         if let Some(slot) = self.find(set_idx, tag) {
-            self.states[slot] = Some(state);
+            self.states[slot] = state;
             self.touch(slot);
             return None;
         }
@@ -293,20 +313,19 @@ impl<S: Clone> CacheBank<S> {
         let base = self.materialise(set_idx);
         if let Some(slot) = (base..base + self.ways).find(|&s| self.tags[s] == NO_TAG) {
             self.tags[slot] = tag;
-            self.states[slot] = Some(state);
+            self.states[slot] = state;
             self.touch(slot);
             return None;
         }
 
         // Evict the pseudo-LRU victim.
-        let slot = base + self.plru[base >> self.way_shift].victim();
-        let old_tag = self.tags[slot];
-        let old_state = self.states[slot].replace(state);
-        self.tags[slot] = tag;
+        let slot = self.victim(base);
+        let old_tag = std::mem::replace(&mut self.tags[slot], tag);
+        let old_state = std::mem::replace(&mut self.states[slot], state);
         self.touch(slot);
         Some(EvictedLine {
             line: LineAddr::new(old_tag),
-            state: old_state.expect("valid way must hold a state"),
+            state: old_state,
         })
     }
 
@@ -314,16 +333,14 @@ impl<S: Clone> CacheBank<S> {
     pub fn invalidate(&mut self, unit: usize, line: LineAddr) -> Option<S> {
         let slot = self.find(self.set_index(unit, line), Self::tag(line))?;
         self.tags[slot] = NO_TAG;
-        self.states[slot].take()
+        Some(std::mem::take(&mut self.states[slot]))
     }
 
     /// Removes every line of every unit.  Materialised sets keep their
     /// storage and their PLRU trees.
     pub fn invalidate_all(&mut self) {
         self.tags.fill(NO_TAG);
-        for state in &mut self.states {
-            *state = None;
-        }
+        self.states.fill_with(S::default);
     }
 
     /// The index entries of `unit`'s sets.
@@ -342,14 +359,7 @@ impl<S: Clone> CacheBank<S> {
                 let base = base as usize;
                 (base..base + self.ways)
                     .filter(move |&slot| self.tags[slot] != NO_TAG)
-                    .map(move |slot| {
-                        (
-                            LineAddr::new(self.tags[slot]),
-                            self.states[slot]
-                                .as_ref()
-                                .expect("valid way must hold a state"),
-                        )
-                    })
+                    .map(move |slot| (LineAddr::new(self.tags[slot]), &self.states[slot]))
             })
     }
 
@@ -506,6 +516,29 @@ mod tests {
     }
 
     #[test]
+    fn a_filled_bank_holds_one_plru_bit_per_slot() {
+        // Two Table-1 L1Ds: 32 KiB, 4 ways, 128 sets each.
+        let config = CacheConfig::new("l1d", ByteSize::kib(32), 4, Cycle::new(2));
+        let mut c: CacheBank<u32> = CacheBank::new(&config, 2);
+        c.insert(0, LineAddr::new(0), 0);
+        let pool = c.plru.as_ptr();
+        for unit in 0..2 {
+            for line in 0..128 {
+                c.insert(unit, LineAddr::new(line), 1);
+            }
+        }
+        assert_eq!((c.materialised_sets(0), c.materialised_sets(1)), (128, 128));
+        // 256 sets of 4 slots after the dummy set's 4.
+        let slots = 257 * 4;
+        assert_eq!(c.tags.len(), slots);
+        assert_eq!(c.plru.len(), slots.div_ceil(64));
+        assert!(
+            std::ptr::eq(pool, c.plru.as_ptr()),
+            "the first fill reserves the whole PLRU pool"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "line number u64::MAX is reserved")]
     fn reserved_line_number_is_never_resident() {
         let mut c = tiny_cache();
@@ -646,82 +679,93 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(160))]
+            #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// Driven through the same random operations, interleaved over
             /// the units, a lazily materialised bank and one dense slab per
             /// unit return the same values, evict the same victims and list
             /// resident lines in the same order.  Every unit draws lines from
             /// the same pool, so units that shared a set would diverge.
+            /// Every case runs 1, 2, 4, 16 and 64 ways: adjacent sets' PLRU
+            /// trees share a pool word below 64 ways, and a 64-way tree
+            /// fills its word.  Half the set counts are not powers of two.
             #[test]
             fn lazy_sets_match_the_dense_slab(
-                geometry in (0usize..5, 0usize..6, 1usize..5),
+                geometry in (0usize..6, 1usize..5),
                 ops in proptest::collection::vec(
                     (0u8..100, any::<u64>(), any::<u32>(), 0usize..4),
                     1..1500,
                 )
             ) {
-                let ways = [1, 2, 4, 16, 64][geometry.0];
-                let sets = [1u64, 2, 3, 6, 8, 12][geometry.1];
-                let units = geometry.2;
-                let config = CacheConfig::new(
-                    "eq",
-                    ByteSize::bytes_exact(sets * ways as u64 * LINE_BYTES),
-                    ways,
-                    Cycle::new(1),
-                );
-                let mut bank: CacheBank<u32> = CacheBank::new(&config, units);
-                let mut dense: Vec<DenseCacheArray<u32>> =
-                    (0..units).map(|_| DenseCacheArray::new(&config)).collect();
-                let resident = |bank: &CacheBank<u32>, dense: &[DenseCacheArray<u32>]| {
-                    for (unit, d) in dense.iter().enumerate() {
-                        let l: Vec<_> = bank.resident_lines(unit).map(|(a, s)| (a, *s)).collect();
-                        let d: Vec<_> = d.resident_lines().map(|(a, s)| (a, *s)).collect();
-                        prop_assert_eq!(l, d);
-                    }
-                };
-                for &(op, raw, value, unit) in &ops {
-                    let unit = unit % units;
-                    let d = &mut dense[unit];
-                    // Half the lines land in set 0 so that even 64-way sets
-                    // overflow; each set has `2 * ways + 1` candidate lines.
-                    let set = if raw & 1 == 0 { 0 } else { (raw >> 1) % sets };
-                    let k = (raw >> 33) % (2 * ways as u64 + 1);
-                    let line = LineAddr::new(set + sets * k);
-                    match op {
-                        0 => {
-                            bank.invalidate_all();
-                            dense.iter_mut().for_each(DenseCacheArray::invalidate_all);
-                        }
-                        1..=3 => resident(&bank, &dense),
-                        4..=40 => prop_assert_eq!(bank.insert(unit, line, value), d.insert(line, value)),
-                        41..=55 => {
-                            let (l, d) = (bank.access(unit, line), d.access(line));
-                            prop_assert_eq!(l.as_deref(), d.as_deref());
-                            if let (Some(l), Some(d)) = (l, d) {
-                                *l = value;
-                                *d = value;
-                            }
-                        }
-                        56..=65 => prop_assert_eq!(bank.lookup(unit, line), d.lookup(line)),
-                        66..=75 => {
-                            let (l, d) = (bank.lookup_mut(unit, line), d.lookup_mut(line));
-                            prop_assert_eq!(l.as_deref(), d.as_deref());
-                            if let (Some(l), Some(d)) = (l, d) {
-                                *l ^= value;
-                                *d ^= value;
-                            }
-                        }
-                        76..=85 => prop_assert_eq!(bank.contains(unit, line), d.contains(line)),
-                        _ => prop_assert_eq!(bank.invalidate(unit, line), d.invalidate(line)),
-                    }
-                    prop_assert_eq!(
-                        bank.occupancy(),
-                        dense.iter().map(DenseCacheArray::occupancy).sum::<usize>()
-                    );
+                let sets = [1u64, 2, 3, 6, 8, 12][geometry.0];
+                for ways in [1, 2, 4, 16, 64] {
+                    bank_matches_dense(ways, sets, geometry.1, &ops);
                 }
-                resident(&bank, &dense);
             }
+        }
+
+        /// Drives a bank of `units` caches and one dense slab per unit
+        /// through `ops` and compares them after every operation.
+        fn bank_matches_dense(ways: usize, sets: u64, units: usize, ops: &[(u8, u64, u32, usize)]) {
+            let config = CacheConfig::new(
+                "eq",
+                ByteSize::bytes_exact(sets * ways as u64 * LINE_BYTES),
+                ways,
+                Cycle::new(1),
+            );
+            let mut bank: CacheBank<u32> = CacheBank::new(&config, units);
+            let mut dense: Vec<DenseCacheArray<u32>> =
+                (0..units).map(|_| DenseCacheArray::new(&config)).collect();
+            let resident = |bank: &CacheBank<u32>, dense: &[DenseCacheArray<u32>]| {
+                for (unit, d) in dense.iter().enumerate() {
+                    let l: Vec<_> = bank.resident_lines(unit).map(|(a, s)| (a, *s)).collect();
+                    let d: Vec<_> = d.resident_lines().map(|(a, s)| (a, *s)).collect();
+                    prop_assert_eq!(l, d);
+                }
+            };
+            for &(op, raw, value, unit) in ops {
+                let unit = unit % units;
+                let d = &mut dense[unit];
+                // Half the lines land in set 0 so that even 64-way sets
+                // overflow; each set has `2 * ways + 1` candidate lines.
+                let set = if raw & 1 == 0 { 0 } else { (raw >> 1) % sets };
+                let k = (raw >> 33) % (2 * ways as u64 + 1);
+                let line = LineAddr::new(set + sets * k);
+                match op {
+                    0 => {
+                        bank.invalidate_all();
+                        dense.iter_mut().for_each(DenseCacheArray::invalidate_all);
+                    }
+                    1..=3 => resident(&bank, &dense),
+                    4..=40 => {
+                        prop_assert_eq!(bank.insert(unit, line, value), d.insert(line, value))
+                    }
+                    41..=55 => {
+                        let (l, d) = (bank.access(unit, line), d.access(line));
+                        prop_assert_eq!(l.as_deref(), d.as_deref());
+                        if let (Some(l), Some(d)) = (l, d) {
+                            *l = value;
+                            *d = value;
+                        }
+                    }
+                    56..=65 => prop_assert_eq!(bank.lookup(unit, line), d.lookup(line)),
+                    66..=75 => {
+                        let (l, d) = (bank.lookup_mut(unit, line), d.lookup_mut(line));
+                        prop_assert_eq!(l.as_deref(), d.as_deref());
+                        if let (Some(l), Some(d)) = (l, d) {
+                            *l ^= value;
+                            *d ^= value;
+                        }
+                    }
+                    76..=85 => prop_assert_eq!(bank.contains(unit, line), d.contains(line)),
+                    _ => prop_assert_eq!(bank.invalidate(unit, line), d.invalidate(line)),
+                }
+                prop_assert_eq!(
+                    bank.occupancy(),
+                    dense.iter().map(DenseCacheArray::occupancy).sum::<usize>()
+                );
+            }
+            resident(&bank, &dense);
         }
     }
 

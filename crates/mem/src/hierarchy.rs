@@ -1293,7 +1293,7 @@ mod tests {
     #[test]
     fn one_load_on_1024_cores_materialises_two_sets() {
         let mut m = MemorySystem::new(MemorySystemConfig::isca2015(1024));
-        fn sets<S: Clone>(bank: &CacheBank<S>) -> Vec<usize> {
+        fn sets<S: Default>(bank: &CacheBank<S>) -> Vec<usize> {
             (0..1024).map(|unit| bank.materialised_sets(unit)).collect()
         }
         assert!(sets(&m.l2).iter().all(|&n| n == 0));

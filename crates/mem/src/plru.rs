@@ -3,7 +3,11 @@
 //! All caches in the paper's configuration (L1 I/D, L2, and the filter of the
 //! proposed coherence protocol) use pseudo-LRU replacement (Table 1).  The
 //! classic tree-PLRU scheme is implemented here for any power-of-two number
-//! of ways up to 64, so a set's tree bits fit in one inline word.
+//! of ways up to 64, so a set's `ways - 1` tree bits fit in one word.
+//! [`TreePlru`] holds one set's tree inline; its crate-internal functions
+//! `TreePlru::touched` and `TreePlru::victim_in` run the same algorithm on
+//! bits stored elsewhere, which is how a [`crate::CacheBank`] keeps every
+//! set's tree in a pool of one bit per way slot.
 
 use serde::{Deserialize, Serialize};
 
@@ -12,8 +16,8 @@ use serde::{Deserialize, Serialize};
 /// The `ways - 1` tree nodes are the low bits of one `u64`: node `0` is the
 /// root, node `i` has children `2i + 1` and `2i + 2`.  A clear bit means
 /// "the LRU side is the left subtree", a set bit means "the LRU side is the
-/// right subtree".  Keeping the bits inline means a cache allocates no
-/// replacement state per set.
+/// right subtree".  A [`crate::CacheBank`] holds no `TreePlru` values: it
+/// keeps the same node bits in its pool of one bit per way slot.
 ///
 /// # Example
 ///
@@ -71,41 +75,52 @@ impl TreePlru {
             "way {way} out of range (ways = {})",
             self.ways
         );
-        if self.ways == 1 {
-            return;
-        }
-        // Walk from the root towards the leaf for `way`, pointing every
-        // traversed node away from the path (so the path becomes MRU).
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if way < mid {
-                // Went left: LRU side becomes the right subtree.
-                self.bits |= 1u64 << node;
-                node = 2 * node + 1;
-                hi = mid;
-            } else {
-                // Went right: LRU side becomes the left subtree.
-                self.bits &= !(1u64 << node);
-                node = 2 * node + 2;
-                lo = mid;
-            }
-        }
+        self.bits = Self::touched(self.bits, self.ways, way);
     }
 
     /// Returns the pseudo-LRU victim way without modifying the state.
     pub fn victim(&self) -> usize {
-        if self.ways == 1 {
-            return 0;
-        }
+        Self::victim_in(self.bits, self.ways)
+    }
+
+    /// The tree `bits` of a `ways`-way set after `way` is marked most
+    /// recently used.  Only the `ways - 1` node bits change; higher bits
+    /// pass through untouched, so `bits` may carry other sets' trees above
+    /// this one.  `way` must be below `ways`.
+    #[inline]
+    pub(crate) fn touched(mut bits: u64, ways: usize, way: usize) -> u64 {
+        // Walk from the root towards the leaf for `way`, pointing every
+        // traversed node away from the path (so the path becomes MRU).
         let mut node = 0usize;
         let mut lo = 0usize;
-        let mut hi = self.ways;
+        let mut hi = ways;
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
-            if (self.bits >> node) & 1 == 1 {
+            if way < mid {
+                // Went left: LRU side becomes the right subtree.
+                bits |= 1u64 << node;
+                node = 2 * node + 1;
+                hi = mid;
+            } else {
+                // Went right: LRU side becomes the left subtree.
+                bits &= !(1u64 << node);
+                node = 2 * node + 2;
+                lo = mid;
+            }
+        }
+        bits
+    }
+
+    /// The pseudo-LRU victim of a `ways`-way set whose tree nodes are the
+    /// low `ways - 1` bits of `bits` (higher bits are ignored).
+    #[inline]
+    pub(crate) fn victim_in(bits: u64, ways: usize) -> usize {
+        let mut node = 0usize;
+        let mut lo = 0usize;
+        let mut hi = ways;
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if (bits >> node) & 1 == 1 {
                 // LRU side is the right subtree.
                 node = 2 * node + 2;
                 lo = mid;

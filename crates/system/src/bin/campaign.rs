@@ -20,7 +20,7 @@
 use campaign::{
     summarize, Executor, ResultCache, SweepSpec, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS,
 };
-use system::cli::{parse_or_exit, write_export, Args, CliError};
+use system::cli::{check_scale, parse_or_exit, write_export, Args, CliError};
 use system::sweep::{records_of, run_points, RunContext};
 use system::{CoherenceProtocol, MachineKind};
 use workloads::nas::NasBenchmark;
@@ -80,6 +80,15 @@ fn checked<T>(from_id: impl Fn(&str) -> Option<T>) -> impl Fn(&str) -> Option<St
     move |id| from_id(id).map(|_| id.to_owned())
 }
 
+/// Rejects a size list naming 0: no machine has zero cores, a 0 KiB SPM or
+/// a zero-entry filter.
+fn sizes<T: Default + PartialEq>(flag: &str, values: Vec<T>) -> Result<Vec<T>, CliError> {
+    if values.contains(&T::default()) {
+        return Err(format!("{flag}: must be at least 1").into());
+    }
+    Ok(values)
+}
+
 fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
     let mut options = Options {
         spec: SweepSpec::new(&["CG", "IS"]),
@@ -101,11 +110,24 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
             "--machines" => {
                 options.spec.machines = args.ids(checked(MachineKind::from_id), &MACHINE_IDS)?
             }
-            "--cores" => options.spec.core_counts = args.list()?,
-            "--scale" => options.spec.scale_multipliers = args.list()?,
-            "--spm-kib" => options.spec = options.spec.with_spm_kib(&args.list()?),
-            "--filters" => options.spec = options.spec.with_filter_entries(&args.list()?),
-            "--filterdirs" => options.spec = options.spec.with_filterdir_entries(&args.list()?),
+            "--cores" => options.spec.core_counts = sizes(&flag, args.list()?)?,
+            "--scale" => {
+                options.spec.scale_multipliers = args.list()?;
+                for &scale in &options.spec.scale_multipliers {
+                    check_scale(scale)?;
+                }
+            }
+            "--spm-kib" => options.spec = options.spec.with_spm_kib(&sizes(&flag, args.list()?)?),
+            "--filters" => {
+                options.spec = options
+                    .spec
+                    .with_filter_entries(&sizes(&flag, args.list()?)?)
+            }
+            "--filterdirs" => {
+                options.spec = options
+                    .spec
+                    .with_filterdir_entries(&sizes(&flag, args.list()?)?)
+            }
             "--noc-models" => {
                 let models = args.ids(checked(noc::NocModel::from_id), &NOC_MODEL_IDS)?;
                 options.spec.noc_models = models.into_iter().map(Some).collect();

@@ -255,6 +255,15 @@ fn items<T>(
     Ok(values)
 }
 
+/// Rejects a `--scale` multiplier that is not positive and finite.
+pub fn check_scale(scale: f64) -> Result<(), CliError> {
+    if scale.is_finite() && scale > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("--scale: must be positive and finite, got {scale}").into())
+    }
+}
+
 /// Runs a binary's `parse` over `args`.  On `--help` prints `usage` on
 /// stdout and exits 0; on malformed input prints `<name>: <message>`, a
 /// blank line and `usage` on stderr and exits 2.
@@ -373,12 +382,7 @@ impl CliOptions {
         if options.cores == 0 {
             return Err(CliError::Invalid("--cores: must be at least 1".to_owned()));
         }
-        if !(options.scale.is_finite() && options.scale > 0.0) {
-            return Err(CliError::Invalid(format!(
-                "--scale: must be positive and finite, got {}",
-                options.scale
-            )));
-        }
+        check_scale(options.scale)?;
         Ok(options)
     }
 

@@ -52,15 +52,24 @@ pub fn lower_descriptor(
         SystemConfig::with_cores(d.cores)
     };
     if let Some(kib) = d.spm_kib {
-        let size = ByteSize::kib(kib.max(1));
+        if kib == 0 {
+            return Err("SPM size must be at least 1 KiB".into());
+        }
+        let size = ByteSize::kib(kib);
         config.spm.size = size;
         config.protocol.spm_size = size;
     }
     if let Some(entries) = d.filter_entries {
-        config.protocol.filter_entries = entries.max(1);
+        if entries == 0 {
+            return Err("filter entry count must be at least 1".into());
+        }
+        config.protocol.filter_entries = entries;
     }
     if let Some(entries) = d.filterdir_entries {
-        config.protocol.filterdir_entries = entries.max(1);
+        if entries == 0 {
+            return Err("filterDir entry count must be at least 1".into());
+        }
+        config.protocol.filterdir_entries = entries;
     }
     if let Some(model) = &d.noc_model {
         let model =
@@ -280,6 +289,18 @@ mod tests {
         d.scale_multiplier = -1.0;
         assert!(lower_descriptor(&d).is_err());
         assert!(execute_descriptor(&d).is_err());
+        // A zero size is an error, not a silent 1 KiB or 1-entry machine.
+        let mut d = quick_point();
+        d.spm_kib = Some(0);
+        assert!(lower_descriptor(&d).unwrap_err().contains("SPM size"));
+        let mut d = quick_point();
+        d.filter_entries = Some(0);
+        assert!(lower_descriptor(&d).unwrap_err().contains("filter entry"));
+        let mut d = quick_point();
+        d.filterdir_entries = Some(0);
+        assert!(lower_descriptor(&d)
+            .unwrap_err()
+            .contains("filterDir entry"));
     }
 
     #[test]

@@ -138,7 +138,9 @@ fn campaign_help_exits_zero_on_stdout() {
 }
 
 /// Malformed input exits 2 before any point runs: an empty axis list would
-/// sweep nothing and pass, and an unknown axis value names the valid ones.
+/// sweep nothing and pass, an unknown axis value names the valid ones, and
+/// a zero size or a non-positive scale is refused rather than clamped to a
+/// 1 KiB or 1-entry machine or failed later without the usage text.
 #[test]
 fn campaign_malformed_input_exits_two_with_usage() {
     let mut cases = vec![
@@ -149,6 +151,16 @@ fn campaign_malformed_input_exits_two_with_usage() {
         vec!["--noc-models", "warp"],
         vec!["--protocols", "moesi"],
         vec!["--bogus"],
+        vec!["--spm-kib", "0"],
+        vec!["--spm-kib", "8,0"],
+        vec!["--filters", "0"],
+        vec!["--filterdirs", "0"],
+        vec!["--cores", "0"],
+        vec!["--cores", "4,0"],
+        vec!["--scale", "0"],
+        vec!["--scale", "-1"],
+        vec!["--scale", "nan"],
+        vec!["--scale", "inf"],
     ];
     for axis in [
         "--benchmarks",
@@ -173,6 +185,12 @@ fn campaign_malformed_input_exits_two_with_usage() {
     let out = campaign(&["--machines", "quantum"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("hybrid-proposed"), "{stderr}");
+    let out = campaign(&["--spm-kib", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("campaign: --spm-kib: must be at least 1"),
+        "{stderr}"
+    );
 }
 
 #[test]
