@@ -23,7 +23,8 @@ pub struct CoreConfig {
     /// Memory latency (in cycles) the out-of-order window can hide per access.
     pub hide_window: Cycle,
     /// Maximum number of overlapping long-latency misses (memory-level
-    /// parallelism, bounded by the LQ and the L1 MSHRs).
+    /// parallelism; the one bound that stands for the LQ and the L1 MSHRs,
+    /// which the memory hierarchy does not model).
     pub mlp_width: usize,
     /// Average instruction size in bytes (for instruction-fetch generation).
     pub instruction_bytes: u64,

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 pub enum Component {
     /// The cores (pipelines, register files, branch predictors).
     Cpus,
-    /// The cache hierarchy: L1 I/D, L2, MSHRs and prefetchers.
+    /// The cache hierarchy: L1 I/D, L2 and prefetchers.
     Caches,
     /// The on-chip network.
     Noc,

@@ -18,7 +18,6 @@ use crate::addr::{Addr, LineAddr, LINE_BYTES};
 use crate::cache::{CacheBank, CacheConfig};
 use crate::dram::{DramConfig, DramModel};
 use crate::moesi::{DirectoryEntry, MoesiState};
-use crate::mshr::MshrFile;
 use crate::prefetcher::{PrefetcherConfig, StridePrefetcher};
 use crate::values::{word_index, LineValues, ValueStore, WORDS_PER_LINE};
 
@@ -79,8 +78,6 @@ pub struct MemorySystemConfig {
     pub prefetcher: PrefetcherConfig,
     /// Main memory configuration.
     pub dram: DramConfig,
-    /// MSHR entries per L1 data cache.
-    pub mshr_entries: usize,
     /// Network configuration.
     pub noc: NocConfig,
 }
@@ -96,7 +93,6 @@ impl MemorySystemConfig {
             l2_slice: CacheConfig::new("l2", ByteSize::kib(256), 16, Cycle::new(15)),
             prefetcher: PrefetcherConfig::isca2015(),
             dram: DramConfig::isca2015(),
-            mshr_entries: 16,
             noc: NocConfig::isca2015(cores),
         }
     }
@@ -121,7 +117,6 @@ impl MemorySystemConfig {
             l2_slice: CacheConfig::new("l2", ByteSize::kib(64), 16, Cycle::new(15)),
             prefetcher: PrefetcherConfig::isca2015(),
             dram: DramConfig::isca2015(),
-            mshr_entries: 16,
             noc: NocConfig::isca2015(cores),
         }
     }
@@ -240,7 +235,6 @@ pub struct MemorySystem {
     /// One unit per tile: its slice of the shared L2 and its directory.
     l2: CacheBank<DirectoryEntry>,
     prefetchers: Vec<StridePrefetcher>,
-    mshrs: Vec<MshrFile>,
     dram: DramModel,
     counters: HierarchyCounters,
     /// `cores - 1`, meaningful only when `cores_pow2`: the home-slice hash
@@ -290,9 +284,6 @@ impl MemorySystem {
             l2: CacheBank::new(&config.l2_slice, cores),
             prefetchers: (0..cores)
                 .map(|_| StridePrefetcher::new(config.prefetcher))
-                .collect(),
-            mshrs: (0..cores)
-                .map(|_| MshrFile::new(config.mshr_entries))
                 .collect(),
             dram: DramModel::new(config.dram.clone(), cores),
             config,
@@ -629,8 +620,6 @@ impl MemorySystem {
             None => {
                 // L1 miss: fetch through the home L2 slice.
                 let (fill_latency, served_by) = self.l1_miss_fill(core, line, is_write, class);
-                let _ = self.mshrs[core.index()].register(line, fill_latency);
-                self.mshrs[core.index()].retire(line);
                 MemAccessResult {
                     latency: l1_latency + fill_latency,
                     served_by,

@@ -33,7 +33,6 @@ pub mod directory;
 pub mod dram;
 pub mod hierarchy;
 pub mod moesi;
-pub mod mshr;
 pub mod plru;
 pub mod prefetcher;
 pub mod values;
@@ -44,6 +43,5 @@ pub use directory::{MappingDirectory, MappingEntry};
 pub use dram::{DramConfig, DramModel};
 pub use hierarchy::{AccessKind, MemAccessResult, MemorySystem, MemorySystemConfig, ServedBy};
 pub use moesi::{DirectoryEntry, MoesiState};
-pub use mshr::MshrFile;
 pub use prefetcher::{PrefetcherConfig, StridePrefetcher};
 pub use values::{word_addr, word_index, LineValues, ValueStore, WORDS_PER_LINE};

@@ -33,7 +33,6 @@ pub use sim::{run_synthetic, SyntheticReport, SyntheticTraffic};
 
 use simkernel::{Cycle, EventQueue, NodeId, RunningStat, StatRegistry};
 
-use crate::backend::NocBackend;
 use crate::network::NocConfig;
 use crate::packet::{MessageClass, PacketKind, VirtualChannel, NUM_VIRTUAL_CHANNELS};
 use crate::traffic::TrafficAccountant;
@@ -80,7 +79,6 @@ struct Arrive {
 ///
 /// let config = NocConfig::isca2015(16).with_model(NocModel::DiscreteEvent);
 /// let mut noc = DesNoc::new(config);
-/// use noc::NocBackend;
 /// let idle = noc.send(NodeId::new(0), NodeId::new(15), MessageClass::Read, 8);
 /// assert_eq!(idle, config.zero_load_latency(NodeId::new(0), NodeId::new(15), 8));
 /// // A burst to one node queues at its ejection port:
@@ -434,12 +432,17 @@ impl Clone for DesNoc {
     }
 }
 
-impl NocBackend for DesNoc {
-    fn config(&self) -> &NocConfig {
+impl DesNoc {
+    /// The configuration in use.
+    pub fn config(&self) -> &NocConfig {
         &self.config
     }
 
-    fn advance_to(&mut self, now: Cycle) {
+    /// Advances the engine's current cycle; later sends inject no earlier.
+    ///
+    /// Time only moves forward: an earlier cycle is a caller bug, asserted
+    /// in debug builds and ignored in release builds.
+    pub fn advance_to(&mut self, now: Cycle) {
         // Callers step the network in simulated-time order (the machine's
         // min-clock scheduler, synthetic traffic sorted by cycle), so a
         // backwards call is a bug in the caller.
@@ -459,7 +462,13 @@ impl NocBackend for DesNoc {
     ///
     /// Panics if an [`DesNoc::inject_at`] batch is still undrained: the
     /// route is reserved as if nothing else were in flight.
-    fn send(&mut self, from: NodeId, to: NodeId, class: MessageClass, payload_bytes: u64) -> Cycle {
+    pub fn send(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        class: MessageClass,
+        payload_bytes: u64,
+    ) -> Cycle {
         assert!(
             self.packets.is_empty(),
             "DesNoc::send with an undrained inject_at batch; call drain() first"
@@ -479,21 +488,19 @@ impl NocBackend for DesNoc {
         latency
     }
 
-    fn latency(&self, from: NodeId, to: NodeId, payload_bytes: u64) -> Cycle {
-        // An unsent packet occupies no links: the oracle probe sees the
-        // zero-load latency.
+    /// Latency of a packet without recording traffic: the zero-load
+    /// latency, since an unsent packet occupies no links.
+    pub fn latency(&self, from: NodeId, to: NodeId, payload_bytes: u64) -> Cycle {
         self.config.zero_load_latency(from, to, payload_bytes)
     }
 
-    fn traffic(&self) -> &TrafficAccountant {
+    /// Read access to the accumulated traffic.
+    pub fn traffic(&self) -> &TrafficAccountant {
         &self.traffic
     }
 
-    fn take_traffic(&mut self) -> TrafficAccountant {
-        std::mem::take(&mut self.traffic)
-    }
-
-    fn export_stats(&self, stats: &mut StatRegistry) {
+    /// Exports the traffic counters and the per-link and per-node figures.
+    pub fn export_stats(&self, stats: &mut StatRegistry) {
         self.traffic.export(stats);
         stats.set_value("noc.utilization", self.max_link_utilization());
         stats.set_value("noc.des.links.max_utilization", self.max_link_utilization());

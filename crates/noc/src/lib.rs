@@ -39,14 +39,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod backend;
 pub mod des;
 pub mod network;
 pub mod packet;
 pub mod topology;
 pub mod traffic;
 
-pub use backend::NocBackend;
 pub use des::{run_synthetic, DesNoc, SyntheticReport, SyntheticTraffic};
 pub use network::{AnalyticNoc, Noc, NocConfig, NocModel, MAX_UTILIZATION};
 pub use packet::{

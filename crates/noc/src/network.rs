@@ -1,6 +1,6 @@
 //! The network model proper: latency computation and traffic recording.
 //!
-//! Two backends implement [`NocBackend`]:
+//! Two backends exist:
 //!
 //! * [`AnalyticNoc`] — the closed-form model: XY hop count times per-hop
 //!   latency plus a utilisation-driven M/M/1-style contention penalty fed by
@@ -10,12 +10,12 @@
 //!   *measured* instead of assumed.
 //!
 //! [`Noc`] is the facade the memory hierarchy and the coherence protocol
-//! talk to; [`NocConfig::model`] selects which backend it instantiates.
+//! talk to; [`NocConfig::model`] selects which backend it instantiates, and
+//! every call dispatches to that backend with one `match`.
 
 use serde::{Deserialize, Serialize};
 use simkernel::{Cycle, NodeId, StatRegistry};
 
-use crate::backend::NocBackend;
 use crate::des::DesNoc;
 use crate::packet::{MessageClass, PacketKind};
 use crate::topology::MeshTopology;
@@ -31,6 +31,9 @@ use crate::traffic::TrafficAccountant;
 /// a saturated analytic model is visible in every report instead of silently
 /// under-predicting — the discrete-event backend is the right tool there.
 pub const MAX_UTILIZATION: f64 = 0.95;
+
+/// Size of the control response collected by [`Noc::broadcast_collect`].
+const CONTROL_RESPONSE_BYTES: u64 = 8;
 
 /// Which network model a [`Noc`] instantiates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -194,24 +197,28 @@ impl AnalyticNoc {
             self.config.contention_factor * rho * rho / (1.0 - rho)
         }
     }
-}
 
-impl NocBackend for AnalyticNoc {
-    fn config(&self) -> &NocConfig {
+    /// The configuration in use.
+    pub fn config(&self) -> &NocConfig {
         &self.config
     }
 
-    fn advance_to(&mut self, _now: Cycle) {
-        // The analytic model is memoryless.
-    }
-
-    fn latency(&self, from: NodeId, to: NodeId, payload_bytes: u64) -> Cycle {
+    /// Latency of a packet without recording traffic, including the
+    /// utilisation-driven contention term.
+    pub fn latency(&self, from: NodeId, to: NodeId, payload_bytes: u64) -> Cycle {
         let hops = self.config.topology.hops(from, to).max(1);
         let contention = (self.contention_delay_per_hop() * hops as f64).round() as u64;
         self.config.zero_load_latency(from, to, payload_bytes) + Cycle::new(contention)
     }
 
-    fn send(&mut self, from: NodeId, to: NodeId, class: MessageClass, payload_bytes: u64) -> Cycle {
+    /// Sends one packet and returns its latency, recording the traffic.
+    pub fn send(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        class: MessageClass,
+        payload_bytes: u64,
+    ) -> Cycle {
         // Route and classify once; `latency()` would recompute both (and
         // `zero_load_latency` a third time), and the contention term is
         // exactly zero on an idle network, so the f64 path is skipped there.
@@ -227,15 +234,13 @@ impl NocBackend for AnalyticNoc {
         Cycle::new(hops * self.config.hop_latency() + serialization + contention)
     }
 
-    fn traffic(&self) -> &TrafficAccountant {
+    /// Read access to the accumulated traffic.
+    pub fn traffic(&self) -> &TrafficAccountant {
         &self.traffic
     }
 
-    fn take_traffic(&mut self) -> TrafficAccountant {
-        std::mem::take(&mut self.traffic)
-    }
-
-    fn export_stats(&self, stats: &mut StatRegistry) {
+    /// Exports the traffic counters, ρ and the clamp count.
+    pub fn export_stats(&self, stats: &mut StatRegistry) {
         self.traffic.export(stats);
         stats.set_value("noc.utilization", self.utilization);
         stats.add_count("noc.utilization.clamp_events", self.clamp_events);
@@ -289,23 +294,12 @@ impl Noc {
         Noc { engine }
     }
 
-    fn backend(&self) -> &dyn NocBackend {
-        match &self.engine {
-            NocEngine::Analytic(a) => a,
-            NocEngine::DiscreteEvent(d) => d,
-        }
-    }
-
-    fn backend_mut(&mut self) -> &mut dyn NocBackend {
-        match &mut self.engine {
-            NocEngine::Analytic(a) => a,
-            NocEngine::DiscreteEvent(d) => d,
-        }
-    }
-
     /// Returns the network configuration.
     pub fn config(&self) -> &NocConfig {
-        self.backend().config()
+        match &self.engine {
+            NocEngine::Analytic(a) => a.config(),
+            NocEngine::DiscreteEvent(d) => d.config(),
+        }
     }
 
     /// The model this network runs.
@@ -315,7 +309,7 @@ impl Noc {
 
     /// Returns the topology.
     pub fn topology(&self) -> &MeshTopology {
-        &self.backend().config().topology
+        &self.config().topology
     }
 
     /// The discrete-event backend, when that is the active model.
@@ -368,12 +362,10 @@ impl Noc {
     /// The machine driver calls this with each core's clock before issuing
     /// that core's memory traffic, so discrete-event queueing happens in
     /// simulation time rather than piling every packet onto cycle zero.
+    /// The analytic model is memoryless and ignores it.
     pub fn advance_to(&mut self, now: Cycle) {
-        // Statically dispatched (as is `send`): both sit in the per-op hot
-        // loop, where the virtual call through `backend_mut` is measurable.
-        match &mut self.engine {
-            NocEngine::Analytic(a) => NocBackend::advance_to(a, now),
-            NocEngine::DiscreteEvent(d) => NocBackend::advance_to(d, now),
+        if let NocEngine::DiscreteEvent(d) = &mut self.engine {
+            d.advance_to(now);
         }
     }
 
@@ -385,8 +377,8 @@ impl Noc {
     #[inline]
     pub fn latency(&self, from: NodeId, to: NodeId, payload_bytes: u64) -> Cycle {
         match &self.engine {
-            NocEngine::Analytic(a) => NocBackend::latency(a, from, to, payload_bytes),
-            NocEngine::DiscreteEvent(d) => NocBackend::latency(d, from, to, payload_bytes),
+            NocEngine::Analytic(a) => a.latency(from, to, payload_bytes),
+            NocEngine::DiscreteEvent(d) => d.latency(from, to, payload_bytes),
         }
     }
 
@@ -403,8 +395,8 @@ impl Noc {
         payload_bytes: u64,
     ) -> Cycle {
         match &mut self.engine {
-            NocEngine::Analytic(a) => NocBackend::send(a, from, to, class, payload_bytes),
-            NocEngine::DiscreteEvent(d) => NocBackend::send(d, from, to, class, payload_bytes),
+            NocEngine::Analytic(a) => a.send(from, to, class, payload_bytes),
+            NocEngine::DiscreteEvent(d) => d.send(from, to, class, payload_bytes),
         }
     }
 
@@ -417,8 +409,9 @@ impl Noc {
         request_bytes: u64,
         response_bytes: u64,
     ) -> Cycle {
-        self.backend_mut()
-            .round_trip(from, to, class, request_bytes, response_bytes)
+        let there = self.send(from, to, class, request_bytes);
+        let back = self.send(to, from, class, response_bytes);
+        there + back
     }
 
     /// Broadcasts a control packet from `from` to every other node and
@@ -432,53 +425,33 @@ impl Noc {
         class: MessageClass,
         payload_bytes: u64,
     ) -> Cycle {
-        self.backend_mut()
-            .broadcast_collect(from, class, payload_bytes)
+        let mut worst = Cycle::ZERO;
+        for i in 0..self.topology().nodes() {
+            let to = NodeId::new(i);
+            if to == from {
+                continue;
+            }
+            let out = self.send(from, to, class, payload_bytes);
+            let back = self.send(to, from, class, CONTROL_RESPONSE_BYTES);
+            worst = worst.max(out + back);
+        }
+        worst
     }
 
     /// Read access to the accumulated traffic.
     pub fn traffic(&self) -> &TrafficAccountant {
-        self.backend().traffic()
+        match &self.engine {
+            NocEngine::Analytic(a) => a.traffic(),
+            NocEngine::DiscreteEvent(d) => d.traffic(),
+        }
     }
 
-    /// Drains the accumulated traffic, leaving the accountant empty.
-    pub fn take_traffic(&mut self) -> TrafficAccountant {
-        self.backend_mut().take_traffic()
-    }
-
-    /// Exports the traffic counters into a [`StatRegistry`].
+    /// Exports the backend's counters into a [`StatRegistry`].
     pub fn export_stats(&self, stats: &mut StatRegistry) {
-        self.backend().export_stats(stats);
-    }
-}
-
-impl NocBackend for Noc {
-    fn config(&self) -> &NocConfig {
-        Noc::config(self)
-    }
-
-    fn advance_to(&mut self, now: Cycle) {
-        Noc::advance_to(self, now);
-    }
-
-    fn send(&mut self, from: NodeId, to: NodeId, class: MessageClass, payload_bytes: u64) -> Cycle {
-        Noc::send(self, from, to, class, payload_bytes)
-    }
-
-    fn latency(&self, from: NodeId, to: NodeId, payload_bytes: u64) -> Cycle {
-        Noc::latency(self, from, to, payload_bytes)
-    }
-
-    fn traffic(&self) -> &TrafficAccountant {
-        Noc::traffic(self)
-    }
-
-    fn take_traffic(&mut self) -> TrafficAccountant {
-        Noc::take_traffic(self)
-    }
-
-    fn export_stats(&self, stats: &mut StatRegistry) {
-        Noc::export_stats(self, stats);
+        match &self.engine {
+            NocEngine::Analytic(a) => a.export_stats(stats),
+            NocEngine::DiscreteEvent(d) => d.export_stats(stats),
+        }
     }
 }
 
@@ -557,19 +530,39 @@ mod tests {
 
     #[test]
     fn round_trip_records_two_packets() {
-        let mut noc = Noc::new(NocConfig::isca2015(16));
-        let rt = noc.round_trip(NodeId::new(1), NodeId::new(2), MessageClass::Dma, 8, 64);
-        assert_eq!(noc.traffic().packets(MessageClass::Dma), 2);
-        assert!(rt > Cycle::ZERO);
+        for model in NocModel::ALL {
+            let mut noc = Noc::new(NocConfig::isca2015(16).with_model(model));
+            let mut sends = noc.clone();
+            let (a, b) = (NodeId::new(1), NodeId::new(2));
+            let rt = noc.round_trip(a, b, MessageClass::Dma, 8, 64);
+            assert_eq!(noc.traffic().packets(MessageClass::Dma), 2, "{model}");
+            let there = sends.send(a, b, MessageClass::Dma, 8);
+            let back = sends.send(b, a, MessageClass::Dma, 64);
+            assert_eq!(rt, there + back, "{model}");
+            assert!(rt > Cycle::ZERO, "{model}");
+        }
     }
 
     #[test]
     fn broadcast_touches_every_other_node() {
-        let mut noc = Noc::new(NocConfig::isca2015(16));
-        let lat = noc.broadcast_collect(NodeId::new(0), MessageClass::CohProt, 8);
-        // 15 requests + 15 responses.
-        assert_eq!(noc.traffic().packets(MessageClass::CohProt), 30);
-        assert!(lat >= noc.latency(NodeId::new(0), NodeId::new(15), 8) * 2);
+        for model in NocModel::ALL {
+            let mut noc = Noc::new(NocConfig::isca2015(16).with_model(model));
+            let mut sends = noc.clone();
+            let from = NodeId::new(0);
+            let lat = noc.broadcast_collect(from, MessageClass::CohProt, 8);
+            // 15 requests + 15 responses.
+            assert_eq!(noc.traffic().packets(MessageClass::CohProt), 30, "{model}");
+            let want = (1..16)
+                .map(|i| {
+                    let to = NodeId::new(i);
+                    let out = sends.send(from, to, MessageClass::CohProt, 8);
+                    out + sends.send(to, from, MessageClass::CohProt, 8)
+                })
+                .max()
+                .unwrap();
+            assert_eq!(lat, want, "{model}");
+            assert!(lat >= noc.latency(from, NodeId::new(15), 8) * 2, "{model}");
+        }
     }
 
     #[test]
@@ -601,15 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn take_traffic_resets() {
-        let mut noc = Noc::new(NocConfig::isca2015(4));
-        noc.send(NodeId::new(0), NodeId::new(1), MessageClass::Write, 64);
-        let t = noc.take_traffic();
-        assert_eq!(t.total_packets(), 1);
-        assert_eq!(noc.traffic().total_packets(), 0);
-    }
-
-    #[test]
     fn export_stats_includes_totals() {
         let mut noc = Noc::new(NocConfig::isca2015(4));
         noc.send(NodeId::new(0), NodeId::new(1), MessageClass::Ifetch, 64);
@@ -617,17 +601,5 @@ mod tests {
         noc.export_stats(&mut stats);
         assert_eq!(stats.count("noc.total.packets"), 1);
         assert!(stats.contains("noc.utilization"));
-    }
-
-    #[test]
-    fn facade_implements_the_backend_trait() {
-        fn exercise<B: NocBackend>(noc: &mut B) -> Cycle {
-            noc.round_trip(NodeId::new(0), NodeId::new(3), MessageClass::Read, 8, 64)
-        }
-        for model in NocModel::ALL {
-            let mut noc = Noc::new(NocConfig::isca2015(4).with_model(model));
-            assert!(exercise(&mut noc) > Cycle::ZERO, "{model}");
-            assert_eq!(noc.traffic().total_packets(), 2, "{model}");
-        }
     }
 }

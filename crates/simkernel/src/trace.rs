@@ -155,7 +155,7 @@ pub enum TraceKind {
     /// A parked core resumed; payload `[resume cycle, 0]`.
     Resume,
     /// Per-core end-of-kernel report; payload `[work cycles, stall cycles]`
-    /// at the core's final clock — the structured form of `--debug-cores`.
+    /// at the core's final clock.
     CoreReport,
     /// A buffer was mapped at the protocol (dma-get); payload
     /// `[buffer, chunk base]`.

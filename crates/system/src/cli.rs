@@ -55,10 +55,6 @@ options:
                      des is an alias of discrete-event)
   --protocol NAME    coherence protocol of the proposed machine:
                      {protocols} (default filterdir)
-  --debug-cores      print per-core clock/work/stall figures after every
-                     kernel (to stderr)
-  --track-values     thread real data values through the memory system
-                     (timing results are unchanged)
   --trace PATH       after the report, trace the first selected benchmark
                      once and write a Chrome trace-event JSON to PATH
                      ('-' for stdout)
@@ -305,10 +301,6 @@ pub struct CliOptions {
     pub noc_model: noc::NocModel,
     /// Which coherence protocol backs the proposed machine.
     pub protocol: CoherenceProtocol,
-    /// Print per-core clock/work/stall figures after every kernel.
-    pub debug_cores: bool,
-    /// Thread real data values through the memory system.
-    pub track_values: bool,
     /// Where to write a Chrome trace of one traced run (`-` for stdout).
     pub trace: Option<String>,
     /// Which trace categories to record.
@@ -330,8 +322,6 @@ impl Default for CliOptions {
             cache_dir: None,
             noc_model: noc::NocModel::Analytic,
             protocol: CoherenceProtocol::FilterDir,
-            debug_cores: false,
-            track_values: false,
             trace: None,
             trace_categories: simkernel::CategoryMask::all(),
             sample_interval: None,
@@ -368,8 +358,6 @@ impl CliOptions {
                     options.protocol =
                         args.id(CoherenceProtocol::from_id, &campaign::PROTOCOL_IDS)?
                 }
-                "--debug-cores" => options.debug_cores = true,
-                "--track-values" => options.track_values = true,
                 "--trace" => options.trace = Some(args.value()?),
                 "--trace-categories" => {
                     options.trace_categories = parse_trace_categories(&args.value()?)?
@@ -391,8 +379,6 @@ impl CliOptions {
         let mut config = SystemConfig::with_cores(self.cores);
         config.set_noc_model(self.noc_model);
         config.coherence_protocol = self.protocol;
-        config.debug_cores = self.debug_cores;
-        config.track_values = self.track_values;
         config.trace.enabled = self.trace.is_some();
         config.trace.categories = self.trace_categories;
         if let Some(interval) = self.sample_interval {
@@ -766,16 +752,6 @@ mod tests {
         }
         // Unknown model names are rejected (see
         // strict_axis_flags_reject_unknown_values for the message shape).
-    }
-
-    #[test]
-    fn debug_cores_flag_threads_into_the_configuration() {
-        let o = parse(&[]).unwrap();
-        assert!(!o.debug_cores);
-        assert!(!o.config().debug_cores);
-        let o = parse(&["--debug-cores"]).unwrap();
-        assert!(o.debug_cores);
-        assert!(o.config().debug_cores);
     }
 
     #[test]

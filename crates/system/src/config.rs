@@ -170,8 +170,11 @@ pub struct SystemConfig {
     /// `perfbench/` sets and prints it; the campaign cache key pins it, so
     /// its value never addresses a cache entry.
     pub engine_jobs: usize,
-    /// Print per-core clock/work/stall figures after every kernel
-    /// (`--debug-cores` on the report binaries).
+    /// Inert, like `engine_jobs`: nothing in the simulator reads it (a
+    /// trace's per-kernel `CoreReport` events carry each core's clock, work
+    /// and stall cycles).  It stays because the benchmark harness in
+    /// `perfbench/` sets it; the campaign cache key pins it, so its value
+    /// never addresses a cache entry.
     pub debug_cores: bool,
     /// Thread real data values through the memory system (DRAM, caches,
     /// scratchpads, DMA) alongside the timing model.
@@ -182,8 +185,8 @@ pub struct SystemConfig {
     pub track_values: bool,
     /// Structured event tracing (`--trace` on the report binaries).
     ///
-    /// Presentation-only, like `debug_cores`: a traced run's timing, traffic
-    /// and statistics are bit-identical to an untraced one (pinned by
+    /// Presentation-only: a traced run's timing, traffic and statistics are
+    /// bit-identical to an untraced one (pinned by
     /// `tracing_leaves_timing_untouched`), so the campaign cache key pins
     /// this to its default.
     pub trace: TraceSettings,

@@ -148,7 +148,7 @@ pub(crate) struct KernelCtx<'a> {
     pub track_noc_clock: bool,
     /// Functional-memory state (+ optional oracle), when values are tracked.
     pub values: Option<&'a mut ValueTracking>,
-    /// Structured event tracer (`SystemConfig.trace` / `--debug-cores`).
+    /// Structured event tracer (`SystemConfig.trace` / `--trace`).
     ///
     /// Strictly an observer, like `values`: a `None` tracer costs the hot
     /// loop one discriminant check, and an attached one never touches

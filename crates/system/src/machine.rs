@@ -2,9 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use simkernel::attrib::CoreBreakdown;
-use simkernel::trace::{
-    CategoryMask, ChromeTrace, TraceCategory, TraceEvent, TraceKind, TraceSettings, Tracer,
-};
+use simkernel::trace::{ChromeTrace, TraceKind, Tracer};
 use simkernel::{CoreId, Cycle, CycleBreakdown, Json, StatRegistry};
 
 use cpu::{CoreTimingModel, PhaseBreakdown};
@@ -370,21 +368,11 @@ impl Machine {
             self.warm_shared_data(compiled, &mut memsys);
         }
 
-        // One tracer serves two sinks: the trace file (when armed via the
-        // config) and the `--debug-cores` pretty-printer, which now reads the
-        // same CoreReport events instead of owning a private eprintln path.
-        // A debug-only tracer restricts itself to engine events and never
-        // samples, so it costs nothing beyond what the flag already printed.
-        let mut tracer: Option<Tracer> = if self.config.trace.enabled {
-            Some(Tracer::new(cores, &self.config.trace))
-        } else if self.config.debug_cores {
-            let mut settings = TraceSettings::enabled();
-            settings.categories = CategoryMask::NONE.with(TraceCategory::Engine);
-            settings.sample_interval = 0;
-            Some(Tracer::new(cores, &settings))
-        } else {
-            None
-        };
+        let mut tracer: Option<Tracer> = self
+            .config
+            .trace
+            .enabled
+            .then(|| Tracer::new(cores, &self.config.trace));
 
         // Sampler scratch, reused across every kernel of the run.
         let mut depth_scratch: Vec<u64> = Vec::new();
@@ -418,29 +406,14 @@ impl Machine {
             };
             engine::run_kernel(&mut ctx, self.config.trace_seed);
             depth_scratch = std::mem::take(&mut ctx.depth_scratch);
-            // Per-core kernel report: one CoreReport event per core on the
-            // shared tracer; `--debug-cores` pretty-prints the same events.
+            // Per-core kernel report: one CoreReport event per core.
             if let Some(tr) = tracer.as_mut() {
-                let reports: Vec<TraceEvent> = core_models
-                    .iter()
-                    .enumerate()
-                    .map(|(core, c)| TraceEvent {
-                        cycle: c.now().as_u64(),
-                        core: core as u32,
-                        kind: TraceKind::CoreReport,
-                        payload: [c.breakdown().phase(Phase::Work).as_u64(), c.stall_cycles()],
-                    })
-                    .collect();
-                for event in &reports {
-                    tr.record(event.core as usize, event.cycle, event.kind, event.payload);
-                }
-                if self.config.debug_cores {
-                    let times: Vec<u64> = reports.iter().map(|e| e.cycle).collect();
-                    let works: Vec<u64> = reports.iter().map(|e| e.payload[0]).collect();
-                    let stalls: Vec<u64> = reports.iter().map(|e| e.payload[1]).collect();
-                    eprintln!(
-                        "kernel {} times={times:?}\n  works={works:?}\n  stalls={stalls:?}",
-                        program.name()
+                for (core, c) in core_models.iter().enumerate() {
+                    tr.record(
+                        core,
+                        c.now().as_u64(),
+                        TraceKind::CoreReport,
+                        [c.breakdown().phase(Phase::Work).as_u64(), c.stall_cycles()],
                     );
                 }
             }
@@ -455,7 +428,7 @@ impl Machine {
             }
             // Close the kernel with one forced sample at the barrier, so
             // short runs still get at least one time-series point per kernel.
-            if self.config.trace.enabled && self.config.trace.sample_interval != 0 {
+            if self.config.trace.sample_interval != 0 {
                 if let Some(tr) = tracer.as_mut() {
                     let mut scratch = std::mem::take(&mut depth_scratch);
                     engine::sample_stats(tr, &memsys, &dmacs, &core_models, barrier, &mut scratch);

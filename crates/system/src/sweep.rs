@@ -101,10 +101,11 @@ pub fn run_cache_key(kind: MachineKind, config: &SystemConfig, spec: &BenchmarkS
     // (`cpu.lsq.value_forwards`), so tracked and timing-only runs are
     // different cache entries.
     let mut config = config.clone();
-    config.debug_cores = false;
     config.trace = simkernel::trace::TraceSettings::default();
-    // `engine_jobs` and `cycle_accounting` have no reader (see their docs);
-    // pinned so their values never address a different cache entry.
+    // `debug_cores`, `engine_jobs` and `cycle_accounting` have no reader
+    // (see their docs); pinned so their values never address a different
+    // cache entry.
+    config.debug_cores = false;
     config.engine_jobs = 1;
     config.cycle_accounting = false;
     CacheKey::from_fields([

@@ -59,6 +59,8 @@ fn malformed_input_exits_two_with_usage() {
         &["--epoch-cycles", "1"][..],
         &["--cores", "abc"][..],
         &["--benchmarks", "XX"][..],
+        &["--track-values"][..],
+        &["--debug-cores"][..],
     ] {
         let out = fig9(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use spm_manycore::coherence::{
     AddressMasks, CoherenceBackend, Filter, FilterDir, ProtocolConfig, SpmCoherenceProtocol, SpmDir,
 };
-use spm_manycore::mem::mshr::{MshrFile, MshrOutcome};
 use spm_manycore::mem::plru::TreePlru;
 use spm_manycore::mem::{
     Addr, AddressRange, CacheBank, CacheConfig, LineAddr, MemorySystem, MemorySystemConfig,
@@ -215,46 +214,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// MSHR invariants under arbitrary register/retire sequences, checked
-    /// against a model set: an outcome is `Merged` iff the line was already
-    /// outstanding, `Full` iff the file was at capacity, occupancy never
-    /// exceeds the capacity, and the bookkeeping counters add up.
-    #[test]
-    fn mshr_allocation_and_merge_invariants(
-        capacity in 1usize..=16,
-        ops in vec((0u64..24, 0u64..64, any::<bool>()), 1..200),
-    ) {
-        let mut mshr = MshrFile::new(capacity);
-        let mut model: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        let mut registers = 0u64;
-        for (line, ready, is_register) in ops {
-            let line_addr = LineAddr::new(line);
-            if is_register {
-                registers += 1;
-                let outcome = mshr.register(line_addr, Cycle::new(ready));
-                let expected = if model.contains(&line) {
-                    MshrOutcome::Merged
-                } else if model.len() >= capacity {
-                    MshrOutcome::Full
-                } else {
-                    model.insert(line);
-                    MshrOutcome::Allocated
-                };
-                prop_assert_eq!(outcome, expected);
-            } else {
-                prop_assert_eq!(mshr.retire(line_addr), model.remove(&line));
-            }
-            prop_assert_eq!(mshr.outstanding(), model.len());
-            prop_assert!(mshr.outstanding() <= capacity);
-            prop_assert_eq!(mshr.is_full(), model.len() >= capacity);
-            for l in &model {
-                prop_assert!(mshr.is_outstanding(LineAddr::new(*l)));
-            }
-        }
-        prop_assert_eq!(mshr.allocations() + mshr.merges() + mshr.full_stalls(), registers);
-        prop_assert!(mshr.allocations() >= mshr.outstanding() as u64);
-    }
 
     /// Tree-PLRU invariants for every power-of-two associativity: the victim
     /// is always a currently-resident way (i.e. a valid index into the set),
