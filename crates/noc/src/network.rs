@@ -602,4 +602,31 @@ mod tests {
         assert_eq!(stats.count("noc.total.packets"), 1);
         assert!(stats.contains("noc.utilization"));
     }
+
+    /// `Noc` gives the same round trip and traffic as the backend it wraps,
+    /// driven directly.
+    #[test]
+    fn facade_implements_the_backend_trait() {
+        let config = NocConfig::isca2015(4);
+        let (a, b) = (NodeId::new(0), NodeId::new(3));
+        let mut noc = Noc::new(config);
+        let mut analytic = AnalyticNoc::new(config);
+        let rt = noc.round_trip(a, b, MessageClass::Read, 8, 64);
+        let there = analytic.send(a, b, MessageClass::Read, 8);
+        assert_eq!(rt, there + analytic.send(b, a, MessageClass::Read, 64));
+        assert_eq!(
+            noc.traffic().total_packets(),
+            analytic.traffic().total_packets()
+        );
+
+        let config = config.with_model(NocModel::DiscreteEvent);
+        let mut noc = Noc::new(config);
+        let mut des = DesNoc::new(config);
+        let rt = noc.round_trip(a, b, MessageClass::Read, 8, 64);
+        let there = des.send(a, b, MessageClass::Read, 8);
+        assert_eq!(rt, there + des.send(b, a, MessageClass::Read, 64));
+        assert_eq!(noc.traffic().total_packets(), des.traffic().total_packets());
+        assert_eq!(noc.traffic().total_packets(), 2);
+        assert!(rt > Cycle::ZERO);
+    }
 }
