@@ -26,18 +26,14 @@
 
 use simkernel::{ByteSize, CoreId, Cycle, StatRegistry};
 
-use mem::{AccessKind, Addr, AddressRange, MappingDirectory, MemorySystem};
+use mem::{Addr, AddressRange, MappingDirectory, MemorySystem};
 use noc::MessageClass;
-use spm::{Scratchpad, SpmAddressMap};
+use spm::Scratchpad;
 
 use crate::masks::AddressMasks;
-use crate::outcome::{GuardedOutcome, GuardedTarget};
+use crate::outcome::{gm_access, GuardedOutcome, GuardedTarget};
 use crate::protocol::{CoherenceBackend, ProtocolConfig, ProtocolFault};
 use crate::stats::ProtocolStats;
-
-/// Reference id passed to the hierarchy's prefetcher for guarded accesses
-/// (same convention as the paper's protocol: never train a stride).
-const GUARDED_REFERENCE_ID: u64 = u64::MAX;
 
 /// The plain-directory coherence baseline.
 ///
@@ -62,8 +58,9 @@ const GUARDED_REFERENCE_ID: u64 = u64::MAX;
 pub struct DirectoryCoherence {
     config: ProtocolConfig,
     masks: AddressMasks,
+    /// The raw buffer size: homes interleave by `base / buffer_size`, not by
+    /// the mask granularity.
     buffer_size: ByteSize,
-    address_map: SpmAddressMap,
     directory: MappingDirectory,
     stats: ProtocolStats,
     fault: Option<ProtocolFault>,
@@ -74,12 +71,10 @@ impl DirectoryCoherence {
     /// per tile; the structure-size knobs of `config` are unused — a
     /// precise directory has no capacity pressure to model).
     pub fn new(config: ProtocolConfig) -> Self {
-        let cores = config.cores;
         DirectoryCoherence {
             masks: AddressMasks::for_buffer_size(config.spm_size),
             buffer_size: config.spm_size,
-            address_map: SpmAddressMap::new(cores, config.spm_size),
-            directory: MappingDirectory::new(cores),
+            directory: MappingDirectory::new(config.cores),
             config,
             stats: ProtocolStats::new(),
             fault: None,
@@ -97,11 +92,6 @@ impl DirectoryCoherence {
         self.fault
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.config
-    }
-
     /// Read access to the home directory (tests and reports).
     pub fn directory(&self) -> &MappingDirectory {
         &self.directory
@@ -112,33 +102,6 @@ impl DirectoryCoherence {
     fn home_of(&self, base: Addr) -> CoreId {
         let chunk_index = base.raw() / self.buffer_size.bytes().max(1);
         CoreId::new(self.directory.home_of(chunk_index))
-    }
-
-    fn diverted_spm_addr(&self, owner: CoreId, buffer: usize, offset: u64) -> Addr {
-        let buffer_base = self.buffer_size.bytes() * buffer as u64;
-        let spm_offset = (buffer_base + offset).min(self.config.spm_size.bytes() - 1);
-        self.address_map.spm_addr(owner, spm_offset)
-    }
-
-    fn gm_access(
-        &mut self,
-        core: CoreId,
-        addr: Addr,
-        is_write: bool,
-        memsys: &mut MemorySystem,
-    ) -> (Cycle, mem::ServedBy) {
-        let kind = if is_write {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        let class = if is_write {
-            MessageClass::Write
-        } else {
-            MessageClass::Read
-        };
-        let result = memsys.access(core, addr, kind, class, GUARDED_REFERENCE_ID);
-        (result.latency, result.served_by)
     }
 }
 
@@ -196,7 +159,7 @@ impl CoherenceBackend for DirectoryCoherence {
             self.stats.guarded_loads += 1;
         }
 
-        let (base, offset) = self.masks.decompose(addr);
+        let base = self.masks.base(addr);
         let cam = self.config.cam_latency;
         let home = self.home_of(base);
 
@@ -225,8 +188,6 @@ impl CoherenceBackend for DirectoryCoherence {
                     target: GuardedTarget::LocalSpm {
                         buffer: entry.buffer,
                     },
-                    filter_hit: None,
-                    spm_virtual_addr: Some(self.diverted_spm_addr(core, entry.buffer, offset)),
                     gm_write_through: false,
                 }
             }
@@ -255,8 +216,6 @@ impl CoherenceBackend for DirectoryCoherence {
                 GuardedOutcome {
                     latency: cam + request + forward + spm_latency + response,
                     target: GuardedTarget::RemoteSpm { owner },
-                    filter_hit: None,
-                    spm_virtual_addr: Some(self.diverted_spm_addr(owner, entry.buffer, offset)),
                     gm_write_through: false,
                 }
             }
@@ -269,12 +228,10 @@ impl CoherenceBackend for DirectoryCoherence {
                 let ack = memsys
                     .noc_mut()
                     .send(home.node(), core.node(), MessageClass::CohProt, 8);
-                let (gm_latency, served_by) = self.gm_access(core, addr, is_write, memsys);
+                let (gm_latency, served_by) = gm_access(memsys, core, addr, is_write);
                 GuardedOutcome {
                     latency: cam + request + ack + gm_latency,
                     target: GuardedTarget::GlobalMemory { served_by },
-                    filter_hit: None,
-                    spm_virtual_addr: None,
                     gm_write_through: false,
                 }
             }
@@ -297,10 +254,6 @@ impl CoherenceBackend for DirectoryCoherence {
             "cohprot.directory.occupancy",
             self.directory.occupancy() as u64,
         );
-    }
-
-    fn adds_hardware(&self) -> bool {
-        true
     }
 
     fn describe_addr(&self, _core: CoreId, addr: Addr) -> String {
@@ -335,7 +288,6 @@ mod tests {
         let before = m.noc().traffic().packets(MessageClass::CohProt);
         let out = p.guarded_access(CoreId::new(0), addr, false, &mut m, &mut spms);
         assert!(out.served_by_global_memory());
-        assert_eq!(out.filter_hit, None, "the baseline has no filters");
         assert_eq!(p.stats().directory_requests, 1);
         assert!(
             m.noc().traffic().packets(MessageClass::CohProt) >= before + 2,
@@ -362,7 +314,6 @@ mod tests {
             &mut spms,
         );
         assert_eq!(out.target, GuardedTarget::LocalSpm { buffer: 1 });
-        assert!(out.spm_virtual_addr.is_some());
         assert_eq!(spms[2].local_accesses(), 1);
         assert_eq!(p.stats().local_spm_hits, 1);
         // The local hit is slower than a bare SPM access: it still paid the
@@ -495,6 +446,5 @@ mod tests {
         p.export_stats(&mut reg);
         assert_eq!(reg.count("cohprot.directory.requests"), 1);
         assert_eq!(reg.count("cohprot.directory.lookups"), 1);
-        assert!(p.adds_hardware());
     }
 }

@@ -4,20 +4,17 @@
 //! against "an ideal coherence protocol that diverts guarded accesses to the
 //! correct copy of the data without the need of SPMDirs, filters, the
 //! filterDir nor any traffic to maintain them".  [`IdealCoherence`] is that
-//! oracle: it keeps a zero-cost software map of which chunks are in which
-//! SPM, diverts guarded accesses with no lookup latency and injects no
-//! coherence traffic.
-
-use std::collections::HashMap;
+//! oracle: it keeps a zero-cost map of which chunks are in which SPM (a
+//! [`mem::MappingDirectory`] whose homes are never charged), diverts guarded
+//! accesses with no lookup latency and injects no coherence traffic.
 
 use simkernel::{ByteSize, CoreId, Cycle, StatRegistry};
 
-use mem::{AccessKind, Addr, AddressRange, MemorySystem};
-use noc::MessageClass;
-use spm::{Scratchpad, SpmAddressMap};
+use mem::{Addr, AddressRange, MappingDirectory, MemorySystem};
+use spm::Scratchpad;
 
 use crate::masks::AddressMasks;
-use crate::outcome::{GuardedOutcome, GuardedTarget};
+use crate::outcome::{gm_access, GuardedOutcome, GuardedTarget};
 use crate::protocol::{CoherenceBackend, ProtocolConfig};
 use crate::stats::ProtocolStats;
 
@@ -41,14 +38,9 @@ use crate::stats::ProtocolStats;
 /// ```
 #[derive(Debug)]
 pub struct IdealCoherence {
-    config: ProtocolConfig,
     masks: AddressMasks,
-    buffer_size: ByteSize,
-    address_map: SpmAddressMap,
-    /// Oracle mapping: GM base address → (owning core, buffer index).
-    mappings: HashMap<Addr, (CoreId, usize)>,
-    /// Reverse index so unmapping by (core, buffer) is cheap.
-    by_buffer: HashMap<(CoreId, usize), Addr>,
+    /// Oracle mapping: GM base address → owning core and buffer.
+    mappings: MappingDirectory,
     stats: ProtocolStats,
 }
 
@@ -57,30 +49,14 @@ impl IdealCoherence {
     pub fn new(config: ProtocolConfig) -> Self {
         IdealCoherence {
             masks: AddressMasks::for_buffer_size(config.spm_size),
-            buffer_size: config.spm_size,
-            address_map: SpmAddressMap::new(config.cores, config.spm_size),
-            mappings: HashMap::new(),
-            by_buffer: HashMap::new(),
-            config,
+            mappings: MappingDirectory::new(config.cores),
             stats: ProtocolStats::new(),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.config
-    }
-
-    fn diverted_spm_addr(&self, owner: CoreId, buffer: usize, offset: u64) -> Addr {
-        let buffer_base = self.buffer_size.bytes() * buffer as u64;
-        let spm_offset = (buffer_base + offset).min(self.config.spm_size.bytes() - 1);
-        self.address_map.spm_addr(owner, spm_offset)
     }
 }
 
 impl CoherenceBackend for IdealCoherence {
     fn configure_buffer_size(&mut self, buffer_size: ByteSize) {
-        self.buffer_size = buffer_size;
         self.masks = AddressMasks::for_buffer_size(buffer_size);
     }
 
@@ -92,33 +68,18 @@ impl CoherenceBackend for IdealCoherence {
         _memsys: &mut MemorySystem,
     ) -> Cycle {
         let base = self.masks.base(chunk.start());
-        if let Some(old) = self.by_buffer.insert((core, buffer), base) {
-            self.mappings.remove(&old);
-        }
-        self.mappings.insert(base, (core, buffer));
+        self.mappings.record(base, core, buffer);
         self.stats.dma_mappings += 1;
         Cycle::ZERO
     }
 
     fn on_unmap(&mut self, core: CoreId, buffer: usize) -> Cycle {
-        if let Some(base) = self.by_buffer.remove(&(core, buffer)) {
-            self.mappings.remove(&base);
-        }
+        let _ = self.mappings.drop_buffer(core, buffer);
         Cycle::ZERO
     }
 
     fn on_loop_end(&mut self, core: CoreId) {
-        let buffers: Vec<(CoreId, usize)> = self
-            .by_buffer
-            .keys()
-            .filter(|(c, _)| *c == core)
-            .copied()
-            .collect();
-        for key in buffers {
-            if let Some(base) = self.by_buffer.remove(&key) {
-                self.mappings.remove(&base);
-            }
-        }
+        self.mappings.drop_core(core);
     }
 
     fn guarded_access(
@@ -134,10 +95,9 @@ impl CoherenceBackend for IdealCoherence {
         } else {
             self.stats.guarded_loads += 1;
         }
-        let (base, offset) = self.masks.decompose(addr);
 
-        match self.mappings.get(&base).copied() {
-            Some((owner, buffer)) if owner == core => {
+        match self.mappings.probe(self.masks.base(addr)) {
+            Some(entry) if entry.owner == core => {
                 self.stats.local_spm_hits += 1;
                 let latency = if is_write {
                     spms[core.index()].write_local()
@@ -146,16 +106,17 @@ impl CoherenceBackend for IdealCoherence {
                 };
                 GuardedOutcome {
                     latency,
-                    target: GuardedTarget::LocalSpm { buffer },
-                    filter_hit: None,
-                    spm_virtual_addr: Some(self.diverted_spm_addr(core, buffer, offset)),
+                    target: GuardedTarget::LocalSpm {
+                        buffer: entry.buffer,
+                    },
                     gm_write_through: false,
                 }
             }
-            Some((owner, buffer)) => {
+            Some(entry) => {
                 // The data still has to travel from the remote SPM, but the
                 // oracle pays no lookup or directory cost.
                 self.stats.remote_spm_accesses += 1;
+                let owner = entry.owner;
                 let spm_latency = if is_write {
                     spms[owner.index()].write_remote()
                 } else {
@@ -170,31 +131,15 @@ impl CoherenceBackend for IdealCoherence {
                 GuardedOutcome {
                     latency: spm_latency + noc_latency,
                     target: GuardedTarget::RemoteSpm { owner },
-                    filter_hit: None,
-                    spm_virtual_addr: Some(self.diverted_spm_addr(owner, buffer, offset)),
                     gm_write_through: false,
                 }
             }
             None => {
-                let kind = if is_write {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
-                };
-                let class = if is_write {
-                    MessageClass::Write
-                } else {
-                    MessageClass::Read
-                };
-                let result = memsys.access(core, addr, kind, class, u64::MAX);
+                let (latency, served_by) = gm_access(memsys, core, addr, is_write);
                 self.stats.served_by_gm += 1;
                 GuardedOutcome {
-                    latency: result.latency,
-                    target: GuardedTarget::GlobalMemory {
-                        served_by: result.served_by,
-                    },
-                    filter_hit: None,
-                    spm_virtual_addr: None,
+                    latency,
+                    target: GuardedTarget::GlobalMemory { served_by },
                     gm_write_through: false,
                 }
             }
@@ -213,16 +158,9 @@ impl CoherenceBackend for IdealCoherence {
         self.stats.export(stats);
     }
 
-    fn adds_hardware(&self) -> bool {
-        false
-    }
-
     fn describe_addr(&self, _core: CoreId, addr: Addr) -> String {
         let base = self.masks.base(addr);
-        format!(
-            "base {base}: ideal mapping={:?}",
-            self.mappings.get(&base).copied()
-        )
+        format!("base {base}: ideal mapping={:?}", self.mappings.probe(base))
     }
 }
 
@@ -230,6 +168,7 @@ impl CoherenceBackend for IdealCoherence {
 mod tests {
     use super::*;
     use mem::MemorySystemConfig;
+    use noc::MessageClass;
     use spm::SpmConfig;
 
     fn setup(cores: usize) -> (IdealCoherence, MemorySystem, Vec<Scratchpad>) {
@@ -252,9 +191,7 @@ mod tests {
             &mut spms,
         );
         assert!(out.served_by_global_memory());
-        assert_eq!(out.filter_hit, None);
         assert_eq!(m.noc().traffic().packets(MessageClass::CohProt), 0);
-        assert!(!o.adds_hardware());
     }
 
     #[test]

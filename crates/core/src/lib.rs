@@ -29,10 +29,16 @@
 //!   filters, every guarded access asks the L2-home mapping directory),
 //!   which turns the paper's "cheaper than a conventional directory" claim
 //!   into a measurable ablation;
-//! * [`AddressMasks`] — the Base/Offset mask configuration registers.
+//! * [`AddressMasks`] — the Base/Offset mask configuration registers, of
+//!   which only the base mask is modelled: it reduces an address to the
+//!   chunk base that every structure above is keyed by.
 //!
 //! Every protocol engine implements [`CoherenceBackend`], so the core timing
-//! model and the system driver are generic over them.
+//! model and the system driver are generic over them.  A guarded access that
+//! none of them diverts goes through one shared global-memory access path.
+//! A diverted access is modelled by its latency and target
+//! ([`GuardedOutcome`]); the SPM virtual address of the paper's Figure 2 is
+//! not modelled, because no result reads it.
 //!
 //! # Example
 //!

@@ -3,9 +3,11 @@
 //! All the hardware structures of the protocol track data at a fixed
 //! granularity: the SPM buffer size chosen by the runtime library before the
 //! loop starts (§3.1 of the paper).  That size is notified to the hardware,
-//! which derives two masks used to decompose any 64-bit GM virtual address
-//! into a *base address* (used as the CAM search key) and an *address offset*
-//! (added to the SPM buffer base when an access is diverted).
+//! which derives the masks that reduce any 64-bit GM virtual address to its
+//! *base address*, the CAM search key.  The paper also adds the address's
+//! offset to the SPM buffer base when an access is diverted; the simulator
+//! models a diverted access by its latency and target only, so it computes
+//! no offset.
 
 use serde::{Deserialize, Serialize};
 use simkernel::ByteSize;
@@ -15,7 +17,7 @@ use mem::Addr;
 /// The Base Mask / Offset Mask register pair.
 ///
 /// The tracking granularity is the largest power of two not larger than the
-/// SPM buffer size, so a single AND decomposes an address.
+/// SPM buffer size, so a single AND finds an address's base.
 ///
 /// # Example
 ///
@@ -25,9 +27,7 @@ use mem::Addr;
 /// use simkernel::ByteSize;
 ///
 /// let masks = AddressMasks::for_buffer_size(ByteSize::kib(16));
-/// let (base, offset) = masks.decompose(Addr::new(0x12_3456));
-/// assert_eq!(base, Addr::new(0x12_0000));
-/// assert_eq!(offset, 0x3456);
+/// assert_eq!(masks.base(Addr::new(0x12_3456)), Addr::new(0x12_0000));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AddressMasks {
@@ -62,37 +62,10 @@ impl AddressMasks {
         self.granularity
     }
 
-    /// The base mask (upper bits).
-    pub fn base_mask(&self) -> u64 {
-        !(self.granularity - 1)
-    }
-
-    /// The offset mask (lower bits).
-    pub fn offset_mask(&self) -> u64 {
-        self.granularity - 1
-    }
-
-    /// Splits an address into `(base address, offset)`.
-    pub fn decompose(&self, addr: Addr) -> (Addr, u64) {
-        (self.base(addr), addr.raw() & self.offset_mask())
-    }
-
-    /// The base address of the chunk containing `addr`.
+    /// The base address of the chunk containing `addr` (the base mask
+    /// applied to it).
     pub fn base(&self, addr: Addr) -> Addr {
-        Addr::new(addr.raw() & self.base_mask())
-    }
-
-    /// The offset of `addr` inside its chunk.
-    pub fn offset(&self, addr: Addr) -> u64 {
-        addr.raw() & self.offset_mask()
-    }
-}
-
-impl Default for AddressMasks {
-    /// Masks for the common two-buffer partitioning of a 32 KB SPM (16 KB
-    /// buffers).
-    fn default() -> Self {
-        Self::for_buffer_size(ByteSize::kib(16))
+        Addr::new(addr.raw() & !(self.granularity - 1))
     }
 }
 
@@ -104,8 +77,7 @@ mod tests {
     fn power_of_two_buffer_is_exact() {
         let m = AddressMasks::for_buffer_size(ByteSize::kib(8));
         assert_eq!(m.granularity(), 8192);
-        assert_eq!(m.base_mask() & m.offset_mask(), 0);
-        assert_eq!(m.base_mask() | m.offset_mask(), u64::MAX);
+        assert_eq!(m.base(Addr::new(0x1_3fff)), Addr::new(0x1_2000));
     }
 
     #[test]
@@ -125,13 +97,9 @@ mod tests {
     fn decompose_recomposes() {
         let m = AddressMasks::for_buffer_size(ByteSize::kib(16));
         for raw in [0u64, 0x3fff, 0x4000, 0x1234_5678, 0xffff_ffff_ffff_ffff] {
-            let a = Addr::new(raw);
-            let (base, offset) = m.decompose(a);
-            assert_eq!(base.raw() + offset, raw);
-            assert_eq!(m.base(a), base);
-            assert_eq!(m.offset(a), offset);
-            assert!(offset < m.granularity());
-            assert_eq!(base.raw() % m.granularity(), 0);
+            let base = m.base(Addr::new(raw)).raw();
+            assert_eq!(base % m.granularity(), 0);
+            assert!(base <= raw && raw - base < m.granularity());
         }
     }
 

@@ -1,9 +1,35 @@
-//! The result of executing a guarded (potentially incoherent) access.
+//! The result of executing a guarded (potentially incoherent) access, and
+//! the global-memory access every backend falls back to.
 
 use serde::{Deserialize, Serialize};
 use simkernel::{CoreId, Cycle};
 
-use mem::{Addr, ServedBy};
+use mem::{AccessKind, Addr, MemorySystem, ServedBy};
+use noc::MessageClass;
+
+/// Reference id passed to the hierarchy's prefetcher for guarded accesses.
+///
+/// Guarded accesses are random by construction, so they never train a stride;
+/// a fixed id keeps them from polluting the per-reference stride table.
+const GUARDED_REFERENCE_ID: u64 = u64::MAX;
+
+/// Serves a guarded access from the cache hierarchy (the access was not
+/// diverted, or is the write-through of a store diverted to the local SPM).
+/// Returns its latency and the level that provided the data.
+pub(crate) fn gm_access(
+    memsys: &mut MemorySystem,
+    core: CoreId,
+    addr: Addr,
+    is_write: bool,
+) -> (Cycle, ServedBy) {
+    let (kind, class) = if is_write {
+        (AccessKind::Store, MessageClass::Write)
+    } else {
+        (AccessKind::Load, MessageClass::Read)
+    };
+    let result = memsys.access(core, addr, kind, class, GUARDED_REFERENCE_ID);
+    (result.latency, result.served_by)
+}
 
 /// Where a guarded access was ultimately served (Figure 5 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,21 +53,17 @@ pub enum GuardedTarget {
 }
 
 /// Outcome of one guarded memory access.
+///
+/// A diverted access is modelled by its latency and its target alone: the
+/// SPM virtual address of Figure 2 is not modelled, because no result reads
+/// it.  The §3.4 ordering re-check uses the access's GM address, which is
+/// also the address the LSQ recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GuardedOutcome {
     /// Latency of the access on the issuing core's critical path.
     pub latency: Cycle,
     /// Where the access was served.
     pub target: GuardedTarget,
-    /// Whether the filter lookup hit (`None` when no filter lookup happened,
-    /// i.e. the local SPMDir hit first or the protocol is the ideal oracle).
-    pub filter_hit: Option<bool>,
-    /// The SPM virtual address the access was diverted to, when it was.
-    ///
-    /// The consistency mechanism of §3.4 notifies this address to the LSQ so
-    /// it can re-check ordering against in-flight accesses and flush the
-    /// pipeline on a violation.
-    pub spm_virtual_addr: Option<Addr>,
     /// `true` when a store diverted to the local SPM also updated the
     /// global-memory copy through the cache hierarchy (the proposed
     /// protocol does, so a buffer that is never written back still leaves
@@ -76,8 +98,6 @@ mod tests {
             target: GuardedTarget::GlobalMemory {
                 served_by: ServedBy::L1,
             },
-            filter_hit: Some(true),
-            spm_virtual_addr: None,
             gm_write_through: false,
         };
         assert!(gm.served_by_global_memory());
@@ -86,8 +106,6 @@ mod tests {
         let local = GuardedOutcome {
             latency: Cycle::new(2),
             target: GuardedTarget::LocalSpm { buffer: 1 },
-            filter_hit: None,
-            spm_virtual_addr: Some(Addr::new(0x1000)),
             gm_write_through: false,
         };
         assert!(local.diverted_to_spm());
@@ -98,8 +116,6 @@ mod tests {
             target: GuardedTarget::RemoteSpm {
                 owner: CoreId::new(9),
             },
-            filter_hit: Some(false),
-            spm_virtual_addr: Some(Addr::new(0x2000)),
             gm_write_through: false,
         };
         assert!(remote.diverted_to_spm());

@@ -4,22 +4,16 @@
 use serde::{Deserialize, Serialize};
 use simkernel::{ByteSize, CoreId, Cycle, StatRegistry};
 
-use mem::{AccessKind, Addr, AddressRange, MemorySystem};
+use mem::{Addr, AddressRange, MemorySystem};
 use noc::MessageClass;
-use spm::{Scratchpad, SpmAddressMap};
+use spm::Scratchpad;
 
 use crate::filter::Filter;
 use crate::filterdir::FilterDir;
 use crate::masks::AddressMasks;
-use crate::outcome::{GuardedOutcome, GuardedTarget};
+use crate::outcome::{gm_access, GuardedOutcome, GuardedTarget};
 use crate::spmdir::SpmDir;
 use crate::stats::ProtocolStats;
-
-/// Reference id passed to the hierarchy's prefetcher for guarded accesses.
-///
-/// Guarded accesses are random by construction, so they never train a stride;
-/// a fixed id keeps them from polluting the per-reference stride table.
-const GUARDED_REFERENCE_ID: u64 = u64::MAX;
 
 /// Common interface of every coherence backend: the paper's
 /// filter/filterDir/spmDir protocol ([`SpmCoherenceProtocol`]), the plain
@@ -73,10 +67,6 @@ pub trait CoherenceBackend {
     /// Exports every statistic under `cohprot.*` names.
     fn export_stats(&self, stats: &mut StatRegistry);
 
-    /// Returns `true` if this engine models real hardware structures (the
-    /// ideal oracle returns `false`, so no energy or area is charged for it).
-    fn adds_hardware(&self) -> bool;
-
     /// Filter hit ratio over the run, if the filters were used.
     fn filter_hit_ratio(&self) -> Option<f64> {
         self.stats().filter_hit_ratio()
@@ -124,7 +114,8 @@ pub struct ProtocolConfig {
     pub filter_entries: usize,
     /// Total filterDir entries, distributed over the tiles.
     pub filterdir_entries: usize,
-    /// Size of each scratchpad (for the SPM address map).
+    /// Size of each scratchpad: the tracking granularity until the runtime
+    /// configures a buffer size.
     pub spm_size: ByteSize,
     /// Latency of a local CAM lookup (SPMDir / filter, off the critical path
     /// of filter hits because it happens in parallel with the L1 tag access).
@@ -165,8 +156,6 @@ impl ProtocolConfig {
 pub struct SpmCoherenceProtocol {
     config: ProtocolConfig,
     masks: AddressMasks,
-    buffer_size: ByteSize,
-    address_map: SpmAddressMap,
     spmdirs: Vec<SpmDir>,
     filters: Vec<Filter>,
     filterdir: FilterDir,
@@ -180,8 +169,6 @@ impl SpmCoherenceProtocol {
         let cores = config.cores;
         SpmCoherenceProtocol {
             masks: AddressMasks::for_buffer_size(config.spm_size),
-            buffer_size: config.spm_size,
-            address_map: SpmAddressMap::new(cores, config.spm_size),
             spmdirs: (0..cores)
                 .map(|_| SpmDir::new(config.spmdir_entries))
                 .collect(),
@@ -206,11 +193,6 @@ impl SpmCoherenceProtocol {
         self.fault
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.config
-    }
-
     /// The currently configured address masks.
     pub fn masks(&self) -> AddressMasks {
         self.masks
@@ -231,32 +213,9 @@ impl SpmCoherenceProtocol {
         &self.filterdir
     }
 
-    /// The SPM virtual address a diverted access resolves to.
-    fn diverted_spm_addr(&self, owner: CoreId, buffer: usize, offset: u64) -> Addr {
-        let buffer_base = self.buffer_size.bytes() * buffer as u64;
-        let spm_offset = (buffer_base + offset).min(self.config.spm_size.bytes() - 1);
-        self.address_map.spm_addr(owner, spm_offset)
-    }
-
-    fn gm_access(
-        &mut self,
-        core: CoreId,
-        addr: Addr,
-        is_write: bool,
-        memsys: &mut MemorySystem,
-    ) -> (Cycle, mem::ServedBy) {
-        let kind = if is_write {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        let class = if is_write {
-            MessageClass::Write
-        } else {
-            MessageClass::Read
-        };
-        let result = memsys.access(core, addr, kind, class, GUARDED_REFERENCE_ID);
-        (result.latency, result.served_by)
+    /// The tile holding the filterDir slice of `base`.
+    fn home_of(&self, base: Addr) -> CoreId {
+        CoreId::new(self.filterdir.home_slice(base).index() % self.config.cores)
     }
 
     /// Figure 6a: invalidate the filters for a freshly mapped base address.
@@ -266,7 +225,7 @@ impl SpmCoherenceProtocol {
         base: Addr,
         memsys: &mut MemorySystem,
     ) -> Cycle {
-        let home = CoreId::new(self.filterdir.home_slice(base).index() % self.config.cores);
+        let home = self.home_of(base);
         let noc = memsys.noc_mut();
         let mut latency = noc.send(core.node(), home.node(), MessageClass::CohProt, 8);
         if let Some(sharers) = self.filterdir.invalidate(base) {
@@ -290,8 +249,7 @@ impl SpmCoherenceProtocol {
     fn filter_insert(&mut self, core: CoreId, base: Addr, memsys: &mut MemorySystem) {
         if let Some(victim) = self.filters[core.index()].insert(base) {
             self.stats.filter_eviction_notifies += 1;
-            let victim_home =
-                CoreId::new(self.filterdir.home_slice(victim).index() % self.config.cores);
+            let victim_home = self.home_of(victim);
             let _ =
                 memsys
                     .noc_mut()
@@ -322,7 +280,6 @@ impl SpmCoherenceProtocol {
 
 impl CoherenceBackend for SpmCoherenceProtocol {
     fn configure_buffer_size(&mut self, buffer_size: ByteSize) {
-        self.buffer_size = buffer_size;
         self.masks = AddressMasks::for_buffer_size(buffer_size);
     }
 
@@ -370,7 +327,7 @@ impl CoherenceBackend for SpmCoherenceProtocol {
         // structures on every guarded access (energy, §3.2).
         self.stats.parallel_l1_lookups += 1;
 
-        let (base, offset) = self.masks.decompose(addr);
+        let base = self.masks.base(addr);
         let cam = self.config.cam_latency;
 
         // Case (b): the chunk is mapped to the local SPM.
@@ -380,7 +337,7 @@ impl CoherenceBackend for SpmCoherenceProtocol {
             let spm_latency = if is_write {
                 // Guarded stores also update the GM copy through the L1 (the
                 // SPM buffer might be read-only and never written back).
-                let _ = self.gm_access(core, addr, true, memsys);
+                let _ = gm_access(memsys, core, addr, true);
                 spms[core.index()].write_local()
             } else {
                 spms[core.index()].read_local()
@@ -388,8 +345,6 @@ impl CoherenceBackend for SpmCoherenceProtocol {
             return GuardedOutcome {
                 latency: cam + spm_latency,
                 target: GuardedTarget::LocalSpm { buffer },
-                filter_hit: None,
-                spm_virtual_addr: Some(self.diverted_spm_addr(core, buffer, offset)),
                 gm_write_through: is_write,
             };
         }
@@ -408,22 +363,20 @@ impl CoherenceBackend for SpmCoherenceProtocol {
             self.stats.filter_hits += filter_hit as u64;
         }
         if filter_hit {
-            let (gm_latency, served_by) = self.gm_access(core, addr, is_write, memsys);
+            let (gm_latency, served_by) = gm_access(memsys, core, addr, is_write);
             self.stats.served_by_gm += 1;
             return GuardedOutcome {
                 // The filter lookup happens in parallel with the L1 tag
                 // access, so the common case adds no latency.
                 latency: gm_latency,
                 target: GuardedTarget::GlobalMemory { served_by },
-                filter_hit: Some(true),
-                spm_virtual_addr: None,
                 gm_write_through: false,
             };
         }
 
         // Filter miss: ask the filterDir (Figure 5c / 5d, Figure 6b).
         self.stats.filterdir_requests += 1;
-        let home = CoreId::new(self.filterdir.home_slice(base).index() % self.config.cores);
+        let home = self.home_of(base);
         let request = memsys
             .noc_mut()
             .send(core.node(), home.node(), MessageClass::CohProt, 8);
@@ -435,15 +388,13 @@ impl CoherenceBackend for SpmCoherenceProtocol {
                 .noc_mut()
                 .send(home.node(), core.node(), MessageClass::CohProt, 8);
             self.filter_insert(core, base, memsys);
-            let (gm_latency, served_by) = self.gm_access(core, addr, is_write, memsys);
+            let (gm_latency, served_by) = gm_access(memsys, core, addr, is_write);
             self.stats.served_by_gm += 1;
             return GuardedOutcome {
                 // The buffered L1/L2 access overlaps with the directory round
                 // trip; the slower of the two defines the critical path.
                 latency: cam + gm_latency.max(request + ack),
                 target: GuardedTarget::GlobalMemory { served_by },
-                filter_hit: Some(false),
-                spm_virtual_addr: None,
                 gm_write_through: false,
             };
         }
@@ -465,9 +416,6 @@ impl CoherenceBackend for SpmCoherenceProtocol {
                 // Case (d): the chunk lives in a remote SPM; the remote core
                 // serves the access and replies directly to the requestor.
                 self.stats.remote_spm_accesses += 1;
-                let buffer = self.spmdirs[owner.index()]
-                    .probe(base)
-                    .expect("owner was just found by probing");
                 let spm_latency = if is_write {
                     spms[owner.index()].write_remote()
                 } else {
@@ -488,8 +436,6 @@ impl CoherenceBackend for SpmCoherenceProtocol {
                 GuardedOutcome {
                     latency: cam + request + broadcast + spm_latency + response,
                     target: GuardedTarget::RemoteSpm { owner },
-                    filter_hit: Some(false),
-                    spm_virtual_addr: Some(self.diverted_spm_addr(owner, buffer, offset)),
                     gm_write_through: false,
                 }
             }
@@ -504,13 +450,11 @@ impl CoherenceBackend for SpmCoherenceProtocol {
                     .noc_mut()
                     .send(home.node(), core.node(), MessageClass::CohProt, 8);
                 self.filter_insert(core, base, memsys);
-                let (gm_latency, served_by) = self.gm_access(core, addr, is_write, memsys);
+                let (gm_latency, served_by) = gm_access(memsys, core, addr, is_write);
                 self.stats.served_by_gm += 1;
                 GuardedOutcome {
                     latency: cam + gm_latency.max(request + broadcast + ack),
                     target: GuardedTarget::GlobalMemory { served_by },
-                    filter_hit: Some(false),
-                    spm_virtual_addr: None,
                     gm_write_through: false,
                 }
             }
@@ -546,10 +490,6 @@ impl CoherenceBackend for SpmCoherenceProtocol {
             "cohprot.filter.evictions",
             self.filters.iter().map(Filter::evictions).sum(),
         );
-    }
-
-    fn adds_hardware(&self) -> bool {
-        true
     }
 
     fn describe_addr(&self, core: CoreId, addr: Addr) -> String {
@@ -590,11 +530,11 @@ mod tests {
         // First access misses the filter and goes through the filterDir.
         let first = p.guarded_access(CoreId::new(0), addr, false, &mut m, &mut spms);
         assert!(first.served_by_global_memory());
-        assert_eq!(first.filter_hit, Some(false));
+        assert_eq!((p.stats().filter_lookups, p.stats().filter_hits), (1, 0));
         // Second access to the same chunk hits the filter: its latency equals
         // the plain cache access latency (an L1 hit now).
         let second = p.guarded_access(CoreId::new(0), addr, false, &mut m, &mut spms);
-        assert_eq!(second.filter_hit, Some(true));
+        assert_eq!((p.stats().filter_lookups, p.stats().filter_hits), (2, 1));
         assert_eq!(second.latency, Cycle::new(2));
         match second.target {
             GuardedTarget::GlobalMemory { served_by } => assert_eq!(served_by, ServedBy::L1),
@@ -617,7 +557,6 @@ mod tests {
         );
         assert_eq!(out.target, GuardedTarget::LocalSpm { buffer: 1 });
         assert!(out.diverted_to_spm());
-        assert!(out.spm_virtual_addr.is_some());
         assert_eq!(spms[2].local_accesses(), 1);
         assert_eq!(p.stats().local_spm_hits, 1);
         assert_eq!(p.stats().lsq_recheck_notifications, 1);
@@ -780,7 +719,6 @@ mod tests {
         assert!(reg.contains("cohprot.filter.lookups"));
         assert!(reg.contains("cohprot.filterdir.lookups"));
         assert_eq!(reg.count("cohprot.broadcasts"), 1);
-        assert!(p.adds_hardware());
     }
 
     #[test]

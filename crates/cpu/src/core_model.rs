@@ -412,11 +412,13 @@ impl CoreTimingModel {
         (z ^ (z >> 31)) | 1
     }
 
-    /// Re-checks ordering after a guarded access was diverted to `spm_addr`
-    /// (§3.4).  Charges a pipeline flush if a violation is found and returns
-    /// `true` in that case.
-    pub fn recheck_ordering(&mut self, spm_addr: Addr, is_store: bool) -> bool {
-        if self.lsq.recheck(spm_addr, is_store) {
+    /// Re-checks ordering after a guarded access to `addr` was diverted to
+    /// an SPM (§3.4).  `addr` is the access's GM address, the address the
+    /// LSQ recorded: SPM data is keyed by its GM address.  Charges a
+    /// pipeline flush if a violation is found and returns `true` in that
+    /// case.
+    pub fn recheck_ordering(&mut self, addr: Addr, is_store: bool) -> bool {
+        if self.lsq.recheck(addr, is_store) {
             self.flushes += 1;
             self.lsq.flush();
             let penalty = self.config.flush_penalty();

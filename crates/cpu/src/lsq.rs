@@ -161,16 +161,16 @@ impl LoadStoreQueue {
             .and_then(|slot| values[slot])
     }
 
-    /// Re-checks ordering for an access whose effective address just changed
-    /// to `new_addr` (a diverted guarded access).
+    /// Re-checks ordering for a guarded access to `addr` that was diverted
+    /// to an SPM.  `addr` is the access's GM address, which is what the
+    /// window recorded, because SPM data is keyed by its GM address.
     ///
     /// Returns `true` if a violation is detected: some in-flight operation
     /// targets the same address and at least one of the two is a store, so
     /// the pipeline must be flushed.
-    pub fn recheck(&mut self, new_addr: Addr, is_store: bool) -> bool {
+    pub fn recheck(&mut self, addr: Addr, is_store: bool) -> bool {
         self.rechecks += 1;
-        let violation =
-            self.stores.contains(new_addr) || (is_store && self.loads.contains(new_addr));
+        let violation = self.stores.contains(addr) || (is_store && self.loads.contains(addr));
         if violation {
             self.violations += 1;
         }

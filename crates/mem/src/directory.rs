@@ -12,7 +12,9 @@
 //!
 //! The timing and traffic of those requests are charged by the protocol
 //! engine layered on top (`spm_coherence::DirectoryCoherence`); this module
-//! owns the state and its access counters.
+//! owns the state and its access counters.  The zero-cost oracle
+//! (`spm_coherence::IdealCoherence`) keeps its map in the same structure and
+//! charges nothing for it.
 
 use std::collections::HashMap;
 

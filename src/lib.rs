@@ -11,7 +11,7 @@
 //! * [`simkernel`] — discrete-event kernel, cycles, statistics, RNG.
 //! * [`noc`] — 8×8 mesh network-on-chip model with per-class traffic accounting.
 //! * [`mem`] — MOESI cache hierarchy: L1s, shared NUCA L2, directory, DRAM.
-//! * [`spm`] — scratchpad memories, DMA controllers and SPM address mapping.
+//! * [`spm`] — scratchpad memories and DMA controllers.
 //! * [`coherence`] — the paper's contribution: SPMDir, Filter, FilterDir and
 //!   the guarded-access diversion protocol (crate `spm-coherence`).
 //! * [`cpu`] — trace-driven out-of-order core timing model.

@@ -5,44 +5,29 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use spm_manycore::coherence::{
-    AddressMasks, CoherenceBackend, Filter, FilterDir, ProtocolConfig, SpmCoherenceProtocol, SpmDir,
+    AddressMasks, CoherenceBackend, DirectoryCoherence, Filter, FilterDir, GuardedTarget,
+    IdealCoherence, ProtocolConfig, SpmCoherenceProtocol, SpmDir,
 };
 use spm_manycore::mem::plru::TreePlru;
 use spm_manycore::mem::{
     Addr, AddressRange, CacheBank, CacheConfig, LineAddr, MemorySystem, MemorySystemConfig,
+    ServedBy,
 };
 use spm_manycore::noc::{MeshTopology, MessageClass, Noc, NocConfig};
 use spm_manycore::simkernel::{ByteSize, CoreId, Cycle, SimRng};
-use spm_manycore::spm::{Scratchpad, SpmAddressMap, SpmConfig};
+use spm_manycore::spm::{Scratchpad, SpmConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Address decomposition always recomposes and the offset stays below the
-    /// granularity, for any buffer size and address.
+    /// An address's base is aligned to the granularity and the address lies
+    /// in `[base, base + granularity)`, for any buffer size and address.
     #[test]
     fn masks_decompose_and_recompose(buffer_kib in 1u64..512, raw in any::<u64>()) {
         let masks = AddressMasks::for_buffer_size(ByteSize::kib(buffer_kib));
-        let addr = Addr::new(raw);
-        let (base, offset) = masks.decompose(addr);
-        prop_assert_eq!(base.raw().wrapping_add(offset), raw);
-        prop_assert!(offset < masks.granularity());
-        prop_assert_eq!(base.raw() % masks.granularity(), 0);
-    }
-
-    /// The SPM address map partitions the window: every SPM address belongs to
-    /// exactly one core and translation is a bijection on the window.
-    #[test]
-    fn spm_address_map_partitions_the_window(cores in 1usize..64, offset in 0u64..(32 * 1024)) {
-        let map = SpmAddressMap::new(cores, ByteSize::kib(32));
-        for core in 0..cores {
-            let addr = map.spm_addr(CoreId::new(core), offset);
-            prop_assert!(map.is_spm_addr(addr));
-            prop_assert_eq!(map.owner_of(addr), Some(CoreId::new(core)));
-            prop_assert_eq!(map.offset_of(addr), Some(offset));
-            let phys = map.translate(addr).expect("inside the window");
-            prop_assert_eq!(phys - map.translate(map.spm_addr(CoreId::new(core), 0)).unwrap(), offset);
-        }
+        let base = masks.base(Addr::new(raw)).raw();
+        prop_assert_eq!(base % masks.granularity(), 0);
+        prop_assert!(base <= raw && raw - base < masks.granularity());
     }
 
     /// XY routing on the mesh: hop count is symmetric, bounded by the
@@ -197,6 +182,83 @@ proptest! {
         }
     }
 
+    /// The three coherence backends send every guarded access to the same
+    /// place: the same `GuardedTarget` variant, the same local buffer and
+    /// the same remote owner (only the serving cache level may differ).
+    /// Each core maps chunks only from its own address region, as the
+    /// compiler's partitioning guarantees, and a chunk always goes to the
+    /// same buffer.
+    #[test]
+    fn backends_agree_on_where_each_guarded_access_goes(
+        cores in 1usize..=8,
+        size_pick in 0usize..4,
+        ops in vec(
+            (0u8..8, 0usize..8, 0u64..8, (0usize..8, 0u64..16384, any::<bool>())),
+            1..120,
+        ),
+    ) {
+        let buffer_size = [
+            ByteSize::kib(2),
+            ByteSize::kib(4),
+            ByteSize::bytes_exact(10922),
+            ByteSize::kib(16),
+        ][size_pick];
+        let buffers = 4;
+        // Core `core`'s region starts at (core + 1) * 16 MiB.
+        let chunk = |core: usize, c: u64| {
+            Addr::new(0x100_0000 * (core as u64 + 1) + c * buffer_size.bytes())
+        };
+        let config = ProtocolConfig::small(cores);
+        let mut backends: Vec<(Box<dyn CoherenceBackend>, MemorySystem, Vec<Scratchpad>)> = vec![
+            Box::new(SpmCoherenceProtocol::new(config.clone())) as Box<dyn CoherenceBackend>,
+            Box::new(DirectoryCoherence::new(config.clone())),
+            Box::new(IdealCoherence::new(config)),
+        ]
+        .into_iter()
+        .map(|backend| {
+            let memsys = MemorySystem::new(MemorySystemConfig::small(cores));
+            let spms = (0..cores).map(|_| Scratchpad::new(SpmConfig::small())).collect();
+            (backend, memsys, spms)
+        })
+        .collect();
+        for (backend, _, _) in &mut backends {
+            backend.configure_buffer_size(buffer_size);
+        }
+
+        for (kind, core, c, (region, offset, is_write)) in ops {
+            let core = core % cores;
+            let core_id = CoreId::new(core);
+            let mut targets = Vec::new();
+            for (backend, memsys, spms) in &mut backends {
+                match kind {
+                    0 | 1 => {
+                        let range = AddressRange::new(chunk(core, c), buffer_size.bytes());
+                        let _ = backend.on_map(core_id, c as usize % buffers, range, memsys);
+                    }
+                    2 => {
+                        let _ = backend.on_unmap(core_id, c as usize % buffers);
+                    }
+                    3 => backend.on_loop_end(core_id),
+                    _ => {
+                        let addr = chunk(region % cores, c) + offset % buffer_size.bytes();
+                        let outcome = backend.guarded_access(core_id, addr, is_write, memsys, spms);
+                        targets.push(match outcome.target {
+                            GuardedTarget::GlobalMemory { .. } => {
+                                GuardedTarget::GlobalMemory { served_by: ServedBy::L1 }
+                            }
+                            diverted => diverted,
+                        });
+                    }
+                }
+            }
+            if let Some(first) = targets.first() {
+                for other in &targets[1..] {
+                    prop_assert_eq!(other, first, "backends disagree");
+                }
+            }
+        }
+    }
+
     /// The deterministic RNG produces identical streams for identical seeds
     /// and stays inside requested ranges.
     #[test]
@@ -234,48 +296,6 @@ proptest! {
             if ways > 1 {
                 prop_assert!(victim != way, "victim must not be the MRU way");
             }
-        }
-    }
-
-    /// SPM address-map round-trip: `spm_addr` composed with
-    /// `owner_of`/`offset_of` is the identity, physical translation preserves
-    /// the offset within the window, and addresses outside the window are
-    /// rejected by every query.
-    #[test]
-    fn spm_address_map_round_trips(
-        cores in 1usize..=64,
-        spm_kib in 1u64..=64,
-        core_index in 0usize..64,
-        offset in any::<u64>(),
-        outside in any::<u64>(),
-    ) {
-        let spm_size = ByteSize::kib(spm_kib);
-        let map = SpmAddressMap::new(cores, spm_size);
-        let core = CoreId::new(core_index % cores);
-        let offset = offset % spm_size.bytes();
-
-        // Virtual round-trip.
-        let vaddr = map.spm_addr(core, offset);
-        prop_assert!(map.is_spm_addr(vaddr));
-        prop_assert!(map.is_local(core, vaddr));
-        prop_assert_eq!(map.owner_of(vaddr), Some(core));
-        prop_assert_eq!(map.offset_of(vaddr), Some(offset));
-
-        // Physical translation is the direct mapping of Figure 2: the offset
-        // from the window base is preserved exactly.
-        let window_base = map.global_range().start();
-        let phys = map.translate(vaddr).expect("inside the window");
-        let phys_base = map.translate(window_base).expect("window base translates");
-        prop_assert_eq!(phys - phys_base, vaddr - window_base);
-
-        // Addresses outside the reserved window are rejected everywhere.
-        let global = map.global_range();
-        let stray = Addr::new(outside);
-        if !global.contains(stray) {
-            prop_assert!(!map.is_spm_addr(stray));
-            prop_assert_eq!(map.owner_of(stray), None);
-            prop_assert_eq!(map.offset_of(stray), None);
-            prop_assert_eq!(map.translate(stray), None);
         }
     }
 }
