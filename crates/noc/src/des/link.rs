@@ -3,8 +3,8 @@
 //! Every node owns four outgoing directed links (east, west, south, north);
 //! a link exists only when its far endpoint is inside the mesh.  Each link
 //! keeps one busy-until cycle per virtual channel — the FIFO occupancy the
-//! analytic model folds into a single global ρ — plus the accumulated busy
-//! cycles that turn into the measured per-link utilisation.
+//! zero-load analytic model leaves out — plus the accumulated busy cycles
+//! that turn into the measured per-link utilisation.
 
 use simkernel::{Cycle, NodeId};
 
@@ -62,9 +62,9 @@ impl LinkGrid {
 
     /// The index of the directed link from `from` to the adjacent node `to`.
     ///
-    /// The routing code goes through [`LinkGrid::next_toward`] and
-    /// [`LinkGrid::xy_legs`]; this direct form remains as the test oracle
-    /// for both.
+    /// The routing code goes through [`LinkGrid::xy_legs`]; this direct
+    /// form, applied hop by hop to [`MeshTopology::route`], is its test
+    /// oracle.
     ///
     /// # Panics
     ///
@@ -82,29 +82,6 @@ impl LinkGrid {
             _ => panic!("nodes {from} and {to} are not mesh neighbours"),
         };
         from.index() * 4 + dir
-    }
-
-    /// The next XY hop from `at` toward `to` with the directed-link index it
-    /// traverses, or `None` when the packet is already at its destination.
-    ///
-    /// One coordinate decomposition serves both the routing decision and the
-    /// link index, so the batch event loop never materialises a route.
-    #[inline]
-    pub(crate) fn next_toward(&self, at: NodeId, to: NodeId) -> Option<(NodeId, usize)> {
-        let (ac, ar) = self.topology.coords(at);
-        let (tc, tr) = self.topology.coords(to);
-        let (next, dir) = if ac < tc {
-            (at.index() + 1, EAST)
-        } else if ac > tc {
-            (at.index() - 1, WEST)
-        } else if ar < tr {
-            (at.index() + self.topology.cols(), SOUTH)
-        } else if ar > tr {
-            (at.index() - self.topology.cols(), NORTH)
-        } else {
-            return None;
-        };
-        Some((NodeId::new(next), at.index() * 4 + dir))
     }
 
     /// The X leg and then the Y leg of the XY route from `from` to `to`,
@@ -203,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn xy_legs_walk_the_same_links_as_next_toward() {
+    fn xy_legs_walk_the_same_links_as_route() {
         for (cols, rows) in [
             (1, 1),
             (3, 1),
@@ -219,13 +196,11 @@ mod tests {
             for from in 0..mesh.nodes() {
                 for to in 0..mesh.nodes() {
                     let (from, to) = (NodeId::new(from), NodeId::new(to));
-                    let mut hop_by_hop = Vec::new();
-                    let mut at = from;
-                    while let Some((next, link)) = grid.next_toward(at, to) {
-                        assert_eq!(link, grid.index_between(at, next));
-                        hop_by_hop.push(link);
-                        at = next;
-                    }
+                    let hop_by_hop: Vec<usize> = mesh
+                        .route(from, to)
+                        .windows(2)
+                        .map(|hop| grid.index_between(hop[0], hop[1]))
+                        .collect();
                     let legs: Vec<usize> = grid
                         .xy_legs(from, to)
                         .into_iter()

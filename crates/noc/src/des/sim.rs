@@ -2,17 +2,18 @@
 //!
 //! [`run_synthetic`] drives either NoC backend with the same seeded,
 //! deterministic packet stream — geometric inter-arrival gaps per node, a
-//! fixed request/response/writeback mix, uniform or hotspot destinations —
-//! and reports the latency and congestion figures.  Under the analytic
-//! model the offered load is first converted into the single ρ estimate
-//! that model needs (`Σ flit·hops / (duration · links)`), so the report
-//! directly quantifies where the closed-form contention term diverges from
-//! the measured discrete-event behaviour.
+//! fixed request/response/writeback mix, uniform destinations — through the
+//! calls a machine run makes: [`Noc::advance_to`] each packet's injection
+//! cycle, then [`Noc::send`].  The analytic model answers with the
+//! zero-load latency; the discrete-event model reserves each packet's
+//! route on the network machine runs use, so the report measures the
+//! queueing the zero-load model leaves out.
 
 use simkernel::{Cycle, NodeId, RunningStat, SimRng};
 
+use crate::des::DesNoc;
 use crate::network::{Noc, NocModel};
-use crate::packet::{MessageClass, PacketKind};
+use crate::packet::MessageClass;
 
 /// The packet mix of the synthetic stream, mirroring a directory protocol's
 /// request / data-response / writeback split.
@@ -31,12 +32,6 @@ pub struct SyntheticTraffic {
     pub duration: u64,
     /// Seed of the per-node address streams.
     pub seed: u64,
-    /// Fraction of packets aimed at [`SyntheticTraffic::hotspot_nodes`]
-    /// instead of a uniformly random destination.
-    pub hotspot_fraction: f64,
-    /// The hotspot destinations (e.g. filterDir home tiles); unused when
-    /// empty or when `hotspot_fraction` is zero.
-    pub hotspot_nodes: Vec<NodeId>,
 }
 
 impl SyntheticTraffic {
@@ -46,25 +41,6 @@ impl SyntheticTraffic {
             injection_rate,
             duration,
             seed,
-            hotspot_fraction: 0.0,
-            hotspot_nodes: Vec::new(),
-        }
-    }
-
-    /// Uniform traffic with a fraction redirected at hotspot tiles.
-    pub fn hotspot(
-        injection_rate: f64,
-        duration: u64,
-        seed: u64,
-        hotspot_nodes: Vec<NodeId>,
-        hotspot_fraction: f64,
-    ) -> Self {
-        SyntheticTraffic {
-            injection_rate,
-            duration,
-            seed,
-            hotspot_fraction: hotspot_fraction.clamp(0.0, 1.0),
-            hotspot_nodes,
         }
     }
 }
@@ -90,19 +66,20 @@ pub struct SyntheticReport {
     /// Worst packet latency in cycles.
     pub max_latency: f64,
     /// Mean zero-load latency of the same stream (the congestion-free
-    /// floor both models share).
+    /// floor both models share, and the analytic model's mean latency).
     pub mean_zero_load_latency: f64,
-    /// Largest per-link utilisation: measured under the discrete-event
-    /// model, the single ρ estimate under the analytic model.
+    /// Largest measured per-link utilisation (discrete-event only; 0 under
+    /// the analytic model).
     pub max_link_utilization: f64,
-    /// Mean utilisation over the physical links (discrete-event only).
-    pub mean_link_utilization: f64,
-    /// Total cycles packets queued at ejection ports (discrete-event only)
-    /// — the aggregate home-node pressure.
+    /// Total cycles packets queued at ejection ports — the aggregate
+    /// home-node pressure (discrete-event only; 0 under the analytic
+    /// model).
     pub total_eject_wait_cycles: u64,
-    /// Worst single node's ejection-queue cycles (discrete-event only).
+    /// Worst single node's ejection-queue cycles (discrete-event only; 0
+    /// under the analytic model).
     pub max_node_eject_wait_cycles: u64,
-    /// The node with that worst ejection queue.
+    /// The node with that worst ejection queue (0 under the analytic
+    /// model).
     pub hottest_node: usize,
 }
 
@@ -130,7 +107,7 @@ fn generate(noc: &Noc, traffic: &SyntheticTraffic) -> Vec<GeneratedPacket> {
             if t >= traffic.duration {
                 break;
             }
-            let to = pick_destination(&mut rng, node, nodes, traffic);
+            let to = pick_destination(&mut rng, node, nodes);
             let (class, bytes) = pick_kind(&mut rng);
             packets.push(GeneratedPacket {
                 at: Cycle::new(t),
@@ -147,17 +124,7 @@ fn generate(noc: &Noc, traffic: &SyntheticTraffic) -> Vec<GeneratedPacket> {
     packets
 }
 
-fn pick_destination(
-    rng: &mut SimRng,
-    from: usize,
-    nodes: usize,
-    traffic: &SyntheticTraffic,
-) -> NodeId {
-    if !traffic.hotspot_nodes.is_empty() && rng.gen_bool(traffic.hotspot_fraction) {
-        return *rng
-            .choose(&traffic.hotspot_nodes)
-            .expect("non-empty hotspot set");
-    }
+fn pick_destination(rng: &mut SimRng, from: usize, nodes: usize) -> NodeId {
     if nodes == 1 {
         return NodeId::new(0);
     }
@@ -179,80 +146,37 @@ fn pick_kind(rng: &mut SimRng) -> (MessageClass, u64) {
     (class, bytes)
 }
 
-/// The single-ρ estimate the analytic model needs for an offered load:
-/// total flit·hops divided by the link-cycles available in the window.
-fn estimated_utilization(noc: &Noc, packets: &[GeneratedPacket], duration: u64) -> f64 {
-    let topology = noc.topology();
-    let links = topology.directed_links();
-    if links == 0 || duration == 0 {
-        return 0.0;
-    }
-    let flit_hops: u64 = packets
-        .iter()
-        .map(|p| PacketKind::for_payload(p.bytes).flits() * topology.hops(p.from, p.to).max(1))
-        .sum();
-    flit_hops as f64 / (duration as f64 * links as f64)
-}
-
 /// Drives `noc` with the synthetic stream and reports what it measured.
 ///
-/// Pass a freshly constructed [`Noc`]: the report reads the backend's
-/// cumulative statistics.  The same `traffic` value produces the same
-/// packet stream under both models, so their reports are comparable
+/// Pass a freshly constructed [`Noc`]: the discrete-event fields read the
+/// backend's cumulative statistics.  The same `traffic` value produces the
+/// same packet stream under both models, so their reports are comparable
 /// point by point.
 pub fn run_synthetic(noc: &mut Noc, traffic: &SyntheticTraffic) -> SyntheticReport {
     let packets = generate(noc, traffic);
     let mut zero_load = RunningStat::new();
+    let mut latency = RunningStat::new();
     for p in &packets {
         zero_load.record(
             noc.config()
                 .zero_load_latency(p.from, p.to, p.bytes)
                 .as_f64(),
         );
+        noc.advance_to(p.at);
+        latency.record(noc.send(p.from, p.to, p.class, p.bytes).as_f64());
     }
-
-    match noc.model() {
-        NocModel::DiscreteEvent => {
-            let engine = noc.des_mut().expect("discrete-event model selected");
-            for p in &packets {
-                engine.inject_at(p.at, p.from, p.to, p.class, p.bytes);
-            }
-            engine.drain();
-            let engine = noc.des().expect("discrete-event model selected");
-            let (hottest, max_wait) = engine.hottest_node();
-            SyntheticReport {
-                model: NocModel::DiscreteEvent,
-                delivered: engine.delivered(),
-                mean_latency: engine.latency_stat().mean(),
-                max_latency: engine.latency_stat().max().unwrap_or(0.0),
-                mean_zero_load_latency: zero_load.mean(),
-                max_link_utilization: engine.max_link_utilization(),
-                mean_link_utilization: engine.mean_link_utilization(),
-                total_eject_wait_cycles: engine.eject_wait_cycles().iter().sum(),
-                max_node_eject_wait_cycles: max_wait,
-                hottest_node: hottest.index(),
-            }
-        }
-        NocModel::Analytic => {
-            let rho = estimated_utilization(noc, &packets, traffic.duration);
-            noc.set_utilization(rho);
-            let mut latency = RunningStat::new();
-            for p in &packets {
-                latency.record(noc.send(p.from, p.to, p.class, p.bytes).as_f64());
-            }
-            SyntheticReport {
-                model: NocModel::Analytic,
-                delivered: packets.len() as u64,
-                mean_latency: latency.mean(),
-                max_latency: latency.max().unwrap_or(0.0),
-                mean_zero_load_latency: zero_load.mean(),
-                max_link_utilization: noc.utilization(),
-                mean_link_utilization: noc.utilization(),
-                total_eject_wait_cycles: 0,
-                max_node_eject_wait_cycles: 0,
-                hottest_node: 0,
-            }
-        }
+    let des = noc.des();
+    let (hottest, max_wait) = des.map_or((NodeId::new(0), 0), DesNoc::hottest_node);
+    SyntheticReport {
+        model: noc.model(),
+        delivered: packets.len() as u64,
+        mean_latency: latency.mean(),
+        max_latency: latency.max().unwrap_or(0.0),
+        mean_zero_load_latency: zero_load.mean(),
+        max_link_utilization: des.map_or(0.0, DesNoc::max_link_utilization),
+        total_eject_wait_cycles: des.map_or(0, |d| d.eject_wait_cycles().iter().sum()),
+        max_node_eject_wait_cycles: max_wait,
+        hottest_node: hottest.index(),
     }
 }
 
@@ -316,15 +240,6 @@ mod tests {
             report.mean_latency,
             report.mean_zero_load_latency
         );
-    }
-
-    #[test]
-    fn hotspot_traffic_heats_the_target_node() {
-        let target = NodeId::new(5);
-        let traffic = SyntheticTraffic::hotspot(0.10, 2_000, 9, vec![target], 0.8);
-        let report = run_synthetic(&mut noc(16, NocModel::DiscreteEvent), &traffic);
-        assert_eq!(report.hottest_node, target.index());
-        assert!(report.max_node_eject_wait_cycles > 0);
     }
 
     #[test]

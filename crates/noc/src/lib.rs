@@ -6,10 +6,10 @@
 //!
 //! 1. **Latency** — how many cycles a message takes between two tiles, under
 //!    one of two interchangeable backends ([`NocModel`]):
-//!    * the **analytic** model: XY hop count times per-hop latency plus a
-//!      utilisation-driven contention penalty fed by one global ρ;
-//!    * the **discrete-event** model ([`des`]): every packet XY-routed hop by
-//!      hop over per-link, per-virtual-channel FIFOs with injection and
+//!    * the **analytic** model: the zero-load latency, XY hop count times
+//!      per-hop latency plus serialization, with no contention term;
+//!    * the **discrete-event** model ([`des`]): every packet reserves its XY
+//!      route over per-link, per-virtual-channel FIFOs with injection and
 //!      ejection queues, so per-link utilisation and per-home-node queueing
 //!      are measured instead of assumed.
 //! 2. **Traffic accounting** — packet and flit counts per message class
@@ -46,7 +46,7 @@ pub mod topology;
 pub mod traffic;
 
 pub use des::{run_synthetic, DesNoc, SyntheticReport, SyntheticTraffic};
-pub use network::{AnalyticNoc, Noc, NocConfig, NocModel, MAX_UTILIZATION};
+pub use network::{AnalyticNoc, Noc, NocConfig, NocModel};
 pub use packet::{
     MessageClass, PacketKind, VirtualChannel, CONTROL_PACKET_BYTES, DATA_PACKET_BYTES,
     NUM_VIRTUAL_CHANNELS,

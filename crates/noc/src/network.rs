@@ -2,11 +2,10 @@
 //!
 //! Two backends exist:
 //!
-//! * [`AnalyticNoc`] — the closed-form model: XY hop count times per-hop
-//!   latency plus a utilisation-driven M/M/1-style contention penalty fed by
-//!   one hand-set utilisation scalar;
-//! * [`DesNoc`] — the discrete-event model: every packet is routed hop by
-//!   hop over per-link, per-virtual-channel FIFOs, so contention is
+//! * [`AnalyticNoc`] — the zero-load model: XY hop count times per-hop
+//!   latency plus serialization, with no contention term;
+//! * [`DesNoc`] — the discrete-event model: every packet reserves its XY
+//!   route over per-link, per-virtual-channel FIFOs, so contention is
 //!   *measured* instead of assumed.
 //!
 //! [`Noc`] is the facade the memory hierarchy and the coherence protocol
@@ -21,31 +20,21 @@ use crate::packet::{MessageClass, PacketKind};
 use crate::topology::MeshTopology;
 use crate::traffic::TrafficAccountant;
 
-/// Largest link utilisation the analytic contention formula accepts.
-///
-/// The M/M/1-style queueing term `contention_factor · ρ² / (1 − ρ)` diverges
-/// as ρ → 1; clamping at this value bounds the per-hop penalty at
-/// `contention_factor · 18.05` cycles, which is already far beyond the regime
-/// where the closed-form model is trustworthy.  Callers that hit the clamp
-/// are counted (see `noc.utilization.clamp_events` in the exported stats) so
-/// a saturated analytic model is visible in every report instead of silently
-/// under-predicting — the discrete-event backend is the right tool there.
-pub const MAX_UTILIZATION: f64 = 0.95;
-
 /// Size of the control response collected by [`Noc::broadcast_collect`].
 const CONTROL_RESPONSE_BYTES: u64 = 8;
 
 /// Which network model a [`Noc`] instantiates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum NocModel {
-    /// Closed-form latency: hops × per-hop latency + serialization + a
-    /// global utilisation-driven contention term.  Fast, memoryless, and
-    /// blind to hotspots by construction.
+    /// Zero-load latency: hops × per-hop latency + serialization, with no
+    /// contention term.  Fast, memoryless, and blind to queueing by
+    /// construction.
     #[default]
     Analytic,
-    /// Message-level discrete-event simulation: XY routing over per-link,
-    /// per-virtual-channel FIFOs with injection/ejection queues.  Measures
-    /// per-link utilisation and per-node queueing instead of assuming them.
+    /// Message-level discrete-event simulation: each packet reserves its XY
+    /// route over per-link, per-virtual-channel FIFOs with injection and
+    /// ejection queues.  Measures per-link utilisation and per-node
+    /// queueing instead of assuming them.
     DiscreteEvent,
 }
 
@@ -90,15 +79,6 @@ pub struct NocConfig {
     pub link_latency: Cycle,
     /// Cycles spent in each router.
     pub router_latency: Cycle,
-    /// Strength of the utilisation-driven contention penalty.
-    ///
-    /// The added queueing delay per hop is
-    /// `contention_factor · ρ² / (1 − ρ)` cycles, where ρ is the link
-    /// utilisation estimate fed through [`Noc::set_utilization`].  With the
-    /// paper's workloads ρ stays low, so the penalty is small — exactly the
-    /// behaviour the paper reports ("contention in the filterDir is very
-    /// low").  Only the analytic backend uses this knob.
-    pub contention_factor: f64,
     /// Which backend a [`Noc`] built from this configuration uses.
     pub model: NocModel,
 }
@@ -110,7 +90,6 @@ impl NocConfig {
             topology: MeshTopology::square_for(cores),
             link_latency: Cycle::new(1),
             router_latency: Cycle::new(1),
-            contention_factor: 4.0,
             model: NocModel::Analytic,
         }
     }
@@ -147,13 +126,11 @@ impl Default for NocConfig {
     }
 }
 
-/// The closed-form network model: latency formula plus traffic accounting.
+/// The zero-load network model: latency formula plus traffic accounting.
 #[derive(Debug, Clone)]
 pub struct AnalyticNoc {
     config: NocConfig,
     traffic: TrafficAccountant,
-    utilization: f64,
-    clamp_events: u64,
 }
 
 impl AnalyticNoc {
@@ -162,53 +139,12 @@ impl AnalyticNoc {
         AnalyticNoc {
             config,
             traffic: TrafficAccountant::new(),
-            utilization: 0.0,
-            clamp_events: 0,
-        }
-    }
-
-    /// Updates the link-utilisation estimate ρ used by the contention model.
-    ///
-    /// The value is clamped to `[0, MAX_UTILIZATION]` so the queueing term
-    /// stays finite; every call that actually hits the upper clamp is
-    /// counted in the `noc.utilization.clamp_events` statistic.
-    pub fn set_utilization(&mut self, rho: f64) {
-        if rho > MAX_UTILIZATION {
-            self.clamp_events += 1;
-        }
-        self.utilization = rho.clamp(0.0, MAX_UTILIZATION);
-    }
-
-    /// Current link-utilisation estimate.
-    pub fn utilization(&self) -> f64 {
-        self.utilization
-    }
-
-    /// How many [`AnalyticNoc::set_utilization`] calls saturated the clamp.
-    pub fn clamp_events(&self) -> u64 {
-        self.clamp_events
-    }
-
-    fn contention_delay_per_hop(&self) -> f64 {
-        let rho = self.utilization;
-        if rho <= 0.0 {
-            0.0
-        } else {
-            self.config.contention_factor * rho * rho / (1.0 - rho)
         }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &NocConfig {
         &self.config
-    }
-
-    /// Latency of a packet without recording traffic, including the
-    /// utilisation-driven contention term.
-    pub fn latency(&self, from: NodeId, to: NodeId, payload_bytes: u64) -> Cycle {
-        let hops = self.config.topology.hops(from, to).max(1);
-        let contention = (self.contention_delay_per_hop() * hops as f64).round() as u64;
-        self.config.zero_load_latency(from, to, payload_bytes) + Cycle::new(contention)
     }
 
     /// Sends one packet and returns its latency, recording the traffic.
@@ -219,19 +155,12 @@ impl AnalyticNoc {
         class: MessageClass,
         payload_bytes: u64,
     ) -> Cycle {
-        // Route and classify once; `latency()` would recompute both (and
-        // `zero_load_latency` a third time), and the contention term is
-        // exactly zero on an idle network, so the f64 path is skipped there.
+        // Route and classify once; `zero_load_latency` would recompute both.
         let hops = self.config.topology.hops(from, to).max(1);
         let kind = PacketKind::for_payload(payload_bytes);
         self.traffic.record(class, kind, hops);
         let serialization = kind.flits().saturating_sub(1);
-        let contention = if self.utilization <= 0.0 {
-            0
-        } else {
-            (self.contention_delay_per_hop() * hops as f64).round() as u64
-        };
-        Cycle::new(hops * self.config.hop_latency() + serialization + contention)
+        Cycle::new(hops * self.config.hop_latency() + serialization)
     }
 
     /// Read access to the accumulated traffic.
@@ -239,11 +168,9 @@ impl AnalyticNoc {
         &self.traffic
     }
 
-    /// Exports the traffic counters, ρ and the clamp count.
+    /// Exports the traffic counters.
     pub fn export_stats(&self, stats: &mut StatRegistry) {
         self.traffic.export(stats);
-        stats.set_value("noc.utilization", self.utilization);
-        stats.add_count("noc.utilization.clamp_events", self.clamp_events);
     }
 }
 
@@ -323,40 +250,6 @@ impl Noc {
         }
     }
 
-    /// Mutable access to the discrete-event backend, when that is the
-    /// active model — the batch-injection entry point for synthetic
-    /// traffic drivers.
-    pub fn des_mut(&mut self) -> Option<&mut DesNoc> {
-        match &mut self.engine {
-            NocEngine::DiscreteEvent(d) => Some(d),
-            NocEngine::Analytic(_) => None,
-        }
-    }
-
-    /// Updates the link-utilisation estimate ρ used by the analytic
-    /// contention model.
-    ///
-    /// The value is clamped to `[0, MAX_UTILIZATION]` so the queueing term
-    /// stays finite (saturating calls are counted in the exported
-    /// `noc.utilization.clamp_events` statistic).  The discrete-event
-    /// backend measures utilisation instead of assuming it, so the call is
-    /// a no-op there.
-    pub fn set_utilization(&mut self, rho: f64) {
-        if let NocEngine::Analytic(a) = &mut self.engine {
-            a.set_utilization(rho);
-        }
-    }
-
-    /// Current link-utilisation estimate: the hand-set ρ under the analytic
-    /// model, the measured maximum per-link utilisation under the
-    /// discrete-event model.
-    pub fn utilization(&self) -> f64 {
-        match &self.engine {
-            NocEngine::Analytic(a) => a.utilization(),
-            NocEngine::DiscreteEvent(d) => d.max_link_utilization(),
-        }
-    }
-
     /// Advances the network's notion of the current cycle (monotonic).
     ///
     /// The machine driver calls this with each core's clock before issuing
@@ -372,14 +265,11 @@ impl Noc {
     /// Latency of a packet between two nodes *without* recording traffic.
     ///
     /// Useful for "ideal" oracle models that must not perturb the traffic
-    /// statistics; under the discrete-event model this is the zero-load
-    /// latency, since an unsent packet occupies no links.
+    /// statistics.  This is the zero-load latency under both models: an
+    /// unsent packet occupies no links.
     #[inline]
     pub fn latency(&self, from: NodeId, to: NodeId, payload_bytes: u64) -> Cycle {
-        match &self.engine {
-            NocEngine::Analytic(a) => a.latency(from, to, payload_bytes),
-            NocEngine::DiscreteEvent(d) => d.latency(from, to, payload_bytes),
-        }
+        self.config().zero_load_latency(from, to, payload_bytes)
     }
 
     /// Sends one packet and returns its latency, recording the traffic.
@@ -566,41 +456,12 @@ mod tests {
     }
 
     #[test]
-    fn contention_increases_latency() {
-        let mut noc = Noc::new(NocConfig::isca2015(64));
-        let idle = noc.latency(NodeId::new(0), NodeId::new(63), 8);
-        noc.set_utilization(0.8);
-        let busy = noc.latency(NodeId::new(0), NodeId::new(63), 8);
-        assert!(busy > idle);
-        noc.set_utilization(2.0);
-        assert!(noc.utilization() <= MAX_UTILIZATION);
-    }
-
-    #[test]
-    fn clamped_utilization_is_counted() {
-        let mut noc = AnalyticNoc::new(NocConfig::isca2015(16));
-        noc.set_utilization(0.5);
-        assert_eq!(noc.clamp_events(), 0);
-        noc.set_utilization(1.7);
-        noc.set_utilization(2.0);
-        assert_eq!(noc.clamp_events(), 2);
-        assert_eq!(noc.utilization(), MAX_UTILIZATION);
-        // Exactly MAX_UTILIZATION is representable, not a saturation.
-        noc.set_utilization(MAX_UTILIZATION);
-        assert_eq!(noc.clamp_events(), 2);
-        let mut stats = StatRegistry::new();
-        noc.export_stats(&mut stats);
-        assert_eq!(stats.count("noc.utilization.clamp_events"), 2);
-    }
-
-    #[test]
     fn export_stats_includes_totals() {
         let mut noc = Noc::new(NocConfig::isca2015(4));
         noc.send(NodeId::new(0), NodeId::new(1), MessageClass::Ifetch, 64);
         let mut stats = StatRegistry::new();
         noc.export_stats(&mut stats);
         assert_eq!(stats.count("noc.total.packets"), 1);
-        assert!(stats.contains("noc.utilization"));
     }
 
     /// `Noc` gives the same round trip and traffic as the backend it wraps,

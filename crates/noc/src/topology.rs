@@ -117,19 +117,9 @@ impl MeshTopology {
     /// The sequence of nodes visited by XY routing from `from` to `to`,
     /// including both endpoints.
     pub fn route(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
-        let mut path = Vec::with_capacity(self.hops(from, to) as usize + 1);
-        self.route_into(from, to, &mut path);
-        path
-    }
-
-    /// Fills `path` with the XY route from `from` to `to` (both endpoints
-    /// included), clearing any previous contents.  Lets callers on the
-    /// per-packet path reuse one buffer instead of allocating per route.
-    pub fn route_into(&self, from: NodeId, to: NodeId, path: &mut Vec<NodeId>) {
-        path.clear();
         let (fc, fr) = self.coords(from);
         let (tc, tr) = self.coords(to);
-        path.reserve(fc.abs_diff(tc) + fr.abs_diff(tr) + 1);
+        let mut path = Vec::with_capacity(fc.abs_diff(tc) + fr.abs_diff(tr) + 1);
         let mut c = fc;
         let mut r = fr;
         path.push(self.node_at(c, r));
@@ -149,6 +139,7 @@ impl MeshTopology {
             }
             path.push(self.node_at(c, r));
         }
+        path
     }
 
     /// Average hop count from `from` to every node of the mesh (including itself).
@@ -170,9 +161,8 @@ impl MeshTopology {
     /// `(cols−1)·rows` horizontal and `cols·(rows−1)` vertical neighbour
     /// pairs carries one link per direction.
     ///
-    /// This is the capacity denominator shared by the discrete-event
-    /// backend's measured utilisation and the synthetic-traffic ρ estimate
-    /// fed to the analytic model.
+    /// This is the capacity denominator of the discrete-event backend's
+    /// mean link utilisation.
     pub fn directed_links(&self) -> usize {
         2 * ((self.cols - 1) * self.rows + self.cols * (self.rows - 1))
     }

@@ -1,4 +1,4 @@
-//! NoC contention ablation: analytic formula vs discrete-event measurement.
+//! NoC contention ablation: zero-load analytic vs discrete-event measurement.
 //!
 //! ```text
 //! cargo run --release -p system --bin noc_contention -- \
@@ -7,10 +7,11 @@
 //! ```
 //!
 //! Every `--meshes × --rates` cell drives both NoC models with the same
-//! seeded synthetic packet stream and reports mean latency, per-link
-//! maximum utilisation and per-home-node ejection queueing — the numbers
-//! that test the paper's "contention in the filterDir is very low" claim
-//! instead of assuming it.
+//! seeded synthetic packet stream, sent in injection order through the
+//! calls a machine run makes, and reports mean latency, per-link maximum
+//! utilisation and per-home-node ejection queueing — the numbers that test
+//! the paper's "contention in the filterDir is very low" claim on the DES
+//! network machine runs use, against the zero-load analytic network.
 
 use system::cli::{parse_or_exit, write_export, Args, CliError};
 use system::experiments::ablations::{

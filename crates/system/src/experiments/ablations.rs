@@ -13,10 +13,10 @@
 //!   the hybrid system tolerates before losing its advantage over the
 //!   cache-based baseline;
 //! * [`noc_contention_sweep`] — injection-rate × mesh-size × NoC-model grid
-//!   that quantifies where the analytic contention formula diverges from
-//!   the measured discrete-event behaviour, and how much queueing the
-//!   filterDir home tiles actually see (the paper *claims* "contention in
-//!   the filterDir is very low"; this sweep measures it);
+//!   that sets the zero-load analytic network against the DES network
+//!   machine runs use, and measures how much queueing the filterDir home
+//!   tiles actually see (the paper *claims* "contention in the filterDir
+//!   is very low"; this sweep measures it);
 //! * [`protocol_comparison_sweep`] — the paper's cost claim, measured: the
 //!   same benchmarks on the proposed machine under the filter/filterDir
 //!   protocol vs the plain home-directory baseline, comparing cycles and
@@ -236,8 +236,8 @@ pub struct NocContentionPoint {
     pub max_latency: f64,
     /// Mean zero-load latency of the same stream (the shared floor).
     pub zero_load_latency: f64,
-    /// Worst per-link utilisation: measured (DES) or the ρ estimate fed to
-    /// the closed-form term (analytic).
+    /// Worst measured per-link utilisation (DES only; 0 under the
+    /// analytic model).
     pub max_link_utilization: f64,
     /// Total ejection-queue cycles over all home nodes (DES only) — the
     /// filterDir home-node pressure figure.
@@ -256,9 +256,10 @@ pub const NOC_CONTENTION_SEED: u64 = 0x15CA_2015;
 /// Runs the injection-rate × mesh-size × model grid on synthetic traffic.
 ///
 /// Every `(mesh, rate)` cell runs the *same* seeded packet stream under
-/// both backends — the analytic model with its load-derived ρ estimate and
-/// the discrete-event model measuring per-link FIFOs — so adjacent points
-/// quantify exactly where the closed-form contention term diverges.
+/// both backends, sent in injection order as a machine run sends — the
+/// zero-load analytic model and the discrete-event model measuring
+/// per-link FIFOs — so adjacent points quantify how much queueing the
+/// zero-load network leaves out.
 pub fn noc_contention_sweep(
     meshes: &[usize],
     rates: &[f64],
@@ -294,7 +295,7 @@ pub fn noc_contention_sweep(
 /// each `(mesh, rate)` cell so the divergence column is explicit.
 pub fn noc_contention_table(points: &[NocContentionPoint]) -> String {
     let mut t = TableBuilder::new(
-        "Ablation: NoC contention — analytic formula vs discrete-event measurement",
+        "Ablation: NoC contention — zero-load analytic vs discrete-event measurement",
     );
     t.columns(&[
         "Mesh",
@@ -667,6 +668,8 @@ mod tests {
             assert_eq!(pair[1].model, NocModel::DiscreteEvent);
             assert_eq!(pair[0].delivered, pair[1].delivered);
             assert_eq!(pair[0].zero_load_latency, pair[1].zero_load_latency);
+            // The analytic model is the zero-load network at every load.
+            assert_eq!(pair[0].mean_latency, pair[0].zero_load_latency);
         }
         // At high load the DES model must see real home-node queueing the
         // analytic model cannot express.
