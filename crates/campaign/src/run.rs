@@ -1,9 +1,9 @@
 //! The campaign orchestrator: cache lookup → parallel execution → store.
 //!
 //! [`run_campaign`] is generic over the point type and the result type, so
-//! the same machinery drives both the declarative [`crate::SweepSpec`]
-//! campaigns and the `system` crate's experiment suite / ablation sweeps
-//! (which submit their own point tuples).
+//! the same machinery drives the `system` crate's declarative sweeps, its
+//! experiment suite and its ablation sweeps (which all submit lowered run
+//! tuples).
 
 use crate::cache::ResultCache;
 use crate::executor::Executor;

@@ -1,54 +1,19 @@
-//! Aggregation of campaign results into summary tables and exports.
+//! Aggregation of campaign results into summary tables and exports
+//! (re-exported by [`crate::sweep`]).
 //!
-//! The campaign engine does not depend on the simulator layers, so it
-//! aggregates a compact [`PointMetrics`] (extracted from each run by the
-//! caller — see `system::sweep::metrics_of`) rather than full run results.
-//! From those it derives the paper-style comparisons — hybrid speedup over
-//! the cache baseline, protocol overhead over ideal coherence, traffic and
-//! energy ratios — per sweep point, plus CSV and JSON exports.
+//! Every function reads `(point, result)` pairs — a [`RunDescriptor`] and
+//! the [`RunResult`] its run produced — and derives the paper-style
+//! comparisons (hybrid speedup over the cache baseline, protocol overhead
+//! over ideal coherence, traffic and energy ratios) per sweep point, plus
+//! CSV and JSON exports.
 
-use std::collections::BTreeMap;
-
+use campaign::hash::f64_field;
+use noc::MessageClass;
 use simkernel::{CycleCategory, Json, TableBuilder};
 
-use crate::hash::f64_field;
+use crate::config::MachineKind;
+use crate::machine::RunResult;
 use crate::spec::RunDescriptor;
-
-/// The headline measurements of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PointMetrics {
-    /// End-to-end execution time in cycles (the slowest core).
-    pub execution_cycles: u64,
-    /// Total NoC packets injected.
-    pub total_packets: u64,
-    /// Total energy in joules.
-    pub total_energy_j: f64,
-    /// Total instructions executed over all cores.
-    pub instructions: u64,
-    /// Filter hit ratio, when the proposed protocol ran and used filters.
-    pub filter_hit_ratio: Option<f64>,
-    /// Machine-wide cycle-accounting totals in [`CycleCategory::ALL`]
-    /// order: every core's cycles, summed per category.
-    pub breakdown: [u64; CycleCategory::COUNT],
-    /// NoC packets injected per message class, in [`TRAFFIC_CLASSES`] order.
-    pub packets: [u64; TRAFFIC_CLASSES.len()],
-    /// NoC flits injected per message class, in [`TRAFFIC_CLASSES`] order.
-    pub flits: [u64; TRAFFIC_CLASSES.len()],
-}
-
-/// The ids of the NoC message classes, in the simulator's class order (the
-/// `noc` crate's `MessageClass::ALL`; a `system` test pins the two
-/// together).  They name the per-class `packets_*`/`flits_*` columns.
-pub const TRAFFIC_CLASSES: [&str; 6] = ["ifetch", "read", "write", "wb_repl", "dma", "cohprot"];
-
-/// One campaign point with its measurements.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PointRecord {
-    /// The point that was run.
-    pub descriptor: RunDescriptor,
-    /// What the run measured.
-    pub metrics: PointMetrics,
-}
 
 /// One row of the cross-machine summary: all machines that ran the same
 /// (benchmark, cores, scale, size-overrides) point, compared.
@@ -56,8 +21,8 @@ pub struct PointRecord {
 pub struct SummaryRow {
     /// Human-readable point label (benchmark, cores, any overrides).
     pub label: String,
-    /// Execution cycles per machine id, for machines present in the sweep.
-    pub cycles: BTreeMap<String, u64>,
+    /// Execution cycles per machine, in sweep order.
+    pub cycles: Vec<(MachineKind, u64)>,
     /// Hybrid-proposed speedup over the cache-only baseline.
     pub speedup: Option<f64>,
     /// Proposed-protocol execution-time overhead vs ideal coherence
@@ -115,63 +80,55 @@ impl CampaignSummary {
 
 /// Groups records that differ only in machine kind and compares the
 /// machines within each group.
-pub fn summarize(records: &[PointRecord]) -> CampaignSummary {
-    // Group key: every descriptor field except the machine.
-    let group_key = |d: &RunDescriptor| -> String {
-        let mut key = String::new();
-        for (name, value) in d.fields() {
-            if name != "machine" {
-                key.push_str(name);
-                key.push('=');
-                key.push_str(&value);
-                key.push('\n');
+pub fn summarize(records: &[(&RunDescriptor, &RunResult)]) -> CampaignSummary {
+    // Groups in order of first appearance.
+    let mut groups: Vec<Vec<(&RunDescriptor, &RunResult)>> = Vec::new();
+    for &(d, r) in records {
+        let same_point = |other: &RunDescriptor| {
+            *d == RunDescriptor {
+                machine: d.machine,
+                ..other.clone()
             }
+        };
+        match groups.iter_mut().find(|group| same_point(group[0].0)) {
+            Some(group) => group.push((d, r)),
+            None => groups.push(vec![(d, r)]),
         }
-        key
-    };
-
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: BTreeMap<String, Vec<&PointRecord>> = BTreeMap::new();
-    for record in records {
-        let key = group_key(&record.descriptor);
-        if !groups.contains_key(&key) {
-            order.push(key.clone());
-        }
-        groups.entry(key).or_default().push(record);
     }
 
-    let rows = order
-        .into_iter()
-        .map(|key| {
-            let members = &groups[&key];
-            let mut label_descriptor = members[0].descriptor.clone();
-            label_descriptor.machine = "*".into();
-            let by_machine: BTreeMap<&str, PointMetrics> = members
-                .iter()
-                .map(|r| (r.descriptor.machine.as_str(), r.metrics))
-                .collect();
-            let cache = by_machine.get("cache-only");
-            let ideal = by_machine.get("hybrid-ideal");
-            let proposed = by_machine.get("hybrid-proposed");
+    let rows = groups
+        .iter()
+        .map(|members| {
+            let on = |kind: MachineKind| {
+                members
+                    .iter()
+                    .rev()
+                    .find(|(d, _)| d.machine == kind)
+                    .map(|&(_, r)| r)
+            };
+            let cache = on(MachineKind::CacheOnly);
+            let ideal = on(MachineKind::HybridIdeal);
+            let proposed = on(MachineKind::HybridProposed);
+            let cycles = |r: &RunResult| r.execution_time.as_u64() as f64;
             let ratio = |num: f64, den: f64| (den > 0.0).then(|| num / den);
             SummaryRow {
-                label: label_descriptor.label().replace("/*", "").replace("*/", ""),
+                label: members[0].0.point_label(),
                 cycles: members
                     .iter()
-                    .map(|r| (r.descriptor.machine.clone(), r.metrics.execution_cycles))
+                    .map(|(d, r)| (d.machine, r.execution_time.as_u64()))
                     .collect(),
                 speedup: cache
                     .zip(proposed)
-                    .and_then(|(c, p)| ratio(c.execution_cycles as f64, p.execution_cycles as f64)),
+                    .and_then(|(c, p)| ratio(cycles(c), cycles(p))),
                 protocol_overhead: proposed
                     .zip(ideal)
-                    .and_then(|(p, i)| ratio(p.execution_cycles as f64, i.execution_cycles as f64)),
+                    .and_then(|(p, i)| ratio(cycles(p), cycles(i))),
                 traffic_ratio: proposed
                     .zip(cache)
-                    .and_then(|(p, c)| ratio(p.total_packets as f64, c.total_packets as f64)),
+                    .and_then(|(p, c)| ratio(p.total_packets() as f64, c.total_packets() as f64)),
                 energy_ratio: proposed
                     .zip(cache)
-                    .and_then(|(p, c)| ratio(p.total_energy_j, c.total_energy_j)),
+                    .and_then(|(p, c)| ratio(p.total_energy(), c.total_energy())),
             }
         })
         .collect();
@@ -184,8 +141,9 @@ pub fn summarize(records: &[PointRecord]) -> CampaignSummary {
 /// metric column (consumers that slice the leading descriptor+metric columns
 /// keep working), followed by the per-class `packets_*` and then `flits_*`
 /// columns.  Tests pin their names to [`CycleCategory::ALL`] and
-/// [`TRAFFIC_CLASSES`].  `cycles_dma_wait` is always 0: the scheduler charges
-/// `dma-synch` waits to `cycles_park` (see [`CycleCategory::DmaWait`]).
+/// [`MessageClass::ALL`].  `cycles_dma_wait` is always 0: the scheduler
+/// charges `dma-synch` waits to `cycles_park` (see
+/// [`CycleCategory::DmaWait`]).
 pub const CSV_COLUMNS: [&str; 36] = [
     "benchmark",
     "machine",
@@ -226,19 +184,17 @@ pub const CSV_COLUMNS: [&str; 36] = [
 ];
 
 /// Exports every record as CSV, one row per point, header included.
-pub fn to_csv(records: &[PointRecord]) -> String {
+pub fn to_csv(records: &[(&RunDescriptor, &RunResult)]) -> String {
     fn opt<T: ToString>(v: &Option<T>) -> String {
         v.as_ref().map_or_else(String::new, T::to_string)
     }
     let mut out = CSV_COLUMNS.join(",");
     out.push('\n');
-    for r in records {
-        let d = &r.descriptor;
-        let m = &r.metrics;
+    for (d, r) in records {
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            d.benchmark,
-            d.machine,
+            d.benchmark.name(),
+            d.machine.id(),
             d.cores,
             d.scale_multiplier,
             opt(&d.spm_kib),
@@ -247,13 +203,15 @@ pub fn to_csv(records: &[PointRecord]) -> String {
             opt(&d.noc_model),
             opt(&d.protocol),
             d.small_machine,
-            m.execution_cycles,
-            m.total_packets,
-            m.total_energy_j,
-            m.instructions,
-            opt(&m.filter_hit_ratio),
+            r.execution_time.as_u64(),
+            r.total_packets(),
+            r.total_energy(),
+            r.instructions,
+            opt(&r.filter_hit_ratio),
         ));
-        for count in m.breakdown.iter().chain(&m.packets).chain(&m.flits) {
+        let counts = *r.breakdown.totals().counts();
+        let (packets, flits) = (r.traffic.packets_by_class(), r.traffic.flits_by_class());
+        for count in counts.iter().chain(&packets).chain(&flits) {
             out.push(',');
             out.push_str(&count.to_string());
         }
@@ -267,29 +225,30 @@ pub fn to_csv(records: &[PointRecord]) -> String {
 /// The descriptor's scale multiplier is emitted twice: human-readable
 /// (`scale_multiplier`) and bit-exact (`scale_multiplier_bits`), so the
 /// export can reconstruct descriptors without floating-point drift.
-pub fn to_json(records: &[PointRecord]) -> String {
+pub fn to_json(records: &[(&RunDescriptor, &RunResult)]) -> String {
+    fn opt_num<T: Copy + Into<u64>>(v: Option<T>) -> Json {
+        v.map_or(Json::Null, |v| Json::from(v.into()))
+    }
+    fn opt_id(id: Option<&str>) -> Json {
+        id.map_or(Json::Null, Json::str)
+    }
+    fn by_class(counts: [u64; MessageClass::ALL.len()]) -> Json {
+        Json::obj(
+            MessageClass::ALL
+                .iter()
+                .zip(counts)
+                .map(|(class, count)| (class.id(), Json::from(count))),
+        )
+    }
     let array: Vec<Json> = records
         .iter()
-        .map(|r| {
-            let d = &r.descriptor;
-            let m = &r.metrics;
-            fn opt_num<T: Copy + Into<u64>>(v: Option<T>) -> Json {
-                v.map_or(Json::Null, |v| Json::from(v.into()))
-            }
-            fn by_class(counts: &[u64; TRAFFIC_CLASSES.len()]) -> Json {
-                Json::obj(
-                    TRAFFIC_CLASSES
-                        .iter()
-                        .zip(counts)
-                        .map(|(class, &count)| (*class, Json::from(count))),
-                )
-            }
+        .map(|(d, r)| {
             Json::obj([
                 (
                     "descriptor",
                     Json::obj([
-                        ("benchmark", Json::str(&d.benchmark)),
-                        ("machine", Json::str(&d.machine)),
+                        ("benchmark", Json::str(d.benchmark.name())),
+                        ("machine", Json::str(d.machine.id())),
                         ("cores", Json::from(d.cores as u64)),
                         ("scale_multiplier", Json::from(d.scale_multiplier)),
                         (
@@ -305,36 +264,30 @@ pub fn to_json(records: &[PointRecord]) -> String {
                             "filterdir_entries",
                             opt_num(d.filterdir_entries.map(|v| v as u64)),
                         ),
-                        (
-                            "noc_model",
-                            d.noc_model.as_deref().map_or(Json::Null, Json::str),
-                        ),
-                        (
-                            "protocol",
-                            d.protocol.as_deref().map_or(Json::Null, Json::str),
-                        ),
+                        ("noc_model", opt_id(d.noc_model.map(|m| m.id()))),
+                        ("protocol", opt_id(d.protocol.map(|p| p.id()))),
                         ("small_machine", Json::Bool(d.small_machine)),
                     ]),
                 ),
                 (
                     "metrics",
                     Json::obj([
-                        ("execution_cycles", Json::from(m.execution_cycles)),
-                        ("total_packets", Json::from(m.total_packets)),
-                        ("total_energy_j", Json::from(m.total_energy_j)),
-                        ("instructions", Json::from(m.instructions)),
-                        ("filter_hit_ratio", Json::from(m.filter_hit_ratio)),
+                        ("execution_cycles", Json::from(r.execution_time.as_u64())),
+                        ("total_packets", Json::from(r.total_packets())),
+                        ("total_energy_j", Json::from(r.total_energy())),
+                        ("instructions", Json::from(r.instructions)),
+                        ("filter_hit_ratio", Json::from(r.filter_hit_ratio)),
                         (
                             "breakdown",
                             Json::obj(
                                 CycleCategory::ALL
                                     .iter()
-                                    .zip(m.breakdown)
+                                    .zip(*r.breakdown.totals().counts())
                                     .map(|(category, count)| (category.id(), Json::from(count))),
                             ),
                         ),
-                        ("packets", by_class(&m.packets)),
-                        ("flits", by_class(&m.flits)),
+                        ("packets", by_class(r.traffic.packets_by_class())),
+                        ("flits", by_class(r.traffic.flits_by_class())),
                     ]),
                 ),
             ])
@@ -346,34 +299,68 @@ pub fn to_json(records: &[PointRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use energy::Component;
+    use noc::TrafficAccountant;
+    use simkernel::attrib::CoreBreakdown;
+    use simkernel::{Cycle, CycleAccount, CycleBreakdown, StatRegistry};
+    use workloads::nas::NasBenchmark;
+    use MachineKind::{CacheOnly, HybridIdeal, HybridProposed};
 
-    fn record(machine: &str, cycles: u64, packets: u64, energy: f64) -> PointRecord {
-        PointRecord {
-            descriptor: RunDescriptor::new("CG", machine, 16),
-            metrics: PointMetrics {
-                execution_cycles: cycles,
-                total_packets: packets,
-                total_energy_j: energy,
-                instructions: 1000,
-                filter_hit_ratio: (machine == "hybrid-proposed").then_some(0.97),
-                breakdown: std::array::from_fn(|i| if i == 0 { cycles } else { 0 }),
-                packets: [0; 6],
-                flits: [0; 6],
+    /// A result with the given headline numbers; every cycle is compute
+    /// and the packets are reads.
+    fn result(kind: MachineKind, cycles: u64, packets: u64, energy: f64) -> RunResult {
+        let mut account = CycleAccount::new();
+        account.charge(CycleCategory::Compute, cycles);
+        let mut snapshot = [[0; 6]; 4];
+        snapshot[0][MessageClass::Read.index()] = packets;
+        let mut joules = energy::EnergyBreakdown::new();
+        joules.add_energy(Component::Cpus, energy);
+        RunResult {
+            benchmark: "CG".into(),
+            kind,
+            execution_time: Cycle::new(cycles),
+            phase_cycles: [Cycle::ZERO; 3],
+            traffic: TrafficAccountant::from_snapshot(snapshot),
+            energy: joules,
+            filter_hit_ratio: (kind == HybridProposed).then_some(0.97),
+            protocol: Default::default(),
+            instructions: 1000,
+            stats: StatRegistry::new(),
+            breakdown: CycleBreakdown {
+                cores: vec![CoreBreakdown {
+                    account,
+                    elapsed: cycles,
+                }],
             },
         }
     }
 
-    fn three_machines() -> Vec<PointRecord> {
-        vec![
-            record("cache-only", 1200, 900, 3.0),
-            record("hybrid-ideal", 950, 600, 2.4),
-            record("hybrid-proposed", 1000, 650, 2.5),
-        ]
+    fn point(kind: MachineKind) -> RunDescriptor {
+        RunDescriptor::new(NasBenchmark::Cg, kind, 16)
+    }
+
+    fn three_machines() -> (Vec<RunDescriptor>, Vec<RunResult>) {
+        (
+            vec![point(CacheOnly), point(HybridIdeal), point(HybridProposed)],
+            vec![
+                result(CacheOnly, 1200, 900, 3.0),
+                result(HybridIdeal, 950, 600, 2.4),
+                result(HybridProposed, 1000, 650, 2.5),
+            ],
+        )
+    }
+
+    fn pairs<'a>(
+        points: &'a [RunDescriptor],
+        results: &'a [RunResult],
+    ) -> Vec<(&'a RunDescriptor, &'a RunResult)> {
+        points.iter().zip(results).collect()
     }
 
     #[test]
     fn summary_compares_machines_within_a_point() {
-        let summary = summarize(&three_machines());
+        let (points, results) = three_machines();
+        let summary = summarize(&pairs(&points, &results));
         assert_eq!(summary.rows.len(), 1);
         let row = &summary.rows[0];
         assert_eq!(row.label, "CG/16c");
@@ -390,7 +377,9 @@ mod tests {
 
     #[test]
     fn missing_machines_leave_holes_not_garbage() {
-        let summary = summarize(&[record("hybrid-proposed", 1000, 650, 2.5)]);
+        let points = [point(HybridProposed)];
+        let results = [result(HybridProposed, 1000, 650, 2.5)];
+        let summary = summarize(&pairs(&points, &results));
         let row = &summary.rows[0];
         assert_eq!(row.speedup, None);
         assert_eq!(row.protocol_overhead, None);
@@ -400,11 +389,12 @@ mod tests {
 
     #[test]
     fn groups_split_on_every_non_machine_axis() {
-        let mut records = three_machines();
-        let mut bigger = record("cache-only", 5000, 2000, 9.0);
-        bigger.descriptor.cores = 64;
-        records.push(bigger);
-        let summary = summarize(&records);
+        let (mut points, mut results) = three_machines();
+        let mut bigger = point(CacheOnly);
+        bigger.cores = 64;
+        points.push(bigger);
+        results.push(result(CacheOnly, 5000, 2000, 9.0));
+        let summary = summarize(&pairs(&points, &results));
         assert_eq!(summary.rows.len(), 2);
         // The 64-core group only has the cache machine: no ratios.
         let lone = summary
@@ -417,7 +407,8 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_one_row_per_record() {
-        let csv = to_csv(&three_machines());
+        let (points, results) = three_machines();
+        let csv = to_csv(&pairs(&points, &results));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0], CSV_COLUMNS.join(","));
@@ -439,9 +430,13 @@ mod tests {
         for (column, category) in CSV_COLUMNS[15..].iter().zip(CycleCategory::ALL) {
             assert_eq!(*column, format!("cycles_{}", category.id()));
         }
-        let mut records = three_machines();
-        records[0].metrics.breakdown = std::array::from_fn(|i| 100 + i as u64);
-        let csv = to_csv(&records);
+        let (points, mut results) = three_machines();
+        let mut account = CycleAccount::new();
+        for category in CycleCategory::ALL {
+            account.charge(category, 100 + category.index() as u64);
+        }
+        results[0].breakdown.cores[0].account = account;
+        let csv = to_csv(&pairs(&points, &results));
         let accounted: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
         assert_eq!(
             accounted[15..24],
@@ -451,13 +446,16 @@ mod tests {
 
     #[test]
     fn exports_carry_traffic_by_class() {
-        for (i, class) in TRAFFIC_CLASSES.iter().enumerate() {
-            assert_eq!(CSV_COLUMNS[24 + i], format!("packets_{class}"));
-            assert_eq!(CSV_COLUMNS[30 + i], format!("flits_{class}"));
+        for (i, class) in MessageClass::ALL.iter().enumerate() {
+            assert_eq!(CSV_COLUMNS[24 + i], format!("packets_{}", class.id()));
+            assert_eq!(CSV_COLUMNS[30 + i], format!("flits_{}", class.id()));
         }
-        let mut records = three_machines();
-        records[1].metrics.packets = std::array::from_fn(|i| 10 + i as u64);
-        records[1].metrics.flits = std::array::from_fn(|i| 20 + i as u64);
+        let (points, mut results) = three_machines();
+        let mut snapshot = [[0; 6]; 4];
+        snapshot[0] = std::array::from_fn(|i| 10 + i as u64);
+        snapshot[1] = std::array::from_fn(|i| 20 + i as u64);
+        results[1].traffic = TrafficAccountant::from_snapshot(snapshot);
+        let records = pairs(&points, &results);
         let csv = to_csv(&records);
         let row: Vec<&str> = csv.lines().nth(2).unwrap().split(',').collect();
         assert_eq!(
@@ -475,7 +473,8 @@ mod tests {
 
     #[test]
     fn json_export_parses_back() {
-        let text = to_json(&three_machines());
+        let (points, results) = three_machines();
+        let text = to_json(&pairs(&points, &results));
         let parsed = Json::parse(&text).unwrap();
         let array = parsed.as_array().unwrap();
         assert_eq!(array.len(), 3);
@@ -514,9 +513,13 @@ mod tests {
 
     #[test]
     fn json_export_carries_breakdowns_by_category_id() {
-        let mut records = three_machines();
-        records[2].metrics.breakdown = std::array::from_fn(|i| 10 * i as u64);
-        let parsed = Json::parse(&to_json(&records)).unwrap();
+        let (points, mut results) = three_machines();
+        let mut account = CycleAccount::new();
+        for category in CycleCategory::ALL {
+            account.charge(category, 10 * category.index() as u64);
+        }
+        results[2].breakdown.cores[0].account = account;
+        let parsed = Json::parse(&to_json(&pairs(&points, &results))).unwrap();
         let breakdown = parsed.as_array().unwrap()[2]
             .get("metrics")
             .unwrap()

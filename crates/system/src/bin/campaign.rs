@@ -17,16 +17,15 @@
 //! so the CSV/JSON exports always include the machine-wide `cycles_*` and
 //! the per-class `packets_*`/`flits_*` columns, cached points included.
 
-use campaign::{
-    summarize, Executor, ResultCache, SweepSpec, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS,
-};
+use campaign::{Executor, ResultCache};
+use noc::NocModel;
 use system::cli::{check_scale, parse_or_exit, write_export, Args, CliError};
-use system::sweep::{records_of, run_points, RunContext};
+use system::sweep::{run_points, summarize, to_csv, to_json, RunContext, SweepSpec};
 use system::{CoherenceProtocol, MachineKind};
 use workloads::nas::NasBenchmark;
 
-/// The `--help` text.  The axis value lists come from the canonical id
-/// arrays, so the text cannot drift from what the lowering accepts.
+/// The `--help` text.  The axis value lists come from the enums' ids, so
+/// the text cannot drift from what the parser accepts.
 fn usage() -> String {
     format!(
         "\
@@ -58,9 +57,9 @@ options (LIST = comma-separated values):
   --quiet             suppress the summary table (accounting still prints)
   --help              this text
 ",
-        machines = MACHINE_IDS.join(", "),
-        noc_models = NOC_MODEL_IDS.join(", "),
-        protocols = PROTOCOL_IDS.join(", "),
+        machines = MachineKind::ALL.map(MachineKind::id).join(", "),
+        noc_models = NocModel::ALL.map(NocModel::id).join(", "),
+        protocols = CoherenceProtocol::ALL.map(CoherenceProtocol::id).join(", "),
     )
 }
 
@@ -74,12 +73,6 @@ struct Options {
     quiet: bool,
 }
 
-/// Keeps an id as given once `from_id` accepts it, so the points carry the
-/// spelling on the command line.
-fn checked<T>(from_id: impl Fn(&str) -> Option<T>) -> impl Fn(&str) -> Option<String> {
-    move |id| from_id(id).map(|_| id.to_owned())
-}
-
 /// Rejects a size list naming 0: no machine has zero cores, a 0 KiB SPM or
 /// a zero-entry filter.
 fn sizes<T: Default + PartialEq>(flag: &str, values: Vec<T>) -> Result<Vec<T>, CliError> {
@@ -91,7 +84,7 @@ fn sizes<T: Default + PartialEq>(flag: &str, values: Vec<T>) -> Result<Vec<T>, C
 
 fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
     let mut options = Options {
-        spec: SweepSpec::new(&["CG", "IS"]),
+        spec: SweepSpec::new(&[NasBenchmark::Cg, NasBenchmark::Is]),
         jobs: 0,
         cache_dir: Some(ResultCache::default_dir()),
         csv: None,
@@ -103,12 +96,13 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
         match flag.as_str() {
             "--benchmarks" => {
                 options.spec.benchmarks = args.ids(
-                    checked(NasBenchmark::from_name),
+                    NasBenchmark::from_name,
                     &NasBenchmark::ALL.map(NasBenchmark::name),
                 )?
             }
             "--machines" => {
-                options.spec.machines = args.ids(checked(MachineKind::from_id), &MACHINE_IDS)?
+                options.spec.machines =
+                    args.ids(MachineKind::from_id, &MachineKind::ALL.map(MachineKind::id))?
             }
             "--cores" => options.spec.core_counts = sizes(&flag, args.list()?)?,
             "--scale" => {
@@ -129,12 +123,15 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
                     .with_filterdir_entries(&sizes(&flag, args.list()?)?)
             }
             "--noc-models" => {
-                let models = args.ids(checked(noc::NocModel::from_id), &NOC_MODEL_IDS)?;
-                options.spec.noc_models = models.into_iter().map(Some).collect();
+                let models = args.ids(NocModel::from_id, &NocModel::ALL.map(NocModel::id))?;
+                options.spec = options.spec.with_noc_models(&models);
             }
             "--protocols" => {
-                let protocols = args.ids(checked(CoherenceProtocol::from_id), &PROTOCOL_IDS)?;
-                options.spec.protocols = protocols.into_iter().map(Some).collect();
+                let protocols = args.ids(
+                    CoherenceProtocol::from_id,
+                    &CoherenceProtocol::ALL.map(CoherenceProtocol::id),
+                )?;
+                options.spec = options.spec.with_protocols(&protocols);
             }
             "--small" => options.spec.small_machine = true,
             "--jobs" => options.jobs = args.parse()?,
@@ -164,15 +161,15 @@ fn main() {
         }
     };
 
-    let records = records_of(&points, &report.results);
+    let records: Vec<_> = points.iter().zip(&report.results).collect();
     if let Some(target) = &options.csv {
-        if let Err(message) = write_export(target, &campaign::aggregate::to_csv(&records)) {
+        if let Err(message) = write_export(target, &to_csv(&records)) {
             eprintln!("error: {message}");
             std::process::exit(1);
         }
     }
     if let Some(target) = &options.json {
-        if let Err(message) = write_export(target, &campaign::aggregate::to_json(&records)) {
+        if let Err(message) = write_export(target, &to_json(&records)) {
             eprintln!("error: {message}");
             std::process::exit(1);
         }
@@ -193,11 +190,10 @@ mod tests {
     #[test]
     fn usage_lists_every_axis_id() {
         let text = usage();
-        for id in MACHINE_IDS
-            .iter()
-            .chain(&NOC_MODEL_IDS)
-            .chain(&PROTOCOL_IDS)
-        {
+        let machines = MachineKind::ALL.map(MachineKind::id);
+        let models = NocModel::ALL.map(NocModel::id);
+        let protocols = CoherenceProtocol::ALL.map(CoherenceProtocol::id);
+        for id in machines.iter().chain(&models).chain(&protocols) {
             assert!(text.contains(id), "--help misses '{id}':\n{text}");
         }
     }

@@ -39,7 +39,7 @@
 
 use std::process::ExitCode;
 
-use campaign::{Executor, MACHINE_IDS, NOC_MODEL_IDS, PROTOCOL_IDS};
+use campaign::Executor;
 use system::cli::{parse_or_exit, Args, CliError};
 use system::verify::verification_config;
 use system::{CoherenceProtocol, Machine, MachineKind, SystemConfig};
@@ -129,9 +129,9 @@ options (LIST = comma-separated values):
   --write-golden DIR  write the litmus final images to DIR
   --help              this text
 ",
-        machines = MACHINE_IDS.join(", "),
-        noc_models = NOC_MODEL_IDS.join(", "),
-        protocols = PROTOCOL_IDS.join(", "),
+        machines = MachineKind::ALL.map(MachineKind::id).join(", "),
+        noc_models = noc::NocModel::ALL.map(noc::NocModel::id).join(", "),
+        protocols = CoherenceProtocol::ALL.map(CoherenceProtocol::id).join(", "),
     )
 }
 
@@ -143,12 +143,24 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
             "--cores" => o.cores = args.parse()?,
             "--seeds" => o.seeds = args.parse()?,
             "--seed-base" => o.seed_base = args.parse()?,
-            "--machines" => o.machines = args.ids(MachineKind::from_id, &MACHINE_IDS)?,
-            "--noc-models" => o.noc_models = args.ids(noc::NocModel::from_id, &NOC_MODEL_IDS)?,
+            "--machines" => {
+                o.machines =
+                    args.ids(MachineKind::from_id, &MachineKind::ALL.map(MachineKind::id))?
+            }
+            "--noc-models" => {
+                o.noc_models = args.ids(
+                    noc::NocModel::from_id,
+                    &noc::NocModel::ALL.map(noc::NocModel::id),
+                )?
+            }
             "--protocols" => {
                 o.protocols = match args.value()?.as_str() {
                     "all" => CoherenceProtocol::ALL.to_vec(),
-                    list => args.ids_in(list, CoherenceProtocol::from_id, &PROTOCOL_IDS)?,
+                    list => args.ids_in(
+                        list,
+                        CoherenceProtocol::from_id,
+                        &CoherenceProtocol::ALL.map(CoherenceProtocol::id),
+                    )?,
                 }
             }
             "--litmus-only" => o.fuzz = false,

@@ -71,8 +71,8 @@ options:
   --help             print this text and exit
 ",
         benchmarks = NasBenchmark::ALL.map(NasBenchmark::name).join(","),
-        noc_models = campaign::NOC_MODEL_IDS.join(", "),
-        protocols = campaign::PROTOCOL_IDS.join(", "),
+        noc_models = noc::NocModel::ALL.map(noc::NocModel::id).join(", "),
+        protocols = CoherenceProtocol::ALL.map(CoherenceProtocol::id).join(", "),
         categories = categories.join(", "),
     )
 }
@@ -352,11 +352,16 @@ impl CliOptions {
                 "--cache" => options.cache_dir = Some(ResultCache::default_dir()),
                 "--cache-dir" => options.cache_dir = Some(PathBuf::from(args.value()?)),
                 "--noc-model" => {
-                    options.noc_model = args.id(noc::NocModel::from_id, &campaign::NOC_MODEL_IDS)?
+                    options.noc_model = args.id(
+                        noc::NocModel::from_id,
+                        &noc::NocModel::ALL.map(noc::NocModel::id),
+                    )?
                 }
                 "--protocol" => {
-                    options.protocol =
-                        args.id(CoherenceProtocol::from_id, &campaign::PROTOCOL_IDS)?
+                    options.protocol = args.id(
+                        CoherenceProtocol::from_id,
+                        &CoherenceProtocol::ALL.map(CoherenceProtocol::id),
+                    )?
                 }
                 "--trace" => options.trace = Some(args.value()?),
                 "--trace-categories" => {
@@ -772,23 +777,23 @@ mod tests {
         let error = invalid(&["--protocol", "moesi-2000"]);
         assert!(error.contains("--protocol"), "{error}");
         assert!(error.contains("moesi-2000"), "{error}");
-        for id in campaign::PROTOCOL_IDS {
-            assert!(error.contains(id), "{error}");
+        for protocol in CoherenceProtocol::ALL {
+            assert!(error.contains(protocol.id()), "{error}");
         }
         let error = invalid(&["--noc-model", "warp"]);
-        for id in campaign::NOC_MODEL_IDS {
-            assert!(error.contains(id), "{error}");
+        for model in noc::NocModel::ALL {
+            assert!(error.contains(model.id()), "{error}");
         }
         // The third strict flag, `--trace-categories`, predates the other
         // two and set the convention.
         let error = invalid(&["--trace-categories", "typo"]);
         assert!(error.contains("--trace-categories"), "{error}");
         // The Ok paths still parse every canonical identifier.
-        for id in campaign::PROTOCOL_IDS {
-            parse(&["--protocol", id]).unwrap();
+        for protocol in CoherenceProtocol::ALL {
+            parse(&["--protocol", protocol.id()]).unwrap();
         }
-        for id in campaign::NOC_MODEL_IDS {
-            parse(&["--noc-model", id]).unwrap();
+        for model in noc::NocModel::ALL {
+            parse(&["--noc-model", model.id()]).unwrap();
         }
     }
 

@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod aggregate;
 pub mod cli;
 pub mod config;
 pub(crate) mod engine;
@@ -32,6 +33,7 @@ pub mod experiments;
 pub mod machine;
 pub mod report;
 pub mod resultio;
+mod spec;
 pub mod sweep;
 pub mod verify;
 

@@ -1,44 +1,28 @@
-//! Declarative sweep specifications.
+//! Declarative sweep specifications (re-exported by [`crate::sweep`]).
 //!
-//! A [`SweepSpec`] names the axes of a parameter-space study — core counts,
-//! SPM / filter / directory sizes, benchmarks, machine kinds, data-set scale
-//! multipliers — and enumerates their cross-product as [`RunDescriptor`]s.
-//! A descriptor is plain data: the `system` crate lowers it to a concrete
-//! `SystemConfig` + benchmark spec + machine kind, which keeps this crate
-//! free of any dependency on the simulator layers above it.
+//! A [`SweepSpec`] names the axes of a parameter-space study — benchmarks,
+//! machine kinds, core counts, data-set scale multipliers, SPM / filter /
+//! directory sizes, NoC models and coherence protocols — and enumerates
+//! their cross-product as [`RunDescriptor`]s.  Every axis holds the
+//! simulator's own types, so a point can only name a benchmark, machine,
+//! model or protocol that exists, and two spellings of one id are one
+//! point.  [`crate::sweep::lower_descriptor`] turns a point into the
+//! machine run it describes.
 
-use serde::{Deserialize, Serialize};
+use campaign::hash::{f64_field, CacheKey};
+use noc::NocModel;
+use workloads::nas::NasBenchmark;
 
-use crate::hash::{f64_field, CacheKey};
-
-/// Canonical machine-kind identifiers, in the paper's comparison order.
-///
-/// These are the strings a descriptor's `machine` field uses; `system`
-/// maps them onto its `MachineKind` enum.
-pub const MACHINE_IDS: [&str; 3] = ["cache-only", "hybrid-ideal", "hybrid-proposed"];
-
-/// Canonical NoC-model identifiers.
-///
-/// These are the strings a descriptor's `noc_model` field uses; `system`
-/// maps them onto the `noc::NocModel` enum.
-pub const NOC_MODEL_IDS: [&str; 2] = ["analytic", "discrete-event"];
-
-/// Canonical coherence-protocol identifiers, the paper's protocol first.
-///
-/// These are the strings a descriptor's `protocol` field uses; `system` maps
-/// them onto its `CoherenceProtocol` enum.  The axis only matters on the
-/// `hybrid-proposed` machine — the other machines always run the ideal
-/// oracle.
-pub const PROTOCOL_IDS: [&str; 2] = ["filterdir", "directory"];
+use crate::config::{CoherenceProtocol, MachineKind};
 
 /// One point of a campaign: everything needed to reproduce one simulation
-/// run, as plain data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// run.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunDescriptor {
-    /// Benchmark name (`"CG"`, `"IS"`, …).
-    pub benchmark: String,
-    /// Machine kind identifier (one of [`MACHINE_IDS`]).
-    pub machine: String,
+    /// The benchmark to run.
+    pub benchmark: NasBenchmark,
+    /// The machine to run it on.
+    pub machine: MachineKind,
     /// Number of cores / tiles.
     pub cores: usize,
     /// Extra data-set scale multiplier on top of the benchmark's
@@ -50,11 +34,11 @@ pub struct RunDescriptor {
     pub filter_entries: Option<usize>,
     /// filterDir entry-count override (`None` = the Table 1 default).
     pub filterdir_entries: Option<usize>,
-    /// NoC model override (one of [`NOC_MODEL_IDS`]; `None` = analytic).
-    pub noc_model: Option<String>,
-    /// Coherence-protocol override (one of [`PROTOCOL_IDS`]; `None` = the
-    /// paper's filterDir protocol).
-    pub protocol: Option<String>,
+    /// NoC model override (`None` = analytic).
+    pub noc_model: Option<NocModel>,
+    /// Coherence-protocol override (`None` = the paper's filterDir
+    /// protocol).
+    pub protocol: Option<CoherenceProtocol>,
     /// Use the scaled-down test machine (`SystemConfig::small`) instead of
     /// the Table 1 machine — for quick campaigns, tests and CI.
     pub small_machine: bool,
@@ -63,10 +47,10 @@ pub struct RunDescriptor {
 impl RunDescriptor {
     /// A descriptor with the Table 1 defaults for everything but the three
     /// mandatory axes.
-    pub fn new(benchmark: &str, machine: &str, cores: usize) -> Self {
+    pub fn new(benchmark: NasBenchmark, machine: MachineKind, cores: usize) -> Self {
         RunDescriptor {
-            benchmark: benchmark.to_owned(),
-            machine: machine.to_owned(),
+            benchmark,
+            machine,
             cores,
             scale_multiplier: 1.0,
             spm_kib: None,
@@ -78,51 +62,49 @@ impl RunDescriptor {
         }
     }
 
-    /// The descriptor's content as canonical `(name, value)` fields.
-    ///
-    /// This is the substrate for [`RunDescriptor::seed`]; the field *values*
-    /// are bit-exact (floats are rendered as their bit patterns), so two
-    /// descriptors share fields iff they describe the same run.
-    pub fn fields(&self) -> Vec<(&'static str, String)> {
-        fn opt<T: ToString>(v: &Option<T>) -> String {
-            v.as_ref()
-                .map_or_else(|| "default".to_owned(), T::to_string)
-        }
-        vec![
-            ("benchmark", self.benchmark.clone()),
-            ("machine", self.machine.clone()),
-            ("cores", self.cores.to_string()),
-            ("scale_multiplier", f64_field(self.scale_multiplier)),
-            ("spm_kib", opt(&self.spm_kib)),
-            ("filter_entries", opt(&self.filter_entries)),
-            ("filterdir_entries", opt(&self.filterdir_entries)),
-            ("noc_model", opt(&self.noc_model)),
-            ("protocol", opt(&self.protocol)),
-            ("small_machine", self.small_machine.to_string()),
-        ]
-    }
-
     /// The deterministic per-point seed for the workload address streams.
     ///
     /// Derived purely from the descriptor's content — never from the worker
     /// that happens to execute the point — so serial and parallel campaign
     /// runs are bit-identical.  The machine, NoC-model and protocol axes
-    /// are deliberately excluded: the machine kinds (NoC backends, coherence
-    /// backends) of one sweep point must stream the *same* addresses for
-    /// their comparison (speedup, protocol overhead, analytic-vs-measured
-    /// contention, filterDir-vs-directory) to be apples-to-apples, exactly as
-    /// the paper runs one workload per machine.
+    /// are deliberately excluded: the machines of one sweep point must
+    /// stream the *same* addresses for their comparison to be
+    /// apples-to-apples.
     pub fn seed(&self) -> u64 {
-        let fields = self
-            .fields()
-            .into_iter()
-            .filter(|(n, _)| *n != "machine" && *n != "noc_model" && *n != "protocol");
-        CacheKey::from_fields(fields).as_u64()
+        fn opt<T: ToString>(v: &Option<T>) -> String {
+            v.as_ref()
+                .map_or_else(|| "default".to_owned(), T::to_string)
+        }
+        CacheKey::from_fields([
+            ("benchmark", self.benchmark.name().to_owned()),
+            ("cores", self.cores.to_string()),
+            ("scale_multiplier", f64_field(self.scale_multiplier)),
+            ("spm_kib", opt(&self.spm_kib)),
+            ("filter_entries", opt(&self.filter_entries)),
+            ("filterdir_entries", opt(&self.filterdir_entries)),
+            ("small_machine", self.small_machine.to_string()),
+        ])
+        .as_u64()
     }
 
     /// A short human-readable label, e.g. `CG/hybrid-proposed/16c`.
     pub fn label(&self) -> String {
-        let mut label = format!("{}/{}/{}c", self.benchmark, self.machine, self.cores);
+        self.label_with(Some(self.machine))
+    }
+
+    /// The label without the machine, e.g. `CG/16c`: what the machines
+    /// compared in one summary row share.
+    pub(crate) fn point_label(&self) -> String {
+        self.label_with(None)
+    }
+
+    fn label_with(&self, machine: Option<MachineKind>) -> String {
+        let mut label = self.benchmark.name().to_owned();
+        if let Some(machine) = machine {
+            label.push('/');
+            label.push_str(machine.id());
+        }
+        label.push_str(&format!("/{}c", self.cores));
         if self.scale_multiplier != 1.0 {
             label.push_str(&format!("/x{}", self.scale_multiplier));
         }
@@ -135,10 +117,10 @@ impl RunDescriptor {
         if let Some(n) = self.filterdir_entries {
             label.push_str(&format!("/fdir{n}"));
         }
-        if let Some(model) = &self.noc_model {
+        if let Some(model) = self.noc_model {
             label.push_str(&format!("/{model}"));
         }
-        if let Some(protocol) = &self.protocol {
+        if let Some(protocol) = self.protocol {
             label.push_str(&format!("/{protocol}"));
         }
         label
@@ -150,20 +132,22 @@ impl RunDescriptor {
 /// # Example
 ///
 /// ```
-/// use campaign::SweepSpec;
+/// use system::sweep::SweepSpec;
+/// use system::MachineKind;
+/// use workloads::nas::NasBenchmark;
 ///
-/// let spec = SweepSpec::new(&["CG", "IS"])
+/// let spec = SweepSpec::new(&[NasBenchmark::Cg, NasBenchmark::Is])
 ///     .with_cores(&[8, 16])
-///     .with_machines(&["cache-only", "hybrid-proposed"]);
+///     .with_machines(&[MachineKind::CacheOnly, MachineKind::HybridProposed]);
 /// assert_eq!(spec.len(), 2 * 2 * 2);
 /// assert_eq!(spec.points()[0].label(), "CG/cache-only/8c");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Benchmarks to sweep.
-    pub benchmarks: Vec<String>,
-    /// Machine kinds to sweep (defaults to all of [`MACHINE_IDS`]).
-    pub machines: Vec<String>,
+    pub benchmarks: Vec<NasBenchmark>,
+    /// Machine kinds to sweep (defaults to all of [`MachineKind::ALL`]).
+    pub machines: Vec<MachineKind>,
     /// Core counts to sweep (defaults to the paper's 64).
     pub core_counts: Vec<usize>,
     /// Data-set scale multipliers to sweep (defaults to 1.0).
@@ -174,21 +158,21 @@ pub struct SweepSpec {
     pub filter_entries: Vec<Option<usize>>,
     /// filterDir entry counts to sweep; `None` uses the Table 1 default.
     pub filterdir_entries: Vec<Option<usize>>,
-    /// NoC models to sweep (one of [`NOC_MODEL_IDS`]; `None` = analytic).
-    pub noc_models: Vec<Option<String>>,
-    /// Coherence protocols to sweep (one of [`PROTOCOL_IDS`]; `None` = the
-    /// paper's filterDir protocol).
-    pub protocols: Vec<Option<String>>,
+    /// NoC models to sweep (`None` = analytic).
+    pub noc_models: Vec<Option<NocModel>>,
+    /// Coherence protocols to sweep (`None` = the paper's filterDir
+    /// protocol).
+    pub protocols: Vec<Option<CoherenceProtocol>>,
     /// Lower every point onto the scaled-down test machine.
     pub small_machine: bool,
 }
 
 impl SweepSpec {
     /// A sweep over `benchmarks` with every other axis at its default.
-    pub fn new(benchmarks: &[&str]) -> Self {
+    pub fn new(benchmarks: &[NasBenchmark]) -> Self {
         SweepSpec {
-            benchmarks: benchmarks.iter().map(|s| s.to_string()).collect(),
-            machines: MACHINE_IDS.iter().map(|s| s.to_string()).collect(),
+            benchmarks: benchmarks.to_vec(),
+            machines: MachineKind::ALL.to_vec(),
             core_counts: vec![64],
             scale_multipliers: vec![1.0],
             spm_kib: vec![None],
@@ -201,8 +185,8 @@ impl SweepSpec {
     }
 
     /// Replaces the machine axis.
-    pub fn with_machines(mut self, machines: &[&str]) -> Self {
-        self.machines = machines.iter().map(|s| s.to_string()).collect();
+    pub fn with_machines(mut self, machines: &[MachineKind]) -> Self {
+        self.machines = machines.to_vec();
         self
     }
 
@@ -236,16 +220,15 @@ impl SweepSpec {
         self
     }
 
-    /// Replaces the NoC-model axis (identifiers from [`NOC_MODEL_IDS`]).
-    pub fn with_noc_models(mut self, models: &[&str]) -> Self {
-        self.noc_models = models.iter().map(|m| Some(m.to_string())).collect();
+    /// Replaces the NoC-model axis.
+    pub fn with_noc_models(mut self, models: &[NocModel]) -> Self {
+        self.noc_models = models.iter().map(|&m| Some(m)).collect();
         self
     }
 
-    /// Replaces the coherence-protocol axis (identifiers from
-    /// [`PROTOCOL_IDS`]).
-    pub fn with_protocols(mut self, protocols: &[&str]) -> Self {
-        self.protocols = protocols.iter().map(|p| Some(p.to_string())).collect();
+    /// Replaces the coherence-protocol axis.
+    pub fn with_protocols(mut self, protocols: &[CoherenceProtocol]) -> Self {
+        self.protocols = protocols.iter().map(|&p| Some(p)).collect();
         self
     }
 
@@ -277,25 +260,25 @@ impl SweepSpec {
     /// (benchmark-major, protocol-minor).
     pub fn points(&self) -> Vec<RunDescriptor> {
         let mut points = Vec::with_capacity(self.len());
-        for benchmark in &self.benchmarks {
-            for machine in &self.machines {
+        for &benchmark in &self.benchmarks {
+            for &machine in &self.machines {
                 for &cores in &self.core_counts {
                     for &scale in &self.scale_multipliers {
                         for &spm in &self.spm_kib {
                             for &filter in &self.filter_entries {
                                 for &filterdir in &self.filterdir_entries {
-                                    for noc_model in &self.noc_models {
-                                        for protocol in &self.protocols {
+                                    for &noc_model in &self.noc_models {
+                                        for &protocol in &self.protocols {
                                             points.push(RunDescriptor {
-                                                benchmark: benchmark.clone(),
-                                                machine: machine.clone(),
+                                                benchmark,
+                                                machine,
                                                 cores,
                                                 scale_multiplier: scale,
                                                 spm_kib: spm,
                                                 filter_entries: filter,
                                                 filterdir_entries: filterdir,
-                                                noc_model: noc_model.clone(),
-                                                protocol: protocol.clone(),
+                                                noc_model,
+                                                protocol,
                                                 small_machine: self.small_machine,
                                             });
                                         }
@@ -314,12 +297,14 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use MachineKind::{CacheOnly, HybridProposed};
+    use NasBenchmark::{Cg, Is};
 
     #[test]
     fn cross_product_covers_every_combination() {
-        let spec = SweepSpec::new(&["CG", "IS"])
+        let spec = SweepSpec::new(&[Cg, Is])
             .with_cores(&[8, 16, 32])
-            .with_machines(&["cache-only", "hybrid-proposed"])
+            .with_machines(&[CacheOnly, HybridProposed])
             .with_scales(&[1.0, 0.5]);
         let points = spec.points();
         assert_eq!(points.len(), spec.len());
@@ -328,14 +313,14 @@ mod tests {
         // Every combination appears exactly once.
         let mut seen = std::collections::BTreeSet::new();
         for p in &points {
-            assert!(seen.insert(p.fields()), "duplicate point {}", p.label());
+            assert!(seen.insert(p.label()), "duplicate point {}", p.label());
         }
     }
 
     #[test]
     fn defaults_match_the_paper_machine() {
-        let spec = SweepSpec::new(&["CG"]);
-        assert_eq!(spec.machines.len(), 3);
+        let spec = SweepSpec::new(&[Cg]);
+        assert_eq!(spec.machines, MachineKind::ALL);
         assert_eq!(spec.core_counts, vec![64]);
         let p = &spec.points()[0];
         assert_eq!(p.cores, 64);
@@ -353,8 +338,8 @@ mod tests {
 
     #[test]
     fn seed_is_content_derived() {
-        let a = RunDescriptor::new("CG", "hybrid-proposed", 16);
-        let b = RunDescriptor::new("CG", "hybrid-proposed", 16);
+        let a = RunDescriptor::new(Cg, HybridProposed, 16);
+        let b = RunDescriptor::new(Cg, HybridProposed, 16);
         assert_eq!(a.seed(), b.seed());
         let mut c = a.clone();
         c.scale_multiplier = 0.5;
@@ -367,37 +352,37 @@ mod tests {
     #[test]
     fn noc_models_of_one_point_share_a_seed() {
         // The analytic-vs-measured comparison runs one workload per backend.
-        let base = RunDescriptor::new("CG", "hybrid-proposed", 16);
+        let base = RunDescriptor::new(Cg, HybridProposed, 16);
         let mut des = base.clone();
-        des.noc_model = Some("discrete-event".into());
+        des.noc_model = Some(NocModel::DiscreteEvent);
         assert_eq!(base.seed(), des.seed());
-        // ...but the descriptors remain distinct content.
-        assert_ne!(base.fields(), des.fields());
+        // ...but the descriptors remain distinct points.
+        assert_ne!(base, des);
         assert!(des.label().contains("discrete-event"), "{}", des.label());
     }
 
     #[test]
     fn noc_model_axis_multiplies_the_cross_product() {
-        let spec = SweepSpec::new(&["CG"])
+        let spec = SweepSpec::new(&[Cg])
             .with_cores(&[8])
-            .with_machines(&["hybrid-proposed"])
-            .with_noc_models(&NOC_MODEL_IDS);
+            .with_machines(&[HybridProposed])
+            .with_noc_models(&NocModel::ALL);
         assert_eq!(spec.len(), 2);
         let points = spec.points();
-        assert_eq!(points[0].noc_model.as_deref(), Some("analytic"));
-        assert_eq!(points[1].noc_model.as_deref(), Some("discrete-event"));
+        assert_eq!(points[0].noc_model, Some(NocModel::Analytic));
+        assert_eq!(points[1].noc_model, Some(NocModel::DiscreteEvent));
     }
 
     #[test]
     fn protocols_of_one_point_share_a_seed() {
         // The filterDir-vs-directory comparison runs one workload per
         // backend.
-        let base = RunDescriptor::new("CG", "hybrid-proposed", 16);
+        let base = RunDescriptor::new(Cg, HybridProposed, 16);
         let mut directory = base.clone();
-        directory.protocol = Some("directory".into());
+        directory.protocol = Some(CoherenceProtocol::Directory);
         assert_eq!(base.seed(), directory.seed());
-        // ...but the descriptors remain distinct content.
-        assert_ne!(base.fields(), directory.fields());
+        // ...but the descriptors remain distinct points.
+        assert_ne!(base, directory);
         assert!(
             directory.label().contains("directory"),
             "{}",
@@ -407,35 +392,33 @@ mod tests {
 
     #[test]
     fn protocol_axis_multiplies_the_cross_product() {
-        let spec = SweepSpec::new(&["CG"])
+        let spec = SweepSpec::new(&[Cg])
             .with_cores(&[8])
-            .with_machines(&["hybrid-proposed"])
-            .with_protocols(&PROTOCOL_IDS);
+            .with_machines(&[HybridProposed])
+            .with_protocols(&CoherenceProtocol::ALL);
         assert_eq!(spec.len(), 2);
         let points = spec.points();
-        assert_eq!(points[0].protocol.as_deref(), Some("filterdir"));
-        assert_eq!(points[1].protocol.as_deref(), Some("directory"));
+        assert_eq!(points[0].protocol, Some(CoherenceProtocol::FilterDir));
+        assert_eq!(points[1].protocol, Some(CoherenceProtocol::Directory));
     }
 
     #[test]
     fn machines_of_one_point_share_a_seed() {
         // The cross-machine comparison runs one workload on each machine.
-        let seeds: Vec<u64> = MACHINE_IDS
+        let seeds: Vec<u64> = MachineKind::ALL
             .iter()
-            .map(|m| RunDescriptor::new("IS", m, 16).seed())
+            .map(|&m| RunDescriptor::new(Is, m, 16).seed())
             .collect();
         assert_eq!(seeds[0], seeds[1]);
         assert_eq!(seeds[1], seeds[2]);
-        assert_ne!(
-            seeds[0],
-            RunDescriptor::new("IS", MACHINE_IDS[0], 32).seed()
-        );
+        assert_ne!(seeds[0], RunDescriptor::new(Is, CacheOnly, 32).seed());
     }
 
     #[test]
     fn labels_mention_overrides() {
-        let mut d = RunDescriptor::new("IS", "hybrid-proposed", 8);
+        let mut d = RunDescriptor::new(Is, HybridProposed, 8);
         assert_eq!(d.label(), "IS/hybrid-proposed/8c");
+        assert_eq!(d.point_label(), "IS/8c");
         d.scale_multiplier = 0.25;
         d.spm_kib = Some(16);
         d.filter_entries = Some(48);

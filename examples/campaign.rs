@@ -10,8 +10,9 @@
 //! equivalent command-line drive is the `campaign` binary:
 //! `cargo run --release -p system --bin campaign -- --help`.
 
-use spm_manycore::campaign::{summarize, Executor, ResultCache, SweepSpec};
-use spm_manycore::system::sweep::{records_of, run_points, RunContext};
+use spm_manycore::campaign::{Executor, ResultCache};
+use spm_manycore::system::sweep::{run_points, summarize, to_csv, RunContext, SweepSpec};
+use spm_manycore::workloads::nas::NasBenchmark;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -23,7 +24,7 @@ fn main() {
 
     // 1. Declare the sweep: two benchmarks × two core counts × all three
     //    machine kinds, on the scaled-down test machine.
-    let spec = SweepSpec::new(&["CG", "IS"])
+    let spec = SweepSpec::new(&[NasBenchmark::Cg, NasBenchmark::Is])
         .with_cores(&[4, 8])
         .with_scales(&[scale])
         .small();
@@ -55,13 +56,13 @@ fn main() {
     );
 
     // 3. Aggregate: per-point speedups and protocol overheads, CSV export.
-    let records = records_of(&points, &report.results);
+    let records: Vec<_> = points.iter().zip(&report.results).collect();
     let summary = summarize(&records);
     println!("\n{}", summary.to_table());
     if let Some(avg) = summary.average_speedup() {
         println!("average hybrid speedup over the sweep: {avg:.3}x");
     }
-    let csv = spm_manycore::campaign::aggregate::to_csv(&records);
+    let csv = to_csv(&records);
     println!("\nCSV export ({} rows):", records.len());
     for line in csv.lines().take(3) {
         println!("  {line}");

@@ -6,16 +6,17 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use spm_manycore::campaign::{CacheKey, Executor, ResultCache, SweepSpec};
+use spm_manycore::campaign::{CacheKey, Executor, ResultCache};
 use spm_manycore::noc::{MessageClass, Noc, NocConfig, NocModel};
 use spm_manycore::simkernel::{Cycle, NodeId};
-use spm_manycore::system::sweep::{run_points, RunContext};
-use spm_manycore::system::RunResult;
+use spm_manycore::system::sweep::{run_points, to_csv, RunContext, RunDescriptor, SweepSpec};
+use spm_manycore::system::{CoherenceProtocol, MachineKind, RunResult};
+use spm_manycore::workloads::nas::NasBenchmark;
 
 /// The three-machine sweep the determinism tests run: one benchmark on the
 /// scaled-down test machine, small enough for the test suite.
-fn three_machine_points() -> Vec<spm_manycore::campaign::RunDescriptor> {
-    SweepSpec::new(&["CG"])
+fn three_machine_points() -> Vec<RunDescriptor> {
+    SweepSpec::new(&[NasBenchmark::Cg])
         .with_cores(&[4])
         .with_scales(&[1.0 / 512.0])
         .small()
@@ -115,7 +116,7 @@ fn discrete_event_campaigns_are_bit_identical_across_job_counts() {
     let points: Vec<_> = three_machine_points()
         .into_iter()
         .map(|mut p| {
-            p.noc_model = Some("discrete-event".into());
+            p.noc_model = Some(NocModel::DiscreteEvent);
             p
         })
         .collect();
@@ -158,7 +159,7 @@ fn repeated_campaign_executes_zero_points() {
     // A new point executes; the old ones still hit.
     let mut grown = points.clone();
     let mut extra = grown[0].clone();
-    extra.benchmark = "IS".into();
+    extra.benchmark = NasBenchmark::Is;
     grown.push(extra);
     let third = run_points(&ctx, &grown).unwrap();
     assert_eq!(third.executed, 1);
@@ -172,13 +173,13 @@ fn protocol_axis_campaign_round_trips_through_the_cache() {
     let cache = ResultCache::new(scratch_dir("protocol-axis-cache"));
     let _ = std::fs::remove_dir_all(cache.dir());
     let ctx = RunContext::new(Executor::new(2), Some(cache.clone()));
-    let mut spec = SweepSpec::new(&["CG"])
+    let points = SweepSpec::new(&[NasBenchmark::Cg])
+        .with_machines(&[MachineKind::HybridProposed])
         .with_cores(&[4])
         .with_scales(&[1.0 / 512.0])
-        .with_protocols(&["filterdir", "directory"])
-        .small();
-    spec.machines = vec!["hybrid-proposed".to_owned()];
-    let points = spec.points();
+        .with_protocols(&CoherenceProtocol::ALL)
+        .small()
+        .points();
     assert_eq!(points.len(), 2, "one point per coherence protocol");
     assert_eq!(
         points[0].seed(),
@@ -199,8 +200,8 @@ fn protocol_axis_campaign_round_trips_through_the_cache() {
     );
 
     // Exports carry the protocol column for both rows.
-    let records = spm_manycore::system::sweep::records_of(&points, &first.results);
-    let csv = spm_manycore::campaign::aggregate::to_csv(&records);
+    let records: Vec<_> = points.iter().zip(&first.results).collect();
+    let csv = to_csv(&records);
     assert!(csv.lines().next().unwrap().contains(",protocol,"), "{csv}");
     assert!(csv.contains(",filterdir,"), "{csv}");
     assert!(csv.contains(",directory,"), "{csv}");

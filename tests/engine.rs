@@ -9,9 +9,8 @@
 
 use proptest::prelude::*;
 
-use spm_manycore::campaign::SweepSpec;
 use spm_manycore::simkernel::Cycle;
-use spm_manycore::system::sweep::{run_points, RunContext};
+use spm_manycore::system::sweep::{run_points, RunContext, SweepSpec};
 use spm_manycore::system::{
     run_result_codec, EngineAudit, Machine, MachineKind, RunResult, SystemConfig,
 };
@@ -94,11 +93,11 @@ fn multicore_des_runs_keep_the_noc_clock_monotonic() {
 
 #[test]
 fn engine_campaigns_are_deterministic_across_worker_counts() {
-    let points = SweepSpec::new(&["CG"])
-        .with_machines(&["hybrid-proposed"])
+    let points = SweepSpec::new(&[NasBenchmark::Cg])
+        .with_machines(&[MachineKind::HybridProposed])
         .with_cores(&[2])
         .with_scales(&[1.0 / 512.0])
-        .with_noc_models(&spm_manycore::campaign::NOC_MODEL_IDS)
+        .with_noc_models(&noc::NocModel::ALL)
         .small()
         .points();
     assert_eq!(points.len(), 2);
