@@ -39,11 +39,6 @@ impl ResultCache {
         PathBuf::from("target/campaign-cache")
     }
 
-    /// A cache at the default location.
-    pub fn at_default() -> Self {
-        Self::new(Self::default_dir())
-    }
-
     /// The cache's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -172,6 +167,5 @@ mod tests {
     #[test]
     fn default_dir_is_under_target() {
         assert!(ResultCache::default_dir().starts_with("target"));
-        assert_eq!(ResultCache::at_default().dir(), ResultCache::default_dir());
     }
 }

@@ -58,16 +58,6 @@ impl Addr {
         self.0 % LINE_BYTES
     }
 
-    /// Returns this address aligned down to a multiple of `align` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `align` is zero.
-    pub fn align_down(self, align: u64) -> Addr {
-        assert!(align > 0, "alignment must be non-zero");
-        Addr(self.0 - self.0 % align)
-    }
-
     /// Saturating offset addition.
     pub fn saturating_add(self, offset: u64) -> Addr {
         Addr(self.0.saturating_add(offset))
@@ -267,7 +257,6 @@ mod tests {
         assert_eq!(a.line().number(), 0x1234 / 64);
         assert_eq!(a.line_offset(), 0x1234 % 64);
         assert_eq!(a.line().base().line_offset(), 0);
-        assert_eq!(a.align_down(4096), Addr::new(0x1000));
     }
 
     #[test]

@@ -162,11 +162,6 @@ impl DramModel {
     pub fn writes(&self) -> u64 {
         self.writes
     }
-
-    /// Total accesses per controller (for balance checks).
-    pub fn controller_accesses(&self) -> &[u64] {
-        &self.accesses_per_controller
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +222,6 @@ mod tests {
             last = d.access(LineAddr::new(0));
         }
         assert!(last >= first);
-        assert_eq!(d.controller_accesses().iter().sum::<u64>(), 31);
     }
 
     #[test]

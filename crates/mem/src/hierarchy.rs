@@ -305,11 +305,6 @@ impl MemorySystem {
         }
     }
 
-    /// Returns `true` when data values are being tracked.
-    pub fn tracks_values(&self) -> bool {
-        self.values.is_some()
-    }
-
     /// Drains the queueing cycles accumulated since the last call: the sum,
     /// over the demand-miss-path NoC legs of the accesses in between, of
     /// measured send latency minus the backend-agreed zero-load latency.
@@ -1471,7 +1466,6 @@ mod tests {
     #[test]
     fn value_tracking_is_off_by_default() {
         let m = small_system();
-        assert!(!m.tracks_values());
         assert_eq!(m.read_word(CoreId::new(0), Addr::new(0x1000)), None);
         assert_eq!(m.value_image(), None);
     }

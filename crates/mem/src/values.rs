@@ -116,11 +116,6 @@ impl ValueStore {
             .map_or(0, |line| line[word_index(addr)])
     }
 
-    /// Returns the word containing `addr` only if its line is materialised.
-    pub fn peek_word(&self, addr: Addr) -> Option<u64> {
-        self.line(addr.line()).map(|line| line[word_index(addr)])
-    }
-
     /// Writes the word containing `addr`, materialising the line.
     pub fn write_word(&mut self, addr: Addr, value: u64) {
         let entry = self
@@ -209,7 +204,6 @@ mod tests {
     fn unwritten_memory_reads_zero_without_materialising() {
         let store = ValueStore::new();
         assert_eq!(store.read_word(Addr::new(0x1234)), 0);
-        assert_eq!(store.peek_word(Addr::new(0x1234)), None);
         assert!(store.is_empty());
     }
 

@@ -208,19 +208,9 @@ impl Frequency {
         self.hz
     }
 
-    /// Returns the duration of a single cycle in seconds.
-    pub fn cycle_time(self) -> f64 {
-        1.0 / self.hz
-    }
-
     /// Converts a cycle count into seconds at this frequency.
     pub fn cycles_to_seconds(self, cycles: Cycle) -> f64 {
         cycles.as_f64() / self.hz
-    }
-
-    /// Converts a duration in seconds into a (rounded) cycle count.
-    pub fn seconds_to_cycles(self, seconds: f64) -> Cycle {
-        Cycle::new((seconds * self.hz).round() as u64)
     }
 }
 
@@ -286,8 +276,6 @@ mod tests {
     fn frequency_conversions() {
         let f = Frequency::ghz(2.0);
         assert!((f.as_hz() - 2e9).abs() < 1.0);
-        assert!((f.cycle_time() - 0.5e-9).abs() < 1e-15);
-        assert_eq!(f.seconds_to_cycles(1e-9), Cycle::new(2));
         let g = Frequency::mhz(500.0);
         assert!((g.cycles_to_seconds(Cycle::new(500_000_000)) - 1.0).abs() < 1e-9);
     }

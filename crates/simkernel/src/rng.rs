@@ -136,16 +136,6 @@ impl SimRng {
         }
     }
 
-    /// Chooses a uniformly random element of `slice`, or `None` if it is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            let idx = self.next_below(slice.len() as u64) as usize;
-            Some(&slice[idx])
-        }
-    }
-
     /// Shuffles `slice` in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -259,13 +249,8 @@ mod tests {
     }
 
     #[test]
-    fn choose_and_shuffle() {
+    fn shuffle_is_a_permutation() {
         let mut rng = SimRng::seed_from_u64(17);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        let items = [1, 2, 3, 4];
-        assert!(items.contains(rng.choose(&items).unwrap()));
-
         let mut v: Vec<u32> = (0..50).collect();
         let original = v.clone();
         rng.shuffle(&mut v);

@@ -245,17 +245,6 @@ impl StatRegistry {
         }
     }
 
-    /// Adds `prefix.` to every statistic name of `other` and merges it.
-    pub fn merge_prefixed(&mut self, prefix: &str, other: &StatRegistry) {
-        for (name, value) in &other.entries {
-            let full = format!("{prefix}.{name}");
-            match value {
-                StatValue::Count(c) => self.add_count(&full, *c),
-                StatValue::Value(v) => self.add_value(&full, *v),
-            }
-        }
-    }
-
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &StatValue)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
@@ -372,10 +361,6 @@ mod tests {
         r.merge(&other);
         assert_eq!(r.count("l1.hits"), 11);
         assert_eq!(r.value("noc.energy"), 2.5);
-
-        let mut top = StatRegistry::new();
-        top.merge_prefixed("core0", &r);
-        assert_eq!(top.count("core0.l1.hits"), 11);
     }
 
     #[test]

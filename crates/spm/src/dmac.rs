@@ -232,15 +232,6 @@ impl Dmac {
         done
     }
 
-    /// Completion time of every outstanding transfer (used at kernel barriers).
-    pub fn drain_all(&mut self, now: Cycle) -> Cycle {
-        let mut done = now;
-        for (_, completion) in self.pending.drain() {
-            done = done.max(completion);
-        }
-        done
-    }
-
     /// Number of transfers still outstanding.
     pub fn outstanding(&self) -> usize {
         self.pending.len()
@@ -388,8 +379,7 @@ mod tests {
         assert_eq!(d.outstanding(), 1);
         // Syncing an unknown tag is a no-op returning `now`.
         assert_eq!(d.dma_synch(&[99], Cycle::new(5)), Cycle::new(5));
-        let done_all = d.drain_all(Cycle::ZERO);
-        assert_eq!(done_all, c2.max(c1));
+        assert_eq!(d.dma_synch(&[2], Cycle::ZERO), c2);
         assert_eq!(d.outstanding(), 0);
     }
 

@@ -102,7 +102,6 @@ pub fn summarize(records: &[(&RunDescriptor, &RunResult)]) -> CampaignSummary {
             let on = |kind: MachineKind| {
                 members
                     .iter()
-                    .rev()
                     .find(|(d, _)| d.machine == kind)
                     .map(|&(_, r)| r)
             };

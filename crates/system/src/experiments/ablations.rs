@@ -61,7 +61,7 @@ pub fn filter_size_sweep(
     let mut runs: Vec<LoweredRun> = vec![(config.clone(), spec.clone(), MachineKind::HybridIdeal)];
     for &entries in sizes {
         let mut cfg = config.clone();
-        cfg.protocol.filter_entries = entries.max(1);
+        cfg.protocol.filter_entries = entries;
         runs.push((cfg, spec.clone(), MachineKind::HybridProposed));
     }
     let results = ctx.run_lowered(&runs).results;

@@ -9,7 +9,6 @@
 //! point.  [`crate::sweep::lower_descriptor`] turns a point into the
 //! machine run it describes.
 
-use campaign::hash::{f64_field, CacheKey};
 use noc::NocModel;
 use workloads::nas::NasBenchmark;
 
@@ -60,31 +59,6 @@ impl RunDescriptor {
             protocol: None,
             small_machine: false,
         }
-    }
-
-    /// The deterministic per-point seed for the workload address streams.
-    ///
-    /// Derived purely from the descriptor's content — never from the worker
-    /// that happens to execute the point — so serial and parallel campaign
-    /// runs are bit-identical.  The machine, NoC-model and protocol axes
-    /// are deliberately excluded: the machines of one sweep point must
-    /// stream the *same* addresses for their comparison to be
-    /// apples-to-apples.
-    pub fn seed(&self) -> u64 {
-        fn opt<T: ToString>(v: &Option<T>) -> String {
-            v.as_ref()
-                .map_or_else(|| "default".to_owned(), T::to_string)
-        }
-        CacheKey::from_fields([
-            ("benchmark", self.benchmark.name().to_owned()),
-            ("cores", self.cores.to_string()),
-            ("scale_multiplier", f64_field(self.scale_multiplier)),
-            ("spm_kib", opt(&self.spm_kib)),
-            ("filter_entries", opt(&self.filter_entries)),
-            ("filterdir_entries", opt(&self.filterdir_entries)),
-            ("small_machine", self.small_machine.to_string()),
-        ])
-        .as_u64()
     }
 
     /// A short human-readable label, e.g. `CG/hybrid-proposed/16c`.
@@ -337,31 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_is_content_derived() {
-        let a = RunDescriptor::new(Cg, HybridProposed, 16);
-        let b = RunDescriptor::new(Cg, HybridProposed, 16);
-        assert_eq!(a.seed(), b.seed());
-        let mut c = a.clone();
-        c.scale_multiplier = 0.5;
-        assert_ne!(a.seed(), c.seed());
-        let mut d = a.clone();
-        d.spm_kib = Some(32);
-        assert_ne!(a.seed(), d.seed());
-    }
-
-    #[test]
-    fn noc_models_of_one_point_share_a_seed() {
-        // The analytic-vs-measured comparison runs one workload per backend.
-        let base = RunDescriptor::new(Cg, HybridProposed, 16);
-        let mut des = base.clone();
-        des.noc_model = Some(NocModel::DiscreteEvent);
-        assert_eq!(base.seed(), des.seed());
-        // ...but the descriptors remain distinct points.
-        assert_ne!(base, des);
-        assert!(des.label().contains("discrete-event"), "{}", des.label());
-    }
-
-    #[test]
     fn noc_model_axis_multiplies_the_cross_product() {
         let spec = SweepSpec::new(&[Cg])
             .with_cores(&[8])
@@ -374,23 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn protocols_of_one_point_share_a_seed() {
-        // The filterDir-vs-directory comparison runs one workload per
-        // backend.
-        let base = RunDescriptor::new(Cg, HybridProposed, 16);
-        let mut directory = base.clone();
-        directory.protocol = Some(CoherenceProtocol::Directory);
-        assert_eq!(base.seed(), directory.seed());
-        // ...but the descriptors remain distinct points.
-        assert_ne!(base, directory);
-        assert!(
-            directory.label().contains("directory"),
-            "{}",
-            directory.label()
-        );
-    }
-
-    #[test]
     fn protocol_axis_multiplies_the_cross_product() {
         let spec = SweepSpec::new(&[Cg])
             .with_cores(&[8])
@@ -400,18 +332,6 @@ mod tests {
         let points = spec.points();
         assert_eq!(points[0].protocol, Some(CoherenceProtocol::FilterDir));
         assert_eq!(points[1].protocol, Some(CoherenceProtocol::Directory));
-    }
-
-    #[test]
-    fn machines_of_one_point_share_a_seed() {
-        // The cross-machine comparison runs one workload on each machine.
-        let seeds: Vec<u64> = MachineKind::ALL
-            .iter()
-            .map(|&m| RunDescriptor::new(Is, m, 16).seed())
-            .collect();
-        assert_eq!(seeds[0], seeds[1]);
-        assert_eq!(seeds[1], seeds[2]);
-        assert_ne!(seeds[0], RunDescriptor::new(Is, CacheOnly, 32).seed());
     }
 
     #[test]

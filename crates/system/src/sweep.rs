@@ -25,9 +25,11 @@ pub use crate::spec::{RunDescriptor, SweepSpec};
 
 /// Lowers a descriptor to the run inputs it describes.
 ///
-/// The descriptor's content-derived [`RunDescriptor::seed`] becomes the
-/// workload trace seed, so every point of a sweep streams different (but
-/// fully reproducible) addresses regardless of which worker runs it.
+/// The configuration keeps its [`SystemConfig::trace_seed`], the one seed
+/// every run streams from: a campaign point is exactly the report
+/// binaries' run of the same benchmark, machine, core count and scale, and
+/// the machines, NoC models and protocols of one point stream the same
+/// addresses, so their comparison is apples-to-apples.
 pub fn lower_descriptor(
     d: &RunDescriptor,
 ) -> Result<(SystemConfig, BenchmarkSpec, MachineKind), String> {
@@ -71,7 +73,6 @@ pub fn lower_descriptor(
     if let Some(protocol) = d.protocol {
         config.coherence_protocol = protocol;
     }
-    config.trace_seed = d.seed();
     let benchmark = d.benchmark;
     let spec = benchmark.spec_scaled(benchmark.recommended_scale() * d.scale_multiplier);
     Ok((config, spec, d.machine))
@@ -106,12 +107,6 @@ pub fn run_cache_key(kind: MachineKind, config: &SystemConfig, spec: &BenchmarkS
         ("config", format!("{config:?}")),
         ("spec", format!("{spec:?}")),
     ])
-}
-
-/// Lowers and executes a single descriptor.
-pub fn execute_descriptor(d: &RunDescriptor) -> Result<RunResult, String> {
-    let (config, spec, kind) = lower_descriptor(d)?;
-    Ok(Machine::new(kind, config).run(&spec))
 }
 
 /// One fully lowered run: everything [`Machine::run`] needs.
@@ -233,9 +228,35 @@ mod tests {
             NocModel::DiscreteEvent
         );
         assert_eq!(config.coherence_protocol, CoherenceProtocol::Directory);
-        assert_eq!(config.trace_seed, d.seed());
+        assert_eq!(config.trace_seed, SystemConfig::with_cores(4).trace_seed);
         assert_eq!(spec.name, "CG");
         assert!(spec.input.contains("scale"));
+    }
+
+    #[test]
+    fn campaign_points_are_the_report_binaries_points() {
+        // The report binaries run `--cores N --scale S` as
+        // `CliOptions::config()` plus the suite's scaled spec; a campaign
+        // point on the same axes must address the same cached run.
+        let options = crate::cli::CliOptions {
+            cores: 4,
+            scale: 0.0625,
+            ..Default::default()
+        };
+        for benchmark in NasBenchmark::ALL {
+            let report_spec = benchmark.spec_scaled(benchmark.recommended_scale() * options.scale);
+            for machine in MachineKind::ALL {
+                let mut d = RunDescriptor::new(benchmark, machine, options.cores);
+                d.scale_multiplier = options.scale;
+                let (config, spec, kind) = lower_descriptor(&d).unwrap();
+                assert_eq!(
+                    run_cache_key(kind, &config, &spec),
+                    run_cache_key(machine, &options.config(), &report_spec),
+                    "{}",
+                    d.label()
+                );
+            }
+        }
     }
 
     #[test]
@@ -258,7 +279,6 @@ mod tests {
         let mut d = quick_point();
         d.scale_multiplier = -1.0;
         assert!(lower_descriptor(&d).is_err());
-        assert!(execute_descriptor(&d).is_err());
         // A zero size is an error, not a silent 1 KiB or 1-entry machine.
         let mut d = quick_point();
         d.spm_kib = Some(0);

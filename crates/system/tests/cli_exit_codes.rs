@@ -195,6 +195,32 @@ fn campaign_malformed_input_exits_two_with_usage() {
     );
 }
 
+/// Two spellings of one id are one point: the parser turns `cg` into the
+/// benchmark `CG`, so both commands run, print and export the same run.
+#[test]
+fn campaign_spellings_of_one_benchmark_are_one_point() {
+    let run = |benchmark| {
+        let out = campaign(&[
+            "--benchmarks",
+            benchmark,
+            "--machines",
+            "cache-only",
+            "--cores",
+            "4",
+            "--scale",
+            "0.0625",
+            "--no-cache",
+            "--csv",
+            "-",
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{benchmark}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let canonical = run("CG");
+    assert!(canonical.contains("\nCG,cache-only,4,"), "{canonical}");
+    assert_eq!(run("cg"), canonical);
+}
+
 #[test]
 fn coherence_check_help_exits_zero_on_stdout() {
     let out = coherence_check(&["--help"]);

@@ -18,10 +18,11 @@
 //! * [`energy`] — McPAT-like per-component energy and area model.
 //! * [`workloads`] — NAS-like synthetic workloads, compiler classification and
 //!   runtime-library tiling model.
-//! * [`system`] — full 64-core system assembly and the experiment drivers
-//!   that regenerate every table and figure of the paper.
-//! * [`campaign`] — parallel sweep engine with a content-addressed result
-//!   cache, driving parameter-space studies across all of the above.
+//! * [`system`] — full 64-core system assembly, the experiment drivers
+//!   that regenerate every table and figure of the paper, and the typed
+//!   parameter sweeps of `system::sweep`.
+//! * [`campaign`] — the simulator-agnostic executor and content-addressed
+//!   result cache every sweep and report binary runs through.
 //!
 //! # Quick start
 //!

@@ -181,11 +181,6 @@ fn protocol_axis_campaign_round_trips_through_the_cache() {
         .small()
         .points();
     assert_eq!(points.len(), 2, "one point per coherence protocol");
-    assert_eq!(
-        points[0].seed(),
-        points[1].seed(),
-        "protocol is a comparison axis: both backends see identical addresses"
-    );
 
     let first = run_points(&ctx, &points).unwrap();
     assert_eq!(first.executed, 2);
