@@ -20,9 +20,9 @@
 //! The crate sits *below* the `system` crate on purpose and knows nothing
 //! about the simulator.  `system::sweep` owns the typed run points
 //! (`SweepSpec`, `RunDescriptor`), lowers them to machines, keys them by
-//! their lowered inputs and aggregates their results; the experiment suite
-//! and the report binaries submit their runs through the same executor and
-//! cache (`--jobs`, `--cache-dir`).
+//! their lowered inputs and aggregates their results; the report binaries'
+//! figures and ablations run those same points through the same executor
+//! and cache (`--jobs`, `--cache-dir`).
 //!
 //! # Example
 //!

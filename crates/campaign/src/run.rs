@@ -1,9 +1,9 @@
 //! The campaign orchestrator: cache lookup → parallel execution → store.
 //!
 //! [`run_campaign`] is generic over the point type and the result type, so
-//! the same machinery drives the `system` crate's declarative sweeps, its
-//! experiment suite and its ablation sweeps (which all submit lowered run
-//! tuples).
+//! the same machinery drives every `system` run: the report binaries'
+//! figures and ablations and the `campaign` binary all submit typed run
+//! points, which `system::sweep` lowers and keys.
 
 use crate::cache::ResultCache;
 use crate::executor::Executor;
@@ -32,18 +32,22 @@ pub struct Codec<R> {
 }
 
 /// The outcome of a campaign: every result plus cache accounting.
+///
+/// A point whose cache key repeats an earlier point's is a duplicate: it
+/// gets a copy of that point's result and counts as neither executed nor a
+/// cache hit, so `executed + cache_hits` is the number of distinct keys.
 #[derive(Debug, Clone)]
 pub struct CampaignReport<R> {
     /// One result per input point, in input order.
     pub results: Vec<R>,
-    /// Points that were actually simulated this invocation.
+    /// Distinct points that were actually simulated this invocation.
     pub executed: usize,
-    /// Points served from the result cache.
+    /// Distinct points served from the result cache.
     pub cache_hits: usize,
 }
 
 impl<R> CampaignReport<R> {
-    /// Total number of points (executed + cached).
+    /// Total number of points, duplicates included.
     pub fn total(&self) -> usize {
         self.results.len()
     }
@@ -67,8 +71,9 @@ impl<R> CampaignReport<R> {
 /// * `runner` executes one point (it must be a pure, deterministic function
 ///   of the point for serial and parallel campaigns to be bit-identical).
 ///
-/// With `cache: None` every point executes.  Results always come back in
-/// input order.  Cache write failures are reported to stderr but do not
+/// With `cache: None` every distinct point executes; a point whose key
+/// repeats an earlier one's runs once and its result is copied.  Results
+/// always come back in input order.  Cache write failures are reported to stderr but do not
 /// fail the campaign (the result is still returned).
 pub fn run_campaign<P, R, K, F>(
     executor: &Executor,
@@ -80,24 +85,32 @@ pub fn run_campaign<P, R, K, F>(
 ) -> CampaignReport<R>
 where
     P: Sync,
-    R: Send,
+    R: Send + Clone,
     K: Fn(&P) -> CacheKey,
     F: Fn(&P) -> R + Sync,
 {
     let keys: Vec<CacheKey> = points.iter().map(&key_of).collect();
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(points.len());
-    if let Some(cache) = cache {
-        for &key in &keys {
-            slots.push(cache.load(key).and_then(|blob| (codec.decode)(&blob)));
-        }
-    } else {
-        slots.resize_with(points.len(), || None);
-    }
-
-    let misses: Vec<usize> = slots
+    // The first point of each key; later points with that key copy it.
+    let mut first_of = std::collections::HashMap::with_capacity(keys.len());
+    let first: Vec<usize> = keys
         .iter()
         .enumerate()
-        .filter_map(|(i, s)| s.is_none().then_some(i))
+        .map(|(i, &key)| *first_of.entry(key).or_insert(i))
+        .collect();
+    let distinct: Vec<usize> = (0..points.len()).filter(|&i| first[i] == i).collect();
+
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(points.len());
+    slots.resize_with(points.len(), || None);
+    if let Some(cache) = cache {
+        for &i in &distinct {
+            slots[i] = cache.load(keys[i]).and_then(|blob| (codec.decode)(&blob));
+        }
+    }
+
+    let misses: Vec<usize> = distinct
+        .iter()
+        .copied()
+        .filter(|&i| slots[i].is_none())
         .collect();
     let executed = executor.run(&misses, |_, &i| runner(&points[i]));
 
@@ -112,14 +125,19 @@ where
         }
         slots[i] = Some(result);
     }
+    for i in 0..points.len() {
+        if first[i] != i {
+            slots[i] = slots[first[i]].clone();
+        }
+    }
 
     let results: Vec<R> = slots
         .into_iter()
-        .map(|s| s.expect("every point is either cached or executed"))
+        .map(|s| s.expect("every point is either cached, executed or a copy"))
         .collect();
     CampaignReport {
         executed: misses.len(),
-        cache_hits: results.len() - misses.len(),
+        cache_hits: distinct.len() - misses.len(),
         results,
     }
 }
@@ -210,6 +228,54 @@ mod tests {
         assert_eq!(report.results, vec![7, 8]);
         assert_eq!(report.executed, 1);
         assert_eq!(report.cache_hits, 1);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn a_point_named_twice_runs_once() {
+        let cache = scratch_cache("duplicates");
+        let ran = AtomicUsize::new(0);
+        let runner = |&p: &u64| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            p * 3
+        };
+        let points = [2u64, 2, 5, 2];
+        let first = run_campaign(
+            &Executor::new(2),
+            Some(&cache),
+            &points,
+            key_of,
+            &u64_codec(),
+            runner,
+        );
+        assert_eq!(first.results, vec![6, 6, 15, 6]);
+        assert_eq!(ran.load(Ordering::Relaxed), 2);
+        assert_eq!((first.executed, first.cache_hits), (2, 0));
+        assert_eq!(first.total(), 4);
+        // Served from the cache, a duplicate still counts once.
+        let second = run_campaign(
+            &Executor::serial(),
+            Some(&cache),
+            &points,
+            key_of,
+            &u64_codec(),
+            runner,
+        );
+        assert_eq!(second.results, first.results);
+        assert_eq!((second.executed, second.cache_hits), (0, 2));
+        assert_eq!(ran.load(Ordering::Relaxed), 2);
+        // Without a cache the duplicate is still not re-executed.
+        let uncached = run_campaign(
+            &Executor::serial(),
+            None,
+            &points,
+            key_of,
+            &u64_codec(),
+            runner,
+        );
+        assert_eq!(uncached.results, first.results);
+        assert_eq!(uncached.executed, 2);
+        assert_eq!(ran.load(Ordering::Relaxed), 4);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

@@ -379,13 +379,8 @@ impl CoreTimingModel {
         }
     }
 
-    /// Records a retired memory operation in the LSQ window.
-    pub fn record_in_lsq(&mut self, addr: Addr, is_store: bool) {
-        self.lsq.record(addr, is_store);
-    }
-
-    /// Records a retired memory operation together with its data value (the
-    /// LSQ value path used when the system tracks values).
+    /// Records a retired memory operation in the LSQ window, with its data
+    /// value when the system tracks values (`None` otherwise).
     pub fn record_in_lsq_valued(&mut self, addr: Addr, is_store: bool, value: Option<u64>) {
         self.lsq.record_valued(addr, is_store, value);
     }
@@ -622,7 +617,7 @@ mod tests {
     #[test]
     fn ordering_violation_costs_a_flush() {
         let mut c = core();
-        c.record_in_lsq(Addr::new(0x9000), true);
+        c.record_in_lsq_valued(Addr::new(0x9000), true, None);
         let before = c.now();
         assert!(c.recheck_ordering(Addr::new(0x9000), false));
         assert_eq!(c.flushes(), 1);
@@ -703,7 +698,7 @@ mod tests {
         c.stall_until(c.now() + Cycle::new(75), CycleCategory::DmaWait);
         c.park_until(c.now() + Cycle::new(33));
         c.resume();
-        c.record_in_lsq(Addr::new(0x9000), true);
+        c.record_in_lsq_valued(Addr::new(0x9000), true, None);
         assert!(c.recheck_ordering(Addr::new(0x9000), false));
         c.apply_ifetch(Cycle::new(40), false);
         c.idle_until(c.now() + Cycle::new(12)); // barrier imbalance

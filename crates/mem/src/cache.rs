@@ -336,13 +336,6 @@ impl<S: Default> CacheBank<S> {
         Some(std::mem::take(&mut self.states[slot]))
     }
 
-    /// Removes every line of every unit.  Materialised sets keep their
-    /// storage and their PLRU trees.
-    pub fn invalidate_all(&mut self) {
-        self.tags.fill(NO_TAG);
-        self.states.fill_with(S::default);
-    }
-
     /// The index entries of `unit`'s sets.
     fn unit_sets(&self, unit: usize) -> &[u32] {
         let sets = self.set_count as usize;
@@ -443,18 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_empties_cache() {
-        let mut c = tiny_cache();
-        for i in 0..10 {
-            c.insert(0, LineAddr::new(i), i as u32);
-        }
-        assert!(c.occupancy() > 0);
-        c.invalidate_all();
-        assert_eq!(c.occupancy(), 0);
-        assert_eq!(c.resident_lines(0).count(), 0);
-    }
-
-    #[test]
     fn lookup_does_not_touch_recency() {
         let mut c = tiny_cache();
         // Filling lines 0 then 8 leaves line 0 the victim of set 0.
@@ -496,7 +477,6 @@ mod tests {
         assert!(c.lookup_mut(0, line).is_none());
         assert!(!c.contains(0, line));
         assert_eq!(c.invalidate(0, line), None);
-        c.invalidate_all();
         assert_eq!(c.resident_lines(0).count(), 0);
         assert_eq!(c.occupancy(), 0);
         assert_eq!(c.materialised_sets(0), 0);
@@ -649,13 +629,6 @@ mod tests {
             self.states[slot].take()
         }
 
-        fn invalidate_all(&mut self) {
-            self.valid.fill(false);
-            for state in &mut self.states {
-                *state = None;
-            }
-        }
-
         fn resident_lines(&self) -> impl Iterator<Item = (LineAddr, &S)> {
             self.valid
                 .iter()
@@ -732,11 +705,7 @@ mod tests {
                 let k = (raw >> 33) % (2 * ways as u64 + 1);
                 let line = LineAddr::new(set + sets * k);
                 match op {
-                    0 => {
-                        bank.invalidate_all();
-                        dense.iter_mut().for_each(DenseCacheArray::invalidate_all);
-                    }
-                    1..=3 => resident(&bank, &dense),
+                    0..=3 => resident(&bank, &dense),
                     4..=40 => {
                         prop_assert_eq!(bank.insert(unit, line, value), d.insert(line, value))
                     }

@@ -178,11 +178,6 @@ impl DesNoc {
         &self.eject_wait
     }
 
-    /// Cycles packets spent queued at each node's injection port.
-    pub fn inject_wait_cycles(&self) -> &[u64] {
-        &self.inject_wait
-    }
-
     /// Instantaneous home-node queue depth: for each node, how many cycles
     /// past `at` its ejection port is already committed, summed over virtual
     /// channels.  Zero means the port is free — packets arriving at `at`
@@ -205,14 +200,6 @@ impl DesNoc {
         }));
     }
 
-    /// [`DesNoc::home_queue_depths`] at the engine's current cycle, as a
-    /// fresh vector (the cold-path convenience form).
-    pub fn home_queue_depths_now(&self) -> Vec<u64> {
-        let mut depths = Vec::new();
-        self.home_queue_depths(self.now, &mut depths);
-        depths
-    }
-
     /// The node with the largest ejection-queue wait, with that wait.
     pub fn hottest_node(&self) -> (NodeId, u64) {
         let (node, wait) = self
@@ -227,11 +214,6 @@ impl DesNoc {
     /// Packets delivered since construction.
     pub fn delivered(&self) -> u64 {
         self.delivered
-    }
-
-    /// Running min/mean/max of the delivered packets' latencies.
-    pub fn latency_stat(&self) -> RunningStat {
-        self.latency
     }
 
     /// The latest delivery cycle observed (the utilisation denominator).
@@ -405,7 +387,8 @@ mod tests {
         }
         // Just after the burst the hot ejection port is still committed into
         // the future; every other node is idle.
-        let depths = noc.home_queue_depths_now();
+        let mut depths = Vec::new();
+        noc.home_queue_depths(noc.now(), &mut depths);
         assert!(depths[target.index()] > 0, "hot home must show backlog");
         for (node, &depth) in depths.iter().enumerate() {
             if node != target.index() {
@@ -421,27 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn convenience_snapshot_is_a_thin_wrapper_over_the_scratch_form() {
-        // `home_queue_depths_now` must never drift from the scratch-buffer
-        // path it wraps: both forms read the same `eject_free` books at the
-        // same cycle, so the depths are pinned identical — mid-burst (with
-        // real backlog) and after advancing the engine's clock.
-        let mut noc = des(16);
-        for src in [0usize, 1, 2, 3, 6, 9, 12, 15] {
-            let _ = noc.send(NodeId::new(src), NodeId::new(5), MessageClass::Read, 64);
-            let _ = noc.send(NodeId::new(src), NodeId::new(10), MessageClass::Write, 8);
-        }
-        let mut scratch = vec![0xdead_beef; 3];
-        noc.home_queue_depths(noc.now(), &mut scratch);
-        assert_eq!(noc.home_queue_depths_now(), scratch);
-        assert!(scratch.iter().any(|&d| d > 0), "the burst left a backlog");
-
-        noc.advance_to(noc.now() + Cycle::new(7));
-        noc.home_queue_depths(noc.now(), &mut scratch);
-        assert_eq!(noc.home_queue_depths_now(), scratch, "after advancing");
-    }
-
-    #[test]
     fn utilization_is_measured_not_assumed() {
         let mut noc = des(16);
         assert_eq!(noc.max_link_utilization(), 0.0);
@@ -451,7 +413,7 @@ mod tests {
         assert!(noc.max_link_utilization() > 0.0);
         assert!(noc.mean_link_utilization() <= noc.max_link_utilization());
         assert_eq!(noc.delivered(), 4);
-        assert!(noc.latency_stat().mean() > 0.0);
+        assert!(noc.latency.mean() > 0.0);
         assert!(noc.horizon() > Cycle::ZERO);
     }
 
@@ -530,9 +492,9 @@ mod tests {
                 stats,
                 noc.link_busy_cycles(),
                 depths,
-                noc.inject_wait_cycles().to_vec(),
+                noc.inject_wait.clone(),
                 noc.eject_wait_cycles().to_vec(),
-                noc.latency_stat(),
+                noc.latency,
                 noc.horizon(),
             )
         }

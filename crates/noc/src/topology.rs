@@ -142,16 +142,6 @@ impl MeshTopology {
         path
     }
 
-    /// Average hop count from `from` to every node of the mesh (including itself).
-    ///
-    /// Used by the analytic broadcast-cost model of the coherence protocol.
-    pub fn mean_hops_from(&self, from: NodeId) -> f64 {
-        let total: u64 = (0..self.nodes())
-            .map(|i| self.hops(from, NodeId::new(i)))
-            .sum();
-        total as f64 / self.nodes() as f64
-    }
-
     /// The largest hop count between any pair of nodes (the mesh diameter).
     pub fn diameter(&self) -> u64 {
         (self.cols - 1 + self.rows - 1) as u64
@@ -228,18 +218,6 @@ mod tests {
                 "route must move one hop at a time"
             );
         }
-    }
-
-    #[test]
-    fn mean_hops_reasonable() {
-        let m = MeshTopology::new(8, 8);
-        let corner = m.mean_hops_from(NodeId::new(0));
-        let center = m.mean_hops_from(NodeId::new(27));
-        assert!(
-            corner > center,
-            "corner should be further from everyone on average"
-        );
-        assert!(corner <= m.diameter() as f64);
     }
 
     #[test]

@@ -99,14 +99,6 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.when)
     }
 
-    /// Removes and returns the earliest event only if it fires at or before `now`.
-    pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, E)> {
-        match self.peek_time() {
-            Some(t) if t <= now => self.pop(),
-            _ => None,
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -163,17 +155,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((Cycle::new(7), i)));
         }
-    }
-
-    #[test]
-    fn pop_due_only_returns_ripe_events() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle::new(5), "early");
-        q.schedule(Cycle::new(50), "late");
-        assert_eq!(q.pop_due(Cycle::new(4)), None);
-        assert_eq!(q.pop_due(Cycle::new(5)), Some((Cycle::new(5), "early")));
-        assert_eq!(q.pop_due(Cycle::new(10)), None);
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

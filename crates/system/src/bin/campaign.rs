@@ -108,7 +108,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, CliError> {
             "--scale" => {
                 options.spec.scale_multipliers = args.list()?;
                 for &scale in &options.spec.scale_multipliers {
-                    check_scale(scale)?;
+                    check_scale("--scale", scale)?;
                 }
             }
             "--spm-kib" => options.spec = options.spec.with_spm_kib(&sizes(&flag, args.list()?)?),

@@ -24,7 +24,7 @@ use workloads::nas::NasBenchmark;
 
 use crate::config::{CoherenceProtocol, MachineKind, SystemConfig};
 use crate::experiments::{ablations, ExperimentSuite};
-use crate::sweep::{LoweredRun, RunContext};
+use crate::sweep::{lower_descriptor, run_points, RunContext, RunDescriptor, SweepSpec};
 
 /// The usage text every report binary prints for `--help` and after a
 /// malformed argument.  The value lists of the axis flags come from the
@@ -199,6 +199,38 @@ impl<I: Iterator<Item = String>> Args<I> {
         self.ids_in(&list, from_id, valid)
     }
 
+    /// The next positional argument, named `name` in errors, parsed as one
+    /// `T`; `default` once the arguments have run out.
+    pub fn positional<T: FromStr>(&mut self, name: &str, default: T) -> Result<T, CliError> {
+        match self.next_arg()? {
+            Some(value) => scalar(name, &value),
+            None => Ok(default),
+        }
+    }
+
+    /// [`Args::positional`] for one id that `from_id` accepts, read like
+    /// [`Args::id`].
+    pub fn positional_id<T>(
+        &mut self,
+        name: &str,
+        default: T,
+        from_id: impl Fn(&str) -> Option<T>,
+        valid: &[&str],
+    ) -> Result<T, CliError> {
+        match self.next_arg()? {
+            Some(value) => lookup(name, value.trim(), &from_id, valid),
+            None => Ok(default),
+        }
+    }
+
+    /// Rejects an argument left after the last one a binary reads.
+    pub fn finish(&mut self) -> Result<(), CliError> {
+        match self.next_arg()? {
+            Some(_) => Err(self.unknown()),
+            None => Ok(()),
+        }
+    }
+
     /// [`Args::ids`] over a value the caller has already read.
     pub fn ids_in<T>(
         &self,
@@ -251,12 +283,13 @@ fn items<T>(
     Ok(values)
 }
 
-/// Rejects a `--scale` multiplier that is not positive and finite.
-pub fn check_scale(scale: f64) -> Result<(), CliError> {
+/// Rejects a scale multiplier, named `name` in the error, that is not
+/// positive and finite.
+pub fn check_scale(name: &str, scale: f64) -> Result<(), CliError> {
     if scale.is_finite() && scale > 0.0 {
         Ok(())
     } else {
-        Err(format!("--scale: must be positive and finite, got {scale}").into())
+        Err(format!("{name}: must be positive and finite, got {scale}").into())
     }
 }
 
@@ -375,21 +408,40 @@ impl CliOptions {
         if options.cores == 0 {
             return Err(CliError::Invalid("--cores: must be at least 1".to_owned()));
         }
-        check_scale(options.scale)?;
+        check_scale("--scale", options.scale)?;
         Ok(options)
     }
 
-    /// The system configuration implied by the options.
+    /// The machine configuration Table 1 prints for the options.
     pub fn config(&self) -> SystemConfig {
         let mut config = SystemConfig::with_cores(self.cores);
         config.set_noc_model(self.noc_model);
         config.coherence_protocol = self.protocol;
-        config.trace.enabled = self.trace.is_some();
-        config.trace.categories = self.trace_categories;
-        if let Some(interval) = self.sample_interval {
-            config.trace.sample_interval = interval;
-        }
         config
+    }
+
+    /// The points the figures are derived from: the selected benchmarks on
+    /// every machine, at `--cores`, `--scale`, `--noc-model` and
+    /// `--protocol`.  Every report run, the ablations' included, is a point
+    /// of this sweep with at most its benchmark, machine, scale and one
+    /// campaign axis changed.
+    pub fn sweep(&self) -> SweepSpec {
+        SweepSpec::new(&self.benchmarks)
+            .with_cores(&[self.cores])
+            .with_scales(&[self.scale])
+            .with_noc_models(&[self.noc_model])
+            .with_protocols(&[self.protocol])
+    }
+
+    /// The suite's point of `benchmark` on the proposed machine, with its
+    /// data scale multiplied by `scale` on top of `--scale`.
+    fn proposed_point(&self, benchmark: NasBenchmark, scale: f64) -> RunDescriptor {
+        let mut sweep = self
+            .sweep()
+            .with_machines(&[MachineKind::HybridProposed])
+            .with_scales(&[self.scale * scale]);
+        sweep.benchmarks = vec![benchmark];
+        sweep.points().swap_remove(0)
     }
 
     /// The execution policy implied by the options: `--jobs` workers and,
@@ -404,12 +456,11 @@ impl CliOptions {
     /// The suite point that `--trace` and `--cycle-accounting` observe: the
     /// first selected benchmark on the proposed machine, at the suite's data
     /// scale (the benchmark's recommended scale times `--scale`).  It is the
-    /// suite's own lowered run of that point, so the artifacts describe the
-    /// numbers printed beside them.  `None` when no benchmark is selected.
-    pub(crate) fn observed_point(&self) -> Option<LoweredRun> {
+    /// suite's own point, so the artifacts describe the numbers printed
+    /// beside them.  `None` when no benchmark is selected.
+    pub(crate) fn observed_point(&self) -> Option<RunDescriptor> {
         let benchmark = *self.benchmarks.first()?;
-        let spec = benchmark.spec_scaled(benchmark.recommended_scale() * self.scale);
-        Some((self.config(), spec, MachineKind::HybridProposed))
+        Some(self.proposed_point(benchmark, 1.0))
     }
 
     /// When `--trace PATH` was given: runs the first selected benchmark on
@@ -417,13 +468,21 @@ impl CliOptions {
     /// armed, writes the Chrome trace-event JSON to PATH (`-` for stdout)
     /// and returns a one-line summary.  Returns `None` when tracing was not requested.
     ///
-    /// The traced run is a dedicated run — suite runs go through the result
-    /// cache, which a presentation-only artefact must not address (the cache
-    /// key pins `trace` to its default), so the trace rides on its own
-    /// uncached execution instead.
+    /// The traced run is a dedicated run, and the only run `--trace`,
+    /// `--trace-categories` and `--sample-interval` reach: suite runs go
+    /// through the result cache, which a presentation-only artefact must
+    /// not address (the cache key pins `trace` to its default), so they
+    /// never arm a tracer and the trace rides on its own uncached execution.
     pub fn write_trace(&self) -> Option<Result<String, String>> {
         let target = self.trace.as_deref()?;
-        let (config, spec, kind) = self.observed_point()?;
+        let (mut config, spec, kind) = match lower_descriptor(&self.observed_point()?) {
+            Ok(run) => run,
+            Err(error) => return Some(Err(error)),
+        };
+        config.trace.categories = self.trace_categories;
+        if let Some(interval) = self.sample_interval {
+            config.trace.sample_interval = interval;
+        }
         let (_, capture) = crate::Machine::new(kind, config).run_traced(&spec);
         let json = capture.to_chrome().dump();
         Some(write_export(target, &json).map(|()| {
@@ -448,8 +507,10 @@ impl CliOptions {
     /// the summary reports whether the point executed or was a cache hit.
     pub fn write_cycle_accounting(&self) -> Option<Result<String, String>> {
         let target = self.cycle_accounting.as_deref()?;
-        let run = self.observed_point()?;
-        let report = self.context().run_lowered(std::slice::from_ref(&run));
+        let report = match run_points(&self.context(), &[self.observed_point()?]) {
+            Ok(report) => report,
+            Err(error) => return Some(Err(error)),
+        };
         let result = &report.results[0];
         let breakdown = &result.breakdown;
         if let Err(error) = breakdown.check_exhaustive() {
@@ -476,15 +537,10 @@ impl CliOptions {
         }))
     }
 
-    /// Runs the suite implied by the options.
-    pub fn run_suite(&self) -> ExperimentSuite {
-        ExperimentSuite::run_with(
-            &self.config(),
-            &self.benchmarks,
-            &MachineKind::ALL,
-            self.scale,
-            &self.context(),
-        )
+    /// Runs the suite implied by the options: [`CliOptions::sweep`]
+    /// through [`CliOptions::context`].
+    pub fn run_suite(&self) -> Result<ExperimentSuite, String> {
+        ExperimentSuite::run_with(&self.context(), &self.sweep())
     }
 }
 
@@ -512,20 +568,28 @@ pub enum Report {
 }
 
 /// The `main` of the report binary `name`: parses the process arguments
-/// and prints `report`.
+/// and prints `report`.  A point that does not lower prints
+/// `<binary>: <error>` on stderr and exits 2 with nothing on stdout.
 pub fn report_main(name: &str, report: Report) {
     let options = parse_or_exit(name, &usage(), std::env::args().skip(1), CliOptions::parse);
-    print!("{}", run_report(report, &options));
+    match run_report(report, &options) {
+        Ok(out) => print!("{out}"),
+        Err(error) => {
+            eprintln!("{name}: {error}");
+            std::process::exit(2);
+        }
+    }
 }
 
-/// Runs the requested report and returns the text to print.
+/// Runs the requested report and returns the text to print, or the error
+/// of a point that does not lower.
 ///
 /// When `--trace PATH` or `--cycle-accounting PATH` was given, also writes
 /// the trace of a dedicated traced run or the observed point's breakdown
 /// (see [`CliOptions::write_trace`] and
 /// [`CliOptions::write_cycle_accounting`]) and appends its one-line summary.
-pub fn run_report(report: Report, options: &CliOptions) -> String {
-    let mut out = run_report_body(report, options);
+pub fn run_report(report: Report, options: &CliOptions) -> Result<String, String> {
+    let mut out = run_report_body(report, options)?;
     if let Some(traced) = options.write_trace() {
         if !out.ends_with('\n') && !out.is_empty() {
             out.push('\n');
@@ -546,16 +610,16 @@ pub fn run_report(report: Report, options: &CliOptions) -> String {
         }
         out.push('\n');
     }
-    out
+    Ok(out)
 }
 
-fn run_report_body(report: Report, options: &CliOptions) -> String {
-    match report {
+fn run_report_body(report: Report, options: &CliOptions) -> Result<String, String> {
+    Ok(match report {
         Report::Table1 => options.config().table1(),
         Report::Table2 => workloads::characterize::to_table(&characterize()),
-        Report::Ablations => run_ablations(options),
+        Report::Ablations => run_ablations(options)?,
         _ => {
-            let suite = options.run_suite();
+            let suite = options.run_suite()?;
             let mut out = String::new();
             match report {
                 Report::Fig7 => out.push_str(&suite.fig7().to_table()),
@@ -589,43 +653,31 @@ fn run_report_body(report: Report, options: &CliOptions) -> String {
             }
             out
         }
-    }
+    })
 }
 
-fn run_ablations(options: &CliOptions) -> String {
-    let config = options.config();
+fn run_ablations(options: &CliOptions) -> Result<String, String> {
     let ctx = options.context();
     let mut out = String::new();
     let filter_points = ablations::filter_size_sweep(
         &ctx,
-        &config,
-        NasBenchmark::Is,
+        &options.proposed_point(NasBenchmark::Is, 0.5),
         &[8, 16, 32, 48, 96],
-        options.scale * 0.5,
-    );
+    )?;
     out.push_str(&ablations::filter_size_table(&filter_points));
     out.push('\n');
-    let spm_sizes = [
-        simkernel::ByteSize::kib(8),
-        simkernel::ByteSize::kib(16),
-        simkernel::ByteSize::kib(32),
-        simkernel::ByteSize::kib(64),
-    ];
     let spm_points = ablations::spm_size_sweep(
         &ctx,
-        &config,
-        NasBenchmark::Cg,
-        &spm_sizes,
-        options.scale * 0.5,
-    );
+        &options.proposed_point(NasBenchmark::Cg, 0.5),
+        &[8, 16, 32, 64],
+    )?;
     out.push_str(&ablations::spm_size_table(&spm_points));
     out.push('\n');
     let intensity_points = ablations::guarded_intensity_sweep(
         &ctx,
-        &config,
+        &options.proposed_point(NasBenchmark::Cg, 0.25),
         &[0.0, 0.5, 1.0, 2.0, 4.0],
-        options.scale * 0.25,
-    );
+    )?;
     out.push_str(&ablations::guarded_intensity_table(&intensity_points));
     out.push('\n');
     let mut meshes = vec![16, options.cores];
@@ -637,17 +689,16 @@ fn run_ablations(options: &CliOptions) -> String {
     out.push('\n');
     let protocol_points = ablations::protocol_comparison_sweep(
         &ctx,
-        &config,
+        &options.proposed_point(NasBenchmark::Cg, 0.5),
         &options.benchmarks,
-        options.scale * 0.5,
-    );
+    )?;
     out.push_str(&ablations::protocol_comparison_table(&protocol_points));
     if options.json {
         out.push('\n');
         out.push_str(&ablations::protocol_comparison_json(&protocol_points));
         out.push('\n');
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -842,12 +893,14 @@ mod tests {
         // prints: same data scale, same seed.
         let mut o = parse(&["--cores", "4", "--scale", "0.001", "--jobs", "1"]).unwrap();
         o.benchmarks = vec![NasBenchmark::Cg];
-        let suite = o.run_suite();
+        let suite = o.run_suite().unwrap();
         let expected = suite
-            .result("CG", MachineKind::HybridProposed)
+            .result(NasBenchmark::Cg, MachineKind::HybridProposed)
             .unwrap()
             .to_json();
-        let (config, spec, kind) = o.observed_point().unwrap();
+        let point = o.observed_point().unwrap();
+        assert!(suite.records().iter().any(|(d, _)| *d == point));
+        let (config, spec, kind) = lower_descriptor(&point).unwrap();
         let machine = crate::Machine::new(kind, config);
         assert_eq!(machine.run_traced(&spec).0.to_json(), expected);
         assert_eq!(machine.run(&spec).to_json(), expected);
@@ -890,11 +943,60 @@ mod tests {
     }
 
     #[test]
+    fn traced_options_arm_no_suite_or_ablation_run() {
+        // `--trace` reaches only the dedicated traced run: every point the
+        // figures and the ablations run lowers with the default settings.
+        let o = parse(&[
+            "--trace",
+            "trace.json",
+            "--trace-categories",
+            "engine",
+            "--sample-interval",
+            "7",
+        ])
+        .unwrap();
+        let mut points = o.sweep().points();
+        points.extend(o.observed_point());
+        points.push(o.proposed_point(NasBenchmark::Is, 0.5));
+        assert_eq!(points.len(), 3 * 6 + 2);
+        for point in &points {
+            let (config, _, _) = lower_descriptor(point).unwrap();
+            assert_eq!(
+                config.trace,
+                simkernel::trace::TraceSettings::default(),
+                "{}",
+                point.label()
+            );
+        }
+    }
+
+    #[test]
+    fn report_points_are_campaign_points() {
+        // The report binaries' `--cores 4 --scale 0.0625` suite and a
+        // `campaign --cores 4 --scale 0.0625` sweep address the same cache
+        // entries, the explicit analytic/filterDir axes included.
+        let o = parse(&["--cores", "4", "--scale", "0.0625"]).unwrap();
+        let campaign = SweepSpec::new(&NasBenchmark::ALL)
+            .with_cores(&[4])
+            .with_scales(&[0.0625]);
+        let key = |d: &RunDescriptor| {
+            let (config, spec, kind) = lower_descriptor(d).unwrap();
+            crate::sweep::run_cache_key(kind, &config, &spec)
+        };
+        let report: Vec<_> = o.sweep().points().iter().map(key).collect();
+        let campaign: Vec<_> = campaign.points().iter().map(key).collect();
+        assert_eq!(report, campaign);
+        // Table 1 prints the configuration those points lower to.
+        let (config, _, _) = lower_descriptor(&o.observed_point().unwrap()).unwrap();
+        assert_eq!(format!("{:?}", o.config()), format!("{config:?}"));
+    }
+
+    #[test]
     fn static_reports_render_without_running_simulations() {
         let options = CliOptions::default();
-        let t1 = run_report(Report::Table1, &options);
+        let t1 = run_report(Report::Table1, &options).unwrap();
         assert!(t1.contains("SPMDir"));
-        let t2 = run_report(Report::Table2, &options);
+        let t2 = run_report(Report::Table2, &options).unwrap();
         assert!(t2.contains("CG"));
     }
 }

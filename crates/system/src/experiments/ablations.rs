@@ -21,6 +21,14 @@
 //!   same benchmarks on the proposed machine under the filter/filterDir
 //!   protocol vs the plain home-directory baseline, comparing cycles and
 //!   coherence traffic (what the filters actually save).
+//!
+//! The machine-run sweeps take a base [`RunDescriptor`] — benchmark, core
+//! count, scale, NoC model, protocol — and vary one axis that
+//! [`crate::sweep::lower_descriptor`] applies (`filter_entries`, `spm_kib`
+//! or `protocol`), so every ablation run is a campaign point and shares its
+//! cache entry with the `campaign` binary's run of the same point.  Only
+//! [`guarded_intensity_sweep`], which edits the workload itself, lowers its
+//! base point and edits the lowered spec.
 
 use serde::{Deserialize, Serialize};
 use simkernel::json::Json;
@@ -28,11 +36,11 @@ use simkernel::ByteSize;
 
 use noc::{run_synthetic, Noc, NocConfig, NocModel, SyntheticTraffic};
 use workloads::nas::NasBenchmark;
-use workloads::{BenchmarkSpec, Phase};
+use workloads::Phase;
 
-use crate::config::{CoherenceProtocol, MachineKind, SystemConfig};
+use crate::config::{CoherenceProtocol, MachineKind};
 use crate::report::{fmt_percent, fmt_ratio, TableBuilder};
-use crate::sweep::{LoweredRun, RunContext};
+use crate::sweep::{lower_descriptor, run_points, LoweredRun, RunContext, RunDescriptor};
 
 /// One point of the filter-size sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -45,28 +53,30 @@ pub struct FilterSizePoint {
     pub time_overhead: f64,
 }
 
-/// Sweeps the per-core filter capacity on `benchmark`.
+/// Sweeps the per-core filter capacity of the proposed machine on `base`'s
+/// point, against `base` on the ideal-coherence machine.
 ///
-/// The ideal-coherence baseline and every filter size are submitted to the
-/// context's executor as one batch, so the whole sweep parallelises (and
-/// caches) like any other campaign.
+/// The baseline and every filter size are submitted to the context's
+/// executor as one batch, so the whole sweep parallelises (and caches) like
+/// any other campaign.  Fails, before anything runs, when a point does not
+/// lower (a zero filter size, say).
 pub fn filter_size_sweep(
     ctx: &RunContext,
-    config: &SystemConfig,
-    benchmark: NasBenchmark,
+    base: &RunDescriptor,
     sizes: &[usize],
-    scale_multiplier: f64,
-) -> Vec<FilterSizePoint> {
-    let spec = benchmark.spec_scaled(benchmark.recommended_scale() * scale_multiplier);
-    let mut runs: Vec<LoweredRun> = vec![(config.clone(), spec.clone(), MachineKind::HybridIdeal)];
-    for &entries in sizes {
-        let mut cfg = config.clone();
-        cfg.protocol.filter_entries = entries;
-        runs.push((cfg, spec.clone(), MachineKind::HybridProposed));
-    }
-    let results = ctx.run_lowered(&runs).results;
+) -> Result<Vec<FilterSizePoint>, String> {
+    let mut points = vec![RunDescriptor {
+        machine: MachineKind::HybridIdeal,
+        ..base.clone()
+    }];
+    points.extend(sizes.iter().map(|&entries| RunDescriptor {
+        machine: MachineKind::HybridProposed,
+        filter_entries: Some(entries),
+        ..base.clone()
+    }));
+    let results = run_points(ctx, &points)?.results;
     let ideal_time = results[0].execution_time.as_f64().max(1.0);
-    sizes
+    Ok(sizes
         .iter()
         .zip(&results[1..])
         .map(|(&entries, run)| FilterSizePoint {
@@ -74,7 +84,7 @@ pub fn filter_size_sweep(
             hit_ratio: run.filter_hit_ratio.unwrap_or(0.0),
             time_overhead: run.execution_time.as_f64() / ideal_time,
         })
-        .collect()
+        .collect())
 }
 
 /// Formats a filter-size sweep as a text table.
@@ -106,35 +116,36 @@ pub struct SpmSizePoint {
     pub speedup: f64,
 }
 
-/// Sweeps the scratchpad size (and therefore the tile size) on `benchmark`.
+/// Sweeps the scratchpad size in KiB (and therefore the tile size) of the
+/// proposed machine on `base`'s point, against `base` on the cache-based
+/// machine.  Fails, before anything runs, when a point does not lower.
 pub fn spm_size_sweep(
     ctx: &RunContext,
-    config: &SystemConfig,
-    benchmark: NasBenchmark,
-    sizes: &[ByteSize],
-    scale_multiplier: f64,
-) -> Vec<SpmSizePoint> {
-    let spec = benchmark.spec_scaled(benchmark.recommended_scale() * scale_multiplier);
-    let mut runs: Vec<LoweredRun> = vec![(config.clone(), spec.clone(), MachineKind::CacheOnly)];
-    for &size in sizes {
-        let mut cfg = config.clone();
-        cfg.spm.size = size;
-        cfg.protocol.spm_size = size;
-        runs.push((cfg, spec.clone(), MachineKind::HybridProposed));
-    }
-    let results = ctx.run_lowered(&runs).results;
+    base: &RunDescriptor,
+    sizes_kib: &[u64],
+) -> Result<Vec<SpmSizePoint>, String> {
+    let mut points = vec![RunDescriptor {
+        machine: MachineKind::CacheOnly,
+        ..base.clone()
+    }];
+    points.extend(sizes_kib.iter().map(|&kib| RunDescriptor {
+        machine: MachineKind::HybridProposed,
+        spm_kib: Some(kib),
+        ..base.clone()
+    }));
+    let results = run_points(ctx, &points)?.results;
     let cache_time = results[0].execution_time.as_f64();
-    sizes
+    Ok(sizes_kib
         .iter()
         .zip(&results[1..])
-        .map(|(&size, run)| SpmSizePoint {
-            spm_size: size,
+        .map(|(&kib, run)| SpmSizePoint {
+            spm_size: ByteSize::kib(kib),
             control_fraction: run.phase_fraction(Phase::Control),
             sync_fraction: run.phase_fraction(Phase::Sync),
             work_fraction: run.phase_fraction(Phase::Work),
             speedup: cache_time / run.execution_time.as_f64().max(1.0),
         })
-        .collect()
+        .collect())
 }
 
 /// Formats an SPM-size sweep as a text table.
@@ -164,17 +175,23 @@ pub struct GuardedIntensityPoint {
     pub filter_hit_ratio: Option<f64>,
 }
 
-/// Sweeps the number of guarded accesses per iteration of a CG-like kernel.
+/// Sweeps the number of guarded accesses per iteration of `base`'s
+/// benchmark (the report runs CG), on the cache-based and the proposed
+/// machine.
+///
+/// The intensity is a property of the workload, not a campaign axis, so
+/// this sweep lowers `base` and sets every random reference's
+/// `accesses_per_iteration` in the lowered spec.  Fails, before anything
+/// runs, when `base` does not lower.
 pub fn guarded_intensity_sweep(
     ctx: &RunContext,
-    config: &SystemConfig,
+    base: &RunDescriptor,
     intensities: &[f64],
-    scale_multiplier: f64,
-) -> Vec<GuardedIntensityPoint> {
+) -> Result<Vec<GuardedIntensityPoint>, String> {
+    let (config, spec, _) = lower_descriptor(base)?;
     let mut runs: Vec<LoweredRun> = Vec::with_capacity(intensities.len() * 2);
     for &intensity in intensities {
-        let mut spec: BenchmarkSpec =
-            NasBenchmark::Cg.spec_scaled(NasBenchmark::Cg.recommended_scale() * scale_multiplier);
+        let mut spec = spec.clone();
         for kernel in &mut spec.kernels {
             for random in &mut kernel.random_refs {
                 random.accesses_per_iteration = intensity;
@@ -184,7 +201,7 @@ pub fn guarded_intensity_sweep(
         runs.push((config.clone(), spec, MachineKind::HybridProposed));
     }
     let results = ctx.run_lowered(&runs).results;
-    intensities
+    Ok(intensities
         .iter()
         .zip(results.chunks_exact(2))
         .map(|(&intensity, pair)| {
@@ -195,7 +212,7 @@ pub fn guarded_intensity_sweep(
                 filter_hit_ratio: hybrid.filter_hit_ratio,
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Formats a guarded-intensity sweep as a text table.
@@ -448,27 +465,30 @@ impl ProtocolComparisonPoint {
     }
 }
 
-/// Runs each benchmark on the proposed machine under both coherence
-/// backends and pairs the results — the measured form of the paper's claim
-/// that filtering guarded accesses is cheaper than consulting a home
-/// directory on every one.
+/// Runs each of `benchmarks` at `base`'s point on the proposed machine
+/// under both coherence backends and pairs the results — the measured form
+/// of the paper's claim that filtering guarded accesses is cheaper than
+/// consulting a home directory on every one.  `base`'s own benchmark and
+/// protocol are replaced.  Fails, before anything runs, when a point does
+/// not lower.
 pub fn protocol_comparison_sweep(
     ctx: &RunContext,
-    config: &SystemConfig,
+    base: &RunDescriptor,
     benchmarks: &[NasBenchmark],
-    scale_multiplier: f64,
-) -> Vec<ProtocolComparisonPoint> {
-    let mut runs: Vec<LoweredRun> = Vec::with_capacity(benchmarks.len() * 2);
-    for &benchmark in benchmarks {
-        let spec = benchmark.spec_scaled(benchmark.recommended_scale() * scale_multiplier);
-        for protocol in CoherenceProtocol::ALL {
-            let mut cfg = config.clone();
-            cfg.coherence_protocol = protocol;
-            runs.push((cfg, spec.clone(), MachineKind::HybridProposed));
-        }
-    }
-    let results = ctx.run_lowered(&runs).results;
-    benchmarks
+) -> Result<Vec<ProtocolComparisonPoint>, String> {
+    let points: Vec<RunDescriptor> = benchmarks
+        .iter()
+        .flat_map(|&benchmark| {
+            CoherenceProtocol::ALL.map(|protocol| RunDescriptor {
+                benchmark,
+                machine: MachineKind::HybridProposed,
+                protocol: Some(protocol),
+                ..base.clone()
+            })
+        })
+        .collect();
+    let results = run_points(ctx, &points)?.results;
+    Ok(benchmarks
         .iter()
         .zip(results.chunks_exact(CoherenceProtocol::ALL.len()))
         .map(|(&benchmark, pair)| {
@@ -485,7 +505,7 @@ pub fn protocol_comparison_sweep(
                 directory_requests: directory.protocol.directory_requests,
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Formats the protocol comparison as a text table.
@@ -519,42 +539,6 @@ pub fn protocol_comparison_table(points: &[ProtocolComparisonPoint]) -> String {
         ]);
     }
     t.build()
-}
-
-/// The CSV column order used by [`protocol_comparison_csv`].
-pub const PROTOCOL_COMPARISON_CSV_COLUMNS: [&str; 9] = [
-    "benchmark",
-    "filterdir_cycles",
-    "directory_cycles",
-    "filterdir_cohprot_packets",
-    "directory_cohprot_packets",
-    "filterdir_total_packets",
-    "directory_total_packets",
-    "filter_hit_ratio",
-    "directory_requests",
-];
-
-/// Exports the protocol comparison as CSV, one row per benchmark.
-pub fn protocol_comparison_csv(points: &[ProtocolComparisonPoint]) -> String {
-    let mut out = PROTOCOL_COMPARISON_CSV_COLUMNS.join(",");
-    out.push('\n');
-    for p in points {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{}\n",
-            p.benchmark,
-            p.filterdir_cycles,
-            p.directory_cycles,
-            p.filterdir_cohprot_packets,
-            p.directory_cohprot_packets,
-            p.filterdir_total_packets,
-            p.directory_total_packets,
-            p.filter_hit_ratio
-                .map(|r| r.to_string())
-                .unwrap_or_default(),
-            p.directory_requests,
-        ));
-    }
-    out
 }
 
 /// Exports the protocol comparison as a JSON array of point objects.
@@ -596,20 +580,24 @@ pub fn protocol_comparison_json(points: &[ProtocolComparisonPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepSpec;
 
-    fn config() -> SystemConfig {
-        SystemConfig::small(4)
+    /// `benchmark` on the proposed 4-core test machine at `scale`.
+    fn base(benchmark: NasBenchmark, scale: f64) -> RunDescriptor {
+        let mut point = RunDescriptor::new(benchmark, MachineKind::HybridProposed, 4);
+        point.scale_multiplier = scale;
+        point.small_machine = true;
+        point
     }
 
     #[test]
     fn filter_sweep_hit_ratio_grows_with_capacity() {
         let points = filter_size_sweep(
             &RunContext::serial(),
-            &config(),
-            NasBenchmark::Is,
+            &base(NasBenchmark::Is, 1.0 / 256.0),
             &[2, 48],
-            1.0 / 256.0,
-        );
+        )
+        .unwrap();
         assert_eq!(points.len(), 2);
         assert!(points[1].hit_ratio >= points[0].hit_ratio);
         assert!(points[0].time_overhead >= 0.99);
@@ -618,15 +606,14 @@ mod tests {
 
     #[test]
     fn spm_sweep_reports_phase_fractions() {
-        let sizes = [ByteSize::kib(4), ByteSize::kib(8)];
         let points = spm_size_sweep(
             &RunContext::serial(),
-            &config(),
-            NasBenchmark::Cg,
-            &sizes,
-            1.0 / 512.0,
-        );
+            &base(NasBenchmark::Cg, 1.0 / 512.0),
+            &[4, 8],
+        )
+        .unwrap();
         assert_eq!(points.len(), 2);
+        assert_eq!(points[1].spm_size, ByteSize::kib(8));
         for p in &points {
             let sum = p.control_fraction + p.sync_fraction + p.work_fraction;
             assert!(
@@ -642,16 +629,30 @@ mod tests {
     fn sweeps_are_executor_invariant() {
         let parallel = RunContext::new(campaign::Executor::new(3), None);
         let serial = RunContext::serial();
-        let sizes = [2usize, 8];
-        let a = filter_size_sweep(&serial, &config(), NasBenchmark::Is, &sizes, 1.0 / 512.0);
-        let b = filter_size_sweep(&parallel, &config(), NasBenchmark::Is, &sizes, 1.0 / 512.0);
+        let point = base(NasBenchmark::Is, 1.0 / 512.0);
+        let a = filter_size_sweep(&serial, &point, &[2, 8]).unwrap();
+        let b = filter_size_sweep(&parallel, &point, &[2, 8]).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
+    fn sweeps_reject_a_point_that_does_not_lower() {
+        let point = base(NasBenchmark::Is, 1.0 / 512.0);
+        let ctx = RunContext::serial();
+        let error = filter_size_sweep(&ctx, &point, &[8, 0]).unwrap_err();
+        assert!(error.contains("filter entry"), "{error}");
+        let error = spm_size_sweep(&ctx, &point, &[0]).unwrap_err();
+        assert!(error.contains("SPM size"), "{error}");
+    }
+
+    #[test]
     fn guarded_intensity_sweep_runs() {
-        let points =
-            guarded_intensity_sweep(&RunContext::serial(), &config(), &[0.0, 2.0], 1.0 / 512.0);
+        let points = guarded_intensity_sweep(
+            &RunContext::serial(),
+            &base(NasBenchmark::Cg, 1.0 / 512.0),
+            &[0.0, 2.0],
+        )
+        .unwrap();
         assert_eq!(points.len(), 2);
         assert!(points[0].speedup > 0.0);
         assert!(guarded_intensity_table(&points).contains("Guarded"));
@@ -683,12 +684,9 @@ mod tests {
 
     #[test]
     fn protocol_comparison_measures_the_cost_claim() {
-        let points = protocol_comparison_sweep(
-            &RunContext::serial(),
-            &config(),
-            &[NasBenchmark::Cg, NasBenchmark::Is],
-            1.0 / 512.0,
-        );
+        let point = base(NasBenchmark::Cg, 1.0 / 512.0);
+        let benchmarks = [NasBenchmark::Cg, NasBenchmark::Is];
+        let points = protocol_comparison_sweep(&RunContext::serial(), &point, &benchmarks).unwrap();
         assert_eq!(points.len(), 2);
         for p in &points {
             // The directory baseline consults its home on every guarded
@@ -708,30 +706,61 @@ mod tests {
         // Deterministic, and executor-invariant like every other sweep.
         let again = protocol_comparison_sweep(
             &RunContext::new(campaign::Executor::new(3), None),
-            &config(),
-            &[NasBenchmark::Cg, NasBenchmark::Is],
-            1.0 / 512.0,
-        );
+            &point,
+            &benchmarks,
+        )
+        .unwrap();
         assert_eq!(points, again);
+    }
+
+    #[test]
+    fn protocol_comparison_points_are_campaign_points() {
+        // The ablation's runs fill a cache that then serves a campaign over
+        // the same axes in full: both name their runs by descriptor.
+        let dir = std::env::temp_dir().join(format!(
+            "protocol-ablation-cache-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = RunContext::new(
+            campaign::Executor::serial(),
+            Some(campaign::ResultCache::new(&dir)),
+        );
+        let scale = 1.0 / 512.0;
+        let benchmarks = [NasBenchmark::Cg, NasBenchmark::Is];
+        let points =
+            protocol_comparison_sweep(&ctx, &base(NasBenchmark::Ep, scale), &benchmarks).unwrap();
+        let campaign = SweepSpec::new(&benchmarks)
+            .with_machines(&[MachineKind::HybridProposed])
+            .with_cores(&[4])
+            .with_scales(&[scale])
+            .with_protocols(&CoherenceProtocol::ALL)
+            .small();
+        let report = run_points(&ctx, &campaign.points()).unwrap();
+        assert_eq!(
+            (report.executed, report.cache_hits),
+            (0, 4),
+            "{}",
+            report.accounting()
+        );
+        for (p, pair) in points.iter().zip(report.results.chunks_exact(2)) {
+            assert_eq!(p.filterdir_cycles, pair[0].execution_time.as_u64());
+            assert_eq!(p.directory_cycles, pair[1].execution_time.as_u64());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn protocol_comparison_exports_render() {
         let points = protocol_comparison_sweep(
             &RunContext::serial(),
-            &config(),
+            &base(NasBenchmark::Is, 1.0 / 512.0),
             &[NasBenchmark::Is],
-            1.0 / 512.0,
-        );
+        )
+        .unwrap();
         let table = protocol_comparison_table(&points);
         assert!(table.contains("filterDir cyc"), "{table}");
         assert!(table.contains("Dir requests"), "{table}");
-        let csv = protocol_comparison_csv(&points);
-        assert_eq!(csv.lines().count(), 1 + points.len());
-        assert_eq!(
-            csv.lines().next().unwrap(),
-            PROTOCOL_COMPARISON_CSV_COLUMNS.join(",")
-        );
         let json = protocol_comparison_json(&points);
         let parsed = Json::parse(&json).expect("valid JSON");
         assert_eq!(parsed.as_array().unwrap().len(), points.len());

@@ -70,15 +70,11 @@ impl Fig7Table {
 
 pub(super) fn fig7(suite: &ExperimentSuite) -> Fig7Table {
     let mut rows = Vec::new();
-    for name in suite.benchmarks() {
-        let (Some(proposed), Some(ideal)) = (
-            suite.result(&name, MachineKind::HybridProposed),
-            suite.result(&name, MachineKind::HybridIdeal),
-        ) else {
-            continue;
-        };
+    for (name, proposed, ideal) in
+        suite.pairs(MachineKind::HybridProposed, MachineKind::HybridIdeal)
+    {
         rows.push((
-            name.clone(),
+            name,
             Fig7Row {
                 execution_time: ratio(
                     proposed.execution_time.as_f64(),
@@ -133,10 +129,10 @@ pub(super) fn fig8(suite: &ExperimentSuite) -> Fig8Table {
     let rows = suite
         .benchmarks()
         .into_iter()
-        .filter_map(|name| {
+        .filter_map(|benchmark| {
             suite
-                .result(&name, MachineKind::HybridProposed)
-                .map(|r| (name.clone(), r.filter_hit_ratio))
+                .result(benchmark, MachineKind::HybridProposed)
+                .map(|r| (benchmark.name().to_owned(), r.filter_hit_ratio))
         })
         .collect();
     Fig8Table { rows }
@@ -216,13 +212,7 @@ impl Fig9Table {
 
 pub(super) fn fig9(suite: &ExperimentSuite) -> Fig9Table {
     let mut rows = Vec::new();
-    for name in suite.benchmarks() {
-        let (Some(hybrid), Some(cache)) = (
-            suite.result(&name, MachineKind::HybridProposed),
-            suite.result(&name, MachineKind::CacheOnly),
-        ) else {
-            continue;
-        };
+    for (name, hybrid, cache) in suite.pairs(MachineKind::HybridProposed, MachineKind::CacheOnly) {
         let cache_time = cache.execution_time.as_f64().max(1.0);
         let normalized = hybrid.execution_time.as_f64() / cache_time;
         let control = hybrid.phase_cycles[Phase::Control.index()].as_f64() / cache_time;
@@ -230,7 +220,7 @@ pub(super) fn fig9(suite: &ExperimentSuite) -> Fig9Table {
         let work = hybrid.phase_cycles[Phase::Work.index()].as_f64() / cache_time;
         let cache_work = cache.phase_cycles[Phase::Work.index()].as_f64() / cache_time;
         rows.push((
-            name.clone(),
+            name,
             Fig9Row {
                 hybrid_normalized: normalized,
                 speedup: 1.0 / normalized.max(1e-9),
@@ -310,17 +300,11 @@ impl Fig10Table {
 
 pub(super) fn fig10(suite: &ExperimentSuite) -> Fig10Table {
     let mut rows = Vec::new();
-    for name in suite.benchmarks() {
-        let (Some(hybrid), Some(cache)) = (
-            suite.result(&name, MachineKind::HybridProposed),
-            suite.result(&name, MachineKind::CacheOnly),
-        ) else {
-            continue;
-        };
+    for (name, hybrid, cache) in suite.pairs(MachineKind::HybridProposed, MachineKind::CacheOnly) {
         let cache_packets = cache.traffic.packets_by_class();
         let hybrid_packets = hybrid.traffic.packets_by_class();
         let normalized = ratio(hybrid.total_packets() as f64, cache.total_packets() as f64);
-        rows.push((name.clone(), cache_packets, hybrid_packets, normalized));
+        rows.push((name, cache_packets, hybrid_packets, normalized));
     }
     Fig10Table { rows }
 }
@@ -369,17 +353,11 @@ impl Fig11Table {
 
 pub(super) fn fig11(suite: &ExperimentSuite) -> Fig11Table {
     let mut rows = Vec::new();
-    for name in suite.benchmarks() {
-        let (Some(hybrid), Some(cache)) = (
-            suite.result(&name, MachineKind::HybridProposed),
-            suite.result(&name, MachineKind::CacheOnly),
-        ) else {
-            continue;
-        };
+    for (name, hybrid, cache) in suite.pairs(MachineKind::HybridProposed, MachineKind::CacheOnly) {
         let cache_bars = cache.energy.normalized_to(&cache.energy);
         let hybrid_bars = hybrid.energy.normalized_to(&cache.energy);
         let total = ratio(hybrid.total_energy(), cache.total_energy());
-        rows.push((name.clone(), cache_bars, hybrid_bars, total));
+        rows.push((name, cache_bars, hybrid_bars, total));
     }
     Fig11Table { rows }
 }

@@ -1,7 +1,8 @@
 //! Experiment drivers regenerating the paper's evaluation (§5).
 //!
-//! [`ExperimentSuite`] runs the six NAS-like benchmarks on the three machine
-//! kinds and derives every figure:
+//! An [`ExperimentSuite`] is the `(RunDescriptor, RunResult)` records of
+//! one [`SweepSpec`] run through [`run_points`] — normally the six NAS-like
+//! benchmarks on the three machine kinds — and derives every figure:
 //!
 //! * [`ExperimentSuite::fig7`] — overhead of the proposed protocol over ideal
 //!   coherence (execution time, energy, NoC traffic);
@@ -17,137 +18,80 @@
 pub mod ablations;
 pub mod figures;
 
-use serde::{Deserialize, Serialize};
-
 use workloads::nas::NasBenchmark;
 
-use crate::config::{MachineKind, SystemConfig};
+use crate::config::MachineKind;
 use crate::machine::RunResult;
-use crate::sweep::{LoweredRun, RunContext};
+use crate::sweep::{run_points, RunContext, RunDescriptor, SweepSpec};
 
 pub use figures::{
     Fig10Table, Fig11Table, Fig7Row, Fig7Table, Fig8Table, Fig9Row, Fig9Table, SummaryTable,
 };
 
-/// A cached set of benchmark runs from which every figure is derived.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The runs every figure is derived from: one record per point of a sweep.
+///
+/// The figures look runs up by benchmark and machine, so a suite is meant
+/// to hold one point per `(benchmark, machine)` pair — a sweep whose only
+/// multi-valued axes are the benchmarks and the machines.
+#[derive(Debug, Clone)]
 pub struct ExperimentSuite {
-    /// The configuration the suite was run with.
-    pub config_label: String,
-    /// Data-set scale multiplier applied on top of each benchmark's
-    /// recommended scale.
-    pub scale_multiplier: f64,
-    /// All runs as `(benchmark name, machine kind, result)` tuples.
-    runs: Vec<(String, MachineKind, RunResult)>,
+    runs: Vec<(RunDescriptor, RunResult)>,
 }
 
 impl ExperimentSuite {
-    /// Runs `benchmarks` on `kinds`, scaling each benchmark's data sets by
-    /// its recommended scale times `scale_multiplier`.
+    /// Runs every point of `sweep` through `ctx`: its executor shards the
+    /// points across its workers, and its cache (when present) serves
+    /// repeated runs without simulating them.
     ///
-    /// Runs execute through the default [`RunContext`] — all available
-    /// cores, no result cache.  Use [`ExperimentSuite::run_with`] to control
-    /// the worker count or enable caching.
-    pub fn run(
-        config: &SystemConfig,
-        benchmarks: &[NasBenchmark],
-        kinds: &[MachineKind],
-        scale_multiplier: f64,
-    ) -> Self {
-        Self::run_with(
-            config,
-            benchmarks,
-            kinds,
-            scale_multiplier,
-            &RunContext::default(),
-        )
-    }
-
-    /// [`ExperimentSuite::run`] with explicit execution policy: the
-    /// context's executor shards the benchmark × machine runs across its
-    /// workers, and its cache (when present) serves repeated runs without
-    /// simulating them.
-    ///
-    /// Every run is a pure function of `(config, spec, kind)`, so the suite
-    /// is bit-identical for any worker count.
-    pub fn run_with(
-        config: &SystemConfig,
-        benchmarks: &[NasBenchmark],
-        kinds: &[MachineKind],
-        scale_multiplier: f64,
-        ctx: &RunContext,
-    ) -> Self {
-        let mut labels = Vec::new();
-        let mut lowered: Vec<LoweredRun> = Vec::new();
-        for &benchmark in benchmarks {
-            let scale = benchmark.recommended_scale() * scale_multiplier;
-            let spec = benchmark.spec_scaled(scale);
-            for &kind in kinds {
-                labels.push((benchmark.name().to_owned(), kind));
-                lowered.push((config.clone(), spec.clone(), kind));
-            }
-        }
-        let report = ctx.run_lowered(&lowered);
-        ExperimentSuite {
-            config_label: format!("{} cores", config.cores),
-            scale_multiplier,
-            runs: labels
-                .into_iter()
-                .zip(report.results)
-                .map(|((name, kind), result)| (name, kind, result))
-                .collect(),
-        }
-    }
-
-    /// A reduced suite (fewer cores and much smaller data sets) used by the
-    /// integration tests.
-    pub fn run_quick(
-        config: &SystemConfig,
-        benchmarks: &[NasBenchmark],
-        scale_multiplier: f64,
-    ) -> Self {
-        Self::run(config, benchmarks, &MachineKind::ALL, scale_multiplier)
+    /// Every run is a pure function of its point, so the suite is
+    /// bit-identical for any worker count.  Fails, before anything runs,
+    /// when a point does not lower (see [`run_points`]).
+    pub fn run_with(ctx: &RunContext, sweep: &SweepSpec) -> Result<Self, String> {
+        let points = sweep.points();
+        let report = run_points(ctx, &points)?;
+        Ok(ExperimentSuite {
+            runs: points.into_iter().zip(report.results).collect(),
+        })
     }
 
     /// The benchmarks present in the suite, in the paper's order.
-    pub fn benchmarks(&self) -> Vec<String> {
-        let mut names: Vec<String> = NasBenchmark::ALL
-            .iter()
-            .map(|b| b.name().to_owned())
-            .filter(|n| self.runs.iter().any(|(b, _, _)| b == n))
-            .collect();
-        // Include any non-NAS benchmarks that were run explicitly.
-        for (name, _, _) in &self.runs {
-            if !names.contains(name) {
-                names.push(name.clone());
-            }
-        }
-        names
+    pub fn benchmarks(&self) -> Vec<NasBenchmark> {
+        NasBenchmark::ALL
+            .into_iter()
+            .filter(|&b| self.runs.iter().any(|(d, _)| d.benchmark == b))
+            .collect()
     }
 
     /// The run of `benchmark` on `kind`, if present.
-    pub fn result(&self, benchmark: &str, kind: MachineKind) -> Option<&RunResult> {
+    pub fn result(&self, benchmark: NasBenchmark, kind: MachineKind) -> Option<&RunResult> {
         self.runs
             .iter()
-            .find(|(b, k, _)| b == benchmark && *k == kind)
-            .map(|(_, _, r)| r)
+            .find(|(d, _)| d.benchmark == benchmark && d.machine == kind)
+            .map(|(_, r)| r)
     }
 
-    /// Inserts (or replaces) a run, for suites assembled manually.
-    pub fn insert(&mut self, benchmark: &str, kind: MachineKind, result: RunResult) {
-        self.runs
-            .retain(|(b, k, _)| !(b == benchmark && *k == kind));
-        self.runs.push((benchmark.to_owned(), kind, result));
+    /// The runs of every benchmark that ran on both `a` and `b`, in the
+    /// paper's order, as `(benchmark name, run on a, run on b)`.
+    pub(crate) fn pairs(
+        &self,
+        a: MachineKind,
+        b: MachineKind,
+    ) -> Vec<(String, &RunResult, &RunResult)> {
+        self.benchmarks()
+            .into_iter()
+            .filter_map(|benchmark| {
+                Some((
+                    benchmark.name().to_owned(),
+                    self.result(benchmark, a)?,
+                    self.result(benchmark, b)?,
+                ))
+            })
+            .collect()
     }
 
-    /// Number of runs cached in the suite.
-    pub fn len(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Returns `true` when the suite holds no runs.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+    /// The suite's records, in sweep order.
+    pub fn records(&self) -> &[(RunDescriptor, RunResult)] {
+        &self.runs
     }
 
     /// Figure 7: overheads of the proposed protocol over ideal coherence.
@@ -185,24 +129,33 @@ impl ExperimentSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::Machine;
+
+    fn quick_sweep() -> SweepSpec {
+        SweepSpec::new(&[NasBenchmark::Cg, NasBenchmark::Is])
+            .with_cores(&[4])
+            .with_scales(&[1.0 / 64.0])
+            .small()
+    }
 
     fn quick_suite() -> ExperimentSuite {
-        let config = SystemConfig::small(4);
-        ExperimentSuite::run_quick(&config, &[NasBenchmark::Cg, NasBenchmark::Is], 1.0 / 64.0)
+        ExperimentSuite::run_with(&RunContext::serial(), &quick_sweep()).unwrap()
     }
 
     #[test]
     fn suite_runs_every_requested_combination() {
         let suite = quick_suite();
-        assert_eq!(suite.len(), 6);
-        assert!(!suite.is_empty());
-        assert_eq!(suite.benchmarks(), vec!["CG".to_owned(), "IS".to_owned()]);
+        assert_eq!(suite.records().len(), 6);
+        assert_eq!(suite.benchmarks(), vec![NasBenchmark::Cg, NasBenchmark::Is]);
         for kind in MachineKind::ALL {
-            assert!(suite.result("CG", kind).is_some());
-            assert!(suite.result("IS", kind).is_some());
+            assert!(suite.result(NasBenchmark::Cg, kind).is_some());
+            assert!(suite.result(NasBenchmark::Is, kind).is_some());
         }
-        assert!(suite.result("FT", MachineKind::CacheOnly).is_none());
+        assert!(suite
+            .result(NasBenchmark::Ft, MachineKind::CacheOnly)
+            .is_none());
+        let pairs = suite.pairs(MachineKind::HybridProposed, MachineKind::CacheOnly);
+        assert_eq!(pairs.len(), 2);
+        assert_eq!(pairs[0].0, "CG");
     }
 
     #[test]
@@ -219,40 +172,27 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_suites_are_bit_identical() {
-        let config = SystemConfig::small(4);
-        let benchmarks = [NasBenchmark::Cg, NasBenchmark::Is];
-        let scale = 1.0 / 64.0;
-        let serial = ExperimentSuite::run_with(
-            &config,
-            &benchmarks,
-            &MachineKind::ALL,
-            scale,
-            &RunContext::serial(),
-        );
-        let parallel = ExperimentSuite::run_with(
-            &config,
-            &benchmarks,
-            &MachineKind::ALL,
-            scale,
-            &RunContext::new(campaign::Executor::new(4), None),
-        );
-        assert_eq!(serial.len(), parallel.len());
-        for (name, kind, result) in &serial.runs {
-            let other = parallel.result(name, *kind).expect("same combinations");
-            assert_eq!(result.to_json(), other.to_json(), "{name} on {kind}");
-        }
+    fn a_benchmark_missing_a_machine_has_no_figure_row() {
+        let sweep = quick_sweep().with_machines(&[MachineKind::HybridProposed]);
+        let suite = ExperimentSuite::run_with(&RunContext::serial(), &sweep).unwrap();
+        assert_eq!(suite.fig8().rows.len(), 2);
+        assert!(suite.fig7().rows.is_empty());
+        assert!(suite.fig9().rows.is_empty());
     }
 
     #[test]
-    fn insert_allows_manual_assembly() {
-        let config = SystemConfig::small(4);
-        let spec = NasBenchmark::Ep.spec_scaled(1.0 / 16.0);
-        let result = Machine::new(MachineKind::CacheOnly, config.clone()).run(&spec);
-        let mut suite = ExperimentSuite::run(&config, &[], &[], 1.0);
-        assert!(suite.is_empty());
-        suite.insert("EP", MachineKind::CacheOnly, result);
-        assert_eq!(suite.len(), 1);
-        assert!(suite.result("EP", MachineKind::CacheOnly).is_some());
+    fn serial_and_parallel_suites_are_bit_identical() {
+        let sweep = quick_sweep();
+        let serial = ExperimentSuite::run_with(&RunContext::serial(), &sweep).unwrap();
+        let parallel =
+            ExperimentSuite::run_with(&RunContext::new(campaign::Executor::new(4), None), &sweep)
+                .unwrap();
+        assert_eq!(serial.records().len(), parallel.records().len());
+        for ((point, result), (other_point, other)) in
+            serial.records().iter().zip(parallel.records())
+        {
+            assert_eq!(point, other_point);
+            assert_eq!(result.to_json(), other.to_json(), "{}", point.label());
+        }
     }
 }

@@ -17,9 +17,10 @@
 //! §5.3 comparison point) and the hybrid memory system with the proposed
 //! coherence protocol.
 //!
-//! [`experiments::ExperimentSuite`] runs the six benchmarks on the three
-//! machines and derives the paper's Figures 7–11; [`experiments::ablations`]
-//! adds the design-choice sweeps described in `DESIGN.md`.
+//! [`experiments::ExperimentSuite`] holds the runs of a sweep of the six
+//! benchmarks on the three machines and derives the paper's Figures 7–11;
+//! [`experiments::ablations`] adds the design-choice sweeps described in
+//! `DESIGN.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -177,6 +177,11 @@ pub fn run_result_from_json(v: &Json) -> Option<RunResult> {
         Json::Null => None,
         other => Some(other.as_f64()?),
     };
+    let stats = stats_from_json(v.get("stats")?)?;
+    let mut protocol = protocol_from_json(v.get("protocol")?)?;
+    // The `protocol` object has no `directory_requests` field; the count
+    // travels in the stats registry, which the directory backend exports.
+    protocol.directory_requests = stats.count("cohprot.directory.requests");
     Some(RunResult {
         benchmark: v.get("benchmark")?.as_str()?.to_owned(),
         kind: MachineKind::from_id(v.get("kind")?.as_str()?)?,
@@ -189,9 +194,9 @@ pub fn run_result_from_json(v: &Json) -> Option<RunResult> {
         traffic: TrafficAccountant::from_snapshot(snapshot),
         energy: EnergyBreakdown::from_joules(joules),
         filter_hit_ratio,
-        protocol: protocol_from_json(v.get("protocol")?)?,
+        protocol,
         instructions: v.get("instructions")?.as_u64()?,
-        stats: stats_from_json(v.get("stats")?)?,
+        stats,
         breakdown: CycleBreakdown::from_json(v.get("breakdown")?).ok()?,
     })
 }
@@ -256,6 +261,17 @@ mod tests {
             // And the encoding itself is a fixed point.
             assert_eq!(restored.to_json(), text);
         }
+    }
+
+    #[test]
+    fn round_trips_the_directory_backends_requests() {
+        let mut config = SystemConfig::small(4);
+        config.coherence_protocol = crate::config::CoherenceProtocol::Directory;
+        let spec = NasBenchmark::Cg.spec_scaled(1.0 / 512.0);
+        let original = Machine::new(MachineKind::HybridProposed, config).run(&spec);
+        assert!(original.protocol.directory_requests > 0);
+        let restored = RunResult::from_json(&original.to_json()).expect("decodes");
+        assert_eq!(restored.protocol, original.protocol);
     }
 
     #[test]

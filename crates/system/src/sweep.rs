@@ -7,11 +7,19 @@
 //! lower, execute in parallel, cache" pipeline, and [`summarize`],
 //! [`to_csv`] and [`to_json`] aggregate the `(point, result)` pairs.
 //!
+//! Every report run is a descriptor: the figures' suite, the filter, SPM
+//! and protocol ablations, the `--trace`/`--cycle-accounting` point and the
+//! `campaign` binary all go through [`lower_descriptor`].  Only two callers
+//! build a [`LoweredRun`] by hand and submit it to
+//! [`RunContext::run_lowered`]: the guarded-intensity ablation, which
+//! lowers a descriptor and then edits the workload spec, and the hot-loop
+//! tests, which set `track_values` on the configuration.
+//!
 //! Cache keys are derived from the **lowered** run inputs (the full `Debug`
 //! rendition of the configuration and workload spec plus the machine kind
 //! and cache-format version), not from the descriptor: every knob that can
 //! change a simulation's outcome is part of its content address, including
-//! knobs a descriptor cannot express (used by the experiment-suite path).
+//! the edits a descriptor cannot express.
 
 use campaign::{run_campaign, CacheKey, CampaignReport, Executor, ResultCache, CACHE_FORMAT};
 use simkernel::ByteSize;
@@ -115,9 +123,9 @@ pub type LoweredRun = (SystemConfig, BenchmarkSpec, MachineKind);
 /// How a batch of runs should execute: on how many workers, and against
 /// which result cache (if any).
 ///
-/// This is the object the experiment suite, the ablation sweeps and the
-/// campaign binary all funnel their runs through, which is what gives every
-/// report binary `--jobs` parallelism and `--cache-dir` caching at once.
+/// This is the object every report run and the campaign binary funnel
+/// their runs through, which is what gives every report binary `--jobs`
+/// parallelism and `--cache-dir` caching at once.
 #[derive(Debug, Clone, Default)]
 pub struct RunContext {
     /// The parallel executor (defaults to available parallelism).
@@ -231,32 +239,6 @@ mod tests {
         assert_eq!(config.trace_seed, SystemConfig::with_cores(4).trace_seed);
         assert_eq!(spec.name, "CG");
         assert!(spec.input.contains("scale"));
-    }
-
-    #[test]
-    fn campaign_points_are_the_report_binaries_points() {
-        // The report binaries run `--cores N --scale S` as
-        // `CliOptions::config()` plus the suite's scaled spec; a campaign
-        // point on the same axes must address the same cached run.
-        let options = crate::cli::CliOptions {
-            cores: 4,
-            scale: 0.0625,
-            ..Default::default()
-        };
-        for benchmark in NasBenchmark::ALL {
-            let report_spec = benchmark.spec_scaled(benchmark.recommended_scale() * options.scale);
-            for machine in MachineKind::ALL {
-                let mut d = RunDescriptor::new(benchmark, machine, options.cores);
-                d.scale_multiplier = options.scale;
-                let (config, spec, kind) = lower_descriptor(&d).unwrap();
-                assert_eq!(
-                    run_cache_key(kind, &config, &spec),
-                    run_cache_key(machine, &options.config(), &report_spec),
-                    "{}",
-                    d.label()
-                );
-            }
-        }
     }
 
     #[test]

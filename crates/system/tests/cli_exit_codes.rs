@@ -221,6 +221,45 @@ fn campaign_spellings_of_one_benchmark_are_one_point() {
     assert_eq!(run("cg"), canonical);
 }
 
+/// A point named twice runs once: both spellings export a row, one
+/// simulation fills one cache file, and the duplicate is neither executed
+/// nor a cache hit.
+#[test]
+fn campaign_runs_a_point_named_twice_once() {
+    let dir = std::env::temp_dir().join(format!("campaign-duplicate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = campaign(&[
+        "--benchmarks",
+        "cg,CG",
+        "--machines",
+        "cache-only",
+        "--cores",
+        "4",
+        "--scale",
+        "0.0625",
+        "--small",
+        "--cache-dir",
+        dir.to_str().unwrap(),
+        "--quiet",
+        "--csv",
+        "-",
+    ]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("campaign: 2 points, executed 1, cache hits 0"),
+        "{stdout}"
+    );
+    let rows: Vec<&str> = stdout
+        .lines()
+        .filter(|line| line.starts_with("CG,cache-only,4,"))
+        .collect();
+    assert_eq!(rows.len(), 2, "{stdout}");
+    assert_eq!(rows[0], rows[1]);
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn coherence_check_help_exits_zero_on_stdout() {
     let out = coherence_check(&["--help"]);

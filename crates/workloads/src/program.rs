@@ -64,7 +64,7 @@ impl<'a> KernelExecution<'a> {
     }
 
     /// Total number of tiles this core executes.
-    pub fn num_tiles(&self) -> u64 {
+    fn num_tiles(&self) -> u64 {
         self.kernel.total_tiles_per_core()
     }
 
@@ -114,7 +114,7 @@ impl<'a> KernelExecution<'a> {
 
     /// Number of loop iterations executed in tile `tile` (the last tile of a
     /// traversal may be partial).
-    pub fn tile_iterations(&self, tile: u64) -> u64 {
+    fn tile_iterations(&self, tile: u64) -> u64 {
         let pos = (tile % self.kernel.tiles_per_traversal) * self.kernel.tile_elems;
         let remaining = self.kernel.iterations_per_core.saturating_sub(pos);
         remaining.min(self.kernel.tile_elems).max(1)
@@ -425,11 +425,6 @@ impl<'a> OpCursor<'a> {
     /// The kernel being streamed.
     pub fn kernel(&self) -> &CompiledKernel {
         self.exec.kernel()
-    }
-
-    /// Returns `true` once every op has been yielded.
-    pub fn is_done(&self) -> bool {
-        self.segment == Segment::Done
     }
 
     /// Yields the next operation, generating the next piece on demand.
@@ -764,11 +759,9 @@ mod tests {
 
                     let mut cursor = OpCursor::new(kernel, id, 64, 42);
                     assert_eq!(cursor.segment(), Segment::Prologue);
-                    assert!(!cursor.is_done());
                     let streamed: Vec<TraceOp> = std::iter::from_fn(|| cursor.next_op()).collect();
                     let at = format!("{benchmark:?} {mode:?} {} core {core}", kernel.name);
                     assert_eq!(streamed, expected, "{at}");
-                    assert!(cursor.is_done(), "{at}");
                     assert_eq!(cursor.segment(), Segment::Done, "{at}");
                     assert_eq!(
                         cursor.next_op(),

@@ -150,11 +150,6 @@ impl TraceOp {
             _ => 0,
         }
     }
-
-    /// Returns `true` if this is a demand memory access.
-    pub fn is_memory_access(&self) -> bool {
-        matches!(self, TraceOp::Load { .. } | TraceOp::Store { .. })
-    }
 }
 
 #[cfg(test)]
@@ -188,8 +183,6 @@ mod tests {
             reference_id: 1,
         };
         assert_eq!(load.instruction_count(), 1);
-        assert!(load.is_memory_access());
         assert_eq!(TraceOp::SetPhase(Phase::Work).instruction_count(), 0);
-        assert!(!TraceOp::DmaSync { tags: vec![1] }.is_memory_access());
     }
 }

@@ -11,16 +11,23 @@
 //! `cargo run --release -p system --bin campaign -- --help`.
 
 use spm_manycore::campaign::{Executor, ResultCache};
+use spm_manycore::system::cli::{check_scale, parse_or_exit, Args, CliError};
 use spm_manycore::system::sweep::{run_points, summarize, to_csv, RunContext, SweepSpec};
 use spm_manycore::workloads::nas::NasBenchmark;
 
+const USAGE: &str = "usage: campaign [JOBS] [SCALE]\n";
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<(usize, f64), CliError> {
+    let mut args = Args::new(args);
+    let jobs = args.positional("JOBS", 0)?;
+    let scale = args.positional("SCALE", 1.0 / 256.0)?;
+    args.finish()?;
+    check_scale("SCALE", scale)?;
+    Ok((jobs, scale))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let jobs: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0);
-    let scale: f64 = args
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0 / 256.0);
+    let (jobs, scale) = parse_or_exit("campaign", USAGE, std::env::args().skip(1), parse);
 
     // 1. Declare the sweep: two benchmarks × two core counts × all three
     //    machine kinds, on the scaled-down test machine.

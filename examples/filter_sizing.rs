@@ -11,17 +11,33 @@
 //! cargo run --release --example filter_sizing [CORES] [SCALE]
 //! ```
 
-use simkernel::ByteSize;
+use spm_manycore::system::cli::{check_scale, parse_or_exit, Args, CliError};
 use spm_manycore::system::experiments::ablations;
-use spm_manycore::system::sweep::RunContext;
-use spm_manycore::system::SystemConfig;
+use spm_manycore::system::sweep::{RunContext, RunDescriptor};
+use spm_manycore::system::MachineKind;
 use spm_manycore::workloads::nas::NasBenchmark;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let cores: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(16);
-    let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.25);
-    let config = SystemConfig::with_cores(cores);
+const USAGE: &str = "usage: filter_sizing [CORES] [SCALE]\n";
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<(usize, f64), CliError> {
+    let mut args = Args::new(args);
+    let cores = args.positional("CORES", 16)?;
+    let scale = args.positional("SCALE", 0.25)?;
+    args.finish()?;
+    if cores == 0 {
+        return Err("CORES: must be at least 1".to_owned().into());
+    }
+    check_scale("SCALE", scale)?;
+    Ok((cores, scale))
+}
+
+fn main() -> Result<(), String> {
+    let (cores, scale) = parse_or_exit("filter_sizing", USAGE, std::env::args().skip(1), parse);
+    // Each sweep varies one axis of a base point on the Table 1 machine.
+    let base = |benchmark, scale| RunDescriptor {
+        scale_multiplier: scale,
+        ..RunDescriptor::new(benchmark, MachineKind::HybridProposed, cores)
+    };
     // All sweep points run through the campaign executor on every available
     // core (see the `campaign` example for caching on top of this).
     let ctx = RunContext::default();
@@ -34,32 +50,20 @@ fn main() {
 
     let filter_points = ablations::filter_size_sweep(
         &ctx,
-        &config,
-        NasBenchmark::Is,
+        &base(NasBenchmark::Is, scale),
         &[4, 8, 16, 32, 48, 96],
-        scale,
-    );
+    )?;
     println!("{}", ablations::filter_size_table(&filter_points));
 
-    let spm_points = ablations::spm_size_sweep(
-        &ctx,
-        &config,
-        NasBenchmark::Cg,
-        &[
-            ByteSize::kib(8),
-            ByteSize::kib(16),
-            ByteSize::kib(32),
-            ByteSize::kib(64),
-        ],
-        scale,
-    );
+    let spm_points =
+        ablations::spm_size_sweep(&ctx, &base(NasBenchmark::Cg, scale), &[8, 16, 32, 64])?;
     println!("{}", ablations::spm_size_table(&spm_points));
 
     let intensity_points = ablations::guarded_intensity_sweep(
         &ctx,
-        &config,
+        &base(NasBenchmark::Cg, scale * 0.5),
         &[0.0, 0.5, 1.0, 2.0, 4.0, 8.0],
-        scale * 0.5,
-    );
+    )?;
     println!("{}", ablations::guarded_intensity_table(&intensity_points));
+    Ok(())
 }

@@ -8,18 +8,29 @@
 //! `BENCH` defaults to `CG`, `CORES` to 16 (use 64 for the paper's machine)
 //! and `SCALE` multiplies the benchmark's recommended data-set scale.
 
+use spm_manycore::system::cli::{check_scale, parse_or_exit, Args, CliError};
 use spm_manycore::system::{Machine, MachineKind, SystemConfig};
 use spm_manycore::workloads::nas::NasBenchmark;
 use spm_manycore::workloads::Phase;
 
+const USAGE: &str = "usage: quickstart [BENCH: CG|EP|FT|IS|MG|SP] [CORES] [SCALE]\n";
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<(NasBenchmark, usize, f64), CliError> {
+    let mut args = Args::new(args);
+    let names = NasBenchmark::ALL.map(NasBenchmark::name);
+    let bench = args.positional_id("BENCH", NasBenchmark::Cg, NasBenchmark::from_name, &names)?;
+    let cores = args.positional("CORES", 16)?;
+    let scale = args.positional("SCALE", 1.0)?;
+    args.finish()?;
+    if cores == 0 {
+        return Err("CORES: must be at least 1".to_owned().into());
+    }
+    check_scale("SCALE", scale)?;
+    Ok((bench, cores, scale))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let bench = args
-        .get(1)
-        .and_then(|s| NasBenchmark::from_name(s))
-        .unwrap_or(NasBenchmark::Cg);
-    let cores: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
-    let scale: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    let (bench, cores, scale) = parse_or_exit("quickstart", USAGE, std::env::args().skip(1), parse);
 
     let config = SystemConfig::with_cores(cores);
     let spec = bench.spec_scaled(bench.recommended_scale() * scale);

@@ -18,6 +18,12 @@ use spm_manycore::workloads::{
     compile, ArrayRef, BenchmarkSpec, ExecMode, GuardedRef, KernelSpec, MachineParams,
 };
 
+/// Bytes of the streamed row arrays (`values`), sized so the example runs
+/// in seconds even unoptimised.
+const ROWS: ByteSize = ByteSize::kib(512);
+/// Bytes of the gathered dense vector `x`.
+const VECTOR: ByteSize = ByteSize::kib(64);
+
 fn spmv(rows_bytes: ByteSize, vector_bytes: ByteSize, gather_unaliased: bool) -> BenchmarkSpec {
     let gather = if gather_unaliased {
         GuardedRef::guarded("x[col[j]]", vector_bytes, 1.0)
@@ -48,7 +54,7 @@ fn spmv(rows_bytes: ByteSize, vector_bytes: ByteSize, gather_unaliased: bool) ->
 fn main() {
     let cores = 16;
     let config = SystemConfig::with_cores(cores);
-    let spec = spmv(ByteSize::mib(8), ByteSize::kib(512), false);
+    let spec = spmv(ROWS, VECTOR, false);
 
     // Show what the compiler does with the kernel in both modes.
     let machine_params = MachineParams {
@@ -102,7 +108,7 @@ fn main() {
     // What if the programmer annotates the gather as restrict / the alias
     // analysis succeeds?  The access becomes a plain GM access and the
     // protocol has nothing to do.
-    let annotated = spmv(ByteSize::mib(8), ByteSize::kib(512), true);
+    let annotated = spmv(ROWS, VECTOR, true);
     let result = Machine::new(MachineKind::HybridProposed, config).run(&annotated);
     println!(
         "\nwith the gather proven unaliased: {:>12} cycles, guarded accesses: {}",

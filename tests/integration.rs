@@ -6,6 +6,7 @@ use spm_manycore::mem::{Addr, AddressRange, MemorySystem, MemorySystemConfig};
 use spm_manycore::noc::MessageClass;
 use spm_manycore::simkernel::{ByteSize, CoreId, Cycle};
 use spm_manycore::spm::{Scratchpad, SpmConfig};
+use spm_manycore::system::sweep::{RunContext, SweepSpec};
 use spm_manycore::system::{ExperimentSuite, Machine, MachineKind, SystemConfig};
 use spm_manycore::workloads::nas::NasBenchmark;
 use spm_manycore::workloads::{characterize, ArrayRef, BenchmarkSpec, GuardedRef, KernelSpec};
@@ -155,9 +156,12 @@ fn guarded_aliasing_with_spm_data_is_still_correct() {
 
 #[test]
 fn experiment_suite_produces_all_figures() {
-    let config = small_config();
-    let suite = ExperimentSuite::run_quick(&config, &[NasBenchmark::Cg], 1.0 / 128.0);
-    assert_eq!(suite.len(), 3);
+    let sweep = SweepSpec::new(&[NasBenchmark::Cg])
+        .with_cores(&[4])
+        .with_scales(&[1.0 / 128.0])
+        .small();
+    let suite = ExperimentSuite::run_with(&RunContext::default(), &sweep).unwrap();
+    assert_eq!(suite.records().len(), 3);
     assert_eq!(suite.fig7().rows.len(), 1);
     assert_eq!(suite.fig8().rows.len(), 1);
     assert_eq!(suite.fig9().rows.len(), 1);
