@@ -1010,6 +1010,16 @@ impl MemorySystem {
                 fill_values = vals.l1d[owner.index()].line(line).copied();
             }
         } else {
+            // Data supplied by the L2 slice.  A clean Exclusive owner in
+            // another L1 is downgraded to Shared so it can no longer write
+            // silently next to the prefetched copy.
+            if let Some(owner) = owner.filter(|&o| o != core) {
+                if let Some(s) = self.l1d.lookup_mut(owner.index(), line) {
+                    if *s == MoesiState::Exclusive {
+                        *s = MoesiState::Shared;
+                    }
+                }
+            }
             let _ = self
                 .noc
                 .send(home.node(), core.node(), MessageClass::Read, LINE_BYTES);
@@ -1545,6 +1555,37 @@ mod tests {
             let a = Addr::new(0x100_0000 + i * 64);
             assert_eq!(m.read_word(CoreId::new(1), a), Some(i + 1), "line {i}");
         }
+    }
+
+    /// A prefetch served by the L2 must downgrade a clean Exclusive owner,
+    /// as a demand read does: otherwise the owner's next store hits
+    /// silently and the prefetched copy goes stale.
+    #[test]
+    fn prefetch_beside_exclusive_owner_sees_its_later_store() {
+        let mut m = tracked_system();
+        let (owner, reader) = (CoreId::new(0), CoreId::new(1));
+        let x = Addr::new(0x80_0000);
+        let mut seed = [None; WORDS_PER_LINE];
+        seed[0] = Some(7);
+        let _ = m.dma_put_line_valued(CoreId::new(2), x.line(), Some(&seed));
+        let _ = m.access(owner, x, AccessKind::Load, MessageClass::Read, 1);
+        assert_eq!(m.l1_state(owner, x.line()), MoesiState::Exclusive);
+        // A unit-stride stream just below X makes the reader prefetch X.
+        for i in (1..=4u64).rev() {
+            let _ = m.access(reader, x - i * 64, AccessKind::Load, MessageClass::Read, 9);
+        }
+        assert!(m.l1_state(reader, x.line()).is_valid(), "X was prefetched");
+        let _ = m.access(owner, x, AccessKind::Store, MessageClass::Write, 1);
+        m.write_word(owner, x, 42);
+        assert_eq!(m.l1_state(owner, x.line()), MoesiState::Modified);
+        for core in 1..4 {
+            assert!(
+                !m.l1_state(CoreId::new(core), x.line()).is_valid(),
+                "core {core} holds X beside a Modified owner"
+            );
+        }
+        let _ = m.access(reader, x, AccessKind::Load, MessageClass::Read, 1);
+        assert_eq!(m.read_word(reader, x), Some(42));
     }
 
     #[test]
