@@ -2,7 +2,7 @@
 //! SPM-content tracking (Figure 6).
 
 use serde::{Deserialize, Serialize};
-use simkernel::{ByteSize, CoreId, Cycle, StatRegistry};
+use simkernel::{ByteSize, CoreId, Cycle, NodeId, StatRegistry};
 
 use mem::{Addr, AddressRange, MemorySystem};
 use noc::MessageClass;
@@ -230,17 +230,13 @@ impl SpmCoherenceProtocol {
         let mut latency = noc.send(core.node(), home.node(), MessageClass::CohProt, 8);
         if let Some(sharers) = self.filterdir.invalidate(base) {
             self.stats.filter_invalidation_rounds += 1;
-            let mut worst = Cycle::ZERO;
-            for sharer in sharers {
+            for sharer in &sharers {
                 if self.filters[sharer.index()].invalidate(base) {
                     self.stats.filter_entries_invalidated += 1;
                 }
-                let noc = memsys.noc_mut();
-                let inv = noc.send(home.node(), sharer.node(), MessageClass::CohProt, 8);
-                let ack = noc.send(sharer.node(), home.node(), MessageClass::CohProt, 8);
-                worst = worst.max(inv + ack);
             }
-            latency += worst;
+            let targets = sharers.iter().map(|s| s.node());
+            latency += noc.fan_out(home.node(), targets, home.node(), MessageClass::CohProt);
         }
         latency
     }
@@ -267,14 +263,15 @@ impl SpmCoherenceProtocol {
         memsys: &mut MemorySystem,
     ) {
         self.stats.filterdir_evictions += 1;
-        for sharer in evicted.sharers {
+        for sharer in &evicted.sharers {
             if self.filters[sharer.index()].invalidate(evicted.base) {
                 self.stats.filter_entries_invalidated += 1;
             }
-            let noc = memsys.noc_mut();
-            let _ = noc.send(home.node(), sharer.node(), MessageClass::CohProt, 8);
-            let _ = noc.send(sharer.node(), home.node(), MessageClass::CohProt, 8);
         }
+        let targets = evicted.sharers.iter().map(|s| s.node());
+        let _ = memsys
+            .noc_mut()
+            .fan_out(home.node(), targets, home.node(), MessageClass::CohProt);
     }
 }
 
@@ -402,9 +399,11 @@ impl CoherenceBackend for SpmCoherenceProtocol {
         // filterDir miss: broadcast an SPMDir probe to every core.
         self.stats.broadcasts += 1;
         self.stats.spmdir_probe_lookups += (self.config.cores - 1) as u64;
-        let broadcast = memsys
-            .noc_mut()
-            .broadcast_collect(home.node(), MessageClass::CohProt, 8);
+        let noc = memsys.noc_mut();
+        let others = (0..noc.topology().nodes())
+            .map(NodeId::new)
+            .filter(|&n| n != home.node());
+        let broadcast = noc.fan_out(home.node(), others, home.node(), MessageClass::CohProt);
 
         let owner = (0..self.config.cores)
             .map(CoreId::new)

@@ -424,24 +424,12 @@ impl CoreTimingModel {
         }
     }
 
-    /// Returns the instruction-cache line addresses that must be fetched to
-    /// cover the instructions executed since the last call.
+    /// Pops the next due instruction-cache line fetch, if any: one per line
+    /// of code covered by the instructions executed so far.
     ///
     /// The fetch stream walks the kernel's code footprint sequentially and
-    /// wraps around, which is how loops behave.
-    pub fn take_due_ifetches(&mut self, code_base: Addr, code_size: u64) -> Vec<Addr> {
-        let mut fetches = Vec::new();
-        while let Some(addr) = self.next_due_ifetch(code_base, code_size) {
-            fetches.push(addr);
-        }
-        fetches
-    }
-
-    /// Pops the next due instruction-cache line fetch, if any.
-    ///
-    /// The streaming form of [`CoreTimingModel::take_due_ifetches`]: the
-    /// per-op interpreter drains fetches one at a time, so the common case
-    /// (zero or one due fetch) never materialises a `Vec`.
+    /// wraps around, which is how loops behave.  The per-op interpreter
+    /// drains fetches one at a time.
     #[inline]
     pub fn next_due_ifetch(&mut self, code_base: Addr, code_size: u64) -> Option<Addr> {
         const LINE: u64 = 64;
@@ -630,17 +618,19 @@ mod tests {
     fn ifetches_cover_executed_code() {
         let mut c = core();
         c.execute_compute(64); // 64 insts * 4 B = 4 lines of code
-        let fetches = c.take_due_ifetches(Addr::new(0x40_0000), 8 * 1024);
+        fn drain(c: &mut CoreTimingModel, code_size: u64) -> Vec<Addr> {
+            std::iter::from_fn(|| c.next_due_ifetch(Addr::new(0x40_0000), code_size)).collect()
+        }
+        let fetches = drain(&mut c, 8 * 1024);
         assert_eq!(fetches.len(), 4);
         // Sequential lines.
         assert_eq!(fetches[1] - fetches[0], 64);
         // Nothing more until new instructions execute.
-        assert!(c
-            .take_due_ifetches(Addr::new(0x40_0000), 8 * 1024)
-            .is_empty());
+        assert!(drain(&mut c, 8 * 1024).is_empty());
         // Wrap-around inside the code footprint.
         c.execute_compute(16 * 1024);
-        let many = c.take_due_ifetches(Addr::new(0x40_0000), 1024);
+        let many = drain(&mut c, 1024);
+        assert_eq!(many.len(), 1024);
         assert!(many.iter().all(|a| a.raw() < 0x40_0000 + 1024));
     }
 

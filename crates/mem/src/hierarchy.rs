@@ -320,9 +320,10 @@ impl MemorySystem {
     /// Sends one packet on a demand-miss critical-path leg, accumulating its
     /// queueing component for latency attribution.
     ///
-    /// Off-critical-path traffic (prefetch fills, write-backs, DMA line
-    /// moves) and invalidation fan-out (only the slowest sharer's round trip
-    /// is on the critical path) go straight to [`Noc::send`] instead.
+    /// Off-critical-path traffic (write-backs, DMA line moves) goes straight
+    /// to [`Noc::send`], and invalidation rounds to [`Noc::fan_out`] (only
+    /// the slowest sharer's round trip is on the critical path).  Prefetch
+    /// fills use the demand path and discard what it accumulates.
     #[inline]
     fn send_demand(
         &mut self,
@@ -718,7 +719,7 @@ impl MemorySystem {
 
         // Invalidate other sharers on a write.
         let invalidation_latency = if is_write {
-            self.invalidate_other_sharers(core, line, class)
+            self.invalidate_other_sharers(core, line)
         } else {
             Cycle::ZERO
         };
@@ -749,7 +750,7 @@ impl MemorySystem {
         };
 
         // Fill the L1, handling the victim.
-        self.fill_l1(core, line, new_state, class, fill_values);
+        self.fill_l1(core, line, new_state, fill_values);
 
         (
             request + l2_latency + beyond_l2 + invalidation_latency,
@@ -760,20 +761,15 @@ impl MemorySystem {
     /// Write-upgrade of a line the core already holds in a shared state.
     fn upgrade_for_write(&mut self, core: CoreId, line: LineAddr, class: MessageClass) -> Cycle {
         let home = self.home_slice(line);
-        let rt = self.noc.round_trip(core.node(), home.node(), class, 8, 8);
-        // `round_trip` is two sends; its queueing component is whatever it
-        // took beyond the two zero-load legs.
-        let cfg = &self.config.noc;
-        let zero_load = cfg.zero_load_latency(core.node(), home.node(), 8)
-            + cfg.zero_load_latency(home.node(), core.node(), 8);
-        self.attrib_queue += rt.saturating_sub(zero_load);
-        let inv = self.invalidate_other_sharers(core, line, class);
+        let request = self.send_demand(core.node(), home.node(), class, 8);
+        let grant = self.send_demand(home.node(), core.node(), class, 8);
+        let inv = self.invalidate_other_sharers(core, line);
         if let Some(entry) = self.l2.lookup_mut(home.index(), line) {
             entry.clear_sharers();
             entry.add_sharer(core, MoesiState::Modified);
             entry.l2_dirty = true;
         }
-        rt + inv
+        request + grant + inv
     }
 
     /// Invalidates every L1 copy of `line` except the requestor's.
@@ -781,19 +777,13 @@ impl MemorySystem {
     /// Returns the extra latency on the critical path (the slowest
     /// invalidation/ack round trip).  Invalidation traffic is accounted in
     /// the write-back/replacement group, as in the paper.
-    fn invalidate_other_sharers(
-        &mut self,
-        requestor: CoreId,
-        line: LineAddr,
-        _class: MessageClass,
-    ) -> Cycle {
+    fn invalidate_other_sharers(&mut self, requestor: CoreId, line: LineAddr) -> Cycle {
         let home = self.home_slice(line);
         // The entry borrows only the L2 bank, so its sharer set is walked in
         // place while the L1s, values, counters and NoC are updated.
         let Some(entry) = self.l2.lookup_mut(home.index(), line) else {
             return Cycle::ZERO;
         };
-        let mut worst = Cycle::ZERO;
         for sharer in entry.sharers_except(requestor) {
             self.l1d.invalidate(sharer.index(), line);
             if let Some(vals) = &mut self.values {
@@ -803,14 +793,14 @@ impl MemorySystem {
                 vals.l1d[sharer.index()].remove_line(line);
             }
             self.counters.invalidations += 1;
-            let inv = self
-                .noc
-                .send(home.node(), sharer.node(), MessageClass::WbRepl, 8);
-            let ack = self
-                .noc
-                .send(sharer.node(), requestor.node(), MessageClass::WbRepl, 8);
-            worst = worst.max(inv + ack);
         }
+        // The home invalidates each sharer, which acks to the requestor.
+        let worst = self.noc.fan_out(
+            home.node(),
+            entry.sharers_except(requestor).map(CoreId::node),
+            requestor.node(),
+            MessageClass::WbRepl,
+        );
         let keep_requestor = entry.is_sharer(requestor);
         entry.clear_sharers();
         if keep_requestor {
@@ -827,7 +817,6 @@ impl MemorySystem {
         core: CoreId,
         line: LineAddr,
         state: MoesiState,
-        _class: MessageClass,
         values: Option<LineValues>,
     ) {
         if let Some(victim) = self.l1d.insert(core.index(), line, state) {
@@ -928,13 +917,13 @@ impl MemorySystem {
                     }
                 }
                 self.counters.invalidations += 1;
-                let _ = self
-                    .noc
-                    .send(home.node(), sharer.node(), MessageClass::WbRepl, 8);
-                let _ = self
-                    .noc
-                    .send(sharer.node(), home.node(), MessageClass::WbRepl, 8);
             }
+            let _ = self.noc.fan_out(
+                home.node(),
+                victim.state.sharers().map(CoreId::node),
+                home.node(),
+                MessageClass::WbRepl,
+            );
             let victim_l2_values = self
                 .values
                 .as_mut()
@@ -962,94 +951,19 @@ impl MemorySystem {
         }
     }
 
-    /// Brings a prefetched line into the L1 (off the critical path).
+    /// Brings a prefetched line into the L1 through the demand read path.
+    ///
+    /// The fill's latency is off the critical path, so it is dropped, and
+    /// so is the queueing its legs would add to latency attribution; its
+    /// traffic, cache pollution and coherence actions are real.
     fn prefetch_fill(&mut self, core: CoreId, line: LineAddr) {
         if self.l1d.contains(core.index(), line) {
             return;
         }
         self.counters.prefetches += 1;
-        let home = self.home_slice(line);
-        // Prefetch request + data response are real traffic (Read group).
-        let _ = self
-            .noc
-            .send(core.node(), home.node(), MessageClass::Read, 8);
-        self.counters.l2_accesses += 1;
-        if self.l2.access(home.index(), line).is_none() {
-            self.dram_prefetch_fill(home, line);
-        } else {
-            self.counters.l2_hits += 1;
-        }
-        // `(owner, owner holds it dirty, no L1 holds it)`; an absent entry
-        // reads as a fresh, unshared one.
-        let (owner, dirty, unshared) = self
-            .l2
-            .lookup(home.index(), line)
-            .map_or((None, false, true), |e| {
-                (e.owner(), e.has_dirty_owner(), e.is_unshared())
-            });
-        let mut fill_values: Option<LineValues> = None;
-        if dirty && owner != Some(core) {
-            // A prefetch of a line that is dirty in another L1 gets the data
-            // forwarded from the owner, which is downgraded to Owned so its
-            // later writes go through an upgrade (and invalidate this copy)
-            // instead of happening silently next to a stale prefetched line.
-            let owner = owner.expect("dirty owner");
-            self.counters.forwards += 1;
-            let _ = self
-                .noc
-                .send(home.node(), owner.node(), MessageClass::Read, 8);
-            let _ = self
-                .noc
-                .send(owner.node(), core.node(), MessageClass::Read, LINE_BYTES);
-            if let Some(s) = self.l1d.lookup_mut(owner.index(), line) {
-                if *s == MoesiState::Modified {
-                    *s = MoesiState::Owned;
-                }
-            }
-            if let Some(vals) = &self.values {
-                fill_values = vals.l1d[owner.index()].line(line).copied();
-            }
-        } else {
-            // Data supplied by the L2 slice.  A clean Exclusive owner in
-            // another L1 is downgraded to Shared so it can no longer write
-            // silently next to the prefetched copy.
-            if let Some(owner) = owner.filter(|&o| o != core) {
-                if let Some(s) = self.l1d.lookup_mut(owner.index(), line) {
-                    if *s == MoesiState::Exclusive {
-                        *s = MoesiState::Shared;
-                    }
-                }
-            }
-            let _ = self
-                .noc
-                .send(home.node(), core.node(), MessageClass::Read, LINE_BYTES);
-            if let Some(vals) = &self.values {
-                fill_values = vals.l2[home.index()]
-                    .line(line)
-                    .or_else(|| vals.dram.line(line))
-                    .copied();
-            }
-        }
-        let state = if unshared {
-            MoesiState::Exclusive
-        } else {
-            MoesiState::Shared
-        };
-        if let Some(entry) = self.l2.lookup_mut(home.index(), line) {
-            entry.add_sharer(core, state);
-        }
-        self.fill_l1(core, line, state, MessageClass::Read, fill_values);
-    }
-
-    fn dram_prefetch_fill(&mut self, home: CoreId, line: LineAddr) {
-        self.counters.dram_accesses += 1;
-        let mem_node = self.dram.node_for(line);
-        let _ = self.noc.send(home.node(), mem_node, MessageClass::Read, 8);
-        let _ = self.dram.access(line);
-        let _ = self
-            .noc
-            .send(mem_node, home.node(), MessageClass::Read, LINE_BYTES);
-        self.allocate_in_l2(home, line, DirectoryEntry::new());
+        let attributed = self.attrib_queue;
+        let _ = self.l1_miss_fill(core, line, false, MessageClass::Read);
+        self.attrib_queue = attributed;
     }
 
     fn set_directory_owner(&mut self, core: CoreId, line: LineAddr, state: MoesiState) {
@@ -1197,13 +1111,13 @@ impl MemorySystem {
                     vals.l1d[sharer.index()].remove_line(line);
                 }
                 self.counters.invalidations += 1;
-                let _ = self
-                    .noc
-                    .send(home.node(), sharer.node(), MessageClass::Dma, 8);
-                let _ = self
-                    .noc
-                    .send(sharer.node(), home.node(), MessageClass::Dma, 8);
             }
+            let _ = self.noc.fan_out(
+                home.node(),
+                entry.sharers().map(CoreId::node),
+                home.node(),
+                MessageClass::Dma,
+            );
             if let Some(vals) = &mut self.values {
                 vals.l2[home.index()].remove_line(line);
             }

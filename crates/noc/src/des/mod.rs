@@ -216,11 +216,6 @@ impl DesNoc {
         self.delivered
     }
 
-    /// The latest delivery cycle observed (the utilisation denominator).
-    pub fn horizon(&self) -> Cycle {
-        self.horizon
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &NocConfig {
         &self.config
@@ -397,7 +392,7 @@ mod tests {
         }
         // Far enough in the future the backlog has fully drained.  The
         // scratch form reuses (and clears) the caller's buffer.
-        let later = noc.horizon() + Cycle::new(1);
+        let later = noc.horizon + Cycle::new(1);
         let mut drained = depths;
         noc.home_queue_depths(later, &mut drained);
         assert!(drained.iter().all(|&d| d == 0));
@@ -414,7 +409,7 @@ mod tests {
         assert!(noc.mean_link_utilization() <= noc.max_link_utilization());
         assert_eq!(noc.delivered(), 4);
         assert!(noc.latency.mean() > 0.0);
-        assert!(noc.horizon() > Cycle::ZERO);
+        assert!(noc.horizon > Cycle::ZERO);
     }
 
     #[test]
@@ -495,7 +490,7 @@ mod tests {
                 noc.inject_wait.clone(),
                 noc.eject_wait_cycles().to_vec(),
                 noc.latency,
-                noc.horizon(),
+                noc.horizon,
             )
         }
 

@@ -20,8 +20,10 @@ use crate::packet::{MessageClass, PacketKind};
 use crate::topology::MeshTopology;
 use crate::traffic::TrafficAccountant;
 
-/// Size of the control response collected by [`Noc::broadcast_collect`].
-const CONTROL_RESPONSE_BYTES: u64 = 8;
+/// Size of both packets of a [`Noc::fan_out`] leg, the control packet and
+/// its ack: an invalidation, a probe or an acknowledgement carries an
+/// address and no data, so it fits one flit.
+const CONTROL_BYTES: u64 = 8;
 
 /// Which network model a [`Noc`] instantiates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -290,39 +292,25 @@ impl Noc {
         }
     }
 
-    /// Sends a request/response pair and returns the round-trip latency.
-    pub fn round_trip(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        class: MessageClass,
-        request_bytes: u64,
-        response_bytes: u64,
-    ) -> Cycle {
-        let there = self.send(from, to, class, request_bytes);
-        let back = self.send(to, from, class, response_bytes);
-        there + back
-    }
-
-    /// Broadcasts a control packet from `from` to every other node and
-    /// collects one control response from each.
+    /// One control round: sends a control packet from `from` to each of
+    /// `targets` and an ack from that target to `ack_to`, in the order
+    /// out₁, ack₁, out₂, ack₂, …
     ///
-    /// Returns the latency until the *last* response arrives (the critical
-    /// path of a filterDir broadcast, Figure 6b of the paper).
-    pub fn broadcast_collect(
+    /// Returns the slowest round trip (zero for no targets): the critical
+    /// path of an invalidation round or a filterDir broadcast (Figure 6 of
+    /// the paper).  Every multi-target flow of the memory hierarchy and the
+    /// coherence protocol sends through here.
+    pub fn fan_out(
         &mut self,
         from: NodeId,
+        targets: impl IntoIterator<Item = NodeId>,
+        ack_to: NodeId,
         class: MessageClass,
-        payload_bytes: u64,
     ) -> Cycle {
         let mut worst = Cycle::ZERO;
-        for i in 0..self.topology().nodes() {
-            let to = NodeId::new(i);
-            if to == from {
-                continue;
-            }
-            let out = self.send(from, to, class, payload_bytes);
-            let back = self.send(to, from, class, CONTROL_RESPONSE_BYTES);
+        for to in targets {
+            let out = self.send(from, to, class, CONTROL_BYTES);
+            let back = self.send(to, ack_to, class, CONTROL_BYTES);
             worst = worst.max(out + back);
         }
         worst
@@ -419,27 +407,13 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_records_two_packets() {
-        for model in NocModel::ALL {
-            let mut noc = Noc::new(NocConfig::isca2015(16).with_model(model));
-            let mut sends = noc.clone();
-            let (a, b) = (NodeId::new(1), NodeId::new(2));
-            let rt = noc.round_trip(a, b, MessageClass::Dma, 8, 64);
-            assert_eq!(noc.traffic().packets(MessageClass::Dma), 2, "{model}");
-            let there = sends.send(a, b, MessageClass::Dma, 8);
-            let back = sends.send(b, a, MessageClass::Dma, 64);
-            assert_eq!(rt, there + back, "{model}");
-            assert!(rt > Cycle::ZERO, "{model}");
-        }
-    }
-
-    #[test]
     fn broadcast_touches_every_other_node() {
         for model in NocModel::ALL {
             let mut noc = Noc::new(NocConfig::isca2015(16).with_model(model));
             let mut sends = noc.clone();
             let from = NodeId::new(0);
-            let lat = noc.broadcast_collect(from, MessageClass::CohProt, 8);
+            let others = (1..16).map(NodeId::new);
+            let lat = noc.fan_out(from, others, from, MessageClass::CohProt);
             // 15 requests + 15 responses.
             assert_eq!(noc.traffic().packets(MessageClass::CohProt), 30, "{model}");
             let want = (1..16)
@@ -456,6 +430,24 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_acks_go_to_the_named_node() {
+        let mut noc = Noc::new(NocConfig::isca2015(16));
+        let (home, requestor) = (NodeId::new(5), NodeId::new(0));
+        let targets = [NodeId::new(3), NodeId::new(15)];
+        let lat = noc.fan_out(home, targets, requestor, MessageClass::WbRepl);
+        let want = targets
+            .iter()
+            .map(|&t| noc.latency(home, t, 8) + noc.latency(t, requestor, 8))
+            .max()
+            .unwrap();
+        assert_eq!(lat, want);
+        assert_eq!(noc.traffic().packets(MessageClass::WbRepl), 4);
+        let none = noc.fan_out(home, [], requestor, MessageClass::WbRepl);
+        assert_eq!(none, Cycle::ZERO);
+        assert_eq!(noc.traffic().packets(MessageClass::WbRepl), 4);
+    }
+
+    #[test]
     fn export_stats_includes_totals() {
         let mut noc = Noc::new(NocConfig::isca2015(4));
         noc.send(NodeId::new(0), NodeId::new(1), MessageClass::Ifetch, 64);
@@ -464,7 +456,7 @@ mod tests {
         assert_eq!(stats.count("noc.total.packets"), 1);
     }
 
-    /// `Noc` gives the same round trip and traffic as the backend it wraps,
+    /// `Noc` gives the same latencies and traffic as the backend it wraps,
     /// driven directly.
     #[test]
     fn facade_implements_the_backend_trait() {
@@ -472,9 +464,10 @@ mod tests {
         let (a, b) = (NodeId::new(0), NodeId::new(3));
         let mut noc = Noc::new(config);
         let mut analytic = AnalyticNoc::new(config);
-        let rt = noc.round_trip(a, b, MessageClass::Read, 8, 64);
-        let there = analytic.send(a, b, MessageClass::Read, 8);
-        assert_eq!(rt, there + analytic.send(b, a, MessageClass::Read, 64));
+        let there = noc.send(a, b, MessageClass::Read, 8);
+        assert_eq!(there, analytic.send(a, b, MessageClass::Read, 8));
+        let back = noc.send(b, a, MessageClass::Read, 64);
+        assert_eq!(back, analytic.send(b, a, MessageClass::Read, 64));
         assert_eq!(
             noc.traffic().total_packets(),
             analytic.traffic().total_packets()
@@ -483,11 +476,12 @@ mod tests {
         let config = config.with_model(NocModel::DiscreteEvent);
         let mut noc = Noc::new(config);
         let mut des = DesNoc::new(config);
-        let rt = noc.round_trip(a, b, MessageClass::Read, 8, 64);
-        let there = des.send(a, b, MessageClass::Read, 8);
-        assert_eq!(rt, there + des.send(b, a, MessageClass::Read, 64));
+        let there = noc.send(a, b, MessageClass::Read, 8);
+        assert_eq!(there, des.send(a, b, MessageClass::Read, 8));
+        let back = noc.send(b, a, MessageClass::Read, 64);
+        assert_eq!(back, des.send(b, a, MessageClass::Read, 64));
         assert_eq!(noc.traffic().total_packets(), des.traffic().total_packets());
         assert_eq!(noc.traffic().total_packets(), 2);
-        assert!(rt > Cycle::ZERO);
+        assert!(there + back > Cycle::ZERO);
     }
 }

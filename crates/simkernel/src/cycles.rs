@@ -193,11 +193,6 @@ impl Frequency {
         Frequency { hz }
     }
 
-    /// Creates a frequency from a value in megahertz.
-    pub fn mhz(mhz: f64) -> Self {
-        Self::hz(mhz * 1e6)
-    }
-
     /// Creates a frequency from a value in gigahertz.
     pub fn ghz(ghz: f64) -> Self {
         Self::hz(ghz * 1e9)
@@ -276,7 +271,7 @@ mod tests {
     fn frequency_conversions() {
         let f = Frequency::ghz(2.0);
         assert!((f.as_hz() - 2e9).abs() < 1.0);
-        let g = Frequency::mhz(500.0);
+        let g = Frequency::hz(500e6);
         assert!((g.cycles_to_seconds(Cycle::new(500_000_000)) - 1.0).abs() < 1e-9);
     }
 

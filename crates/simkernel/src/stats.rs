@@ -142,7 +142,7 @@ impl fmt::Display for StatValue {
 /// stats.add_count("l1d.misses", 10);
 /// stats.set_value("l1d.miss_ratio", 0.1);
 /// assert_eq!(stats.count("l1d.hits"), 90);
-/// assert_eq!(stats.sum_matching("l1d."), 100.1);
+/// assert_eq!(stats.value("l1d.miss_ratio"), 0.1);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatRegistry {
@@ -224,15 +224,6 @@ impl StatRegistry {
     /// Returns `true` if a statistic with this exact name exists.
     pub fn contains(&self, name: &str) -> bool {
         self.entries.contains_key(name)
-    }
-
-    /// Sums every statistic whose name starts with `prefix`.
-    pub fn sum_matching(&self, prefix: &str) -> f64 {
-        self.entries
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| v.as_f64())
-            .sum()
     }
 
     /// Merges another registry into this one (counts add, values add).
@@ -348,18 +339,17 @@ mod tests {
     }
 
     #[test]
-    fn registry_prefix_sum_and_merge() {
+    fn registry_merge_adds_counts_and_values() {
         let mut r = StatRegistry::new();
         r.add_count("l1.hits", 10);
-        r.add_count("l1.misses", 5);
         r.add_count("l2.hits", 100);
-        assert_eq!(r.sum_matching("l1."), 15.0);
 
         let mut other = StatRegistry::new();
         other.add_count("l1.hits", 1);
         other.set_value("noc.energy", 2.5);
         r.merge(&other);
         assert_eq!(r.count("l1.hits"), 11);
+        assert_eq!(r.count("l2.hits"), 100, "entries only in `self` stay");
         assert_eq!(r.value("noc.energy"), 2.5);
     }
 

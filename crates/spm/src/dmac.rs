@@ -79,15 +79,6 @@ pub struct Dmac {
     bytes_transferred: u64,
     queue_full_stalls: u64,
     queue_occupancy_max: u64,
-    /// `dma-synch` calls that found at least one transfer still in flight.
-    ///
-    /// Cycle-accounting aid: together with `synch_wait_cycles` it describes
-    /// the in-flight windows the core actually waited out (what the
-    /// `DmaWait` category of [`simkernel::attrib`] charges).  Not exported
-    /// under `dmac.*` so the golden stat reports stay byte-identical.
-    synch_waits: u64,
-    /// Total cycles `dma_synch` returned beyond `now` (waited windows).
-    synch_wait_cycles: u64,
 }
 
 impl Dmac {
@@ -105,8 +96,6 @@ impl Dmac {
             bytes_transferred: 0,
             queue_full_stalls: 0,
             queue_occupancy_max: 0,
-            synch_waits: 0,
-            synch_wait_cycles: 0,
         }
     }
 
@@ -225,10 +214,6 @@ impl Dmac {
                 done = done.max(completion);
             }
         }
-        if done > now {
-            self.synch_waits += 1;
-            self.synch_wait_cycles += (done - now).as_u64();
-        }
         done
     }
 
@@ -273,16 +258,6 @@ impl Dmac {
     /// against real occupancy instead of guessed.
     pub fn queue_occupancy_max(&self) -> u64 {
         self.queue_occupancy_max
-    }
-
-    /// `dma-synch` calls that actually waited on an in-flight transfer.
-    pub fn synch_waits(&self) -> u64 {
-        self.synch_waits
-    }
-
-    /// Total cycles those waits lasted (the `DmaWait` windows at this DMAC).
-    pub fn synch_wait_cycles(&self) -> u64 {
-        self.synch_wait_cycles
     }
 
     /// Exports the DMAC counters under `dmac.*` names.
@@ -334,14 +309,12 @@ mod tests {
         let completion = d.dma_get(7, range, Cycle::ZERO, &mut m, None);
         // Synching while the transfer is in flight waits the whole window...
         let done = d.dma_synch(&[7], Cycle::ZERO);
+        assert!(done > Cycle::ZERO);
         assert_eq!(done, completion);
-        assert_eq!(d.synch_waits(), 1);
-        assert_eq!(d.synch_wait_cycles(), completion.as_u64());
+        assert_eq!(d.outstanding(), 0, "a synced tag is forgotten");
         // ...and a synch on a forgotten/complete tag waits nothing.
         let later = d.dma_synch(&[7], completion);
         assert_eq!(later, completion);
-        assert_eq!(d.synch_waits(), 1);
-        assert_eq!(d.synch_wait_cycles(), completion.as_u64());
     }
 
     #[test]

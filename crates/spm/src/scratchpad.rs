@@ -213,16 +213,6 @@ impl Scratchpad {
     pub fn remote_accesses(&self) -> u64 {
         self.remote_reads + self.remote_writes
     }
-
-    /// Bytes moved into the SPM by DMA.
-    pub fn dma_fill_bytes(&self) -> u64 {
-        self.dma_fill_bytes
-    }
-
-    /// Bytes moved out of the SPM by DMA.
-    pub fn dma_drain_bytes(&self) -> u64 {
-        self.dma_drain_bytes
-    }
 }
 
 #[cfg(test)]
@@ -278,8 +268,6 @@ mod tests {
         spm.record_dma_drain(64);
         assert_eq!(spm.local_accesses(), 2);
         assert_eq!(spm.remote_accesses(), 2);
-        assert_eq!(spm.dma_fill_bytes(), 256);
-        assert_eq!(spm.dma_drain_bytes(), 64);
         // 4 demand + 4 fill blocks + 1 drain block.
         assert_eq!(spm.total_array_accesses(), 4 + 4 + 1);
     }

@@ -44,7 +44,7 @@ use system::cli::{parse_or_exit, Args, CliError};
 use system::verify::verification_config;
 use system::{CoherenceProtocol, Machine, MachineKind, SystemConfig};
 use workloads::litmus::{catalogue, random_program, FuzzParams, LitmusCase};
-use workloads::{ExecMode, RawKernel};
+use workloads::RawKernel;
 
 #[derive(Debug, Clone)]
 enum Program {
@@ -213,8 +213,9 @@ fn points(o: &Options) -> Vec<Point> {
         };
         for &protocol in protocols {
             for &model in &o.noc_models {
-                if o.litmus && kind.has_spms() {
-                    for case in catalogue() {
+                if o.litmus {
+                    let runs_on = |case: &LitmusCase| case.build_for(kind.exec_mode()).is_some();
+                    for case in catalogue().into_iter().filter(runs_on) {
                         points.push(Point {
                             kind,
                             noc: model,
@@ -268,20 +269,18 @@ fn build_program(
                 .into_iter()
                 .find(|c| c.name == *name)
                 .expect("catalogue names are stable");
-            (case.build)(o.cores, cfg.spm.size / 2)
+            let build = case
+                .build_for(kind.exec_mode())
+                .expect("points name only the cases with a form for the machine");
+            build(o.cores, cfg.spm.size / 2)
         }
         Program::Fuzz(seed) => {
-            let mode = if kind == MachineKind::CacheOnly {
-                ExecMode::CacheOnly
-            } else {
-                ExecMode::Hybrid
-            };
             let params = FuzzParams {
                 cores: o.cores,
                 buffer_size: cfg.spm.size / 2,
                 rounds: o.fuzz_rounds,
                 ops_per_round: o.fuzz_ops,
-                mode,
+                mode: kind.exec_mode(),
             };
             random_program(*seed, &params)
         }

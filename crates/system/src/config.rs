@@ -9,6 +9,7 @@ use energy::EnergyParams;
 use mem::MemorySystemConfig;
 use spm::{DmacConfig, SpmConfig};
 use spm_coherence::ProtocolConfig;
+use workloads::ExecMode;
 
 /// The three machines compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -57,6 +58,16 @@ impl MachineKind {
     /// Returns `true` for the two hybrid machines.
     pub fn has_spms(self) -> bool {
         !matches!(self, MachineKind::CacheOnly)
+    }
+
+    /// How programs run on this machine: untiled on the cache-only
+    /// baseline, tiled through the SPMs on the hybrid machines.
+    pub fn exec_mode(self) -> ExecMode {
+        if self.has_spms() {
+            ExecMode::Hybrid
+        } else {
+            ExecMode::CacheOnly
+        }
     }
 }
 

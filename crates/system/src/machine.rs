@@ -15,7 +15,7 @@ use spm_coherence::{
     CoherenceBackend, DirectoryCoherence, IdealCoherence, ProtocolFault, ProtocolStats,
     SpmCoherenceProtocol,
 };
-use workloads::{compile, BenchmarkSpec, ExecMode, MachineParams, Phase, RawKernel};
+use workloads::{compile, BenchmarkSpec, MachineParams, Phase, RawKernel};
 
 use crate::config::{CoherenceProtocol, MachineKind, SystemConfig};
 use crate::engine::{self, KernelCtx, ProgramRef};
@@ -298,11 +298,7 @@ impl Machine {
         with_oracle: bool,
     ) -> InnerOutcome {
         let cores = self.config.cores;
-        let mode = if self.kind == MachineKind::CacheOnly {
-            ExecMode::CacheOnly
-        } else {
-            ExecMode::Hybrid
-        };
+        let mode = self.kind.exec_mode();
         let machine_params = MachineParams {
             cores,
             spm_size: self.config.spm.size,

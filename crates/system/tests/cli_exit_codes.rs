@@ -289,7 +289,6 @@ fn coherence_check_malformed_input_exits_two_with_usage() {
         &["--jobs"][..],
         &["--bogus"][..],
         &["--litmus-only", "--fuzz-only"][..],
-        &["--machines", "cache-only", "--litmus-only"][..],
         &["--fuzz-only", "--seeds", "0"][..],
     ] {
         let out = coherence_check(args);
@@ -303,28 +302,30 @@ fn coherence_check_malformed_input_exits_two_with_usage() {
     }
 }
 
+/// One fuzz point, and the one litmus case that has a cache-only form.
 #[test]
 fn coherence_check_runs_a_valid_selection() {
-    let out = coherence_check(&[
-        "--cores",
-        "2",
-        "--machines",
-        "hybrid-proposed",
-        "--noc-models",
-        "analytic",
-        "--fuzz-only",
-        "--seeds",
-        "1",
-        "--quiet",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(stdout.contains("coherence_check: 1 points"), "{stdout}");
+    for selection in [
+        &[
+            "--machines",
+            "hybrid-proposed",
+            "--fuzz-only",
+            "--seeds",
+            "1",
+        ][..],
+        &["--machines", "cache-only", "--litmus-only"][..],
+    ] {
+        let common = ["--cores", "2", "--noc-models", "analytic", "--quiet"];
+        let out = coherence_check(&[&common[..], selection].concat());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{selection:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("coherence_check: 1 points"), "{stdout}");
+    }
 }
 
 #[test]

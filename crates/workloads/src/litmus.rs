@@ -15,8 +15,10 @@
 //! The [`catalogue`] targets the hazard corners the paper's protocol exists
 //! for: a DMA `get` overlapping a dirty cached line, a guest-line write-back
 //! racing a remote load, filter-entry eviction in the middle of a tile,
-//! reordering around `dma-synch` tags, and the stale-filter window after a
-//! mapping (the designated victim for fault-injection tests).
+//! reordering around `dma-synch` tags, the stale-filter window after a
+//! mapping (the designated victim for fault-injection tests), and a stride
+//! prefetch beside a clean Exclusive owner (which also has a cache-only
+//! form).
 //!
 //! [`random_program`] emits interleaved SPM/cache traffic over shared
 //! footprints while honouring the paper's software contract (no unguarded
@@ -27,7 +29,7 @@
 
 use simkernel::{ByteSize, SimRng};
 
-use mem::{Addr, AddressRange};
+use mem::{Addr, AddressRange, LINE_BYTES};
 
 use crate::compiler::{stack_base, ExecMode};
 use crate::trace::{MemRefClass, Phase, TraceOp};
@@ -148,6 +150,14 @@ fn has_guarded(ops: &[TraceOp]) -> bool {
 
 // ------------------------------------------------------------- op helpers
 
+fn gm_load(addr: Addr, reference_id: u64) -> TraceOp {
+    mem_op(addr, MemRefClass::Gm, false, reference_id)
+}
+
+fn gm_store(addr: Addr, reference_id: u64) -> TraceOp {
+    mem_op(addr, MemRefClass::Gm, true, reference_id)
+}
+
 fn guarded_load(addr: Addr) -> TraceOp {
     TraceOp::Load {
         addr,
@@ -213,37 +223,47 @@ fn alloc(count: usize) -> Vec<TraceOp> {
 pub struct LitmusCase {
     /// Stable name (golden files, reports, CLI selection).
     pub name: &'static str,
-    /// Builds the program for a machine with `cores` cores and the given
-    /// SPM buffer size.
+    /// Builds the program for a hybrid machine with `cores` cores and the
+    /// given SPM buffer size.
     pub build: fn(cores: usize, buffer_size: ByteSize) -> RawKernel,
+    /// Builds the program for a cache-only machine, for the cases whose
+    /// hazard exists without scratchpads (same arguments as `build`).
+    pub build_cache_only: Option<fn(cores: usize, buffer_size: ByteSize) -> RawKernel>,
 }
 
-/// The directed litmus catalogue (hybrid machines; needs ≥ 2 cores).
+impl LitmusCase {
+    /// The builder of the case's form for machines running `mode`, or
+    /// `None` when the case has no such form.
+    pub fn build_for(&self, mode: ExecMode) -> Option<fn(usize, ByteSize) -> RawKernel> {
+        match mode {
+            ExecMode::Hybrid => Some(self.build),
+            ExecMode::CacheOnly => self.build_cache_only,
+        }
+    }
+}
+
+/// The directed litmus catalogue (hybrid machines, and cache-only machines
+/// where a case has a cache-only form; needs ≥ 2 cores).
 pub fn catalogue() -> Vec<LitmusCase> {
+    let hybrid = |name, build| LitmusCase {
+        name,
+        build,
+        build_cache_only: None,
+    };
     vec![
+        hybrid("dma_get_snoops_dirty_line", dma_get_snoops_dirty_line),
+        hybrid(
+            "guest_writeback_vs_remote_load",
+            guest_writeback_vs_remote_load,
+        ),
+        hybrid("filter_eviction_mid_tile", filter_eviction_mid_tile),
+        hybrid("dma_sync_tag_ordering", dma_sync_tag_ordering),
+        hybrid("local_store_remote_load", local_store_remote_load),
+        hybrid("stale_filter_after_map", stale_filter_after_map),
         LitmusCase {
-            name: "dma_get_snoops_dirty_line",
-            build: dma_get_snoops_dirty_line,
-        },
-        LitmusCase {
-            name: "guest_writeback_vs_remote_load",
-            build: guest_writeback_vs_remote_load,
-        },
-        LitmusCase {
-            name: "filter_eviction_mid_tile",
-            build: filter_eviction_mid_tile,
-        },
-        LitmusCase {
-            name: "dma_sync_tag_ordering",
-            build: dma_sync_tag_ordering,
-        },
-        LitmusCase {
-            name: "local_store_remote_load",
-            build: local_store_remote_load,
-        },
-        LitmusCase {
-            name: "stale_filter_after_map",
-            build: stale_filter_after_map,
+            name: "prefetch_beside_exclusive_owner",
+            build: prefetch_beside_exclusive_owner,
+            build_cache_only: Some(prefetch_beside_exclusive_owner_cache_only),
         },
     ]
 }
@@ -394,6 +414,61 @@ fn stale_filter_after_map(cores: usize, bs: ByteSize) -> RawKernel {
     b.build()
 }
 
+/// A line another core's stride prefetcher fills from the L2 while core 0
+/// holds it clean Exclusive: the fill must downgrade core 0 to Shared, so
+/// core 0's next store invalidates the prefetched copy instead of hitting
+/// silently beside it.  The line carries a written value first, so a stale
+/// prefetched copy reads differently from the store.
+///
+/// The hybrid form writes the value with a `dma-put`.
+fn prefetch_beside_exclusive_owner(cores: usize, bs: ByteSize) -> RawKernel {
+    assert!(cores >= 2, "needs two cores");
+    let chunk = chunk_at(40, bs);
+    let x = chunk.start() + 0x200;
+    let mut b = ProgramBuilder::new("prefetch_beside_exclusive_owner", cores, bs);
+    b.all(|_| alloc(2));
+    b.step(
+        0,
+        vec![
+            get(0, chunk),
+            sync(&[0]),
+            spm_store(0, x),
+            put(0, chunk),
+            sync(&[0]),
+        ],
+    );
+    prefetch_beside_owner_steps(&mut b, x);
+    b.build()
+}
+
+/// The cache-only form of [`prefetch_beside_exclusive_owner`]: core 0
+/// writes the value with a store, then evicts the dirty line to the L2 with
+/// loads that conflict with it in every L1 set mapping up to 16 KiB.
+fn prefetch_beside_exclusive_owner_cache_only(cores: usize, bs: ByteSize) -> RawKernel {
+    assert!(cores >= 2, "needs two cores");
+    let x = chunk_at(40, bs).start() + 0x200;
+    let mut b = ProgramBuilder::new("prefetch_beside_exclusive_owner", cores, bs);
+    b.step(0, vec![gm_store(x, 910)]);
+    b.step(
+        0,
+        (1..=8).map(|k| gm_load(x + k * 16 * 1024, 911)).collect(),
+    );
+    prefetch_beside_owner_steps(&mut b, x);
+    b.build()
+}
+
+/// The steps both forms of [`prefetch_beside_exclusive_owner`] share, once
+/// `x` holds a written value in memory or the L2 and in no L1.
+fn prefetch_beside_owner_steps(b: &mut ProgramBuilder, x: Addr) {
+    // Core 0 reads X and holds it Exclusive.
+    b.step(0, vec![gm_load(x, 912)]);
+    // Core 1 streams the four lines below X: its prefetcher fills X.
+    b.step(1, (1..=4).rev().map(|k| gm_load(x - k * 64, 913)).collect());
+    b.step(0, vec![gm_store(x, 914)]);
+    // Core 1 must read core 0's store, not its prefetched copy.
+    b.step(1, vec![gm_load(x, 915)]);
+}
+
 // -------------------------------------------------------------- fuzz layer
 
 /// Shape of a generated random program.
@@ -499,6 +574,8 @@ pub fn random_program(seed: u64, params: &FuzzParams) -> RawKernel {
             let s_chunk = strided_chunk(c, r, params);
             let g_index = guarded_chunk_index(c, r, params);
             let g_chunk = guarded_chunk(g_index, params);
+            // Strided accesses made so far this round.
+            let mut strided = 0u64;
             if hybrid {
                 ops.push(TraceOp::SetPhase(Phase::Control));
                 if r > 0 {
@@ -517,13 +594,18 @@ pub fn random_program(seed: u64, params: &FuzzParams) -> RawKernel {
             for _ in 0..params.ops_per_round {
                 let op = match rng.gen_range(0..10) {
                     0 | 1 => {
-                        // Strided access to the own mapped chunk.
-                        let addr = rand_word_in(&mut rng, s_chunk);
-                        let class = if hybrid {
-                            MemRefClass::SpmStrided { buffer: 0 }
+                        // Strided access to the own mapped chunk: a random
+                        // word of the SPM copy, or in cache-only mode the
+                        // next line of the chunk, so the stride prefetcher
+                        // confirms its stream and prefetches under the oracle.
+                        let (addr, class) = if hybrid {
+                            let addr = rand_word_in(&mut rng, s_chunk);
+                            (addr, MemRefClass::SpmStrided { buffer: 0 })
                         } else {
-                            MemRefClass::GmStrided
+                            let offset = (strided * LINE_BYTES) % s_chunk.len();
+                            (s_chunk.start() + offset, MemRefClass::GmStrided)
                         };
+                        strided += 1;
                         let store = rng.gen_bool(0.5);
                         mem_op(addr, class, store, 700 + c as u64)
                     }
@@ -650,6 +732,30 @@ mod tests {
                     .count();
                 assert_eq!(gets, puts, "{}: every get is put back", case.name);
                 assert!(ops.iter().any(|o| matches!(o, TraceOp::LoopEnd)));
+                if let Some(build) = case.build_for(ExecMode::CacheOnly) {
+                    let k = build(cores, bs());
+                    assert_eq!(k.cores(), cores, "{}", case.name);
+                    assert!(!k.guarded, "{}", case.name);
+                    for op in k.rounds.iter().flatten().flatten() {
+                        assert!(
+                            matches!(
+                                op,
+                                TraceOp::Compute { .. }
+                                    | TraceOp::Load {
+                                        class: MemRefClass::Gm,
+                                        ..
+                                    }
+                                    | TraceOp::Store {
+                                        class: MemRefClass::Gm,
+                                        ..
+                                    }
+                                    | TraceOp::LoopEnd
+                            ),
+                            "{}: cache-only programs issue plain accesses: {op:?}",
+                            case.name
+                        );
+                    }
+                }
             }
         }
     }
@@ -742,6 +848,40 @@ mod tests {
                 if let TraceOp::Load { class, .. } | TraceOp::Store { class, .. } = op {
                     assert!(!class.is_guarded() && !class.is_spm());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn cache_only_strided_accesses_walk_their_chunk_line_by_line() {
+        let params = FuzzParams::small(4, ByteSize::kib(8), ExecMode::CacheOnly);
+        let k = random_program(5, &params);
+        for (c, rounds) in k.rounds.iter().enumerate() {
+            for (r, round) in rounds.iter().enumerate().take(params.rounds) {
+                let chunk = strided_chunk(c, r, &params);
+                let walked: Vec<u64> = round
+                    .iter()
+                    .filter_map(|op| match op {
+                        TraceOp::Load {
+                            addr,
+                            class: MemRefClass::GmStrided,
+                            reference_id,
+                        }
+                        | TraceOp::Store {
+                            addr,
+                            class: MemRefClass::GmStrided,
+                            reference_id,
+                        } => {
+                            assert_eq!(*reference_id, 700 + c as u64);
+                            Some(*addr - chunk.start())
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let want: Vec<u64> = (0..walked.len() as u64)
+                    .map(|i| (i * LINE_BYTES) % chunk.len())
+                    .collect();
+                assert_eq!(walked, want, "core {c} round {r}");
             }
         }
     }

@@ -59,10 +59,13 @@ fn fuzz(seed: u64, cores: usize, mode: ExecMode) -> RawKernel {
 #[test]
 fn litmus_catalogue_is_coherent_across_the_whole_matrix() {
     for case in catalogue() {
-        for kind in [MachineKind::HybridProposed, MachineKind::HybridIdeal] {
+        for kind in MachineKind::ALL {
+            let Some(build) = case.build_for(kind.exec_mode()) else {
+                continue;
+            };
             for model in noc_models() {
                 let cfg = config(model, CORES);
-                let program = (case.build)(CORES, cfg.spm.size / 2);
+                let program = build(CORES, cfg.spm.size / 2);
                 let outcome = Machine::new(kind, cfg).verify_raw(&program);
                 assert!(
                     outcome.ok(),
@@ -164,6 +167,9 @@ fn golden(name: &str) -> &'static str {
         "dma_sync_tag_ordering" => include_str!("golden/litmus/dma_sync_tag_ordering.txt"),
         "local_store_remote_load" => include_str!("golden/litmus/local_store_remote_load.txt"),
         "stale_filter_after_map" => include_str!("golden/litmus/stale_filter_after_map.txt"),
+        "prefetch_beside_exclusive_owner" => {
+            include_str!("golden/litmus/prefetch_beside_exclusive_owner.txt")
+        }
         other => panic!("no golden image for litmus case {other}"),
     }
 }
